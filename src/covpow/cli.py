@@ -17,13 +17,13 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .consistency import (
+    certified_gates,
     report_to_dict as consistency_report_to_dict,
     verify_instance,
 )
@@ -50,6 +50,7 @@ from .graphs import (
     NodePartition,
     WeightedGraph,
     abar,
+    observed_a_min,
     partition_blocks,
     sample_inhomogeneous_er,
     scale_cross_block,
@@ -282,9 +283,7 @@ def cmd_simulate(config: dict, run_dir: Path) -> None:
 
 def _gate_shrink(graph, part, model_params, beta, target_frac):
     """Shrink the cross block until the strongest gate admits it."""
-    from .consistency import best_contour_gate, fractional_gate
-
-    kappa, alpha = model_params["kappa"], model_params["alpha"]
+    kappa, alpha, sigma = model_params["kappa"], model_params["alpha"], model_params["sigma"]
     blocks = partition_blocks(graph.adjacency, part)
     in_block = np.concatenate([blocks[0].sum(axis=1), blocks[3].sum(axis=1)])
     if in_block.min() <= 0 and operator_norm(blocks[1]) > 0:
@@ -292,11 +291,9 @@ def _gate_shrink(graph, part, model_params, beta, target_frac):
             "a node is held up only by cross-block edges; shrinking the cross "
             "block to pass the gate would isolate it"
         )
-    adj_s = graph.adjacency[np.ix_(part.observed, part.observed)]
-    off = adj_s[~np.eye(adj_s.shape[0], dtype=bool)]
-    if not (off > 0).any():
+    a_min = observed_a_min(graph, part)
+    if a_min is None:
         raise DomainError("observed block has no edges; nothing to gate against")
-    a_min = float(off[off > 0].min())
     for _ in range(80):
         shift, valid = abar(graph, kappa)
         cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
@@ -304,23 +301,20 @@ def _gate_shrink(graph, part, model_params, beta, target_frac):
             raise DomainError("graph invalid while gating (spectral radius >= 1)")
         if cross == 0:
             return graph
-        gates = []
-        if 0 < beta < 1 and abs(beta * alpha - 1.0) <= 1e-9:
-            gates.append(fractional_gate(shift, beta, a_min, cross).gate)
-        if alpha > 0:
-            gates.append(
-                best_contour_gate(
-                    shift, alpha, beta, model_params["sigma"], a_min, cross
-                ).gate
+        gates = certified_gates(shift, alpha, beta, sigma, a_min, cross)
+        if gates == (None, None):
+            raise DomainError(
+                "gate_target_fraction needs an applicable gate: beta = 1/alpha in "
+                f"(0,1) or alpha > 0, got alpha={alpha}, beta={beta}"
             )
-        gate = max(gates)
+        gate = max(g.gate for g in gates if g is not None)
         if cross < target_frac * gate:
             return graph
         graph = scale_cross_block(graph, part, min(0.5, 0.5 * target_frac * gate / cross))
     raise DomainError("cross block did not pass the gate after 80 shrink steps")
 
 
-def cmd_verify(config: dict, run_dir: Path, workers: int = 1) -> None:
+def cmd_verify(config: dict, run_dir: Path) -> None:
     _check_keys(
         config,
         {
@@ -362,11 +356,7 @@ def cmd_verify(config: dict, run_dir: Path, workers: int = 1) -> None:
         return verify_instance(model, part, beta=beta, method=method)
 
     seeds = list(range(start, start + count))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, seeds))
-    else:
-        reports = [one(s) for s in seeds]
+    reports = [one(s) for s in seeds]
 
     run_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -758,12 +748,6 @@ def main(argv=None) -> int:
             default=None,
             help="run directory (default: $COVPOW_RUNS_ROOT or ./runs, named by config hash)",
         )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="worker threads for batch commands (default 1, fully deterministic)",
-        )
     args = parser.parse_args(argv)
 
     try:
@@ -777,14 +761,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
         run_dir = _run_dir(args, args.command, config_text)
-        handler = _COMMANDS[args.command]
-        if args.command == "verify":
-            handler(config, run_dir, workers=args.workers)
-        else:
-            handler(config, run_dir)
+        _COMMANDS[args.command](config, run_dir)
         _finish_run(run_dir, args.command, config_text)
         print(json.dumps({"run_dir": str(run_dir)}, sort_keys=True))
         return 0

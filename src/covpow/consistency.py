@@ -8,6 +8,9 @@ so the observed block's fractional inverse power remains structurally
 faithful. Two sufficient gates certify this a priori from the shifted
 operator alone: a fractional-power form (power in (0,1) matched to the field
 smoothness) and a contour form (any nonzero power, positive smoothness).
+Both read that operator only through its spectral radius and smallest
+eigenvalue, so every gate function accepts either the matrix or those two
+scalars as a ShiftSpectrum; certified_gates decides which gates apply.
 """
 
 from __future__ import annotations
@@ -19,22 +22,21 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .graphs import NodePartition, WeightedGraph, abar, partition_blocks
-from .matern import MaternModel, population_covariance
+from .graphs import NodePartition, WeightedGraph, abar, observed_a_min, partition_blocks
+from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
     SpdMatrix,
     SymMatrix,
     circular_contour,
-    lambda_min,
     operator_norm,
     spd_power_contour,
     spd_power_eig,
     spd_power_stieltjes,
     spectral_norm,
-    spectral_radius,
 )
 
 __all__ = [
+    "ShiftSpectrum",
     "SpectralInterval",
     "FractionalGate",
     "ContourGate",
@@ -53,10 +55,27 @@ __all__ = [
     "contour_gate",
     "default_epsilon_grid",
     "best_contour_gate",
+    "certified_gates",
     "verify_instance",
     "report_to_dict",
     "report_to_json",
 ]
+
+
+@dataclass(frozen=True)
+class ShiftSpectrum:
+    """The two scalars of the shifted operator that every gate depends on.
+
+    rho is the spectral radius max|eig| and lam the smallest eigenvalue.
+    Gates are defined only for rho < 1.
+    """
+
+    rho: float
+    lam: float
+
+    def __post_init__(self) -> None:
+        if not self.rho < 1:
+            raise DomainError(f"shifted operator spectral radius must be < 1, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -233,27 +252,35 @@ def beta_integral_constant(beta: float) -> float:
     return math.gamma(1 - beta) * math.gamma(2 + beta) / 2
 
 
-def _shift_spectrum(abar_m) -> tuple[float, float]:
-    a = np.asarray(getattr(abar_m, "values", abar_m), dtype=float)
-    rho = spectral_radius(a)
-    lam = lambda_min(a)
-    return rho, lam
+def _spectrum(shift) -> ShiftSpectrum:
+    """Both scalars of a shifted operator from one eigvalsh call.
+
+    A ShiftSpectrum passes through unchanged, so each public gate function
+    factors its matrix once and hands the scalars to the helpers it calls.
+    """
+    if isinstance(shift, ShiftSpectrum):
+        return shift
+    ev = np.linalg.eigvalsh(SymMatrix(getattr(shift, "values", shift)).values)
+    return ShiftSpectrum(rho=float(np.max(np.abs(ev))), lam=float(ev[0]))
+
+
+def _fractional_stability(spec: ShiftSpectrum, beta: float) -> float:
+    """Stability radius s of the fractional form's Neumann argument."""
+    return beta * (1 - spec.rho) ** (1 + 1 / beta) / (1 - spec.lam) ** (1 / beta)
 
 
 def fractional_bound_h(abar_m, beta: float) -> float:
     """Prefactor of the commutation-error norm bound, fractional form."""
     if not 0 < beta < 1:
         raise DomainError(f"fractional bound needs beta in (0,1), got {beta}")
-    rho, lam = _shift_spectrum(abar_m)
-    if not rho < 1:
-        raise DomainError(f"shifted operator spectral radius must be < 1, got {rho}")
+    spec = _spectrum(abar_m)
     core = 2 * beta_integral_constant(beta)  # Gamma(1-b) Gamma(2+b)
     return (
         math.sin(math.pi * beta)
         / math.pi
         * core
-        * (1 - lam) ** (2 / beta + 1)
-        / (2 * beta**2 * (1 - rho) ** (2 / beta + 2))
+        * (1 - spec.lam) ** (2 / beta + 1)
+        / (2 * beta**2 * (1 - spec.rho) ** (2 / beta + 2))
     )
 
 
@@ -263,13 +290,11 @@ def fractional_gate(abar_m, beta: float, a_min: float, cross_norm: float) -> Fra
         raise DomainError("gate needs a positive a_min")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    rho, lam = _shift_spectrum(abar_m)
-    if not rho < 1:
-        raise DomainError(f"shifted operator spectral radius must be < 1, got {rho}")
+    spec = _spectrum(abar_m)
     if not 0 < beta < 1:
         raise DomainError(f"fractional gate needs beta in (0,1), got {beta}")
-    h = fractional_bound_h(abar_m, beta)
-    s = beta * (1 - rho) ** (1 + 1 / beta) / (1 - lam) ** (1 / beta)
+    h = fractional_bound_h(spec, beta)
+    s = _fractional_stability(spec, beta)
     c = s * math.sqrt(a_min / (4 * s**2 * h + a_min))
     g = min(s, c)
     return FractionalGate(
@@ -292,13 +317,11 @@ def delta_norm_bound_fractional(abar_m, beta: float, sigma: float, cross_norm: f
         raise DomainError("sigma must be positive")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    rho, lam = _shift_spectrum(abar_m)
-    if not rho < 1:
-        raise DomainError(f"shifted operator spectral radius must be < 1, got {rho}")
+    spec = _spectrum(abar_m)
     if not 0 < beta < 1:
         raise DomainError(f"fractional bound needs beta in (0,1), got {beta}")
-    h = fractional_bound_h(abar_m, beta)
-    s = beta * (1 - rho) ** (1 + 1 / beta) / (1 - lam) ** (1 / beta)
+    h = fractional_bound_h(spec, beta)
+    s = _fractional_stability(spec, beta)
     if cross_norm >= s:
         raise DomainError(
             f"cross_norm {cross_norm:.6g} >= stability {s:.6g}: bound is vacuous"
@@ -317,12 +340,10 @@ def spectral_interval(abar_m, alpha: float, sigma: float) -> SpectralInterval:
         raise DomainError("spectral interval is defined for alpha > 0")
     if not sigma > 0:
         raise DomainError("sigma must be positive")
-    rho, lam = _shift_spectrum(abar_m)
-    if not rho < 1:
-        raise DomainError(f"shifted operator spectral radius must be < 1, got {rho}")
+    spec = _spectrum(abar_m)
     return SpectralInterval(
-        low=sigma**2 * (1 - lam) ** (-alpha),
-        high=sigma**2 * (1 - rho) ** (-alpha),
+        low=sigma**2 * (1 - spec.lam) ** (-alpha),
+        high=sigma**2 * (1 - spec.rho) ** (-alpha),
     )
 
 
@@ -336,10 +357,7 @@ def amplification_factor(abar_m, alpha: float, sigma: float) -> float:
         raise DomainError("amplification factor is defined for alpha > 0")
     if not sigma > 0:
         raise DomainError("sigma must be positive")
-    rho, _ = _shift_spectrum(abar_m)
-    if not rho < 1:
-        raise DomainError(f"shifted operator spectral radius must be < 1, got {rho}")
-    return sigma**2 * alpha * (1 - rho) ** (-alpha - 1)
+    return sigma**2 * alpha * (1 - _spectrum(abar_m).rho) ** (-alpha - 1)
 
 
 def contour_gate(
@@ -358,14 +376,15 @@ def contour_gate(
         raise DomainError("gate needs a positive a_min")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    interval = spectral_interval(abar_m, alpha, sigma)
+    spec = _spectrum(abar_m)
+    interval = spectral_interval(spec, alpha, sigma)
     m, m_up = interval.low, interval.high
     if not 0 < epsilon < m:
         raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {epsilon}")
     radius = (m_up - m) / 2 + epsilon
     magnitude = (m - epsilon) ** (-beta) if beta >= 0 else (m_up + epsilon) ** (-beta)
     k_const = radius * epsilon**-3 * magnitude
-    amp = amplification_factor(abar_m, alpha, sigma)
+    amp = amplification_factor(spec, alpha, sigma)
     s_eps = epsilon / amp
     c_eps = s_eps * math.sqrt(a_min / (4 * epsilon**2 * sigma ** (2 * beta) * k_const + a_min))
     g_eps = min(s_eps, c_eps)
@@ -402,16 +421,40 @@ def best_contour_gate(
     epsilon_grid=None,
 ) -> ContourGate:
     """Contour gate maximized over a clearance grid; ties keep the first."""
+    spec = _spectrum(abar_m)
     if epsilon_grid is None:
-        interval = spectral_interval(abar_m, alpha, sigma)
-        epsilon_grid = default_epsilon_grid(interval.low)
+        epsilon_grid = default_epsilon_grid(spectral_interval(spec, alpha, sigma).low)
     gates = [
-        contour_gate(abar_m, alpha, beta, sigma, float(eps), a_min, cross_norm)
+        contour_gate(spec, alpha, beta, sigma, float(eps), a_min, cross_norm)
         for eps in epsilon_grid
     ]
     if not gates:
         raise DomainError("epsilon grid is empty")
     return max(gates, key=lambda gate: gate.gate)
+
+
+def certified_gates(
+    shift,
+    alpha: float,
+    beta: float,
+    sigma: float,
+    a_min: float,
+    cross_norm: float,
+    epsilon_grid=None,
+) -> tuple[FractionalGate | None, ContourGate | None]:
+    """Every gate that applies to (alpha, beta); None for one that does not.
+
+    The fractional gate needs the power matched to the field smoothness,
+    beta = 1/alpha in (0,1); the contour gate needs alpha > 0.
+    """
+    spec = _spectrum(shift)
+    frac = None
+    if 0 < beta < 1 and abs(beta * alpha - 1) <= 1e-9:
+        frac = fractional_gate(spec, beta, a_min, cross_norm)
+    cont = None
+    if alpha > 0:
+        cont = best_contour_gate(spec, alpha, beta, sigma, a_min, cross_norm, epsilon_grid)
+    return frac, cont
 
 
 def verify_instance(
@@ -447,8 +490,7 @@ def verify_instance(
     adj_s, cross, _, _ = partition_blocks(model.graph.adjacency, p)
     cross_norm = operator_norm(cross)
     truth_s = WeightedGraph(adj_s)
-    pos = adj_s[~np.eye(n_obs, dtype=bool)]
-    a_min = float(pos[pos > 0].min()) if (pos > 0).any() else None
+    a_min = observed_a_min(model.graph, p)
 
     threshold = None
     if a_min is not None:
@@ -456,34 +498,25 @@ def verify_instance(
     else:
         notes.append("observed block has no edges; threshold and gates not applicable")
 
-    s_idx = list(p.observed)
-    c_s = SpdMatrix(c.values[np.ix_(s_idx, s_idx)])
-    est = spd_power_eig(c_s, -beta).values
+    est = spd_power_eig(observed_covariance(c, p), -beta).values
     check = is_structurally_consistent(est, truth_s, beta)
     if check.status == "not_applicable":
         notes.append("structure check not applicable: need both pair kinds in the observed block")
 
     shift, valid = abar(model.graph, model.kappa)
-    gate_frac = None
-    gate_cont = None
-    bound_frac = None
+    gate_frac = gate_cont = bound_frac = None
     if not valid:
         notes.append("shifted operator spectral radius >= 1; gates not applicable")
     elif a_min is not None:
-        matched = abs(beta * model.alpha - 1) <= 1e-9
-        if 0 < beta < 1 and matched:
-            gate_frac = fractional_gate(shift, beta, a_min, cross_norm)
-            if cross_norm < gate_frac.stability:
-                bound_frac = delta_norm_bound_fractional(
-                    shift, beta, model.sigma, cross_norm
-                )
-        else:
+        spec = _spectrum(shift)
+        gate_frac, gate_cont = certified_gates(
+            spec, model.alpha, beta, model.sigma, a_min, cross_norm, epsilon_grid
+        )
+        if gate_frac is None:
             notes.append("fractional gate needs beta = 1/alpha in (0,1)")
-        if model.alpha > 0:
-            gate_cont = best_contour_gate(
-                shift, model.alpha, beta, model.sigma, a_min, cross_norm, epsilon_grid
-            )
-        else:
+        elif cross_norm < gate_frac.stability:
+            bound_frac = delta_norm_bound_fractional(spec, beta, model.sigma, cross_norm)
+        if gate_cont is None:
             notes.append("contour gate needs alpha > 0")
 
     return ConsistencyReport(

@@ -27,7 +27,6 @@ __all__ = [
     "spd_power_stieltjes",
     "spd_power_contour",
     "spectral_norm",
-    "spectral_radius",
     "lambda_min",
     "operator_norm",
     "matrix_to_json",
@@ -257,11 +256,6 @@ def spectral_norm(m) -> float:
     """max |eigenvalue| of a symmetric matrix."""
     a = m.values if isinstance(m, SymMatrix) else SymMatrix(m).values
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-
-
-def spectral_radius(m) -> float:
-    """Same as spectral_norm on symmetric input."""
-    return spectral_norm(m)
 
 
 def lambda_min(m) -> float:

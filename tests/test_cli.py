@@ -258,15 +258,18 @@ class TestVerify:
             rec = json.loads(report_path.read_text())
             assert rec["delta_spectral_norm"] <= 1e-10
 
-    def test_workers_match_single_thread(self, tmp_path):
-        path = write_config(tmp_path, "verify.json", self.verify_config(count=6))
-        run_a, run_b = tmp_path / "a", tmp_path / "b"
-        assert main(["verify", "--config", path, "--out", str(run_a)]) == 0
-        assert (
-            main(["verify", "--config", path, "--out", str(run_b), "--workers", "3"])
-            == 0
-        )
-        assert (run_a / "summary.csv").read_bytes() == (run_b / "summary.csv").read_bytes()
+    def test_gate_target_without_applicable_gate_exit_3(self, tmp_path, capsys):
+        # alpha < 0 with the default beta = 1/alpha: neither gate applies
+        config = self.verify_config(count=2, gate_frac=0.5)
+        config["seeds"] = {"start": 5, "count": 2}
+        config["model"]["alpha"] = -1.0
+        path = write_config(tmp_path, "verify.json", config)
+        run = tmp_path / "run"
+        assert main(["verify", "--config", path, "--out", str(run)]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+        assert "needs an applicable gate" in err["message"]
+        assert not run.exists()
 
 
 class TestExtractSelectEvaluate:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.linalg import fractional_matrix_power
@@ -10,10 +12,12 @@ from scipy.special import gammaln
 
 from covpow.consistency import (
     ConsistencyReport,
+    ShiftSpectrum,
     SpectralInterval,
     amplification_factor,
     best_contour_gate,
     beta_integral_constant,
+    certified_gates,
     commutation_error,
     consistency_threshold,
     contour_gate,
@@ -584,6 +588,88 @@ class TestContourGate:
         by_hand = max(gates, key=lambda g: g.gate)
         assert best == by_hand
         assert all(np.isfinite(g.gate) and g.gate > 0 for g in gates)
+
+
+class TestCertifiedGates:
+    SHIFT = np.array([[0.3, 0.2, 0.0], [0.2, -0.4, 0.1], [0.0, 0.1, 0.5]])
+
+    @pytest.mark.parametrize(
+        "alpha, beta, fractional, contour",
+        [
+            (2.0, 0.5, True, True),
+            (2.0, 0.9, False, True),  # power not matched to the smoothness
+            (0.5, 2.0, False, True),  # matched, but beta outside (0,1)
+            (-2.0, -0.5, False, False),
+        ],
+    )
+    def test_selection_rule(self, alpha, beta, fractional, contour):
+        sigma, a_min, cross = 1.2, 0.7, 0.01
+        frac, cont = certified_gates(self.SHIFT, alpha, beta, sigma, a_min, cross)
+        if fractional:
+            assert frac == fractional_gate(self.SHIFT, beta, a_min, cross)
+        else:
+            assert frac is None
+        if contour:
+            assert cont == best_contour_gate(self.SHIFT, alpha, beta, sigma, a_min, cross)
+        else:
+            assert cont is None
+        # the two scalars carry everything the gates read from the matrix
+        ev = np.linalg.eigvalsh(self.SHIFT)
+        spec = ShiftSpectrum(rho=float(np.max(np.abs(ev))), lam=float(ev[0]))
+        assert certified_gates(spec, alpha, beta, sigma, a_min, cross) == (frac, cont)
+
+    def test_unstable_spectrum_rejected(self):
+        with pytest.raises(DomainError, match="spectral radius must be < 1"):
+            ShiftSpectrum(rho=1.0, lam=-0.2)
+        with pytest.raises(DomainError, match="spectral radius must be < 1"):
+            certified_gates(np.diag([1.2, 0.0]), 2.0, 0.5, 1.0, 0.7, 0.0)
+
+
+_diag_shifts = st.lists(st.floats(-0.95, 0.95), min_size=2, max_size=6).map(np.diag)
+_cross_norms = st.lists(st.floats(0.0, 2.0), min_size=2, max_size=6).map(sorted)
+
+
+def _assert_monotone_in_cross_norm(gates, crosses):
+    """gate, stability and control ignore cross_norm; theta_bound grows with it."""
+    first = gates[0]
+    for gate, cross in zip(gates, crosses):
+        assert (gate.gate, gate.stability, gate.control) == (
+            first.gate,
+            first.stability,
+            first.control,
+        )
+        assert gate.satisfied == (cross < gate.gate)
+    assert all(a.theta_bound <= b.theta_bound for a, b in zip(gates, gates[1:]))
+
+
+class TestGateProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        shift=_diag_shifts,
+        beta=st.floats(0.05, 0.95),
+        a_min=st.floats(0.05, 2.0),
+        crosses=_cross_norms,
+    )
+    def test_fractional_gate_monotone_in_cross_norm(self, shift, beta, a_min, crosses):
+        gates = [fractional_gate(shift, beta, a_min, c) for c in crosses]
+        _assert_monotone_in_cross_norm(gates, crosses)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        shift=_diag_shifts,
+        alpha=st.floats(0.25, 3.0),
+        beta=st.floats(-2.0, 2.0).filter(lambda b: abs(b) >= 0.05),
+        sigma=st.floats(0.5, 2.0),
+        eps_frac=st.floats(0.05, 0.95),
+        a_min=st.floats(0.05, 2.0),
+        crosses=_cross_norms,
+    )
+    def test_contour_gate_monotone_in_cross_norm(
+        self, shift, alpha, beta, sigma, eps_frac, a_min, crosses
+    ):
+        eps = eps_frac * spectral_interval(shift, alpha, sigma).low
+        gates = [contour_gate(shift, alpha, beta, sigma, eps, a_min, c) for c in crosses]
+        _assert_monotone_in_cross_norm(gates, crosses)
 
 
 class TestVerifyInstance:

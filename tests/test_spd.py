@@ -17,7 +17,6 @@ from covpow.spd import (
     spd_power_eig,
     spd_power_stieltjes,
     spectral_norm,
-    spectral_radius,
     sym_eigen,
     write_matrix_csv,
 )
@@ -236,9 +235,8 @@ class TestPowerContour:
 class TestNorms:
     def test_spectral_norm_known(self):
         assert abs(spectral_norm(SymMatrix([[1.0, -0.5], [-0.5, 1.0]])) - 1.5) <= 1e-14
-
-    def test_spectral_radius_of_shift(self):
-        assert abs(spectral_radius(np.array([[0.0, 0.5], [0.5, 0.0]])) - 0.5) <= 1e-14
+        # a shifted operator: plain arrays are accepted too
+        assert abs(spectral_norm(np.array([[0.0, 0.5], [0.5, 0.0]])) - 0.5) <= 1e-14
 
     def test_lambda_min_known(self):
         assert abs(lambda_min(np.array([[1.0, -0.5], [-0.5, 1.0]])) - 0.5) <= 1e-14
