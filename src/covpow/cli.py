@@ -31,17 +31,16 @@ from .errors import ConfigError, CovpowError, DomainError, NumericalError
 from .features import (
     LabeledSeries,
     WindowSpec,
-    empirical_covariance,
+    _stack_features,
+    _window_covariances,
     extract_features,
-    power_features,
     read_feature_archive,
     read_series_csv,
-    sliding_windows,
     write_feature_archive,
     write_series_csv,
 )
 from .geometry import (
-    class_distance_stats,
+    distance_stats,
     pairwise_distance_matrix,
     report_to_dict as geometry_report_to_dict,
     write_pairwise_csv,
@@ -64,6 +63,7 @@ from .matern import (
 )
 from .pipeline import (
     SplitSpec,
+    _select_beta,
     classifier_from_dict,
     classifier_to_dict,
     evaluate,
@@ -471,21 +471,6 @@ def cmd_select(config: dict, run_dir: Path) -> None:
     _write_selection(run_dir, result)
 
 
-def _test_features(series, wspec, split, beta, ridge=None):
-    windows = sliding_windows(series, wspec)
-    labels = np.array([w.label for w in windows])
-    parts = split_dataset(list(range(len(windows))), labels, split)
-    feats = [
-        power_features(
-            empirical_covariance(windows[i].samples, ridge=ridge),
-            beta,
-            label=int(labels[i]),
-        )
-        for i in parts.test_idx
-    ]
-    return feats, parts
-
-
 def cmd_evaluate(config: dict, run_dir: Path) -> None:
     _check_keys(
         config,
@@ -509,9 +494,9 @@ def cmd_evaluate(config: dict, run_dir: Path) -> None:
         length=int(selection["window_length"]),
         overlap=float(selection["window_overlap"]),
     )
-    feats, parts = _test_features(
-        series, wspec, split, float(selection["beta_star"]), ridge=ridge
-    )
+    windows, stack = _window_covariances(series, wspec, ridge)
+    parts = split_dataset(list(range(len(windows))), [w.label for w in windows], split)
+    feats = _stack_features(windows, stack, float(selection["beta_star"]), parts.test_idx)
     metrics = evaluate(classifier, feats, token=parts.test_token)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "test_metrics.json").write_text(_json_text(metrics_to_dict(metrics)))
@@ -524,8 +509,8 @@ def cmd_geometry(config: dict, run_dir: Path) -> None:
     if not Path(features_dir).is_dir():
         raise ConfigError(f"config.features_dir: no such directory {features_dir!r}")
     feats = read_feature_archive(features_dir)
-    report = class_distance_stats(feats)
     distances = pairwise_distance_matrix(feats)
+    report = distance_stats(distances, [f.label for f in feats])
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "identifiability.json").write_text(
         _json_text(geometry_report_to_dict(report))
@@ -635,27 +620,19 @@ def cmd_pipeline(config: dict, run_dir: Path) -> None:
         val = _get(config, key, kind, "config", required=False)
         if val is not None:
             kwargs[key] = val
-    ridge = kwargs.get("ridge")
-
-    result = select_beta(
+    result, windows, stack = _select_beta(
         series, beta_grid=beta_grid, window_grid=window_grid, split=split, **kwargs
     )
-    feats_test, parts_split = _test_features(
-        series, result.window_spec_star, split, result.beta_star, ridge=ridge
+    all_feats = _stack_features(windows, stack, result.beta_star)
+    window_labels = [w.label for w in windows]
+    test_parts = split_dataset(list(range(len(windows))), window_labels, split)
+    metrics = evaluate(
+        result.classifier,
+        [all_feats[i] for i in test_parts.test_idx],
+        token=test_parts.test_token,
     )
-    metrics = evaluate(result.classifier, feats_test, token=parts_split.test_token)
-
-    windows = sliding_windows(series, result.window_spec_star)
-    all_feats = [
-        power_features(
-            empirical_covariance(w.samples, ridge=ridge),
-            result.beta_star,
-            label=w.label,
-        )
-        for w in windows
-    ]
-    identifiability = class_distance_stats(all_feats)
     distances = pairwise_distance_matrix(all_feats)
+    identifiability = distance_stats(distances, window_labels)
 
     sig_rec = _get(config, "signatures", dict, "config", required=False, default={})
     _check_keys(sig_rec, {"mode", "seed"}, "config.signatures")

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .spd import SpdMatrix, read_matrix_csv, spd_power_eig, write_matrix_csv
+from .spd import SpdMatrix, SpdStack, read_matrix_csv, spd_power_eig, write_matrix_csv
 
 __all__ = [
     "LabeledSeries",
@@ -147,9 +148,23 @@ def majority_vote_label(window_labels) -> int:
 def default_ridge(window: np.ndarray) -> float:
     """1e-6 times the mean channel variance of the window."""
     w = np.asarray(window, dtype=float)
+    return _default_ridge(w - w.mean(axis=0, keepdims=True))
+
+
+def _default_ridge(centered: np.ndarray) -> float:
+    trace = float(np.sum(centered * centered) / centered.shape[0])
+    return 1e-6 * trace / centered.shape[1]
+
+
+def _covariance(w: np.ndarray, ridge: float | None) -> np.ndarray:
+    """Mean-centered sample covariance of a window plus ridge*I, unvalidated."""
     centered = w - w.mean(axis=0, keepdims=True)
-    trace = float(np.sum(centered * centered) / w.shape[0])
-    return 1e-6 * trace / w.shape[1]
+    if ridge is None:
+        ridge = _default_ridge(centered)
+    if ridge < 0:
+        raise DomainError("ridge must be nonnegative")
+    cov = centered.T @ centered / w.shape[0]
+    return cov + ridge * np.eye(w.shape[1])
 
 
 def empirical_covariance(window, ridge: float | None = None) -> SpdMatrix:
@@ -161,13 +176,39 @@ def empirical_covariance(window, ridge: float | None = None) -> SpdMatrix:
     w = np.asarray(window, dtype=float)
     if w.ndim != 2 or w.shape[0] < 1:
         raise DomainError(f"window must be a nonempty 2-d block, got shape {w.shape}")
-    if ridge is None:
-        ridge = default_ridge(w)
-    if ridge < 0:
-        raise DomainError("ridge must be nonnegative")
-    centered = w - w.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / w.shape[0]
-    return SpdMatrix(cov + ridge * np.eye(w.shape[1]))
+    return SpdMatrix(_covariance(w, ridge))
+
+
+def _window_covariances(
+    series: LabeledSeries, spec: WindowSpec, ridge: float | None = None
+) -> tuple[list[Window], SpdStack]:
+    """The windows of a series and their covariances as one SPD stack.
+
+    Each window's covariance (as `empirical_covariance` computes it) is
+    written into one preallocated (N, k, k) array, which is validated and
+    factored by a single stacked ``eigh``. Errors name the window index.
+    """
+    windows = sliding_windows(series, spec)
+    covs = np.empty((len(windows), series.channels, series.channels))
+    for i, win in enumerate(windows):
+        covs[i] = _covariance(win.samples, ridge)
+    return windows, SpdStack(covs)
+
+
+def _stack_features(
+    windows: list[Window], stack: SpdStack, beta: float, index=None
+) -> list[FeatureMatrix]:
+    """Powered covariances of the selected windows (default all), tagged."""
+    index = range(len(windows)) if index is None else index
+    return [
+        FeatureMatrix(
+            matrix=m,
+            label=windows[i].label,
+            beta=float(beta),
+            source_window=(windows[i].start, windows[i].stop),
+        )
+        for i, m in zip(index, stack.matrices(beta, index))
+    ]
 
 
 def rank_one_covariance(x, ridge: float) -> SpdMatrix:
@@ -240,13 +281,7 @@ def extract_features(
     if channels is not None:
         samples = series.samples[:, channels]
         series = LabeledSeries(samples=samples, labels=series.labels)
-    out = []
-    for win in sliding_windows(series, spec):
-        cov = empirical_covariance(win.samples, ridge=ridge)
-        out.append(
-            power_features(cov, beta, label=win.label, source_window=(win.start, win.stop))
-        )
-    return out
+    return _stack_features(*_window_covariances(series, spec, ridge), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +298,48 @@ def write_series_csv(series: LabeledSeries, path) -> None:
 
 
 def read_series_csv(path) -> LabeledSeries:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    """Series CSV with columns t, ch0.., label, as write_series_csv writes it.
+
+    Labels must be integers. A malformed cell or a row of the wrong width
+    raises DomainError naming its line.
+    """
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]))
         if len(header) < 3 or header[0] != "t" or header[-1] != "label":
             raise DomainError("series CSV must have columns t, ch0.., label")
-        samples, labels = [], []
-        for row in reader:
-            samples.append([float(v) for v in row[1:-1]])
-            labels.append(int(row[-1]))
-    return LabeledSeries(samples=np.asarray(samples), labels=np.asarray(labels))
+        width = len(header)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file
+                rows = np.loadtxt(
+                    fh, delimiter=",", comments=None, ndmin=2, converters={width - 1: int}
+                )
+        except ValueError as exc:
+            raise DomainError(_first_bad_line(path, width) or f"{path}: {exc}") from None
+    if not rows.size:
+        rows = np.empty((0, width))
+    elif rows.shape[1] != width:
+        raise DomainError(_first_bad_line(path, width))
+    return LabeledSeries(samples=rows[:, 1:-1], labels=rows[:, -1].astype(int))
+
+
+def _first_bad_line(path, width: int) -> str | None:
+    """Where and why a series CSV body fails to parse, or None."""
+    with open(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            if n == 1 or not line.strip():
+                continue
+            cells = line.rstrip("\r\n").split(",")
+            if len(cells) != width:
+                return f"{path}: line {n}: expected {width} cells, got {len(cells)}"
+            for j, cell in enumerate(cells):
+                kind = int if j == width - 1 else float
+                try:
+                    kind(cell)
+                except ValueError:
+                    what = "an integer label" if kind is int else "a number"
+                    return f"{path}: line {n}: cannot parse {cell!r} as {what}"
+    return None
 
 
 def write_feature_archive(features: list[FeatureMatrix], dirpath, meta: dict | None = None) -> None:

@@ -23,6 +23,7 @@ __all__ = [
     "air_distance",
     "pairwise_distance_matrix",
     "class_distance_stats",
+    "distance_stats",
     "report_to_dict",
     "report_to_json",
     "write_pairwise_csv",
@@ -58,16 +59,6 @@ def air_distance(x: SpdMatrix, y: SpdMatrix) -> float:
     return float(np.sqrt(np.sum(np.log(eig) ** 2)))
 
 
-def _matrices_labels(features: list[FeatureMatrix]):
-    if any(f.label is None for f in features):
-        raise DomainError("every feature needs a class label")
-    mats = [f.matrix for f in features]
-    labels = np.array([int(f.label) for f in features])
-    if not np.isin(labels, (0, 1)).all():
-        raise DomainError("labels must be 0/1")
-    return mats, labels
-
-
 def pairwise_distance_matrix(features: list[FeatureMatrix]) -> np.ndarray:
     """Full symmetric distance matrix in input order."""
     mats = [f.matrix for f in features]
@@ -79,30 +70,36 @@ def pairwise_distance_matrix(features: list[FeatureMatrix]) -> np.ndarray:
     return out
 
 
-def _bucket_stats(values: list[float]):
-    if not values:
-        return None, None
-    arr = np.asarray(values)
-    return float(arr.mean()), float(arr.var())
-
-
-def class_distance_stats(features: list[FeatureMatrix]) -> IdentifiabilityReport:
-    """Exhaustive pairwise distances bucketed by class membership.
-
-    Pairs are visited in fixed index order so accumulation is deterministic.
-    """
-    mats, labels = _matrices_labels(features)
-    idx0 = [i for i, c in enumerate(labels) if c == 0]
-    idx1 = [i for i, c in enumerate(labels) if c == 1]
-    if not idx0 or not idx1:
+def _class_indices(labels) -> tuple[np.ndarray, np.ndarray]:
+    if any(c is None for c in labels):
+        raise DomainError("every feature needs a class label")
+    lab = np.array([int(c) for c in labels])
+    if not np.isin(lab, (0, 1)).all():
+        raise DomainError("labels must be 0/1")
+    idx0, idx1 = np.flatnonzero(lab == 0), np.flatnonzero(lab == 1)
+    if not idx0.size or not idx1.size:
         raise DomainError("both classes must be present")
+    return idx0, idx1
 
-    intra = ([], [])
-    for cls, idx in ((0, idx0), (1, idx1)):
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                intra[cls].append(air_distance(mats[idx[a]], mats[idx[b]]))
-    inter = [air_distance(mats[i], mats[j]) for i in idx0 for j in idx1]
+
+def _bucket_stats(values: np.ndarray):
+    if not values.size:
+        return None, None
+    return float(values.mean()), float(values.var())
+
+
+def distance_stats(distances, labels) -> IdentifiabilityReport:
+    """Pairwise distances bucketed by class membership.
+
+    Each bucket lists its pairs in fixed index order (i < j within a class,
+    class-0 index major between classes), so accumulation is deterministic.
+    """
+    idx0, idx1 = _class_indices(labels)
+    d = np.asarray(distances, dtype=float)
+    if d.shape != (len(labels), len(labels)):
+        raise DomainError(f"distance matrix {d.shape} does not match {len(labels)} labels")
+    intra = [d[np.ix_(idx, idx)][np.triu_indices(idx.size, k=1)] for idx in (idx0, idx1)]
+    inter = d[np.ix_(idx0, idx1)].ravel()
 
     mean0, var0 = _bucket_stats(intra[0])
     mean1, var1 = _bucket_stats(intra[1])
@@ -114,12 +111,19 @@ def class_distance_stats(features: list[FeatureMatrix]) -> IdentifiabilityReport
         inter_mean=inter_mean,
         inter_variance=inter_var,
         n_pairs={
-            "intra_0": len(intra[0]),
-            "intra_1": len(intra[1]),
-            "inter": len(inter),
+            "intra_0": intra[0].size,
+            "intra_1": intra[1].size,
+            "inter": inter.size,
         },
         separated=bool(defined) and all(inter_mean > m for m in defined),
     )
+
+
+def class_distance_stats(features: list[FeatureMatrix]) -> IdentifiabilityReport:
+    """distance_stats of the exhaustive pairwise AIR distances of labeled features."""
+    labels = [f.label for f in features]
+    _class_indices(labels)  # fail before the quadratic distance work
+    return distance_stats(pairwise_distance_matrix(features), labels)
 
 
 def report_to_dict(report: IdentifiabilityReport) -> dict:

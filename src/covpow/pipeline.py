@@ -10,6 +10,7 @@ classes. Split bookkeeping tokens make test-set leakage detectable.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -17,15 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .features import (
-    FeatureMatrix,
-    LabeledSeries,
-    WindowSpec,
-    empirical_covariance,
-    power_features,
-    sliding_windows,
-)
-from .spd import SpdMatrix
+from .features import FeatureMatrix, LabeledSeries, WindowSpec, _window_covariances
 
 __all__ = [
     "SplitSpec",
@@ -143,6 +136,24 @@ def s3_from_metrics(train: Metrics, val: Metrics) -> float:
     return s3_score(*parts)
 
 
+@functools.lru_cache(maxsize=None)
+def _triangle_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and scales of the diagonal, then the upper triangle."""
+    iu = np.triu_indices(k, k=1)
+    rows = np.concatenate([np.arange(k), iu[0]])
+    cols = np.concatenate([np.arange(k), iu[1]])
+    scale = np.concatenate([np.ones(k), np.full(iu[0].size, np.sqrt(2.0))])
+    for arr in (rows, cols, scale):
+        arr.flags.writeable = False
+    return rows, cols, scale
+
+
+def _vectorize(a: np.ndarray) -> np.ndarray:
+    """Vectorize every matrix of a (..., k, k) stack; see vectorize_feature."""
+    rows, cols, scale = _triangle_index(a.shape[-1])
+    return a[..., rows, cols] * scale
+
+
 def vectorize_feature(matrix) -> np.ndarray:
     """Upper-triangle vectorization with sqrt(2) off-diagonal scaling.
 
@@ -152,8 +163,11 @@ def vectorize_feature(matrix) -> np.ndarray:
     a = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    iu = np.triu_indices(a.shape[0], k=1)
-    return np.concatenate([np.diag(a), np.sqrt(2.0) * a[iu]])
+    return _vectorize(a)
+
+
+def _design_rows(features: list[FeatureMatrix]) -> np.ndarray:
+    return np.array([vectorize_feature(f.matrix) for f in features])
 
 
 @dataclass(frozen=True)
@@ -166,22 +180,25 @@ class LinearClassifier:
     dim: int
     seen_tokens: tuple[str, ...] = field(default=())
 
-    def _design(self, features: list[FeatureMatrix]) -> np.ndarray:
-        if not features:
+    def _decide(self, x: np.ndarray) -> np.ndarray:
+        """Decision values for a design matrix of vectorized features."""
+        if not len(x):
             raise DomainError("no features to score")
-        x = np.array([vectorize_feature(f.matrix) for f in features])
         if x.shape[1] != self.dim:
             raise DomainError(
                 f"feature dim {x.shape[1]} does not match trained dim {self.dim}"
             )
         z = (x - self.feature_mean) / self.feature_scale
-        return np.column_stack([z, np.ones(len(features))])
+        return np.column_stack([z, np.ones(len(x))]) @ self.weights
+
+    def _predict(self, x: np.ndarray) -> np.ndarray:
+        return (self._decide(x) >= 0).astype(int)
 
     def decision_function(self, features: list[FeatureMatrix]) -> np.ndarray:
-        return self._design(features) @ self.weights
+        return self._decide(_design_rows(features))
 
     def predict(self, features: list[FeatureMatrix]) -> np.ndarray:
-        return (self.decision_function(features) >= 0).astype(int)
+        return self._predict(_design_rows(features))
 
 
 def _labels_from(features: list[FeatureMatrix], labels) -> np.ndarray:
@@ -212,21 +229,32 @@ def train_linear_classifier(
     unchanged; weights n/(2 n_c) rebalance classes without resampling.
     Deterministic: zero init, full batch, fixed backtracking schedule.
     """
-    if len(features) < 2:
+    lab = _labels_from(features, labels)
+    return _fit_logistic(_design_rows(features), lab, l2, max_iter, tol, seen_tokens)
+
+
+def _fit_logistic(
+    x: np.ndarray,
+    lab: np.ndarray,
+    l2: float,
+    max_iter: int,
+    tol: float,
+    seen_tokens: tuple[str, ...],
+) -> LinearClassifier:
+    """train_linear_classifier on a design matrix and 0/1 labels."""
+    if len(lab) < 2:
         raise DomainError("need at least 2 training examples")
     if l2 < 0:
         raise DomainError("l2 must be nonnegative")
-    lab = _labels_from(features, labels)
     n1 = int(lab.sum())
     n0 = len(lab) - n1
     if n0 == 0 or n1 == 0:
         raise DomainError("training data must contain both classes")
 
-    x = np.array([vectorize_feature(f.matrix) for f in features])
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    z = np.column_stack([(x - mean) / scale, np.ones(len(features))])
+    z = np.column_stack([(x - mean) / scale, np.ones(len(x))])
     y = 2.0 * lab - 1.0
     n = len(lab)
     sample_w = np.where(lab == 1, n / (2 * n1), n / (2 * n0))
@@ -357,10 +385,29 @@ def select_beta(
 ) -> SelectionResult:
     """Grid-search the covariance power (and window) on a train/val split.
 
-    Window covariances are estimated once per window spec; each power reuses
-    their cached factorizations. The test portion of the split is never
-    touched here; its token is withheld from the result on purpose.
+    Window covariances are estimated and factored once per window spec, as
+    one SPD stack; each power is one batched matmul on that stack. A power
+    that is not positive definite on some window scores 0, carries an
+    "error" in its table row and is never selected. The test portion of the
+    split is never touched here; its token is withheld from the result on
+    purpose.
     """
+    return _select_beta(
+        dataset, beta_grid, window_grid, split, l2, max_iter, tol, ridge
+    )[0]
+
+
+def _select_beta(
+    dataset,
+    beta_grid=None,
+    window_grid=None,
+    split=None,
+    l2=1e-3,
+    max_iter=100,
+    tol=1e-8,
+    ridge=None,
+):
+    """select_beta, plus the windows and SPD stack of the selected window spec."""
     if beta_grid is None:
         beta_grid = default_beta_grid()
     beta_grid = [float(b) for b in beta_grid]
@@ -376,54 +423,50 @@ def select_beta(
         split = SplitSpec(train_frac=0.6, val_frac=0.2, test_frac=0.2, seed=0)
 
     table: list[dict] = []
-    best = None  # (s3, |beta|, order index, row, classifier, window, tokens)
-    order = 0
+    best = None  # (key, row, classifier, window spec, windows, stack)
+    first_error = None
     for wspec in window_grid:
-        windows = sliding_windows(dataset, wspec)
-        covs = [empirical_covariance(w.samples, ridge=ridge) for w in windows]
+        windows, stack = _window_covariances(dataset, wspec, ridge)
         labels = np.array([w.label for w in windows])
         if labels.min() == labels.max():
             raise DomainError("windowed dataset contains a single class")
         parts = split_dataset(list(range(len(windows))), labels, split)
         if not parts.train or not parts.val:
             raise DomainError("degenerate split: empty train or validation part")
+        train, val = list(parts.train_idx), list(parts.val_idx)
         for beta in beta_grid:
-            feats = [
-                power_features(covs[i], beta, label=int(labels[i]))
-                for i in range(len(windows))
-            ]
-            train_feats = [feats[i] for i in parts.train_idx]
-            val_feats = [feats[i] for i in parts.val_idx]
-            clf = train_linear_classifier(
-                train_feats,
-                l2=l2,
-                max_iter=max_iter,
-                tol=tol,
-                seen_tokens=(parts.train_token, parts.val_token),
-            )
-            m_train = classification_metrics(
-                clf.predict(train_feats), [f.label for f in train_feats]
-            )
-            m_val = classification_metrics(
-                clf.predict(val_feats), [f.label for f in val_feats]
-            )
-            s3 = s3_from_metrics(m_train, m_val)
             row = {
                 "beta": beta,
                 "window_length": wspec.length,
                 "window_overlap": wspec.overlap,
-                "s3": s3,
-                "train": metrics_to_dict(m_train),
-                "val": metrics_to_dict(m_val),
             }
             table.append(row)
-            key = (-s3, abs(beta), order)
+            try:
+                x = _vectorize(stack.power(beta))
+            except DomainError as exc:
+                row.update(s3=0.0, train=None, val=None, error=str(exc))
+                first_error = first_error or f"beta {beta} on {wspec}: {exc}"
+                continue
+            clf = _fit_logistic(
+                x[train],
+                labels[train],
+                l2,
+                max_iter,
+                tol,
+                seen_tokens=(parts.train_token, parts.val_token),
+            )
+            m_train = classification_metrics(clf._predict(x[train]), labels[train])
+            m_val = classification_metrics(clf._predict(x[val]), labels[val])
+            s3 = s3_from_metrics(m_train, m_val)
+            row.update(s3=s3, train=metrics_to_dict(m_train), val=metrics_to_dict(m_val))
+            key = (-s3, abs(beta), len(table))
             if best is None or key < best[0]:
-                best = (key, row, clf, wspec)
-            order += 1
+                best = (key, row, clf, wspec, windows, stack)
 
-    _, row, clf, wspec = best
-    return SelectionResult(
+    if best is None:
+        raise DomainError(f"every power on the grid failed; the first was {first_error}")
+    _, row, clf, wspec, windows, stack = best
+    result = SelectionResult(
         beta_star=row["beta"],
         s3=row["s3"],
         per_beta_table=table,
@@ -431,6 +474,7 @@ def select_beta(
         classifier=clf,
         seen_tokens=clf.seen_tokens,
     )
+    return result, windows, stack
 
 
 def evaluate(classifier: LinearClassifier, features: list[FeatureMatrix], token: str | None = None) -> Metrics:
@@ -524,6 +568,6 @@ def write_selection_csv(result: SelectionResult, path) -> None:
             ]
             for part in ("train", "val"):
                 for key in ("sensitivity", "specificity", "accuracy"):
-                    v = row[part][key]
+                    v = None if row[part] is None else row[part][key]
                     flat.append("" if v is None else repr(v))
             writer.writerow(flat)

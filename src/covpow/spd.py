@@ -20,6 +20,7 @@ from .errors import DomainError, NumericalError
 __all__ = [
     "SymMatrix",
     "SpdMatrix",
+    "SpdStack",
     "ContourSpec",
     "circular_contour",
     "sym_eigen",
@@ -43,6 +44,90 @@ def _as_array(m) -> np.ndarray:
     return np.asarray(getattr(m, "values", m), dtype=float)
 
 
+def _fro(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a (k, k) matrix or of each matrix in an (N, k, k) stack."""
+    if a.ndim == 2:  # the per-matrix hot path of SymMatrix and sym_eigen
+        return np.linalg.norm(a)
+    return np.sqrt(np.einsum("nij,nij->n", a, a))
+
+
+def _require(ok, exc, message, index=None) -> None:
+    """Raise exc for the first matrix whose entry in `ok` is False.
+
+    `ok` holds one flag per matrix: a scalar for one matrix, a vector for a
+    stack. `message(i)` formats the failure at position i; for a stack the
+    error also names the element, as `index[i]` when an index map is given.
+    """
+    if ok.all() if ok.ndim else ok:
+        return
+    if not ok.ndim:
+        raise exc(message(()))
+    i = int(np.argmin(ok))
+    raise exc(f"stack element {i if index is None else index[i]}: {message(i)}")
+
+
+def _square(values) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """Average of a matrix or (N, k, k) stack and its transpose, checked per matrix.
+
+    Rejects non-finite entries and asymmetry above 1e-10 relative in
+    Frobenius norm; anything below is averaged away.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    _require(finite, DomainError, lambda i: "matrix has non-finite entries")
+    at = a.swapaxes(-1, -2)
+    asym, scale = _fro(a - at), _fro(a)
+    _require(
+        asym <= _SYM_RTOL * scale,
+        DomainError,
+        lambda i: "matrix is not symmetric: relative asymmetry "
+        f"{asym[i] / max(scale[i], 1e-300):.3e}",
+    )
+    return (a + at) / 2
+
+
+def _checked_eigh(sym: np.ndarray, positive: bool = False):
+    """Eigenvalues (ascending) and eigenvectors of a `_symmetrized` stack.
+
+    One ``eigh`` call factors a matrix or a whole (N, k, k) stack. Per matrix:
+    orthonormal eigenvectors to 1e-10 and reconstruction to 1e-8 relative
+    (else NumericalError) and, when `positive`, lambda_min > 1e-12 (else
+    DomainError).
+    """
+    w, q = np.linalg.eigh(sym)
+    qt = q.swapaxes(-1, -2)
+    ortho = _fro(q @ qt - np.eye(sym.shape[-1]))
+    _require(
+        ortho <= 1e-10,
+        NumericalError,
+        lambda i: f"eigenvector orthonormality residual {ortho[i]:.3e}",
+    )
+    recon = _fro((q * w[..., None, :]) @ qt - sym)
+    _require(
+        recon <= 1e-8 * _fro(sym),
+        NumericalError,
+        lambda i: f"eigendecomposition reconstruction residual {recon[i]:.3e}",
+    )
+    if positive:
+        _require_positive(w[..., 0])
+    return w, q
+
+
+def _require_positive(lam_min: np.ndarray, index=None) -> None:
+    _require(
+        lam_min > _SPD_TOL,
+        DomainError,
+        lambda i: f"matrix is not positive definite: lambda_min = {lam_min[i]:.3e}",
+        index,
+    )
+
+
 class SymMatrix:
     """Symmetric matrix, symmetrized on construction.
 
@@ -53,18 +138,7 @@ class SymMatrix:
     __slots__ = ("_values",)
 
     def __init__(self, values) -> None:
-        a = np.asarray(values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("matrix has non-finite entries")
-        scale = np.linalg.norm(a)
-        asym = np.linalg.norm(a - a.T)
-        if asym > _SYM_RTOL * max(scale, 1e-300):
-            raise DomainError(
-                f"matrix is not symmetric: relative asymmetry {asym / max(scale, 1e-300):.3e}"
-            )
-        sym = (a + a.T) / 2
+        sym = _symmetrized(_square(values))
         sym.flags.writeable = False
         object.__setattr__(self, "_values", sym)
 
@@ -90,14 +164,11 @@ class SpdMatrix(SymMatrix):
     __slots__ = ("_eigenvalues", "_eigenvectors")
 
     def __init__(self, values) -> None:
-        super().__init__(values)
-        w, q = sym_eigen(self)
-        if w[0] <= _SPD_TOL:
-            raise DomainError(
-                f"matrix is not positive definite: lambda_min = {w[0]:.3e}"
-            )
-        w.flags.writeable = False
-        q.flags.writeable = False
+        sym = _symmetrized(_square(values))
+        w, q = _checked_eigh(sym, positive=True)
+        for arr in (sym, w, q):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_values", sym)
         object.__setattr__(self, "_eigenvalues", w)
         object.__setattr__(self, "_eigenvectors", q)
 
@@ -107,10 +178,7 @@ class SpdMatrix(SymMatrix):
 
         Internal fast path for power results whose spectrum is known exactly.
         """
-        if np.min(w) <= _SPD_TOL:
-            raise DomainError(
-                f"matrix is not positive definite: lambda_min = {np.min(w):.3e}"
-            )
+        _require_positive(np.min(w))
         order = np.argsort(w)
         w = np.ascontiguousarray(w[order])
         q = np.ascontiguousarray(q[:, order])
@@ -132,6 +200,58 @@ class SpdMatrix(SymMatrix):
     @property
     def eigenvectors(self) -> np.ndarray:
         return self._eigenvectors
+
+
+class SpdStack:
+    """N SPD matrices of one size, held as their eigendecompositions.
+
+    One validated ``eigh`` call on the (N, k, k) stack replaces N SpdMatrix
+    constructions; every power X_i^beta of every matrix then costs one
+    batched matmul. Errors name the stack index of the offending matrix.
+    """
+
+    __slots__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, matrices) -> None:
+        a = np.asarray(matrices, dtype=float)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise DomainError(f"expected an (N, k, k) stack, got shape {a.shape}")
+        w, q = _checked_eigh(_symmetrized(a), positive=True)
+        w.flags.writeable = False
+        q.flags.writeable = False
+        self.eigenvalues = w
+        self.eigenvectors = q
+
+    def __len__(self) -> int:
+        return self.eigenvalues.shape[0]
+
+    def _spectrum(self, beta: float, index=None) -> np.ndarray:
+        """Powered eigenvalues of the selected matrices, each still SPD."""
+        if not np.isfinite(beta):
+            raise DomainError("beta must be finite")
+        w = self.eigenvalues if index is None else self.eigenvalues[index]
+        wb = w**beta
+        _require_positive(wb.min(axis=-1), index)
+        return wb
+
+    def power(self, beta: float) -> np.ndarray:
+        """(N, k, k) array of X_i^beta, equal to ``spd_power_eig`` per matrix."""
+        if beta == 0:
+            return np.tile(np.eye(self.eigenvalues.shape[1]), (len(self), 1, 1))
+        wb = self._spectrum(beta)
+        q = self.eigenvectors
+        if beta < 0:  # SpdMatrix keeps the powered spectrum ascending
+            wb, q = wb[:, ::-1], np.ascontiguousarray(q[:, :, ::-1])
+        vals = (q * wb[:, None, :]) @ np.swapaxes(q, 1, 2)
+        return (vals + np.swapaxes(vals, 1, 2)) / 2
+
+    def matrices(self, beta: float, index=None) -> list[SpdMatrix]:
+        """X_i^beta as SpdMatrix objects for the selected i (default all)."""
+        index = range(len(self)) if index is None else list(index)
+        if beta == 0:
+            return [SpdMatrix(np.eye(self.eigenvalues.shape[1])) for _ in index]
+        wb = self._spectrum(beta, index)
+        return [SpdMatrix._from_eigh(w, self.eigenvectors[i]) for w, i in zip(wb, index)]
 
 
 @dataclass(frozen=True)
@@ -171,16 +291,8 @@ def sym_eigen(x) -> tuple[np.ndarray, np.ndarray]:
     The factorization is validated: orthonormality to 1e-10 and
     reconstruction to 1e-8 relative, else NumericalError.
     """
-    a = x.values if isinstance(x, SymMatrix) else SymMatrix(x).values
-    w, q = np.linalg.eigh(a)
-    n = a.shape[0]
-    ortho = np.linalg.norm(q @ q.T - np.eye(n))
-    if ortho > 1e-10:
-        raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
-    recon = np.linalg.norm((q * w) @ q.T - a)
-    if recon > 1e-8 * max(np.linalg.norm(a), 1e-300):
-        raise NumericalError(f"eigendecomposition reconstruction residual {recon:.3e}")
-    return w.copy(), q.copy()
+    a = x.values if isinstance(x, SymMatrix) else _symmetrized(_square(x))
+    return _checked_eigh(a)
 
 
 def spd_power_eig(x: SpdMatrix, beta: float) -> SpdMatrix:

@@ -335,6 +335,20 @@ class TestExtractSelectEvaluate:
         assert metrics["tp"] + metrics["fp"] + metrics["tn"] + metrics["fn"] > 0
         assert metrics["accuracy"] >= 0.75
 
+    @pytest.mark.parametrize("cell", ["abc", "2.0"])
+    def test_malformed_series_csv_exit_3(self, tmp_path, capsys, cell):
+        series_csv = Path(self.series_file(tmp_path, seed=3))
+        lines = series_csv.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:-1] + [cell])
+        series_csv.write_text("\n".join(lines) + "\n")
+        config = {"schema_version": "1", "series_csv": str(series_csv)}
+        path = write_config(tmp_path, "select.json", config)
+        assert main(["select", "--config", path, "--out", str(tmp_path / "run")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert f"line 6: cannot parse '{cell}'" in err["message"]
+        assert not (tmp_path / "run").exists()
+
     def test_singleton_grid_selects_it(self, tmp_path):
         series_csv = self.series_file(tmp_path, seed=2)
         config = {
@@ -419,6 +433,17 @@ class TestPipeline:
         assert main(["pipeline", "--config", path, "--out", str(run_b)]) == 0
         manifest_b = json.loads((run_b / "manifest.json").read_text())
         assert manifest["artifacts"] == manifest_b["artifacts"]
+
+    def test_each_window_pair_measured_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = covpow.geometry.air_distance
+        monkeypatch.setattr(
+            covpow.geometry, "air_distance", lambda x, y: calls.append(1) or real(x, y)
+        )
+        path = write_config(tmp_path, "pipeline.json", two_class_pipeline_config())
+        assert main(["pipeline", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        n = len((tmp_path / "run" / "pairwise.csv").read_text().splitlines()) - 1
+        assert len(calls) == n * (n - 1) // 2
 
     def test_singleton_beta_grid(self, tmp_path):
         config = two_class_pipeline_config()

@@ -301,6 +301,32 @@ class TestSerialization:
         with pytest.raises(DomainError):
             read_series_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("0,1.5,2.0,0\n1,abc,3.0,1\n", "line 3: cannot parse 'abc' as a number"),
+            ("0,1.5,2.0,2.0\n", "line 2: cannot parse '2.0' as an integer label"),
+            ("0,1.5,2.0,0\n1,1.5,2.0,1.5\n", "line 3: cannot parse '1.5' as an integer label"),
+            ("0,1.5,2.0,0\n1,1.5,1\n", "line 3: expected 4 cells, got 3"),
+            ("0,1.5,2.0,0,1\n", "line 2: expected 4 cells, got 5"),
+        ],
+    )
+    def test_series_csv_bad_cell_names_the_line(self, tmp_path, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,ch0,ch1,label\n" + body)
+        with pytest.raises(DomainError, match=where):
+            read_series_csv(path)
+
+    def test_series_csv_samples_parse_like_float(self, tmp_path):
+        path = tmp_path / "s.csv"
+        cells = ["0.1", "1e-300", "-2.5e+17", "0.30000000000000004", "7"]
+        path.write_text(
+            "t,ch0,label\n" + "".join(f"{t},{c},{t % 2}\n" for t, c in enumerate(cells))
+        )
+        back = read_series_csv(path)
+        assert back.samples[:, 0].tolist() == [float(c) for c in cells]
+        assert back.labels.tolist() == [0, 1, 0, 1, 0]
+
     def test_feature_archive_round_trip(self, tmp_path):
         series = make_series(t=100, channels=3, seed=13)
         feats = extract_features(series, WindowSpec(length=25), beta=0.5)

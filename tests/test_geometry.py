@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from covpow import geometry
 from covpow.errors import DomainError
 from covpow.features import FeatureMatrix, LabeledSeries, WindowSpec, power_features, empirical_covariance, sliding_windows
 from covpow.geometry import (
     air_distance,
     class_distance_stats,
+    distance_stats,
     pairwise_distance_matrix,
     report_to_json,
     write_pairwise_csv,
@@ -189,6 +191,36 @@ class TestClassStats:
         d = pairwise_distance_matrix(feats)
         inter = [d[0, 2], d[0, 3], d[1, 2], d[1, 3]]
         assert abs(report.inter_variance - np.var(inter)) <= 1e-12
+
+    def test_each_pair_measured_once(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        feats = [feature(random_spd(rng, 3), i % 2) for i in range(7)]
+        calls = []
+        real = geometry.air_distance
+        monkeypatch.setattr(
+            geometry, "air_distance", lambda x, y: calls.append((id(x), id(y))) or real(x, y)
+        )
+        report = class_distance_stats(feats)
+        assert len(calls) == len(set(calls)) == 7 * 6 // 2
+        assert report.n_pairs == {"intra_0": 6, "intra_1": 3, "inter": 12}
+
+    def test_distance_stats_buckets_follow_index_order(self):
+        rng = np.random.default_rng(12)
+        labels = [1, 0, 0, 1, 0, 1, 1]
+        feats = [feature(random_spd(rng, 3), c) for c in labels]
+        d = pairwise_distance_matrix(feats)
+        report = distance_stats(d, labels)
+        idx0 = [i for i, c in enumerate(labels) if c == 0]
+        idx1 = [i for i, c in enumerate(labels) if c == 1]
+        intra1 = [d[a, b] for k, a in enumerate(idx1) for b in idx1[k + 1 :]]
+        inter = [d[i, j] for i in idx0 for j in idx1]
+        assert report.intra_mean[1] == np.mean(intra1)
+        assert report.inter_variance == np.var(inter)
+        assert report == class_distance_stats(feats)
+        with pytest.raises(DomainError):
+            distance_stats(d[:-1, :-1], labels)
+        with pytest.raises(DomainError):
+            distance_stats(d, [0] * 7)
 
     def test_single_class_rejected(self):
         m = SpdMatrix(np.eye(2))

@@ -5,9 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpow.errors import ConfigError, DomainError
-from covpow.features import FeatureMatrix, LabeledSeries, WindowSpec, power_features
+from covpow.features import (
+    FeatureMatrix,
+    LabeledSeries,
+    WindowSpec,
+    _window_covariances,
+    empirical_covariance,
+    power_features,
+    sliding_windows,
+)
 from covpow.pipeline import (
     LinearClassifier,
     Metrics,
@@ -19,8 +29,10 @@ from covpow.pipeline import (
     evaluate,
     metrics_to_dict,
     s3_from_metrics,
+    _vectorize,
     s3_score,
     select_beta,
+    selection_to_dict,
     selection_to_json,
     split_dataset,
     train_linear_classifier,
@@ -196,6 +208,28 @@ class TestVectorize:
     def test_rejects_non_square(self):
         with pytest.raises(DomainError):
             vectorize_feature(np.ones((2, 3)))
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 10_000),
+        channels=st.integers(1, 6),
+        length=st.integers(8, 40),
+        beta=st.floats(-4.0, 4.0),
+    )
+    def test_stacked_design_matches_per_window_features(self, seed, channels, length, beta):
+        rng = np.random.default_rng(seed)
+        series = LabeledSeries(
+            samples=rng.standard_normal((120, channels)) * rng.uniform(0.1, 10.0, channels),
+            labels=rng.integers(0, 2, 120),
+        )
+        spec = WindowSpec(length=length, overlap=0.5)
+        _, stack = _window_covariances(series, spec)
+        covs = [empirical_covariance(w.samples) for w in sliding_windows(series, spec)]
+        want = np.array([vectorize_feature(power_features(c, beta).matrix) for c in covs])
+        got = _vectorize(stack.power(beta))
+        assert got.shape == want.shape
+        err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert err.max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +475,64 @@ class TestSelectBeta:
                 select_beta(shuffled, beta_grid=grid, window_grid=[spec]).s3
             )
         assert max(nulls) < true_s3
+
+
+class TestSelectBetaFailedPowers:
+    """A power that is not SPD on some window loses its grid point, not the run."""
+
+    @staticmethod
+    def near_singular_series():
+        # 8-sample windows of 6 channels: high powers of the smallest
+        # eigenvalues fall below the SPD tolerance on some windows
+        rng = np.random.default_rng(0)
+        return LabeledSeries(rng.standard_normal((400, 6)), np.repeat([0, 1], 200))
+
+    def test_failed_power_scores_zero_and_is_never_selected(self, tmp_path):
+        result = select_beta(self.near_singular_series(), window_grid=[WindowSpec(8, 0.0)])
+        table = result.per_beta_table
+        failed = [row for row in table if "error" in row]
+        assert [row["beta"] for row in failed] == [3.5, 3.75, 4.0]
+        for row in failed:
+            assert row["s3"] == 0.0
+            assert "not positive definite" in row["error"]
+        assert result.beta_star not in {row["beta"] for row in failed}
+        keys = {"beta", "window_length", "window_overlap", "s3", "train", "val"}
+        assert all(set(row) == keys for row in table if "error" not in row)
+        assert len(table) == 32
+
+        rec = json.loads(selection_to_json(result))
+        assert rec["per_beta_table"][-1]["error"] == failed[-1]["error"]
+        path = tmp_path / "table.csv"
+        write_selection_csv(result, path)
+        lines = path.read_text().splitlines()
+        assert lines[0].split(",")[4:] == [
+            "train_sensitivity",
+            "train_specificity",
+            "train_accuracy",
+            "val_sensitivity",
+            "val_specificity",
+            "val_accuracy",
+        ]
+        assert lines[-1].split(",")[3:] == ["0.0"] + [""] * 6
+
+    def test_every_power_failing_names_the_window_spec(self):
+        with pytest.raises(DomainError, match=r"WindowSpec\(length=8, overlap=0.0\)"):
+            select_beta(
+                self.near_singular_series(),
+                beta_grid=[3.5, 4.0],
+                window_grid=[WindowSpec(8, 0.0)],
+            )
+
+    def test_all_failing_on_one_window_spec_falls_back_to_another(self):
+        result = select_beta(
+            self.near_singular_series(),
+            beta_grid=[4.0],
+            window_grid=[WindowSpec(8, 0.0), WindowSpec(40, 0.5)],
+        )
+        assert result.window_spec_star == WindowSpec(40, 0.5)
+        assert "error" in result.per_beta_table[0]
+        assert "error" not in result.per_beta_table[1]
+        assert selection_to_dict(result)["window_length"] == 40
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covpow.errors import DomainError, NumericalError
 from covpow.spd import (
     ContourSpec,
     SpdMatrix,
+    SpdStack,
     SymMatrix,
     circular_contour,
     lambda_min,
@@ -271,3 +274,119 @@ class TestMatrixIo:
         got = read_matrix_csv(path)
         assert got.shape == (1, 1)
         assert got[0, 0] == 2.5
+
+
+def spd_stack_values(n, dim, seed, lo=0.5, hi=4.0):
+    return np.array([random_spd(dim, seed=seed + i, lo=lo, hi=hi).values for i in range(n)])
+
+
+def rel_err(a, b):
+    """Largest per-matrix Frobenius error of a against b, relative to b."""
+    return float(np.max(np.linalg.norm(a - b, axis=(-2, -1)) / np.linalg.norm(b, axis=(-2, -1))))
+
+
+class TestSpdStack:
+    def test_one_eigh_matches_per_matrix_factorization(self):
+        mats = spd_stack_values(6, 4, seed=20)
+        stack = SpdStack(mats)
+        assert len(stack) == 6
+        for i, m in enumerate(mats):
+            single = SpdMatrix(m)
+            assert_array_equal(stack.eigenvalues[i], single.eigenvalues)
+            assert_array_equal(stack.eigenvectors[i], single.eigenvectors)
+
+    @pytest.mark.parametrize("beta", [-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    def test_power_matches_spd_power_eig(self, beta):
+        mats = spd_stack_values(5, 3, seed=30)
+        stack = SpdStack(mats)
+        want = np.array([spd_power_eig(SpdMatrix(m), beta).values for m in mats])
+        assert_array_equal(stack.power(beta), want)
+        for got, w in zip(stack.matrices(beta, [4, 1]), want[[4, 1]]):
+            assert isinstance(got, SpdMatrix)
+            assert_array_equal(got.values, w)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DomainError):
+            SpdStack(np.eye(3))
+        with pytest.raises(DomainError):
+            SpdStack(np.zeros((2, 3, 4)))
+
+    def test_power_losing_definiteness_names_the_matrix(self):
+        mats = spd_stack_values(4, 3, seed=40)
+        mats[2] = np.diag([1e-4, 1.0, 2.0])
+        stack = SpdStack(mats)
+        with pytest.raises(DomainError, match="stack element 2: .*not positive definite"):
+            stack.power(4.0)
+        with pytest.raises(DomainError, match="stack element 2: "):
+            stack.matrices(4.0, [0, 2])
+        assert len(stack.matrices(4.0, [0, 1, 3])) == 3
+
+
+class TestStackProperties:
+    """Invariances of the stacked power, and that its checks are sym_eigen's."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 10_000),
+        c=st.floats(1e-3, 1e3),
+        beta=st.floats(-3.0, 3.0).filter(lambda b: abs(b) > 1e-3),
+    )
+    def test_scale_equivariance(self, seed, c, beta):
+        mats = spd_stack_values(3, 4, seed=seed)
+        got = SpdStack(c * mats).power(beta)
+        assert rel_err(got, c**beta * SpdStack(mats).power(beta)) <= 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 10_000),
+        perm=st.permutations(range(5)),
+        beta=st.floats(-3.0, 3.0),
+    )
+    def test_channel_permutation(self, seed, perm, beta):
+        mats = spd_stack_values(3, 5, seed=seed)
+        p = np.eye(5)[list(perm)]
+        got = SpdStack(p @ mats @ p.T).power(beta)
+        assert rel_err(got, p @ SpdStack(mats).power(beta) @ p.T) <= 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6), data=st.data())
+    def test_non_pd_element_named_like_sym_eigen_fails(self, seed, n, data):
+        i = data.draw(st.integers(0, n - 1))
+        mats = spd_stack_values(n, 3, seed=seed)
+        mats[i] = np.diag([-1.0, 1.0, 2.0])
+        with pytest.raises(DomainError) as single:
+            SpdMatrix(mats[i])
+        with pytest.raises(type(single.value), match=f"stack element {i}: .*not positive definite"):
+            SpdStack(mats)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6), data=st.data())
+    def test_non_orthonormal_element_named_like_sym_eigen_fails(self, seed, n, data):
+        i = data.draw(st.integers(0, n - 1))
+        mats = spd_stack_values(n, 3, seed=seed)
+        eigh = np.linalg.eigh
+
+        def skewed_eigh(a):
+            w, q = eigh(a)
+            target = q if q.ndim == 2 else q[i]
+            target[:, 0] *= 1 + 1e-6  # breaks orthonormality of one matrix only
+            return w, q
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", skewed_eigh)
+            with pytest.raises(NumericalError) as single:
+                sym_eigen(mats[i])
+            assert "orthonormality" in str(single.value)
+            with pytest.raises(NumericalError, match=f"stack element {i}: .*orthonormality"):
+                SpdStack(mats)
+
+    def test_asymmetric_or_nonfinite_element_named(self):
+        mats = spd_stack_values(3, 3, seed=50)
+        bad = mats.copy()
+        bad[1, 0, 2] += 0.1
+        with pytest.raises(DomainError, match="stack element 1: matrix is not symmetric"):
+            SpdStack(bad)
+        bad = mats.copy()
+        bad[2, 1, 1] = np.nan
+        with pytest.raises(DomainError, match="stack element 2: matrix has non-finite"):
+            SpdStack(bad)
