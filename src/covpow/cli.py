@@ -1,6 +1,7 @@
 """Command-line front end for reproducible batch runs.
 
-Every command reads one JSON config, validates it strictly (unknown keys are
+Every command reads one JSON config and validates it against that verb's
+table in ``_TABLES`` (unknown keys, wrong types and out-of-range seeds are
 rejected with their path), computes everything up front, and only then
 writes artifacts into a single run directory named after the config hash.
 Reruns with the same config produce byte-identical primary artifacts; the
@@ -17,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -86,133 +88,239 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config schema
+#
+# Each verb's config is checked against one table, and each table maps the
+# keys of a section to (kind, default). A kind is a type (int, float, str,
+# bool), a nested table, [kind] for a list of that kind, a tuple of kinds for
+# a list of fixed length, _AtLeast(n) for an int no smaller than n, or a
+# _Variant of tables chosen by the section's "type". A float accepts any JSON
+# number. The default _REQUIRED marks a key that must be given; None leaves
+# an absent key None, and any other default is filled in and checked like a
+# given value.
+
+_REQUIRED = object()
 
 
-def _check_keys(rec: dict, allowed, path: str) -> None:
-    if not isinstance(rec, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(rec).__name__}")
-    unknown = sorted(set(rec) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}")
+@dataclass(frozen=True)
+class _AtLeast:
+    """An int no smaller than ``low``."""
+
+    low: int
 
 
-def _get(rec: dict, key: str, kind, path: str, required: bool = True, default=None):
-    if key not in rec:
-        if required:
-            raise ConfigError(f"{path}.{key}: required key missing")
-        return default
-    val = rec[key]
-    if kind is float:
-        ok = isinstance(val, (int, float)) and not isinstance(val, bool)
-    elif kind is int:
-        ok = isinstance(val, int) and not isinstance(val, bool)
-    elif kind is None:
-        return val
+@dataclass(frozen=True)
+class _Variant:
+    """A section whose table is named by its "type" key; absent, the first."""
+
+    tables: dict
+
+
+_SEED = _AtLeast(0)
+
+_GRAPH = _Variant(
+    {
+        "er": {
+            "n_obs": (int, _REQUIRED),
+            "n_lat": (int, _REQUIRED),
+            "p_obs": (float, _REQUIRED),
+            "p_lat": (float, _REQUIRED),
+            "p_cross": (float, _REQUIRED),
+            "weight_low": (float, None),
+            "weight_high": (float, None),
+            "target_rho": (float, None),
+            "seed": (_SEED, 0),
+        },
+        "explicit": {
+            "n": (int, _REQUIRED),
+            "edges": ([(int, int, float)], _REQUIRED),
+            "observed": ([int], _REQUIRED),
+        },
+    }
+)
+
+_MODEL = {
+    "kappa": (float, _REQUIRED),
+    "alpha": (float, _REQUIRED),
+    "sigma": (float, _REQUIRED),
+}
+
+_CLASS = {"graph": (_GRAPH, _REQUIRED), "model": (_MODEL, _REQUIRED)}
+
+_WINDOW = {"length": (int, _REQUIRED), "overlap": (float, 0.0)}
+
+_SPLIT = {
+    "train_frac": (float, _REQUIRED),
+    "val_frac": (float, _REQUIRED),
+    "test_frac": (float, _REQUIRED),
+    "seed": (_SEED, 0),
+    "stratified": (bool, True),
+}
+
+# the select_beta keys that select and pipeline share; the split default is
+# select_beta's own
+_FIT = {
+    "window_grid": ([_WINDOW], None),
+    "beta_grid": ([float], None),
+    "split": (_SPLIT, {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}),
+    "l2": (float, None),
+    "max_iter": (int, None),
+    "tol": (float, None),
+    "ridge": (float, None),
+}
+
+# every verb's table also holds "schema_version"
+_TABLES = {
+    "simulate": {
+        "graph": (_GRAPH, _REQUIRED),
+        "model": (_MODEL, _REQUIRED),
+        "samples": ({"n_samples": (int, _REQUIRED), "seed": (_SEED, 0)}, _REQUIRED),
+    },
+    "verify": {
+        "graph": (_GRAPH, _REQUIRED),
+        "model": (_MODEL, _REQUIRED),
+        "beta": (float, None),
+        "seeds": ({"start": (_SEED, 0), "count": (_AtLeast(1), _REQUIRED)}, _REQUIRED),
+        "method": (str, "eig"),
+        "gate_target_fraction": (float, None),
+    },
+    "extract": {
+        "series_csv": (str, _REQUIRED),
+        "window": (_WINDOW, _REQUIRED),
+        "beta": (float, _REQUIRED),
+        "ridge": (float, None),
+        "channels": ([int], None),
+    },
+    "select": {"series_csv": (str, _REQUIRED), **_FIT},
+    "evaluate": {
+        "series_csv": (str, _REQUIRED),
+        "selection_dir": (str, _REQUIRED),
+        "split": (_SPLIT, _REQUIRED),
+        "ridge": (float, None),
+    },
+    "geometry": {"features_dir": (str, _REQUIRED)},
+    "signatures": {
+        "features_dir": (str, _REQUIRED),
+        "mode": (str, "class-mean"),
+        "gmm": ({"max_iter": (int, None), "tol": (float, None), "seed": (_SEED, None)}, {}),
+    },
+    "pipeline": {
+        "classes": ((_CLASS, _CLASS), _REQUIRED),
+        "series": ({"samples_per_class": (int, _REQUIRED), "seed": (_SEED, 0)}, _REQUIRED),
+        **_FIT,
+        "signatures": ({"mode": (str, "class-mean"), "seed": (_SEED, 0)}, {}),
+    },
+    "report": {"runs": ([str], _REQUIRED)},
+}
+
+
+def _mismatch(value, kind, path: str, item: bool) -> ConfigError:
+    if isinstance(kind, (dict, _Variant)):
+        name = "an object" if item else "dict"
+    elif isinstance(kind, (list, tuple)):
+        name = "list"
+    elif item and kind is float:
+        return ConfigError(f"{path}: expected number")
     else:
-        ok = isinstance(val, kind)
-    if not ok:
+        name = kind.__name__
+    return ConfigError(f"{path}: expected {name}, got {type(value).__name__}")
+
+
+def _validate(value, kind, path: str, item: bool = False):
+    """Check a config value against its kind; return it with defaults filled in.
+
+    ``item`` marks a list element, which messages name a little differently.
+    """
+    if isinstance(kind, _Variant):
+        if not isinstance(value, dict):
+            raise _mismatch(value, kind, path, item)
+        tag = _validate(value.get("type", next(iter(kind.tables))), str, f"{path}.type")
+        if tag not in kind.tables:
+            options = " or ".join(repr(t) for t in kind.tables)
+            raise ConfigError(f"{path}.type: expected {options}, got {tag!r}")
+        rest = {key: val for key, val in value.items() if key != "type"}
+        return {"type": tag, **_validate(rest, kind.tables[tag], path)}
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise _mismatch(value, kind, path, item)
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) {unknown}")
+        out = {}
+        for key, (sub, default) in kind.items():
+            if key in value:
+                out[key] = _validate(value[key], sub, f"{path}.{key}")
+            elif default is _REQUIRED:
+                raise ConfigError(f"{path}.{key}: required key missing")
+            else:
+                out[key] = None if default is None else _validate(default, sub, f"{path}.{key}")
+        return out
+    if isinstance(kind, (list, tuple)):
+        if not isinstance(value, list):
+            raise _mismatch(value, kind, path, item)
+        if isinstance(kind, tuple) and len(value) != len(kind):
+            raise ConfigError(f"{path}: expected exactly {len(kind)} entries, got {len(value)}")
+        kinds = kind if isinstance(kind, tuple) else kind * len(value)
+        return [
+            _validate(val, sub, f"{path}[{i}]", item=True)
+            for i, (val, sub) in enumerate(zip(value, kinds))
+        ]
+    if isinstance(kind, _AtLeast):
+        value = _validate(value, int, path, item)
+        if value < kind.low:
+            raise ConfigError(f"{path}: must be >= {kind.low}")
+        return value
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or (kind in (int, float) and isinstance(value, bool)):
+        raise _mismatch(value, kind, path, item)
+    return float(value) if kind is float else value
+
+
+def _checked_config(command: str, config) -> dict:
+    """The config validated against its verb's table, defaults filled in."""
+    if not isinstance(config, dict):
+        raise ConfigError("config root must be a JSON object")
+    table = {"schema_version": (str, _REQUIRED), **_TABLES[command]}
+    cfg = _validate(config, table, "config")
+    if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
-            f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, got {type(val).__name__}"
+            f"config.schema_version: expected {SCHEMA_VERSION!r}, got {cfg['schema_version']!r}"
         )
-    return float(val) if kind is float else val
+    return cfg
 
 
-def _require_version(config: dict, path: str = "config") -> None:
-    version = _get(config, "schema_version", str, path)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}.schema_version: expected {SCHEMA_VERSION!r}, got {version!r}"
-        )
+def _graph(rec: dict, seed: int | None = None):
+    """The graph and partition of a graph section; ``seed`` overrides an ER seed."""
+    if rec["type"] == "explicit":
+        graph = WeightedGraph.from_edges(rec["n"], rec["edges"])
+        return graph, NodePartition.from_observed(rec["n"], rec["observed"])
+    kwargs = {key: val for key, val in rec.items() if key != "type" and val is not None}
+    if seed is not None:
+        kwargs["seed"] = seed
+    return sample_inhomogeneous_er(**kwargs)
 
 
-def _parse_graph(rec: dict, path: str, seed_override: int | None = None):
-    """Graph section: either an ER sampler spec or an explicit edge list."""
-    kind = _get(rec, "type", str, path, required=False, default="er")
-    if kind == "er":
-        _check_keys(
-            rec,
-            {
-                "type",
-                "n_obs",
-                "n_lat",
-                "p_obs",
-                "p_lat",
-                "p_cross",
-                "weight_low",
-                "weight_high",
-                "target_rho",
-                "seed",
-            },
-            path,
-        )
-        kwargs = dict(
-            n_obs=_get(rec, "n_obs", int, path),
-            n_lat=_get(rec, "n_lat", int, path),
-            p_obs=_get(rec, "p_obs", float, path),
-            p_lat=_get(rec, "p_lat", float, path),
-            p_cross=_get(rec, "p_cross", float, path),
-        )
-        for opt in ("weight_low", "weight_high", "target_rho"):
-            val = _get(rec, opt, float, path, required=False)
-            if val is not None:
-                kwargs[opt] = val
-        seed = _get(rec, "seed", int, path, required=False, default=0)
-        if seed_override is not None:
-            seed = seed_override
-        return sample_inhomogeneous_er(seed=seed, **kwargs)
-    if kind == "explicit":
-        _check_keys(rec, {"type", "n", "edges", "observed"}, path)
-        n = _get(rec, "n", int, path)
-        edges = _get(rec, "edges", list, path)
-        observed = _get(rec, "observed", list, path)
-        graph = WeightedGraph.from_edges(n, [tuple(e) for e in edges])
-        part = NodePartition.from_observed(n, observed)
-        return graph, part
-    raise ConfigError(f"{path}.type: expected 'er' or 'explicit', got {kind!r}")
+def _fit_kwargs(cfg: dict) -> dict:
+    """select_beta's keyword arguments from the fit keys of select and pipeline."""
+    kwargs = {key: cfg[key] for key in _FIT if cfg[key] is not None}
+    if "window_grid" in kwargs:
+        kwargs["window_grid"] = [WindowSpec(**rec) for rec in kwargs["window_grid"]]
+    kwargs["split"] = SplitSpec(**cfg["split"])
+    return kwargs
 
 
-def _parse_model(rec: dict, graph: WeightedGraph, path: str) -> MaternModel:
-    _check_keys(rec, {"kappa", "alpha", "sigma"}, path)
-    return MaternModel(
-        graph=graph,
-        kappa=_get(rec, "kappa", float, path),
-        alpha=_get(rec, "alpha", float, path),
-        sigma=_get(rec, "sigma", float, path),
-    )
+def _read_series(path: str) -> LabeledSeries:
+    if not Path(path).exists():
+        raise ConfigError(f"config.series_csv: no such file {path!r}")
+    return read_series_csv(path)
 
 
-def _parse_window(rec: dict, path: str) -> WindowSpec:
-    _check_keys(rec, {"length", "overlap"}, path)
-    return WindowSpec(
-        length=_get(rec, "length", int, path),
-        overlap=_get(rec, "overlap", float, path, required=False, default=0.0),
-    )
-
-
-def _parse_split(rec: dict, path: str) -> SplitSpec:
-    _check_keys(
-        rec, {"train_frac", "val_frac", "test_frac", "seed", "stratified"}, path
-    )
-    return SplitSpec(
-        train_frac=_get(rec, "train_frac", float, path),
-        val_frac=_get(rec, "val_frac", float, path),
-        test_frac=_get(rec, "test_frac", float, path),
-        seed=_get(rec, "seed", int, path, required=False, default=0),
-        stratified=_get(rec, "stratified", bool, path, required=False, default=True),
-    )
-
-
-def _parse_beta_grid(config: dict, path: str):
-    grid = _get(config, "beta_grid", list, path, required=False)
-    if grid is None:
-        return None
-    out = []
-    for i, v in enumerate(grid):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{path}.beta_grid[{i}]: expected number")
-        out.append(float(v))
-    return out
+def _read_features(features_dir: str):
+    if not Path(features_dir).is_dir():
+        raise ConfigError(f"config.features_dir: no such directory {features_dir!r}")
+    if not (Path(features_dir) / "manifest.json").exists():
+        raise ConfigError(f"config.features_dir: no manifest.json under {features_dir}")
+    return read_feature_archive(features_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +364,17 @@ def _run_dir(args, command: str, config_text: str) -> Path:
 # commands
 
 
-def cmd_simulate(config: dict, run_dir: Path) -> None:
-    _check_keys(config, {"schema_version", "graph", "model", "samples"}, "config")
-    _require_version(config)
-    graph, part = _parse_graph(_get(config, "graph", dict, "config"), "config.graph")
-    model = _parse_model(_get(config, "model", dict, "config"), graph, "config.model")
+def cmd_simulate(cfg: dict, run_dir: Path) -> None:
+    graph, part = _graph(cfg["graph"])
+    model = MaternModel(graph=graph, **cfg["model"])
     shift, valid = abar(graph, model.kappa)
     if not valid:
         raise DomainError(
             "shifted interaction operator has spectral radius >= 1; "
             "lower the weights or raise kappa"
         )
-    samples_rec = _get(config, "samples", dict, "config")
-    _check_keys(samples_rec, {"n_samples", "seed"}, "config.samples")
-    n_samples = _get(samples_rec, "n_samples", int, "config.samples")
-    seed = _get(samples_rec, "seed", int, "config.samples", required=False, default=0)
-    draws = sample_field(model, n_samples, seed=seed)
+    seed = cfg["samples"]["seed"]
+    draws = sample_field(model, cfg["samples"]["n_samples"], seed=seed)
 
     run_dir.mkdir(parents=True, exist_ok=True)
     write_model_json(model, run_dir / "model.json", seed=seed)
@@ -314,41 +417,13 @@ def _gate_shrink(graph, part, model_params, beta, target_frac):
     raise DomainError("cross block did not pass the gate after 80 shrink steps")
 
 
-def cmd_verify(config: dict, run_dir: Path) -> None:
-    _check_keys(
-        config,
-        {
-            "schema_version",
-            "graph",
-            "model",
-            "beta",
-            "seeds",
-            "method",
-            "gate_target_fraction",
-        },
-        "config",
-    )
-    _require_version(config)
-    graph_rec = _get(config, "graph", dict, "config")
-    model_rec = _get(config, "model", dict, "config")
-    _check_keys(model_rec, {"kappa", "alpha", "sigma"}, "config.model")
-    model_params = {
-        "kappa": _get(model_rec, "kappa", float, "config.model"),
-        "alpha": _get(model_rec, "alpha", float, "config.model"),
-        "sigma": _get(model_rec, "sigma", float, "config.model"),
-    }
-    beta = _get(config, "beta", float, "config", required=False)
-    method = _get(config, "method", str, "config", required=False, default="eig")
-    gate_frac = _get(config, "gate_target_fraction", float, "config", required=False)
-    seeds_rec = _get(config, "seeds", dict, "config")
-    _check_keys(seeds_rec, {"start", "count"}, "config.seeds")
-    start = _get(seeds_rec, "start", int, "config.seeds", required=False, default=0)
-    count = _get(seeds_rec, "count", int, "config.seeds")
-    if count < 1:
-        raise ConfigError("config.seeds.count: must be >= 1")
+def cmd_verify(cfg: dict, run_dir: Path) -> None:
+    model_params = cfg["model"]
+    beta, method, gate_frac = cfg["beta"], cfg["method"], cfg["gate_target_fraction"]
+    start, count = cfg["seeds"]["start"], cfg["seeds"]["count"]
 
     def one(seed: int):
-        graph, part = _parse_graph(graph_rec, "config.graph", seed_override=seed)
+        graph, part = _graph(cfg["graph"], seed=seed)
         use_beta = beta if beta is not None else 1.0 / model_params["alpha"]
         if gate_frac is not None:
             graph = _gate_shrink(graph, part, model_params, use_beta, gate_frac)
@@ -389,53 +464,17 @@ def cmd_verify(config: dict, run_dir: Path) -> None:
         writer.writerows(rows)
 
 
-def cmd_extract(config: dict, run_dir: Path) -> None:
-    _check_keys(
-        config,
-        {"schema_version", "series_csv", "window", "beta", "ridge", "channels"},
-        "config",
-    )
-    _require_version(config)
-    series_path = _get(config, "series_csv", str, "config")
-    if not Path(series_path).exists():
-        raise ConfigError(f"config.series_csv: no such file {series_path!r}")
-    series = read_series_csv(series_path)
-    spec = _parse_window(_get(config, "window", dict, "config"), "config.window")
-    beta = _get(config, "beta", float, "config")
-    ridge = _get(config, "ridge", float, "config", required=False)
-    channels = _get(config, "channels", list, "config", required=False)
-    feats = extract_features(series, spec, beta, ridge=ridge, channels=channels)
+def cmd_extract(cfg: dict, run_dir: Path) -> None:
+    series = _read_series(cfg["series_csv"])
+    spec = WindowSpec(**cfg["window"])
+    beta = cfg["beta"]
+    feats = extract_features(series, spec, beta, ridge=cfg["ridge"], channels=cfg["channels"])
     run_dir.mkdir(parents=True, exist_ok=True)
     write_feature_archive(
         feats,
         run_dir / "features",
         meta={"beta": beta, "window_length": spec.length, "window_overlap": spec.overlap},
     )
-
-
-def _selection_inputs(config: dict):
-    series_path = _get(config, "series_csv", str, "config")
-    if not Path(series_path).exists():
-        raise ConfigError(f"config.series_csv: no such file {series_path!r}")
-    series = read_series_csv(series_path)
-    window_grid_rec = _get(config, "window_grid", list, "config", required=False)
-    window_grid = (
-        [
-            _parse_window(rec, f"config.window_grid[{i}]")
-            for i, rec in enumerate(window_grid_rec)
-        ]
-        if window_grid_rec is not None
-        else None
-    )
-    beta_grid = _parse_beta_grid(config, "config")
-    split_rec = _get(config, "split", dict, "config", required=False)
-    split = _parse_split(split_rec, "config.split") if split_rec is not None else None
-    kwargs = {}
-    for key, kind in (("l2", float), ("max_iter", int), ("tol", float), ("ridge", float)):
-        val = _get(config, key, kind, "config", required=False)
-        if val is not None:
-            kwargs[key] = val
-    return series, beta_grid, window_grid, split, kwargs
 
 
 def _write_selection(run_dir: Path, result) -> None:
@@ -446,69 +485,39 @@ def _write_selection(run_dir: Path, result) -> None:
     )
 
 
-def cmd_select(config: dict, run_dir: Path) -> None:
-    _check_keys(
-        config,
-        {
-            "schema_version",
-            "series_csv",
-            "window_grid",
-            "beta_grid",
-            "split",
-            "l2",
-            "max_iter",
-            "tol",
-            "ridge",
-        },
-        "config",
-    )
-    _require_version(config)
-    series, beta_grid, window_grid, split, kwargs = _selection_inputs(config)
-    result = select_beta(
-        series, beta_grid=beta_grid, window_grid=window_grid, split=split, **kwargs
-    )
+def cmd_select(cfg: dict, run_dir: Path) -> None:
+    result = select_beta(_read_series(cfg["series_csv"]), **_fit_kwargs(cfg))
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_selection(run_dir, result)
 
 
-def cmd_evaluate(config: dict, run_dir: Path) -> None:
-    _check_keys(
-        config,
-        {"schema_version", "series_csv", "selection_dir", "split", "ridge"},
-        "config",
-    )
-    _require_version(config)
-    series_path = _get(config, "series_csv", str, "config")
-    if not Path(series_path).exists():
-        raise ConfigError(f"config.series_csv: no such file {series_path!r}")
-    selection_dir = Path(_get(config, "selection_dir", str, "config"))
+def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
+    series = _read_series(cfg["series_csv"])
+    selection_dir = Path(cfg["selection_dir"])
     selection_file = selection_dir / "selection.json"
     if not selection_file.exists():
         raise ConfigError(f"config.selection_dir: no selection.json under {selection_dir}")
-    series = read_series_csv(series_path)
-    split = _parse_split(_get(config, "split", dict, "config"), "config.split")
-    ridge = _get(config, "ridge", float, "config", required=False)
     selection = json.loads(selection_file.read_text())
-    classifier = classifier_from_dict(selection["classifier"])
-    wspec = WindowSpec(
-        length=int(selection["window_length"]),
-        overlap=float(selection["window_overlap"]),
-    )
-    windows, stack = _window_covariances(series, wspec, ridge)
+    try:
+        classifier = classifier_from_dict(selection["classifier"])
+        wspec = WindowSpec(
+            length=int(selection["window_length"]),
+            overlap=float(selection["window_overlap"]),
+        )
+        beta_star = float(selection["beta_star"])
+    except KeyError as exc:
+        raise ConfigError(f"{selection_file}: required key {exc.args[0]!r} missing") from None
+    split = SplitSpec(**cfg["split"])
+    windows, stack = _window_covariances(series, wspec, cfg["ridge"])
     parts = split_dataset(list(range(len(windows))), [w.label for w in windows], split)
-    feats = _stack_features(windows, stack, float(selection["beta_star"]), parts.test_idx)
+    feats = _stack_features(windows, stack, beta_star, parts.test_idx)
     metrics = evaluate(classifier, feats, token=parts.test_token)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "test_metrics.json").write_text(_json_text(metrics_to_dict(metrics)))
 
 
-def cmd_geometry(config: dict, run_dir: Path) -> None:
-    _check_keys(config, {"schema_version", "features_dir"}, "config")
-    _require_version(config)
-    features_dir = _get(config, "features_dir", str, "config")
-    if not Path(features_dir).is_dir():
-        raise ConfigError(f"config.features_dir: no such directory {features_dir!r}")
-    feats = read_feature_archive(features_dir)
+def cmd_geometry(cfg: dict, run_dir: Path) -> None:
+    feats = _read_features(cfg["features_dir"])
     distances = pairwise_distance_matrix(feats)
     report = distance_stats(distances, [f.label for f in feats])
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -518,24 +527,10 @@ def cmd_geometry(config: dict, run_dir: Path) -> None:
     write_pairwise_csv(distances, run_dir / "pairwise.csv")
 
 
-def cmd_signatures(config: dict, run_dir: Path) -> None:
-    _check_keys(
-        config, {"schema_version", "features_dir", "mode", "gmm"}, "config"
-    )
-    _require_version(config)
-    features_dir = _get(config, "features_dir", str, "config")
-    if not Path(features_dir).is_dir():
-        raise ConfigError(f"config.features_dir: no such directory {features_dir!r}")
-    mode = _get(config, "mode", str, "config", required=False, default="class-mean")
-    gmm_rec = _get(config, "gmm", dict, "config", required=False, default={})
-    _check_keys(gmm_rec, {"max_iter", "tol", "seed"}, "config.gmm")
-    gmm_kwargs = {}
-    for key, kind in (("max_iter", int), ("tol", float), ("seed", int)):
-        val = _get(gmm_rec, key, kind, "config.gmm", required=False)
-        if val is not None:
-            gmm_kwargs[key] = val
-    feats = read_feature_archive(features_dir)
-    sigs = class_signatures(feats, mode=mode, **gmm_kwargs)
+def cmd_signatures(cfg: dict, run_dir: Path) -> None:
+    feats = _read_features(cfg["features_dir"])
+    gmm_kwargs = {key: val for key, val in cfg["gmm"].items() if val is not None}
+    sigs = class_signatures(feats, mode=cfg["mode"], **gmm_kwargs)
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_signatures(run_dir, sigs)
 
@@ -552,40 +547,12 @@ def _write_signatures(run_dir: Path, sigs) -> None:
         (run_dir / f"signature_class{label}.json").write_text(_json_text(meta))
 
 
-def cmd_pipeline(config: dict, run_dir: Path) -> None:
-    _check_keys(
-        config,
-        {
-            "schema_version",
-            "classes",
-            "series",
-            "window_grid",
-            "beta_grid",
-            "split",
-            "l2",
-            "max_iter",
-            "tol",
-            "ridge",
-            "signatures",
-        },
-        "config",
-    )
-    _require_version(config)
-    classes = _get(config, "classes", list, "config")
-    if len(classes) != 2:
-        raise ConfigError(f"config.classes: expected exactly 2 entries, got {len(classes)}")
-    series_rec = _get(config, "series", dict, "config")
-    _check_keys(series_rec, {"samples_per_class", "seed"}, "config.series")
-    per_class = _get(series_rec, "samples_per_class", int, "config.series")
-    seed = _get(series_rec, "seed", int, "config.series", required=False, default=0)
-
+def cmd_pipeline(cfg: dict, run_dir: Path) -> None:
+    per_class, seed = cfg["series"]["samples_per_class"], cfg["series"]["seed"]
     models, parts = [], []
-    for i, rec in enumerate(classes):
-        path = f"config.classes[{i}]"
-        _check_keys(rec, {"graph", "model"}, path)
-        graph, part = _parse_graph(_get(rec, "graph", dict, path), f"{path}.graph")
-        model = _parse_model(_get(rec, "model", dict, path), graph, f"{path}.model")
-        models.append(model)
+    for rec in cfg["classes"]:
+        graph, part = _graph(rec["graph"])
+        models.append(MaternModel(graph=graph, **rec["model"]))
         parts.append(part)
     n_obs = [len(p.observed) for p in parts]
     if n_obs[0] != n_obs[1]:
@@ -603,29 +570,11 @@ def cmd_pipeline(config: dict, run_dir: Path) -> None:
         samples=np.vstack(blocks), labels=np.concatenate(labels)
     )
 
-    window_grid_rec = _get(config, "window_grid", list, "config", required=False)
-    window_grid = (
-        [
-            _parse_window(rec, f"config.window_grid[{i}]")
-            for i, rec in enumerate(window_grid_rec)
-        ]
-        if window_grid_rec is not None
-        else None
-    )
-    beta_grid = _parse_beta_grid(config, "config")
-    split_rec = _get(config, "split", dict, "config", required=False)
-    split = _parse_split(split_rec, "config.split") if split_rec is not None else SplitSpec(0.6, 0.2, 0.2, seed=0)
-    kwargs = {}
-    for key, kind in (("l2", float), ("max_iter", int), ("tol", float), ("ridge", float)):
-        val = _get(config, key, kind, "config", required=False)
-        if val is not None:
-            kwargs[key] = val
-    result, windows, stack = _select_beta(
-        series, beta_grid=beta_grid, window_grid=window_grid, split=split, **kwargs
-    )
+    fit = _fit_kwargs(cfg)
+    result, windows, stack = _select_beta(series, **fit)
     all_feats = _stack_features(windows, stack, result.beta_star)
     window_labels = [w.label for w in windows]
-    test_parts = split_dataset(list(range(len(windows))), window_labels, split)
+    test_parts = split_dataset(list(range(len(windows))), window_labels, fit["split"])
     metrics = evaluate(
         result.classifier,
         [all_feats[i] for i in test_parts.test_idx],
@@ -634,11 +583,7 @@ def cmd_pipeline(config: dict, run_dir: Path) -> None:
     distances = pairwise_distance_matrix(all_feats)
     identifiability = distance_stats(distances, window_labels)
 
-    sig_rec = _get(config, "signatures", dict, "config", required=False, default={})
-    _check_keys(sig_rec, {"mode", "seed"}, "config.signatures")
-    sig_mode = _get(sig_rec, "mode", str, "config.signatures", required=False, default="class-mean")
-    sig_seed = _get(sig_rec, "seed", int, "config.signatures", required=False, default=0)
-    sigs = class_signatures(all_feats, mode=sig_mode, seed=sig_seed)
+    sigs = class_signatures(all_feats, **cfg["signatures"])
 
     run_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(series, run_dir / "series.csv")
@@ -654,21 +599,23 @@ def cmd_pipeline(config: dict, run_dir: Path) -> None:
     _write_signatures(run_dir, sigs)
 
 
-def cmd_report(config: dict, run_dir: Path) -> None:
+def cmd_report(cfg: dict, run_dir: Path) -> None:
     """Aggregate verify runs: consistency rate and bound-tightness ratios."""
-    _check_keys(config, {"schema_version", "runs"}, "config")
-    _require_version(config)
-    runs = _get(config, "runs", list, "config")
-    if not runs:
+    if not cfg["runs"]:
         raise ConfigError("config.runs: need at least one verify run directory")
     rows = []
-    for i, run in enumerate(runs):
+    for i, run in enumerate(cfg["runs"]):
         summary = Path(run) / "summary.csv"
         if not summary.exists():
             raise ConfigError(f"config.runs[{i}]: no summary.csv under {run!r}")
         with open(summary, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                rows.append(rec)
+            found = list(csv.DictReader(fh))
+        if not found:
+            raise ConfigError(f"config.runs[{i}]: {summary} has no rows")
+        missing = {"consistent", "bound", "empirical_norm"} - set(found[0])
+        if missing:
+            raise ConfigError(f"config.runs[{i}]: {summary} lacks column(s) {sorted(missing)}")
+        rows += found
     n_total = len(rows)
     n_consistent = sum(1 for r in rows if r["consistent"] == "True")
     ratios = []
@@ -736,10 +683,9 @@ def main(argv=None) -> int:
             config = json.loads(config_text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError("config root must be a JSON object")
+        cfg = _checked_config(args.command, config)
         run_dir = _run_dir(args, args.command, config_text)
-        _COMMANDS[args.command](config, run_dir)
+        _COMMANDS[args.command](cfg, run_dir)
         _finish_run(run_dir, args.command, config_text)
         print(json.dumps({"run_dir": str(run_dir)}, sort_keys=True))
         return 0

@@ -27,7 +27,6 @@ __all__ = [
     "sliding_windows",
     "majority_vote_label",
     "empirical_covariance",
-    "rank_one_covariance",
     "power_features",
     "mutual_info_select",
     "extract_features",
@@ -145,13 +144,8 @@ def majority_vote_label(window_labels) -> int:
     return int(2 * labels.sum() >= labels.size)
 
 
-def default_ridge(window: np.ndarray) -> float:
-    """1e-6 times the mean channel variance of the window."""
-    w = np.asarray(window, dtype=float)
-    return _default_ridge(w - w.mean(axis=0, keepdims=True))
-
-
 def _default_ridge(centered: np.ndarray) -> float:
+    """1e-6 times the mean channel variance of a centered window."""
     trace = float(np.sum(centered * centered) / centered.shape[0])
     return 1e-6 * trace / centered.shape[1]
 
@@ -209,16 +203,6 @@ def _stack_features(
         )
         for i, m in zip(index, stack.matrices(beta, index))
     ]
-
-
-def rank_one_covariance(x, ridge: float) -> SpdMatrix:
-    """Outer product of a single observation plus ridge*I."""
-    v = np.asarray(x, dtype=float).ravel()
-    if v.size < 1:
-        raise DomainError("need at least one channel")
-    if not ridge > 0:
-        raise DomainError("rank-one covariance needs ridge > 0")
-    return SpdMatrix(np.outer(v, v) + ridge * np.eye(v.size))
 
 
 def power_features(
@@ -279,6 +263,9 @@ def extract_features(
 ) -> list[FeatureMatrix]:
     """Window the series and emit one powered covariance per window."""
     if channels is not None:
+        for c in channels:
+            if not 0 <= c < series.channels:
+                raise DomainError(f"channel index {c} is outside [0, {series.channels})")
         samples = series.samples[:, channels]
         series = LabeledSeries(samples=samples, labels=series.labels)
     return _stack_features(*_window_covariances(series, spec, ridge), beta)

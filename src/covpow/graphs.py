@@ -8,7 +8,6 @@ radius decides model validity.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -28,10 +27,6 @@ __all__ = [
     "scale_cross_block",
     "graph_to_json",
     "graph_from_json",
-    "write_graph_json",
-    "read_graph_json",
-    "write_edge_csv",
-    "read_edge_csv",
 ]
 
 
@@ -280,34 +275,3 @@ def graph_to_json(g: WeightedGraph) -> str:
 def graph_from_json(text: str) -> WeightedGraph:
     rec = json.loads(text)
     return WeightedGraph.from_edges(int(rec["n"]), rec["edges"])
-
-
-def write_graph_json(g: WeightedGraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(graph_to_json(g) + "\n")
-
-
-def read_graph_json(path) -> WeightedGraph:
-    with open(path) as fh:
-        return graph_from_json(fh.read())
-
-
-def write_edge_csv(g: WeightedGraph, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "weight"])
-        for i, j, w in g.edges():
-            writer.writerow([i, j, repr(w)])
-
-
-def read_edge_csv(path, n: int | None = None) -> WeightedGraph:
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            edges.append((int(row["src"]), int(row["dst"]), float(row["weight"])))
-    if n is None:
-        n = 1 + max((max(i, j) for i, j, _ in edges), default=-1)
-        if n < 1:
-            raise DomainError("cannot infer node count from an empty edge list")
-    return WeightedGraph.from_edges(n, edges)

@@ -33,7 +33,6 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "write_samples_csv",
-    "read_samples_csv",
     "write_model_json",
     "read_model_json",
 ]
@@ -163,14 +162,3 @@ def write_samples_csv(samples: np.ndarray, path) -> None:
         writer.writerow([f"node{i}" for i in range(samples.shape[1])])
         for row in samples:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def read_samples_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    out = np.asarray(rows, dtype=float)
-    if out.size and out.shape[1] != len(header):
-        raise DomainError("sample CSV rows do not match header width")
-    return out

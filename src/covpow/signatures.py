@@ -9,7 +9,6 @@ crossing between its means becomes the edge threshold.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,9 +29,7 @@ __all__ = [
     "class_signatures",
     "support_recovery_metrics",
     "gmm_to_dict",
-    "signature_meta_to_json",
     "write_signature_csv",
-    "read_signature_csv",
 ]
 
 
@@ -315,19 +312,6 @@ def gmm_to_dict(fit: GmmFit) -> dict:
     }
 
 
-def signature_meta_to_json(
-    threshold: float, fit: GmmFit | None, source: str
-) -> str:
-    return json.dumps(
-        {
-            "threshold": threshold,
-            "gmm": gmm_to_dict(fit) if fit is not None else None,
-            "source": source,
-        },
-        sort_keys=True,
-    )
-
-
 def write_signature_csv(adjacency: np.ndarray, path) -> None:
     adj = np.asarray(adjacency)
     with open(path, "w", newline="") as fh:
@@ -337,13 +321,3 @@ def write_signature_csv(adjacency: np.ndarray, path) -> None:
             for j in range(i + 1, adj.shape[1]):
                 if adj[i, j]:
                     writer.writerow([i, j])
-
-
-def read_signature_csv(path, n: int) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=int)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            i, j = int(row["src"]), int(row["dst"])
-            adj[i, j] = adj[j, i] = 1
-    return adj

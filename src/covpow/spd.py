@@ -9,7 +9,6 @@ between them is a genuine cross-check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ __all__ = [
     "spectral_norm",
     "lambda_min",
     "operator_norm",
-    "matrix_to_json",
-    "matrix_from_json",
     "write_matrix_csv",
     "read_matrix_csv",
 ]
@@ -385,22 +382,6 @@ def operator_norm(block: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def matrix_to_json(m) -> str:
-    a = _as_array(m)
-    return json.dumps(
-        {"dim": a.shape[0], "rows": [[float(v) for v in row] for row in a]},
-        sort_keys=True,
-    )
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    rec = json.loads(text)
-    a = np.asarray(rec["rows"], dtype=float)
-    if a.shape != (rec["dim"], rec["dim"]):
-        raise DomainError("matrix JSON rows do not match declared dim")
-    return a
 
 
 def write_matrix_csv(m, path) -> None:

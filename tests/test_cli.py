@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -134,6 +135,217 @@ class TestConfigValidation:
         path = write_config(tmp_path, "extract.json", config)
         code = main(["extract", "--config", path, "--out", str(tmp_path / "run")])
         assert code == 2
+
+
+def _set(config, dotted, value):
+    """Set one nested key of a config, e.g. "classes.0.graph.seed"; return the config."""
+    *parents, last = dotted.split(".")
+    rec = config
+    for key in parents:
+        rec = rec[int(key)] if key.isdigit() else rec[key]
+    rec[last] = value
+    return config
+
+
+@pytest.fixture(scope="module")
+def bad_config_inputs(tmp_path_factory):
+    """Files the bad-config cases point at, made once."""
+    root = tmp_path_factory.mktemp("inputs")
+    features = TestGeometryAndSignatures().archive(root)  # also writes a 5-channel series
+    no_classifier = root / "no-classifier"
+    no_classifier.mkdir()
+    (no_classifier / "selection.json").write_text(
+        json.dumps({"beta_star": 1.0, "window_length": 32, "window_overlap": 0.5})
+    )
+    header_only = root / "header-only"
+    header_only.mkdir()
+    (header_only / "summary.csv").write_text(
+        "seed,beta,cross_norm,gate,bound,empirical_norm,consistent\n"
+    )
+    (root / "bare").mkdir()
+    return {
+        "series": str(root / "series.csv"),
+        "features": features,
+        "no_classifier": str(no_classifier),
+        "header_only": str(header_only),
+        "bare": str(root / "bare"),
+    }
+
+
+def _extract_config(inputs, channels):
+    return {
+        "schema_version": "1",
+        "series_csv": inputs["series"],
+        "window": {"length": 32},
+        "beta": 1.0,
+        "channels": channels,
+    }
+
+
+_SPLIT = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}
+_ER = {"type": "er", "n_obs": 3, "n_lat": 2, "p_obs": 0.9, "p_lat": 0.9, "p_cross": 0.5}
+
+BAD_CONFIGS = [
+    # negative seeds
+    pytest.param(
+        "simulate",
+        lambda d: _set(minimal_simulate_config(), "samples.seed", -1),
+        2,
+        "config.samples.seed",
+        id="simulate-samples-seed",
+    ),
+    pytest.param(
+        "simulate",
+        lambda d: _set(minimal_simulate_config(), "graph", {**_ER, "seed": -1}),
+        2,
+        "config.graph.seed",
+        id="simulate-graph-seed",
+    ),
+    pytest.param(
+        "verify",
+        lambda d: _set(TestVerify().verify_config(count=2), "seeds.start", -1),
+        2,
+        "config.seeds.start",
+        id="verify-seeds-start",
+    ),
+    pytest.param(
+        "select",
+        lambda d: {
+            "schema_version": "1",
+            "series_csv": d["series"],
+            "split": {**_SPLIT, "seed": -1},
+        },
+        2,
+        "config.split.seed",
+        id="select-split-seed",
+    ),
+    pytest.param(
+        "pipeline",
+        lambda d: _set(two_class_pipeline_config(), "series.seed", -1),
+        2,
+        "config.series.seed",
+        id="pipeline-series-seed",
+    ),
+    pytest.param(
+        "pipeline",
+        lambda d: _set(two_class_pipeline_config(), "classes.0.graph.seed", -1),
+        2,
+        "config.classes[0].graph.seed",
+        id="pipeline-class-graph-seed",
+    ),
+    pytest.param(
+        "pipeline",
+        lambda d: _set(two_class_pipeline_config(), "signatures", {"seed": -1}),
+        2,
+        "config.signatures.seed",
+        id="pipeline-signatures-seed",
+    ),
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["features"], "gmm": {"seed": -1}},
+        2,
+        "config.gmm.seed",
+        id="signatures-gmm-seed",
+    ),
+    # list elements
+    pytest.param(
+        "simulate",
+        lambda d: _set(minimal_simulate_config(), "graph.edges", [1, 2]),
+        2,
+        "config.graph.edges[0]",
+        id="edge-not-a-list",
+    ),
+    pytest.param(
+        "simulate",
+        lambda d: _set(minimal_simulate_config(), "graph.edges", [[0, 1]]),
+        2,
+        "config.graph.edges[0]",
+        id="edge-too-short",
+    ),
+    pytest.param(
+        "simulate",
+        lambda d: _set(minimal_simulate_config(), "graph.edges", [[0.9, 1.7, 0.5]]),
+        2,
+        "config.graph.edges[0]",
+        id="edge-float-nodes",
+    ),
+    pytest.param(
+        "simulate",
+        lambda d: _set(minimal_simulate_config(), "graph.observed", ["x"]),
+        2,
+        "config.graph.observed[0]",
+        id="observed-string",
+    ),
+    pytest.param(
+        "extract",
+        lambda d: _extract_config(d, ["a"]),
+        2,
+        "config.channels[0]",
+        id="channel-string",
+    ),
+    # channels outside the series
+    pytest.param(
+        "extract",
+        lambda d: _extract_config(d, [7]),
+        3,
+        "channel index 7",
+        id="channel-too-high",
+    ),
+    pytest.param(
+        "extract",
+        lambda d: _extract_config(d, [-1]),
+        3,
+        "channel index -1",
+        id="channel-negative",
+    ),
+    # malformed input files
+    pytest.param(
+        "evaluate",
+        lambda d: {
+            "schema_version": "1",
+            "series_csv": d["series"],
+            "selection_dir": d["no_classifier"],
+            "split": _SPLIT,
+        },
+        2,
+        "selection.json: required key 'classifier' missing",
+        id="selection-without-classifier",
+    ),
+    pytest.param(
+        "report",
+        lambda d: {"schema_version": "1", "runs": [d["header_only"]]},
+        2,
+        "summary.csv has no rows",
+        id="summary-header-only",
+    ),
+    pytest.param(
+        "geometry",
+        lambda d: {"schema_version": "1", "features_dir": d["bare"]},
+        2,
+        "no manifest.json under",
+        id="geometry-no-manifest",
+    ),
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["bare"]},
+        2,
+        "no manifest.json under",
+        id="signatures-no-manifest",
+    ),
+]
+
+
+@pytest.mark.parametrize("verb, make_config, code, where", BAD_CONFIGS)
+def test_bad_input_exits_with_its_location(
+    tmp_path, capsys, bad_config_inputs, verb, make_config, code, where
+):
+    path = write_config(tmp_path, "bad.json", make_config(bad_config_inputs))
+    run = tmp_path / "run"
+    assert main([verb, "--config", path, "--out", str(run)]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == code
+    assert where in err["message"]
+    assert not run.exists()
 
 
 class TestSimulate:
@@ -585,3 +797,13 @@ class TestEnvironmentAndEntryPoints:
         out = capsys.readouterr().out
         for verb in ("simulate", "verify", "pipeline", "report"):
             assert verb in out
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("verb, index", [("simulate", 0), ("pipeline", 1)])
+    def test_json_config_runs(self, tmp_path, verb, index):
+        """The README's JSON configs are accepted by their verb and run."""
+        readme = Path(covpow.__file__).resolve().parents[2] / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), flags=re.S)
+        path = write_config(tmp_path, f"{verb}.json", json.loads(blocks[index]))
+        assert main([verb, "--config", path, "--out", str(tmp_path / "run")]) == 0

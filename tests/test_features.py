@@ -12,7 +12,6 @@ from covpow.features import (
     majority_vote_label,
     mutual_info_select,
     power_features,
-    rank_one_covariance,
     read_feature_archive,
     read_series_csv,
     sliding_windows,
@@ -151,26 +150,6 @@ class TestEmpiricalCovariance:
         ridge = (with_default - base)[0, 0]
         trace = np.trace(base)
         assert ridge == pytest.approx(1e-6 * trace / 3, rel=1e-9)
-
-
-class TestRankOneCovariance:
-    def test_examples(self):
-        cov = rank_one_covariance([1.0, 0.0], ridge=0.1)
-        assert_allclose(cov.values, [[1.1, 0.0], [0.0, 0.1]], atol=1e-15)
-        assert_allclose(
-            rank_one_covariance([0.0, 0.0], ridge=0.5).values, 0.5 * np.eye(2)
-        )
-
-    def test_spectrum_identity(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(5)
-        cov = rank_one_covariance(x, ridge=0.2)
-        want = np.sort(np.concatenate([[float(x @ x) + 0.2], np.full(4, 0.2)]))
-        assert_allclose(cov.eigenvalues, want, rtol=1e-12)
-
-    def test_requires_positive_ridge(self):
-        with pytest.raises(DomainError):
-            rank_one_covariance([1.0], ridge=0.0)
 
 
 class TestPowerFeatures:

@@ -15,12 +15,8 @@ from covpow.graphs import (
     laplacian,
     observed_a_min,
     partition_blocks,
-    read_edge_csv,
-    read_graph_json,
     sample_inhomogeneous_er,
     scale_cross_block,
-    write_edge_csv,
-    write_graph_json,
 )
 
 
@@ -275,26 +271,3 @@ class TestSerialization:
     def test_json_schema(self):
         rec = json.loads(graph_to_json(two_node(0.75)))
         assert rec == {"n": 2, "edges": [[0, 1, 0.75]]}
-
-    def test_file_round_trips(self, tmp_path):
-        g, _ = sample_inhomogeneous_er(4, 4, 0.7, 0.7, 0.5, seed=6)
-        jpath = tmp_path / "g.json"
-        cpath = tmp_path / "g.csv"
-        write_graph_json(g, jpath)
-        write_edge_csv(g, cpath)
-        assert_array_equal(read_graph_json(jpath).adjacency, g.adjacency)
-        assert_array_equal(read_edge_csv(cpath, n=g.n).adjacency, g.adjacency)
-
-    def test_edge_csv_infers_node_count(self, tmp_path):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 0.5)])
-        path = tmp_path / "g.csv"
-        write_edge_csv(g, path)
-        assert read_edge_csv(path).n == 3
-
-    def test_edge_csv_empty_needs_n(self, tmp_path):
-        g = WeightedGraph(np.zeros((3, 3)))
-        path = tmp_path / "g.csv"
-        write_edge_csv(g, path)
-        with pytest.raises(DomainError):
-            read_edge_csv(path)
-        assert read_edge_csv(path, n=3).n == 3

@@ -1,5 +1,6 @@
 """GMM thresholding, signature extraction, and support-recovery tests."""
 
+import csv
 import json
 
 import numpy as np
@@ -23,9 +24,7 @@ from covpow.signatures import (
     gmm_threshold,
     gmm_to_dict,
     offdiag_magnitudes,
-    read_signature_csv,
     signature_from_matrix,
-    signature_meta_to_json,
     support_recovery_metrics,
     write_signature_csv,
 )
@@ -374,18 +373,12 @@ class TestSerialization:
         }
         json.dumps(d)
 
-    def test_meta_json(self):
-        fit = fit_gmm_1d(two_cluster_values(seed=10))
-        rec = json.loads(signature_meta_to_json(0.5, fit, "class-0"))
-        assert rec["threshold"] == 0.5
-        assert rec["source"] == "class-0"
-        assert rec["gmm"]["converged"] is True
-
     def test_edge_csv_round_trip(self, tmp_path):
         adj = np.zeros((5, 5), dtype=int)
         for i, j in ((0, 1), (1, 4), (2, 3)):
             adj[i, j] = adj[j, i] = 1
         path = tmp_path / "sig.csv"
         write_signature_csv(adj, path)
-        back = read_signature_csv(path, 5)
-        assert np.array_equal(back, adj)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["src", "dst"], ["0", "1"], ["1", "4"], ["2", "3"]]

@@ -12,8 +12,6 @@ from covpow.spd import (
     SymMatrix,
     circular_contour,
     lambda_min,
-    matrix_from_json,
-    matrix_to_json,
     operator_norm,
     read_matrix_csv,
     spd_power_contour,
@@ -254,14 +252,6 @@ class TestNorms:
 
 
 class TestMatrixIo:
-    def test_json_round_trip_bitwise(self):
-        x = random_spd(5, seed=13).values
-        assert_array_equal(matrix_from_json(matrix_to_json(x)), x)
-
-    def test_json_dim_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            matrix_from_json('{"dim": 3, "rows": [[1.0]]}')
-
     def test_csv_round_trip_bitwise(self, tmp_path):
         x = random_spd(4, seed=14).values
         path = tmp_path / "m.csv"
