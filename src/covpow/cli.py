@@ -33,7 +33,6 @@ from .errors import ConfigError, CovpowError, DomainError, NumericalError
 from .features import (
     LabeledSeries,
     WindowSpec,
-    _stack_features,
     _window_covariances,
     extract_features,
     read_feature_archive,
@@ -65,10 +64,11 @@ from .matern import (
 )
 from .pipeline import (
     SplitSpec,
+    _evaluate,
     _select_beta,
+    _vectorize,
     classifier_from_dict,
     classifier_to_dict,
-    evaluate,
     metrics_to_dict,
     select_beta,
     selection_to_dict,
@@ -468,10 +468,15 @@ def cmd_extract(cfg: dict, run_dir: Path) -> None:
     series = _read_series(cfg["series_csv"])
     spec = WindowSpec(**cfg["window"])
     beta = cfg["beta"]
-    feats = extract_features(series, spec, beta, ridge=cfg["ridge"], channels=cfg["channels"])
+    windows, stack = extract_features(
+        series, spec, beta, ridge=cfg["ridge"], channels=cfg["channels"]
+    )
     run_dir.mkdir(parents=True, exist_ok=True)
     write_feature_archive(
-        feats,
+        [w.label for w in windows],
+        [(w.start, w.stop) for w in windows],
+        stack,
+        beta,
         run_dir / "features",
         meta={"beta": beta, "window_length": spec.length, "window_overlap": spec.overlap},
     )
@@ -497,7 +502,10 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
     selection_file = selection_dir / "selection.json"
     if not selection_file.exists():
         raise ConfigError(f"config.selection_dir: no selection.json under {selection_dir}")
-    selection = json.loads(selection_file.read_text())
+    try:
+        selection = json.loads(selection_file.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{selection_file}: not valid JSON: {exc}") from None
     try:
         classifier = classifier_from_dict(selection["classifier"])
         wspec = WindowSpec(
@@ -509,17 +517,24 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
         raise ConfigError(f"{selection_file}: required key {exc.args[0]!r} missing") from None
     split = SplitSpec(**cfg["split"])
     windows, stack = _window_covariances(series, wspec, cfg["ridge"])
-    parts = split_dataset(list(range(len(windows))), [w.label for w in windows], split)
-    feats = _stack_features(windows, stack, beta_star, parts.test_idx)
-    metrics = evaluate(classifier, feats, token=parts.test_token)
+    metrics = _test_metrics(classifier, windows, stack, beta_star, split)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "test_metrics.json").write_text(_json_text(metrics_to_dict(metrics)))
 
 
+def _test_metrics(classifier, windows, stack, beta: float, split: SplitSpec):
+    """Metrics of the classifier on the test windows of the split, at power beta."""
+    labels = np.array([w.label for w in windows])
+    parts = split_dataset(list(range(len(windows))), labels, split)
+    test = list(parts.test_idx)
+    x = _vectorize(stack.power(beta, test).values)
+    return _evaluate(classifier, x, labels[test], token=parts.test_token)
+
+
 def cmd_geometry(cfg: dict, run_dir: Path) -> None:
-    feats = _read_features(cfg["features_dir"])
-    distances = pairwise_distance_matrix(feats)
-    report = distance_stats(distances, [f.label for f in feats])
+    labels, _, stack = _read_features(cfg["features_dir"])
+    distances = pairwise_distance_matrix(stack)
+    report = distance_stats(distances, labels)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "identifiability.json").write_text(
         _json_text(geometry_report_to_dict(report))
@@ -528,9 +543,9 @@ def cmd_geometry(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_signatures(cfg: dict, run_dir: Path) -> None:
-    feats = _read_features(cfg["features_dir"])
+    labels, _, stack = _read_features(cfg["features_dir"])
     gmm_kwargs = {key: val for key, val in cfg["gmm"].items() if val is not None}
-    sigs = class_signatures(feats, mode=cfg["mode"], **gmm_kwargs)
+    sigs = class_signatures(stack.values, labels, mode=cfg["mode"], **gmm_kwargs)
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_signatures(run_dir, sigs)
 
@@ -572,18 +587,13 @@ def cmd_pipeline(cfg: dict, run_dir: Path) -> None:
 
     fit = _fit_kwargs(cfg)
     result, windows, stack = _select_beta(series, **fit)
-    all_feats = _stack_features(windows, stack, result.beta_star)
-    window_labels = [w.label for w in windows]
-    test_parts = split_dataset(list(range(len(windows))), window_labels, fit["split"])
-    metrics = evaluate(
-        result.classifier,
-        [all_feats[i] for i in test_parts.test_idx],
-        token=test_parts.test_token,
-    )
-    distances = pairwise_distance_matrix(all_feats)
-    identifiability = distance_stats(distances, window_labels)
+    metrics = _test_metrics(result.classifier, windows, stack, result.beta_star, fit["split"])
+    powered = stack.power(result.beta_star)
+    labels = [w.label for w in windows]
+    distances = pairwise_distance_matrix(powered)
+    identifiability = distance_stats(distances, labels)
 
-    sigs = class_signatures(all_feats, **cfg["signatures"])
+    sigs = class_signatures(powered.values, labels, **cfg["signatures"])
 
     run_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(series, run_dir / "series.csv")

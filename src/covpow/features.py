@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .spd import SpdMatrix, SpdStack, read_matrix_csv, spd_power_eig, write_matrix_csv
 
 __all__ = [
@@ -189,22 +189,6 @@ def _window_covariances(
     return windows, SpdStack(covs)
 
 
-def _stack_features(
-    windows: list[Window], stack: SpdStack, beta: float, index=None
-) -> list[FeatureMatrix]:
-    """Powered covariances of the selected windows (default all), tagged."""
-    index = range(len(windows)) if index is None else index
-    return [
-        FeatureMatrix(
-            matrix=m,
-            label=windows[i].label,
-            beta=float(beta),
-            source_window=(windows[i].start, windows[i].stop),
-        )
-        for i, m in zip(index, stack.matrices(beta, index))
-    ]
-
-
 def power_features(
     cov: SpdMatrix,
     beta: float,
@@ -260,15 +244,16 @@ def extract_features(
     beta: float,
     ridge: float | None = None,
     channels: list[int] | None = None,
-) -> list[FeatureMatrix]:
-    """Window the series and emit one powered covariance per window."""
+) -> tuple[list[Window], SpdStack]:
+    """The windows of the series and their powered covariances as one stack."""
     if channels is not None:
         for c in channels:
             if not 0 <= c < series.channels:
                 raise DomainError(f"channel index {c} is outside [0, {series.channels})")
         samples = series.samples[:, channels]
         series = LabeledSeries(samples=samples, labels=series.labels)
-    return _stack_features(*_window_covariances(series, spec, ridge), beta)
+    windows, stack = _window_covariances(series, spec, ridge)
+    return windows, stack.power(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -329,42 +314,53 @@ def _first_bad_line(path, width: int) -> str | None:
     return None
 
 
-def write_feature_archive(features: list[FeatureMatrix], dirpath, meta: dict | None = None) -> None:
-    """Directory of matrix CSVs plus a JSON manifest with provenance."""
+def write_feature_archive(
+    labels, ranges, stack: SpdStack, beta: float, dirpath, meta: dict | None = None
+) -> None:
+    """Directory of matrix CSVs plus a JSON manifest with provenance.
+
+    Entry i holds matrix i of the stack with its label and (start, stop)
+    window range; every entry records the power `beta`.
+    """
     os.makedirs(dirpath, exist_ok=True)
-    manifest = {
-        "count": len(features),
-        "entries": [],
-        "meta": meta or {},
-    }
-    for i, feat in enumerate(features):
+    entries = []
+    for i, (label, source) in enumerate(zip(labels, ranges)):
         name = f"feature_{i:05d}.csv"
-        write_matrix_csv(feat.matrix.values, os.path.join(dirpath, name))
-        manifest["entries"].append(
+        write_matrix_csv(stack.values[i], os.path.join(dirpath, name))
+        entries.append(
             {
                 "file": name,
-                "label": feat.label,
-                "beta": feat.beta,
-                "source_window": list(feat.source_window) if feat.source_window else None,
+                "label": label,
+                "beta": float(beta),
+                "source_window": list(source) if source else None,
             }
         )
+    manifest = {"count": len(entries), "entries": entries, "meta": meta or {}}
     with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
-def read_feature_archive(dirpath) -> list[FeatureMatrix]:
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    out = []
-    for entry in manifest["entries"]:
-        matrix = SpdMatrix(read_matrix_csv(os.path.join(dirpath, entry["file"])))
-        source = tuple(entry["source_window"]) if entry["source_window"] else None
-        out.append(
-            FeatureMatrix(
-                matrix=matrix,
-                label=entry["label"],
-                beta=entry["beta"],
-                source_window=source,
-            )
-        )
-    return out
+def read_feature_archive(dirpath) -> tuple[list, list, SpdStack]:
+    """(labels, ranges, stack) of an archive, factored by one stacked ``eigh``.
+
+    A manifest that is not valid JSON or lacks a key raises ConfigError
+    naming it.
+    """
+    path = os.path.join(dirpath, "manifest.json")
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)["entries"]
+        labels = [entry["label"] for entry in entries]
+        ranges = [tuple(e["source_window"]) if e["source_window"] else None for e in entries]
+        files = [os.path.join(dirpath, entry["file"]) for entry in entries]
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{path}: required key {exc.args[0]!r} missing") from None
+    except TypeError as exc:
+        raise ConfigError(f"{path}: malformed manifest: {exc}") from None
+    mats = [read_matrix_csv(f) for f in files]
+    for f, m in zip(files, mats):
+        if m.shape != mats[0].shape:
+            raise DomainError(f"{f}: shape {m.shape} differs from {files[0]}: {mats[0].shape}")
+    return labels, ranges, SpdStack(mats)

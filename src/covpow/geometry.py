@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .features import FeatureMatrix
-from .spd import SpdMatrix
+from .spd import SpdMatrix, SpdStack
 
 __all__ = [
     "IdentifiabilityReport",
@@ -59,14 +58,40 @@ def air_distance(x: SpdMatrix, y: SpdMatrix) -> float:
     return float(np.sqrt(np.sum(np.log(eig) ** 2)))
 
 
-def pairwise_distance_matrix(features: list[FeatureMatrix]) -> np.ndarray:
-    """Full symmetric distance matrix in input order."""
-    mats = [f.matrix for f in features]
-    n = len(mats)
+def _require_pairs(ok: np.ndarray, i: int, message) -> None:
+    """Raise NumericalError for the first pair (i, i + 1 + j) whose ok[j] is False."""
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise NumericalError(f"pair ({i}, {i + 1 + j}): {message(j)}")
+
+
+def pairwise_distance_matrix(stack: SpdStack) -> np.ndarray:
+    """Full symmetric AIR distance matrix of a stack, in stack order.
+
+    Row i whitens every later matrix by X_i^{-1/2}, built from the stack's
+    eigen-cache, and takes one batched ``eigvalsh``; each entry is the
+    ``air_distance`` of its pair, with the same checks, and an error names
+    the pair (i, j).
+    """
+    if not isinstance(stack, SpdStack):
+        raise DomainError("pairwise_distance_matrix needs an SpdStack")
+    w, q, values = stack.eigenvalues, stack.eigenvectors, stack.values
+    n = len(stack)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = air_distance(mats[i], mats[j])
+    for i in range(n - 1):
+        inv_root = (q[i] * w[i] ** -0.5) @ q[i].T
+        inner = inv_root @ values[i + 1 :] @ inv_root
+        inner_t = np.swapaxes(inner, 1, 2)
+        asym = np.abs(inner - inner_t).max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(inner).max(axis=(1, 2)))
+        _require_pairs(
+            asym <= 1e-10 * scale, i, lambda j: f"congruence result asymmetric by {asym[j]}"
+        )
+        eig = np.linalg.eigvalsh((inner + inner_t) / 2)
+        _require_pairs(
+            eig[:, 0] > 0, i, lambda j: f"congruence result lost definiteness: {eig[j, 0]}"
+        )
+        out[i, i + 1 :] = out[i + 1 :, i] = np.sqrt(np.sum(np.log(eig) ** 2, axis=1))
     return out
 
 
@@ -119,11 +144,12 @@ def distance_stats(distances, labels) -> IdentifiabilityReport:
     )
 
 
-def class_distance_stats(features: list[FeatureMatrix]) -> IdentifiabilityReport:
-    """distance_stats of the exhaustive pairwise AIR distances of labeled features."""
+def class_distance_stats(features: list) -> IdentifiabilityReport:
+    """distance_stats of the pairwise AIR distances of labeled FeatureMatrix objects."""
     labels = [f.label for f in features]
     _class_indices(labels)  # fail before the quadratic distance work
-    return distance_stats(pairwise_distance_matrix(features), labels)
+    stack = SpdStack([f.matrix.values for f in features])
+    return distance_stats(pairwise_distance_matrix(stack), labels)
 
 
 def report_to_dict(report: IdentifiabilityReport) -> dict:

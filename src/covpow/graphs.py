@@ -26,7 +26,6 @@ __all__ = [
     "observed_a_min",
     "scale_cross_block",
     "graph_to_json",
-    "graph_from_json",
 ]
 
 
@@ -271,7 +270,3 @@ def graph_to_json(g: WeightedGraph) -> str:
     rec = {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges()]}
     return json.dumps(rec, sort_keys=True)
 
-
-def graph_from_json(text: str) -> WeightedGraph:
-    rec = json.loads(text)
-    return WeightedGraph.from_edges(int(rec["n"]), rec["edges"])

@@ -19,7 +19,6 @@ from .errors import DomainError
 from .graphs import (
     NodePartition,
     WeightedGraph,
-    graph_from_json,
     graph_to_json,
     interaction_operator,
 )
@@ -31,10 +30,8 @@ __all__ = [
     "sample_field",
     "observed_covariance",
     "model_to_dict",
-    "model_from_dict",
     "write_samples_csv",
     "write_model_json",
-    "read_model_json",
 ]
 
 _PD_TOL = 1e-12
@@ -127,29 +124,12 @@ def model_to_dict(m: MaternModel) -> dict:
     }
 
 
-def model_from_dict(rec: dict) -> MaternModel:
-    graph = graph_from_json(json.dumps(rec["graph"]))
-    return MaternModel(
-        graph=graph,
-        kappa=float(rec["kappa"]),
-        alpha=float(rec["alpha"]),
-        sigma=float(rec["sigma"]),
-    )
-
-
 def write_model_json(m: MaternModel, path, seed: int | None = None) -> None:
     rec = model_to_dict(m)
     if seed is not None:
         rec["seed"] = int(seed)
     with open(path, "w") as fh:
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def read_model_json(path) -> tuple[MaternModel, int | None]:
-    with open(path) as fh:
-        rec = json.load(fh)
-    seed = int(rec["seed"]) if "seed" in rec else None
-    return model_from_dict(rec), seed
 
 
 def write_samples_csv(samples: np.ndarray, path) -> None:

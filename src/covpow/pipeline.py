@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate",
     "metrics_to_dict",
     "selection_to_dict",
-    "selection_to_json",
     "classifier_to_dict",
     "classifier_from_dict",
     "write_selection_csv",
@@ -442,7 +440,7 @@ def _select_beta(
             }
             table.append(row)
             try:
-                x = _vectorize(stack.power(beta))
+                x = _vectorize(stack.power(beta).values)
             except DomainError as exc:
                 row.update(s3=0.0, train=None, val=None, error=str(exc))
                 first_error = first_error or f"beta {beta} on {wspec}: {exc}"
@@ -479,14 +477,23 @@ def _select_beta(
 
 def evaluate(classifier: LinearClassifier, features: list[FeatureMatrix], token: str | None = None) -> Metrics:
     """Held-out metrics; refuses data whose token was visible in training."""
+    _refuse_leak(classifier, token)
+    return _evaluate(classifier, _design_rows(features), _labels_from(features, None))
+
+
+def _refuse_leak(classifier: LinearClassifier, token: str | None) -> None:
     if token is not None and token in classifier.seen_tokens:
         raise ConfigError(
             "split leak: this data split was visible during training/selection"
         )
-    if not features:
+
+
+def _evaluate(classifier: LinearClassifier, x: np.ndarray, labels, token: str | None = None) -> Metrics:
+    """evaluate on a design matrix of vectorized features and their 0/1 labels."""
+    _refuse_leak(classifier, token)
+    if not len(labels):
         raise DomainError("test set is empty")
-    labels = _labels_from(features, None)
-    return classification_metrics(classifier.predict(features), labels)
+    return classification_metrics(classifier._predict(x), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +524,6 @@ def selection_to_dict(result: SelectionResult) -> dict:
         "per_beta_table": result.per_beta_table,
         "classifier": classifier_to_dict(result.classifier),
     }
-
-
-def selection_to_json(result: SelectionResult) -> str:
-    return json.dumps(selection_to_dict(result), sort_keys=True)
 
 
 def classifier_to_dict(clf: LinearClassifier) -> dict:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .features import FeatureMatrix
 
 __all__ = [
     "GmmFit",
@@ -178,7 +177,7 @@ def extract_signature(feature, threshold: float) -> np.ndarray:
     """Binary adjacency: edge (i,j) iff |F_ij| >= threshold, i != j."""
     if threshold < 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    mat = feature.matrix if isinstance(feature, FeatureMatrix) else feature
+    mat = getattr(feature, "matrix", feature)
     a = np.asarray(getattr(mat, "values", mat), dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"need a square matrix, got shape {a.shape}")
@@ -207,13 +206,14 @@ class ClassSignature:
 
 
 def class_signatures(
-    features: list[FeatureMatrix],
+    matrices,
+    labels,
     mode: str = "class-mean",
     max_iter: int = 200,
     tol: float = 1e-8,
     seed: int = 0,
 ) -> dict[int, ClassSignature]:
-    """Per-class structural signature.
+    """Per-class structural signature of an (N, k, k) array of labeled matrices.
 
     class-mean (default): one GMM on the class-mean matrix. per-matrix: a GMM
     per matrix, class adjacency by per-edge majority vote (ties count as
@@ -221,44 +221,28 @@ def class_signatures(
     """
     if mode not in ("class-mean", "per-matrix"):
         raise DomainError(f"unknown mode {mode!r}")
-    if any(f.label is None for f in features):
+    mats = np.asarray(matrices, dtype=float)
+    if mats.ndim != 3 or len(labels) != len(mats):
+        raise DomainError(f"need an (N, k, k) array and N labels, got {mats.shape}, {len(labels)}")
+    if any(c is None for c in labels):
         raise DomainError("every feature needs a class label")
-    by_class: dict[int, list[FeatureMatrix]] = {}
-    for f in features:
-        by_class.setdefault(int(f.label), []).append(f)
+    lab = np.array([int(c) for c in labels], dtype=int)
     out = {}
-    for label in sorted(by_class):
-        group = by_class[label]
+    for label in sorted(set(lab.tolist())):
+        group = mats[lab == label]
         if mode == "class-mean":
-            mean_mat = np.mean([np.asarray(f.matrix.values) for f in group], axis=0)
             adj, threshold, fit = signature_from_matrix(
-                mean_mat, max_iter=max_iter, tol=tol, seed=seed
-            )
-            out[label] = ClassSignature(
-                label=label,
-                adjacency=adj,
-                threshold=threshold,
-                fit=fit,
-                n_matrices=len(group),
+                np.mean(group, axis=0), max_iter=max_iter, tol=tol, seed=seed
             )
         else:
-            adjs, thresholds = [], []
-            for f in group:
-                adj, threshold, _ = signature_from_matrix(
-                    f.matrix, max_iter=max_iter, tol=tol, seed=seed
-                )
-                adjs.append(adj)
-                thresholds.append(threshold)
-            votes = np.sum(adjs, axis=0)
-            adj = (2 * votes >= len(adjs)).astype(int)
+            sigs = [signature_from_matrix(m, max_iter=max_iter, tol=tol, seed=seed) for m in group]
+            votes = np.sum([adj for adj, _, _ in sigs], axis=0)
+            adj = (2 * votes >= len(sigs)).astype(int)
             np.fill_diagonal(adj, 0)
-            out[label] = ClassSignature(
-                label=label,
-                adjacency=adj,
-                threshold=float(np.mean(thresholds)),
-                fit=None,
-                n_matrices=len(group),
-            )
+            threshold, fit = float(np.mean([t for _, t, _ in sigs])), None
+        out[label] = ClassSignature(
+            label=label, adjacency=adj, threshold=threshold, fit=fit, n_matrices=len(group)
+        )
     return out
 
 

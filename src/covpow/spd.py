@@ -200,55 +200,55 @@ class SpdMatrix(SymMatrix):
 
 
 class SpdStack:
-    """N SPD matrices of one size, held as their eigendecompositions.
+    """N SPD matrices of one size: the (N, k, k) values and their eigenpairs.
 
-    One validated ``eigh`` call on the (N, k, k) stack replaces N SpdMatrix
+    One validated ``eigh`` call on the stack replaces N SpdMatrix
     constructions; every power X_i^beta of every matrix then costs one
-    batched matmul. Errors name the stack index of the offending matrix.
+    batched matmul and is again a stack. Like SpdMatrix, a stack keeps its
+    symmetrized values and an ascending spectrum. Errors name the stack index
+    of the offending matrix.
     """
 
-    __slots__ = ("eigenvalues", "eigenvectors")
+    __slots__ = ("values", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrices) -> None:
         a = np.asarray(matrices, dtype=float)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise DomainError(f"expected an (N, k, k) stack, got shape {a.shape}")
-        w, q = _checked_eigh(_symmetrized(a), positive=True)
-        w.flags.writeable = False
-        q.flags.writeable = False
-        self.eigenvalues = w
-        self.eigenvectors = q
+        sym = _symmetrized(a)
+        self._set(sym, *_checked_eigh(sym, positive=True))
+
+    def _set(self, values: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
+        for arr in (values, w, q):
+            arr.flags.writeable = False
+        self.values, self.eigenvalues, self.eigenvectors = values, w, q
 
     def __len__(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.values.shape[0]
 
-    def _spectrum(self, beta: float, index=None) -> np.ndarray:
-        """Powered eigenvalues of the selected matrices, each still SPD."""
+    def power(self, beta: float, index=None) -> "SpdStack":
+        """X_i^beta for the selected i (default all); beta = 0 gives I.
+
+        Each matrix equals ``spd_power_eig`` of it. Errors name the window
+        as ``index`` maps it.
+        """
         if not np.isfinite(beta):
             raise DomainError("beta must be finite")
+        index = None if index is None else list(index)
         w = self.eigenvalues if index is None else self.eigenvalues[index]
+        q = self.eigenvectors if index is None else self.eigenvectors[index]
+        out = SpdStack.__new__(SpdStack)
+        if beta == 0:
+            eye = np.tile(np.eye(w.shape[1]), (len(w), 1, 1))
+            out._set(eye, np.ones_like(w), eye)
+            return out
         wb = w**beta
         _require_positive(wb.min(axis=-1), index)
-        return wb
-
-    def power(self, beta: float) -> np.ndarray:
-        """(N, k, k) array of X_i^beta, equal to ``spd_power_eig`` per matrix."""
-        if beta == 0:
-            return np.tile(np.eye(self.eigenvalues.shape[1]), (len(self), 1, 1))
-        wb = self._spectrum(beta)
-        q = self.eigenvectors
-        if beta < 0:  # SpdMatrix keeps the powered spectrum ascending
-            wb, q = wb[:, ::-1], np.ascontiguousarray(q[:, :, ::-1])
+        if beta < 0:  # keep the powered spectrum ascending
+            wb, q = np.ascontiguousarray(wb[:, ::-1]), np.ascontiguousarray(q[:, :, ::-1])
         vals = (q * wb[:, None, :]) @ np.swapaxes(q, 1, 2)
-        return (vals + np.swapaxes(vals, 1, 2)) / 2
-
-    def matrices(self, beta: float, index=None) -> list[SpdMatrix]:
-        """X_i^beta as SpdMatrix objects for the selected i (default all)."""
-        index = range(len(self)) if index is None else list(index)
-        if beta == 0:
-            return [SpdMatrix(np.eye(self.eigenvalues.shape[1])) for _ in index]
-        wb = self._spectrum(beta, index)
-        return [SpdMatrix._from_eigh(w, self.eigenvectors[i]) for w, i in zip(wb, index)]
+        out._set((vals + np.swapaxes(vals, 1, 2)) / 2, wb, q)
+        return out
 
 
 @dataclass(frozen=True)

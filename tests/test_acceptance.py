@@ -52,7 +52,7 @@ from covpow import (
     verify_instance,
 )
 from covpow.cli import main as cli_main
-from covpow.pipeline import metrics_to_dict, selection_to_json
+from covpow.pipeline import metrics_to_dict, selection_to_dict
 
 
 _VERDICTS: list[str] = []
@@ -416,9 +416,9 @@ def test_07_supervised_power_selection_pipeline():
     sel, metrics, _ = _pipeline_run(0)
     s3_at_one = next(r["s3"] for r in sel.per_beta_table if r["beta"] == 1.0)
     sel2, metrics2, _ = _pipeline_run(0, fresh=True)
-    deterministic = selection_to_json(sel) == selection_to_json(sel2) and (
-        metrics_to_dict(metrics) == metrics_to_dict(metrics2)
-    )
+    deterministic = json.dumps(selection_to_dict(sel), sort_keys=True) == json.dumps(
+        selection_to_dict(sel2), sort_keys=True
+    ) and metrics_to_dict(metrics) == metrics_to_dict(metrics2)
     elapsed = time.perf_counter() - t0
     ok = (
         metrics.accuracy >= 0.90

@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 import covpow
 from covpow.cli import main
 from covpow.features import LabeledSeries, read_series_csv, write_series_csv
-from covpow.matern import read_model_json
+from covpow.graphs import WeightedGraph
 
 
 def run_cli(args, env_root=None, monkeypatch=None):
@@ -163,12 +163,21 @@ def bad_config_inputs(tmp_path_factory):
         "seed,beta,cross_norm,gate,bound,empirical_norm,consistent\n"
     )
     (root / "bare").mkdir()
+    broken = {
+        "bad_selection": ("selection.json", "{not json"),
+        "bad_manifest": ("manifest.json", "{not json"),
+        "no_entries": ("manifest.json", json.dumps({"count": 0, "meta": {}})),
+    }
+    for name, (file, text) in broken.items():
+        (root / name).mkdir()
+        (root / name / file).write_text(text)
     return {
         "series": str(root / "series.csv"),
         "features": features,
         "no_classifier": str(no_classifier),
         "header_only": str(header_only),
         "bare": str(root / "bare"),
+        **{name: str(root / name) for name in broken},
     }
 
 
@@ -312,6 +321,32 @@ BAD_CONFIGS = [
         id="selection-without-classifier",
     ),
     pytest.param(
+        "evaluate",
+        lambda d: {
+            "schema_version": "1",
+            "series_csv": d["series"],
+            "selection_dir": d["bad_selection"],
+            "split": _SPLIT,
+        },
+        2,
+        "selection.json: not valid JSON",
+        id="selection-not-json",
+    ),
+    pytest.param(
+        "geometry",
+        lambda d: {"schema_version": "1", "features_dir": d["bad_manifest"]},
+        2,
+        "manifest.json: not valid JSON",
+        id="manifest-not-json",
+    ),
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["no_entries"]},
+        2,
+        "manifest.json: required key 'entries' missing",
+        id="manifest-without-entries",
+    ),
+    pytest.param(
         "report",
         lambda d: {"schema_version": "1", "runs": [d["header_only"]]},
         2,
@@ -357,10 +392,11 @@ class TestSimulate:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["run_dir"] == str(run)
-        model, seed = read_model_json(run / "model.json")
-        assert model.kappa == 1.0 and model.alpha == 1.0
-        assert model.graph.adjacency[0, 1] == 0.5
-        assert seed == 3
+        model = json.loads((run / "model.json").read_text())
+        assert model["kappa"] == 1.0 and model["alpha"] == 1.0
+        graph = WeightedGraph.from_edges(model["graph"]["n"], model["graph"]["edges"])
+        assert graph.adjacency[0, 1] == 0.5
+        assert model["seed"] == 3
         samples = np.loadtxt(run / "samples.csv", delimiter=",", skiprows=1, ndmin=2)
         assert samples.shape == (8, 2)
         part = json.loads((run / "partition.json").read_text())
@@ -646,16 +682,16 @@ class TestPipeline:
         manifest_b = json.loads((run_b / "manifest.json").read_text())
         assert manifest["artifacts"] == manifest_b["artifacts"]
 
-    def test_each_window_pair_measured_once(self, tmp_path, monkeypatch):
+    def test_window_distances_computed_once(self, tmp_path, monkeypatch):
         calls = []
-        real = covpow.geometry.air_distance
+        real = covpow.cli.pairwise_distance_matrix
         monkeypatch.setattr(
-            covpow.geometry, "air_distance", lambda x, y: calls.append(1) or real(x, y)
+            covpow.cli, "pairwise_distance_matrix", lambda s: calls.append(len(s)) or real(s)
         )
         path = write_config(tmp_path, "pipeline.json", two_class_pipeline_config())
         assert main(["pipeline", "--config", path, "--out", str(tmp_path / "run")]) == 0
         n = len((tmp_path / "run" / "pairwise.csv").read_text().splitlines()) - 1
-        assert len(calls) == n * (n - 1) // 2
+        assert calls == [n]
 
     def test_singleton_beta_grid(self, tmp_path):
         config = two_class_pipeline_config()

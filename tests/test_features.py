@@ -18,7 +18,7 @@ from covpow.features import (
     write_feature_archive,
     write_series_csv,
 )
-from covpow.spd import SpdMatrix
+from covpow.spd import SpdMatrix, SpdStack
 
 
 def make_series(t=100, channels=3, seed=0, label_frac=0.3):
@@ -244,25 +244,23 @@ class TestMutualInfoSelect:
 class TestExtractFeatures:
     def test_every_feature_is_spd_and_ordered(self):
         series = make_series(t=300, channels=4, seed=9)
-        feats = extract_features(series, WindowSpec(length=50, overlap=0.5), beta=0.5)
-        assert len(feats) == 11
-        assert all(isinstance(f.matrix, SpdMatrix) for f in feats)
-        starts = [f.source_window[0] for f in feats]
+        windows, stack = extract_features(series, WindowSpec(length=50, overlap=0.5), beta=0.5)
+        assert len(windows) == len(stack) == 11
+        assert isinstance(stack, SpdStack)
+        starts = [w.start for w in windows]
         assert starts == sorted(starts)
 
     def test_channel_restriction(self):
         series = make_series(t=120, channels=5, seed=10)
-        feats = extract_features(
-            series, WindowSpec(length=40), beta=1.0, channels=[0, 3]
-        )
-        assert feats[0].matrix.dim == 2
+        _, stack = extract_features(series, WindowSpec(length=40), beta=1.0, channels=[0, 3])
+        assert stack.values.shape[1:] == (2, 2)
 
     def test_labels_follow_majority(self):
         samples = np.zeros((20, 2)) + np.random.default_rng(11).standard_normal((20, 2))
         labels = np.array([0] * 10 + [1] * 10)
         series = LabeledSeries(samples=samples, labels=labels)
-        feats = extract_features(series, WindowSpec(length=10), beta=1.0)
-        assert [f.label for f in feats] == [0, 1]
+        windows, _ = extract_features(series, WindowSpec(length=10), beta=1.0)
+        assert [w.label for w in windows] == [0, 1]
 
 
 class TestSerialization:
@@ -308,12 +306,13 @@ class TestSerialization:
 
     def test_feature_archive_round_trip(self, tmp_path):
         series = make_series(t=100, channels=3, seed=13)
-        feats = extract_features(series, WindowSpec(length=25), beta=0.5)
+        windows, stack = extract_features(series, WindowSpec(length=25), beta=0.5)
+        labels = [w.label for w in windows]
+        ranges = [(w.start, w.stop) for w in windows]
         adir = tmp_path / "archive"
-        write_feature_archive(feats, adir, meta={"beta": 0.5})
-        back = read_feature_archive(adir)
-        assert len(back) == len(feats)
-        for a, b in zip(feats, back):
-            assert_array_equal(a.matrix.values, b.matrix.values)
-            assert a.label == b.label
-            assert a.source_window == b.source_window
+        write_feature_archive(labels, ranges, stack, 0.5, adir, meta={"beta": 0.5})
+        back_labels, back_ranges, back = read_feature_archive(adir)
+        assert len(back) == len(stack)
+        assert_array_equal(back.values, stack.values)
+        assert back_labels == labels
+        assert back_ranges == ranges

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covpow import geometry
-from covpow.errors import DomainError
+from covpow.errors import DomainError, NumericalError
 from covpow.features import FeatureMatrix, LabeledSeries, WindowSpec, power_features, empirical_covariance, sliding_windows
 from covpow.geometry import (
     air_distance,
@@ -19,7 +20,7 @@ from covpow.geometry import (
 from covpow.graphs import sample_inhomogeneous_er
 from covpow.matern import MaternModel, sample_field
 from covpow.pipeline import select_beta
-from covpow.spd import SpdMatrix
+from covpow.spd import SpdMatrix, SpdStack
 
 
 def random_spd(rng, n, cond_low=1.0, cond_high=50.0):
@@ -32,6 +33,10 @@ def random_spd(rng, n, cond_low=1.0, cond_high=50.0):
 
 def feature(mat, label):
     return FeatureMatrix(matrix=mat, label=label, beta=1.0, source_window=None)
+
+
+def stack_of(feats):
+    return SpdStack([f.matrix.values for f in feats])
 
 
 class TestAirDistance:
@@ -117,7 +122,7 @@ class TestPairwiseMatrix:
     def test_shape_symmetry_zero_diagonal(self):
         rng = np.random.default_rng(6)
         feats = [feature(random_spd(rng, 3), i % 2) for i in range(5)]
-        d = pairwise_distance_matrix(feats)
+        d = pairwise_distance_matrix(stack_of(feats))
         assert d.shape == (5, 5)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0)
@@ -125,7 +130,7 @@ class TestPairwiseMatrix:
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         feats = [feature(random_spd(rng, 3), 0) for _ in range(4)]
-        d = pairwise_distance_matrix(feats)
+        d = pairwise_distance_matrix(stack_of(feats))
         path = tmp_path / "pairwise.csv"
         write_pairwise_csv(d, path)
         back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -188,27 +193,15 @@ class TestClassStats:
             feature(SpdMatrix(3 * np.eye(2)), 1),
         ]
         report = class_distance_stats(feats)
-        d = pairwise_distance_matrix(feats)
+        d = pairwise_distance_matrix(stack_of(feats))
         inter = [d[0, 2], d[0, 3], d[1, 2], d[1, 3]]
         assert abs(report.inter_variance - np.var(inter)) <= 1e-12
-
-    def test_each_pair_measured_once(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        feats = [feature(random_spd(rng, 3), i % 2) for i in range(7)]
-        calls = []
-        real = geometry.air_distance
-        monkeypatch.setattr(
-            geometry, "air_distance", lambda x, y: calls.append((id(x), id(y))) or real(x, y)
-        )
-        report = class_distance_stats(feats)
-        assert len(calls) == len(set(calls)) == 7 * 6 // 2
-        assert report.n_pairs == {"intra_0": 6, "intra_1": 3, "inter": 12}
 
     def test_distance_stats_buckets_follow_index_order(self):
         rng = np.random.default_rng(12)
         labels = [1, 0, 0, 1, 0, 1, 1]
         feats = [feature(random_spd(rng, 3), c) for c in labels]
-        d = pairwise_distance_matrix(feats)
+        d = pairwise_distance_matrix(stack_of(feats))
         report = distance_stats(d, labels)
         idx0 = [i for i, c in enumerate(labels) if c == 0]
         idx1 = [i for i, c in enumerate(labels) if c == 1]
@@ -243,6 +236,49 @@ class TestClassStats:
         rec = json.loads(report_to_json(class_distance_stats(feats)))
         assert rec["n_pairs"]["inter"] == 2
         assert rec["intra_mean"][0] is None
+
+
+class TestBatchedRows:
+    """The batched AIR rows against the per-pair oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 7), dim=st.integers(1, 5))
+    def test_rows_equal_air_distance_and_are_congruence_invariant(self, seed, n, dim):
+        rng = np.random.default_rng(seed)
+        mats = [random_spd(rng, dim) for _ in range(n)]
+        d = pairwise_distance_matrix(SpdStack([m.values for m in mats]))
+        assert d.shape == (n, n)
+        assert np.array_equal(d, d.T)
+        assert not np.diag(d).any()
+        for i in range(n):
+            for j in range(i + 1, n):
+                ref = air_distance(mats[i], mats[j])
+                assert abs(d[i, j] - ref) <= 1e-12 * ref
+        # a congruence G with singular values in [0.5, 2]
+        u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        v, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        g = (u * rng.uniform(0.5, 2.0, dim)) @ v.T
+        dg = pairwise_distance_matrix(SpdStack([g @ m.values @ g.T for m in mats]))
+        assert np.all(np.abs(dg - d) <= 1e-8 * np.maximum(1.0, d))
+
+    def test_failed_check_names_the_pair(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        stack = SpdStack([random_spd(rng, 3).values for _ in range(5)])
+        eigvalsh = np.linalg.eigvalsh
+
+        def lost_definiteness(a):
+            eig = eigvalsh(a)
+            if len(eig) == 4:  # the first row: pairs (0, 1) .. (0, 4)
+                eig[2, 0] = -1.0
+            return eig
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lost_definiteness)
+        with pytest.raises(NumericalError, match=r"pair \(0, 3\): .*lost definiteness"):
+            pairwise_distance_matrix(stack)
+
+    def test_rejects_a_list(self):
+        with pytest.raises(DomainError):
+            pairwise_distance_matrix([SpdMatrix(np.eye(2))] * 2)
 
 
 class TestMaternFeatureSeparation:

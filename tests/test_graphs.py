@@ -9,7 +9,6 @@ from covpow.graphs import (
     NodePartition,
     WeightedGraph,
     abar,
-    graph_from_json,
     graph_to_json,
     interaction_operator,
     laplacian,
@@ -260,13 +259,14 @@ class TestObservedHelpers:
 class TestSerialization:
     def test_json_round_trip_bitwise(self):
         g, _ = sample_inhomogeneous_er(5, 5, 0.6, 0.6, 0.4, seed=4)
-        h = graph_from_json(graph_to_json(g))
+        rec = json.loads(graph_to_json(g))
+        h = WeightedGraph.from_edges(rec["n"], rec["edges"])
         assert_array_equal(g.adjacency, h.adjacency)
 
     def test_json_keeps_isolated_nodes(self):
         g = WeightedGraph.from_edges(5, [(0, 1, 1.0)])
-        h = graph_from_json(graph_to_json(g))
-        assert h.n == 5
+        rec = json.loads(graph_to_json(g))
+        assert rec["n"] == 5
 
     def test_json_schema(self):
         rec = json.loads(graph_to_json(two_node(0.75)))

@@ -33,7 +33,6 @@ from covpow.pipeline import (
     s3_score,
     select_beta,
     selection_to_dict,
-    selection_to_json,
     split_dataset,
     train_linear_classifier,
     vectorize_feature,
@@ -226,7 +225,7 @@ class TestVectorize:
         _, stack = _window_covariances(series, spec)
         covs = [empirical_covariance(w.samples) for w in sliding_windows(series, spec)]
         want = np.array([vectorize_feature(power_features(c, beta).matrix) for c in covs])
-        got = _vectorize(stack.power(beta))
+        got = _vectorize(stack.power(beta).values)
         assert got.shape == want.shape
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert err.max() <= 1e-12
@@ -428,7 +427,9 @@ class TestSelectBeta:
         kwargs = dict(beta_grid=[0.5, 1.0, -1.0], window_grid=[spec])
         a = select_beta(series, **kwargs)
         b = select_beta(series, **kwargs)
-        assert selection_to_json(a) == selection_to_json(b)
+        assert json.dumps(selection_to_dict(a), sort_keys=True) == json.dumps(
+            selection_to_dict(b), sort_keys=True
+        )
 
     def test_rejects_zero_power_and_empty_grid(self):
         series = two_class_series(seed=5)
@@ -455,7 +456,7 @@ class TestSelectBeta:
         windows = sliding_windows(series, spec)
         labels = np.array([w.label for w in windows])
         parts = split_dataset(list(range(len(windows))), labels, split)
-        blob = selection_to_json(result)
+        blob = json.dumps(selection_to_dict(result), sort_keys=True)
         assert parts.test_token not in blob
         assert parts.train_token in result.seen_tokens
 
@@ -500,7 +501,7 @@ class TestSelectBetaFailedPowers:
         assert all(set(row) == keys for row in table if "error" not in row)
         assert len(table) == 32
 
-        rec = json.loads(selection_to_json(result))
+        rec = json.loads(json.dumps(selection_to_dict(result)))
         assert rec["per_beta_table"][-1]["error"] == failed[-1]["error"]
         path = tmp_path / "table.csv"
         write_selection_csv(result, path)
@@ -632,7 +633,7 @@ class TestSerialization:
             beta_grid=[1.0],
             window_grid=[WindowSpec(length=32, overlap=0.5)],
         )
-        rec = json.loads(selection_to_json(result))
+        rec = json.loads(json.dumps(selection_to_dict(result)))
         assert rec["beta_star"] == 1.0
         assert len(rec["per_beta_table"]) == 1
         assert "classifier" in rec

@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpow.consistency import fractional_gate
 from covpow.errors import DomainError
-from covpow.features import FeatureMatrix
 from covpow.graphs import (
     abar,
     partition_blocks,
@@ -157,6 +158,23 @@ class TestThreshold:
             fit = fit_gmm_1d(two_cluster_values(seed=seed))
             t = gmm_threshold(fit)
             assert fit.means[0] < t < fit.means[1]
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 10_000),
+        sizes=st.tuples(st.integers(2, 80), st.integers(2, 80)),
+        centers=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+        widths=st.tuples(st.floats(1e-3, 2.0), st.floats(1e-3, 2.0)),
+        fit_seed=st.integers(0, 100),
+    )
+    def test_threshold_between_means_property(self, seed, sizes, centers, widths, fit_seed):
+        rng = np.random.default_rng(seed)
+        x = np.abs(
+            np.concatenate([rng.normal(c, w, n) for c, w, n in zip(centers, widths, sizes)])
+        )
+        fit = fit_gmm_1d(x, seed=fit_seed)
+        t = gmm_threshold(fit)
+        assert fit.means[0] < t < fit.means[1]
 
 
 class TestExtractSignature:
@@ -316,21 +334,15 @@ class TestEndToEnd:
         base0[0, 1] = base0[1, 0] = 0.9
         base1 = np.eye(4)
         base1[0, 2] = base1[2, 0] = 0.9
-        feats = []
+        mats, labels = [], []
         for label, base in ((0, base0), (1, base1)):
             for _ in range(5):
                 noise = 0.01 * rng.uniform(0, 1, (4, 4))
                 noise = (noise + noise.T) / 2
                 np.fill_diagonal(noise, 0)
-                feats.append(
-                    FeatureMatrix(
-                        matrix=SpdMatrix(base + noise + 0.5 * np.eye(4)),
-                        label=label,
-                        beta=1.0,
-                        source_window=None,
-                    )
-                )
-        sigs = class_signatures(feats, mode="class-mean")
+                mats.append(SpdMatrix(base + noise + 0.5 * np.eye(4)).values)
+                labels.append(label)
+        sigs = class_signatures(np.array(mats), labels, mode="class-mean")
         assert set(sigs) == {0, 1}
         assert sigs[0].adjacency[0, 1] == 1 and sigs[0].adjacency[0, 2] == 0
         assert sigs[1].adjacency[0, 2] == 1 and sigs[1].adjacency[0, 1] == 0
@@ -338,25 +350,15 @@ class TestEndToEnd:
         assert sigs[0].fit is not None
 
     def test_per_matrix_mode_majority(self):
-        feats = []
         strong = np.eye(3) + 0.8 * (np.ones((3, 3)) - np.eye(3))
-        for label in (0, 1):
-            for _ in range(3):
-                feats.append(
-                    FeatureMatrix(
-                        matrix=SpdMatrix(strong),
-                        label=label,
-                        beta=1.0,
-                        source_window=None,
-                    )
-                )
+        mats = np.array([SpdMatrix(strong).values] * 6)
         with pytest.raises(DomainError):
             # all off-diagonal magnitudes equal: zero spread
-            class_signatures(feats, mode="per-matrix")
+            class_signatures(mats, [0, 0, 0, 1, 1, 1], mode="per-matrix")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
-            class_signatures([], mode="median")
+            class_signatures(np.empty((0, 2, 2)), [], mode="median")
 
 
 class TestSerialization:
