@@ -1,189 +1,23 @@
-"""Covariance-power features and structural consistency for graph Matern fields."""
+"""Covariance-power features and structural consistency for graph Matern fields.
 
-from .consistency import (
-    ConsistencyReport,
-    ContourGate,
-    FractionalGate,
-    ShiftSpectrum,
-    SpectralInterval,
-    StructureCheck,
-    amplification_factor,
-    best_contour_gate,
-    beta_integral_constant,
-    certified_gates,
-    commutation_error,
-    consistency_threshold,
-    contour_gate,
-    default_epsilon_grid,
-    delta_norm_bound_fractional,
-    fractional_bound_h,
-    fractional_gate,
-    is_structurally_consistent,
-    osc,
-    spectral_interval,
-    verify_instance,
-)
-from .errors import ConfigError, CovpowError, DomainError, NumericalError
-from .features import (
-    FeatureMatrix,
-    LabeledSeries,
-    Window,
-    WindowSpec,
-    empirical_covariance,
-    extract_features,
-    mutual_info_select,
-    power_features,
-    sliding_windows,
-)
-from .geometry import (
-    IdentifiabilityReport,
-    air_distance,
-    class_distance_stats,
-    distance_stats,
-    pairwise_distance_matrix,
-)
-from .graphs import (
-    NodePartition,
-    WeightedGraph,
-    abar,
-    interaction_operator,
-    laplacian,
-    observed_a_min,
-    partition_blocks,
-    sample_inhomogeneous_er,
-    scale_cross_block,
-)
-from .matern import (
-    MaternModel,
-    observed_covariance,
-    population_covariance,
-    sample_field,
-)
-from .pipeline import (
-    LinearClassifier,
-    Metrics,
-    SelectionResult,
-    SplitSpec,
-    classification_metrics,
-    default_beta_grid,
-    evaluate,
-    s3_score,
-    select_beta,
-    split_dataset,
-    train_linear_classifier,
-    vectorize_feature,
-)
-from .signatures import (
-    ClassSignature,
-    GmmFit,
-    SupportMetrics,
-    class_signatures,
-    extract_signature,
-    fit_gmm_1d,
-    gmm_threshold,
-    signature_from_matrix,
-    support_recovery_metrics,
-)
-from .spd import (
-    ContourSpec,
-    SpdMatrix,
-    SymMatrix,
-    circular_contour,
-    lambda_min,
-    operator_norm,
-    spd_power_contour,
-    spd_power_eig,
-    spd_power_stieltjes,
-    spectral_norm,
-    sym_eigen,
-)
+The package exports exactly the names in its modules' ``__all__`` lists.
+"""
+
+from . import consistency, errors, features, geometry, graphs, matern, pipeline, signatures, spd
+from .consistency import *
+from .errors import *
+from .features import *
+from .geometry import *
+from .graphs import *
+from .matern import *
+from .pipeline import *
+from .signatures import *
+from .spd import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError",
-    "CovpowError",
-    "DomainError",
-    "NumericalError",
-    "WeightedGraph",
-    "NodePartition",
-    "laplacian",
-    "interaction_operator",
-    "abar",
-    "sample_inhomogeneous_er",
-    "partition_blocks",
-    "observed_a_min",
-    "scale_cross_block",
-    "SymMatrix",
-    "SpdMatrix",
-    "ContourSpec",
-    "circular_contour",
-    "sym_eigen",
-    "spd_power_eig",
-    "spd_power_stieltjes",
-    "spd_power_contour",
-    "spectral_norm",
-    "lambda_min",
-    "operator_norm",
-    "MaternModel",
-    "population_covariance",
-    "observed_covariance",
-    "sample_field",
-    "ShiftSpectrum",
-    "SpectralInterval",
-    "FractionalGate",
-    "ContourGate",
-    "StructureCheck",
-    "ConsistencyReport",
-    "osc",
-    "commutation_error",
-    "is_structurally_consistent",
-    "consistency_threshold",
-    "beta_integral_constant",
-    "fractional_bound_h",
-    "fractional_gate",
-    "delta_norm_bound_fractional",
-    "spectral_interval",
-    "amplification_factor",
-    "contour_gate",
-    "default_epsilon_grid",
-    "best_contour_gate",
-    "certified_gates",
-    "verify_instance",
-    "LabeledSeries",
-    "WindowSpec",
-    "Window",
-    "FeatureMatrix",
-    "sliding_windows",
-    "empirical_covariance",
-    "power_features",
-    "mutual_info_select",
-    "extract_features",
-    "SplitSpec",
-    "Metrics",
-    "LinearClassifier",
-    "SelectionResult",
-    "s3_score",
-    "classification_metrics",
-    "vectorize_feature",
-    "train_linear_classifier",
-    "split_dataset",
-    "default_beta_grid",
-    "select_beta",
-    "evaluate",
-    "IdentifiabilityReport",
-    "air_distance",
-    "pairwise_distance_matrix",
-    "class_distance_stats",
-    "distance_stats",
-    "GmmFit",
-    "SupportMetrics",
-    "ClassSignature",
-    "fit_gmm_1d",
-    "gmm_threshold",
-    "extract_signature",
-    "signature_from_matrix",
-    "class_signatures",
-    "support_recovery_metrics",
-    "__version__",
-]
+    name
+    for module in (errors, graphs, spd, matern, consistency, features, pipeline, geometry, signatures)
+    for name in module.__all__
+] + ["__version__"]

@@ -515,6 +515,8 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
         beta_star = float(selection["beta_star"])
     except KeyError as exc:
         raise ConfigError(f"{selection_file}: required key {exc.args[0]!r} missing") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{selection_file}: malformed selection: {exc}") from None
     split = SplitSpec(**cfg["split"])
     windows, stack = _window_covariances(series, wspec, cfg["ridge"])
     metrics = _test_metrics(classifier, windows, stack, beta_star, split)

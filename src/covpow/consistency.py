@@ -57,8 +57,6 @@ __all__ = [
     "best_contour_gate",
     "certified_gates",
     "verify_instance",
-    "report_to_dict",
-    "report_to_json",
 ]
 
 
@@ -535,8 +533,7 @@ def verify_instance(
 
 
 def report_to_dict(report: ConsistencyReport) -> dict:
-    rec = asdict(report)
-    return rec
+    return asdict(report)
 
 
 def report_to_json(report: ConsistencyReport) -> str:

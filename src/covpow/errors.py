@@ -4,6 +4,8 @@ The CLI maps these onto exit codes, so library code should raise the most
 specific one that applies rather than bare ValueError.
 """
 
+__all__ = ["ConfigError", "CovpowError", "DomainError", "NumericalError"]
+
 
 class CovpowError(Exception):
     """Base class for all package errors."""

@@ -25,15 +25,10 @@ __all__ = [
     "Window",
     "FeatureMatrix",
     "sliding_windows",
-    "majority_vote_label",
     "empirical_covariance",
     "power_features",
     "mutual_info_select",
     "extract_features",
-    "write_series_csv",
-    "read_series_csv",
-    "write_feature_archive",
-    "read_feature_archive",
 ]
 
 
@@ -344,7 +339,8 @@ def read_feature_archive(dirpath) -> tuple[list, list, SpdStack]:
     """(labels, ranges, stack) of an archive, factored by one stacked ``eigh``.
 
     A manifest that is not valid JSON or lacks a key raises ConfigError
-    naming it.
+    naming it; a label other than 0 or 1, or a matrix file that is missing,
+    unparsable or of another shape, raises DomainError naming its file.
     """
     path = os.path.join(dirpath, "manifest.json")
     try:
@@ -359,6 +355,9 @@ def read_feature_archive(dirpath) -> tuple[list, list, SpdStack]:
         raise ConfigError(f"{path}: required key {exc.args[0]!r} missing") from None
     except TypeError as exc:
         raise ConfigError(f"{path}: malformed manifest: {exc}") from None
+    for entry, label in enumerate(labels):
+        if label not in (0, 1):
+            raise DomainError(f"{path}: entry {entry}: label must be 0 or 1, got {label!r}")
     mats = [read_matrix_csv(f) for f in files]
     for f, m in zip(files, mats):
         if m.shape != mats[0].shape:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,9 +23,6 @@ __all__ = [
     "pairwise_distance_matrix",
     "class_distance_stats",
     "distance_stats",
-    "report_to_dict",
-    "report_to_json",
-    "write_pairwise_csv",
 ]
 
 
@@ -153,14 +150,7 @@ def class_distance_stats(features: list) -> IdentifiabilityReport:
 
 
 def report_to_dict(report: IdentifiabilityReport) -> dict:
-    return {
-        "intra_mean": list(report.intra_mean),
-        "intra_variance": list(report.intra_variance),
-        "inter_mean": report.inter_mean,
-        "inter_variance": report.inter_variance,
-        "n_pairs": dict(report.n_pairs),
-        "separated": report.separated,
-    }
+    return asdict(report)
 
 
 def report_to_json(report: IdentifiabilityReport) -> str:

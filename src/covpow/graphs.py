@@ -25,7 +25,6 @@ __all__ = [
     "partition_blocks",
     "observed_a_min",
     "scale_cross_block",
-    "graph_to_json",
 ]
 
 

@@ -29,9 +29,6 @@ __all__ = [
     "population_covariance",
     "sample_field",
     "observed_covariance",
-    "model_to_dict",
-    "write_samples_csv",
-    "write_model_json",
 ]
 
 _PD_TOL = 1e-12

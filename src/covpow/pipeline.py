@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,10 +23,8 @@ __all__ = [
     "SplitSpec",
     "Metrics",
     "LinearClassifier",
-    "FeatureSplit",
     "SelectionResult",
     "s3_score",
-    "s3_from_metrics",
     "classification_metrics",
     "vectorize_feature",
     "train_linear_classifier",
@@ -34,11 +32,6 @@ __all__ = [
     "default_beta_grid",
     "select_beta",
     "evaluate",
-    "metrics_to_dict",
-    "selection_to_dict",
-    "classifier_to_dict",
-    "classifier_from_dict",
-    "write_selection_csv",
 ]
 
 
@@ -303,9 +296,6 @@ def _fit_logistic(
 
 @dataclass(frozen=True)
 class FeatureSplit:
-    train: list
-    val: list
-    test: list
     train_token: str
     val_token: str
     test_token: str
@@ -343,9 +333,6 @@ def split_dataset(items: list, labels, split: SplitSpec) -> FeatureSplit:
     val_idx = tuple(sorted(int(i) for i in val_idx))
     test_idx = tuple(sorted(int(i) for i in test_idx))
     return FeatureSplit(
-        train=[items[i] for i in train_idx],
-        val=[items[i] for i in val_idx],
-        test=[items[i] for i in test_idx],
         train_token=_token(split.seed, "train", train_idx),
         val_token=_token(split.seed, "val", val_idx),
         test_token=_token(split.seed, "test", test_idx),
@@ -429,7 +416,7 @@ def _select_beta(
         if labels.min() == labels.max():
             raise DomainError("windowed dataset contains a single class")
         parts = split_dataset(list(range(len(windows))), labels, split)
-        if not parts.train or not parts.val:
+        if not parts.train_idx or not parts.val_idx:
             raise DomainError("degenerate split: empty train or validation part")
         train, val = list(parts.train_idx), list(parts.val_idx)
         for beta in beta_grid:
@@ -501,17 +488,7 @@ def _evaluate(classifier: LinearClassifier, x: np.ndarray, labels, token: str | 
 
 
 def metrics_to_dict(m: Metrics) -> dict:
-    return {
-        "tp": m.tp,
-        "fp": m.fp,
-        "tn": m.tn,
-        "fn": m.fn,
-        "sensitivity": m.sensitivity,
-        "specificity": m.specificity,
-        "accuracy": m.accuracy,
-        "recall": m.recall,
-        "precision": m.precision,
-    }
+    return asdict(m)
 
 
 def selection_to_dict(result: SelectionResult) -> dict:

@@ -22,13 +22,10 @@ __all__ = [
     "ClassSignature",
     "fit_gmm_1d",
     "gmm_threshold",
-    "offdiag_magnitudes",
     "extract_signature",
     "signature_from_matrix",
     "class_signatures",
     "support_recovery_metrics",
-    "gmm_to_dict",
-    "write_signature_csv",
 ]
 
 

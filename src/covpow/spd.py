@@ -29,8 +29,6 @@ __all__ = [
     "spectral_norm",
     "lambda_min",
     "operator_norm",
-    "write_matrix_csv",
-    "read_matrix_csv",
 ]
 
 _SYM_RTOL = 1e-10
@@ -392,5 +390,8 @@ def write_matrix_csv(m, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(a, dtype=float)
+    """The matrix of a CSV file; a missing or unparsable file raises DomainError naming it."""
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"{path}: cannot read a matrix: {exc}") from None

@@ -163,21 +163,41 @@ def bad_config_inputs(tmp_path_factory):
         "seed,beta,cross_norm,gate,bound,empirical_norm,consistent\n"
     )
     (root / "bare").mkdir()
+    selection = {"beta_star": 1.0, "window_length": 32, "window_overlap": 0.5}
+    classifier = {
+        "weights": [0.0], "feature_mean": [], "feature_scale": [], "dim": 0, "seen_tokens": []
+    }
     broken = {
         "bad_selection": ("selection.json", "{not json"),
         "bad_manifest": ("manifest.json", "{not json"),
         "no_entries": ("manifest.json", json.dumps({"count": 0, "meta": {}})),
+        "selection_list": ("selection.json", "[]"),
+        "classifier_list": ("selection.json", json.dumps({**selection, "classifier": []})),
+        "length_not_int": (
+            "selection.json",
+            json.dumps({**selection, "window_length": "x", "classifier": classifier}),
+        ),
     }
     for name, (file, text) in broken.items():
         (root / name).mkdir()
         (root / name / file).write_text(text)
+    # copies of the good archive, each with one fault
+    damaged = {"missing_matrix": {"file": "absent.csv"}, "label_a": {"label": "a"}, "cell_x": {}}
+    for name, change in damaged.items():
+        shutil.copytree(features, root / name)
+        manifest = json.loads((root / name / "manifest.json").read_text())
+        manifest["entries"][0].update(change)
+        (root / name / "manifest.json").write_text(json.dumps(manifest))
+    matrix = root / "cell_x" / "feature_00000.csv"
+    text = matrix.read_text()
+    matrix.write_text("x" + text[text.index(",") :])
     return {
         "series": str(root / "series.csv"),
         "features": features,
         "no_classifier": str(no_classifier),
         "header_only": str(header_only),
         "bare": str(root / "bare"),
-        **{name: str(root / name) for name in broken},
+        **{name: str(root / name) for name in [*broken, *damaged]},
     }
 
 
@@ -346,6 +366,45 @@ BAD_CONFIGS = [
         "manifest.json: required key 'entries' missing",
         id="manifest-without-entries",
     ),
+    *[
+        pytest.param(
+            "evaluate",
+            lambda d, name=name: {
+                "schema_version": "1",
+                "series_csv": d["series"],
+                "selection_dir": d[name],
+                "split": _SPLIT,
+            },
+            2,
+            "selection.json: malformed selection",
+            id=name.replace("_", "-"),
+        )
+        for name in ("selection_list", "classifier_list", "length_not_int")
+    ],
+    pytest.param(
+        "geometry",
+        lambda d: {"schema_version": "1", "features_dir": d["missing_matrix"]},
+        3,
+        "absent.csv: cannot read a matrix",
+        id="archive-missing-matrix",
+    ),
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["cell_x"]},
+        3,
+        "feature_00000.csv: cannot read a matrix",
+        id="archive-matrix-cell-x",
+    ),
+    *[
+        pytest.param(
+            verb,
+            lambda d: {"schema_version": "1", "features_dir": d["label_a"]},
+            3,
+            "manifest.json: entry 0: label must be 0 or 1, got 'a'",
+            id=f"{verb}-label-a",
+        )
+        for verb in ("geometry", "signatures")
+    ],
     pytest.param(
         "report",
         lambda d: {"schema_version": "1", "runs": [d["header_only"]]},
@@ -835,11 +894,28 @@ class TestEnvironmentAndEntryPoints:
             assert verb in out
 
 
+def _readme_blocks(language):
+    readme = Path(covpow.__file__).resolve().parents[2] / "README.md"
+    return re.findall(rf"```{language}\n(.*?)```", readme.read_text(), flags=re.S)
+
+
 class TestReadmeExamples:
     @pytest.mark.parametrize("verb, index", [("simulate", 0), ("pipeline", 1)])
     def test_json_config_runs(self, tmp_path, verb, index):
         """The README's JSON configs are accepted by their verb and run."""
-        readme = Path(covpow.__file__).resolve().parents[2] / "README.md"
-        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), flags=re.S)
+        blocks = _readme_blocks("json")
         path = write_config(tmp_path, f"{verb}.json", json.loads(blocks[index]))
         assert main([verb, "--config", path, "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("index", range(len(_readme_blocks("python"))))
+    def test_python_block_prints_its_comments(self, capsys, index):
+        """Each README Python block runs; each `print(...)  # value` prints the value.
+
+        A comment may go on after a colon: `# True: why` expects `True`.
+        """
+        block = _readme_blocks("python")[index]
+        comments = re.findall(r"^print\(.*\)\s+# (.*)$", block, flags=re.M)
+        assert comments
+        exec(compile(block, "README.md", "exec"), {})
+        expected = [comment.split(":")[0].strip() for comment in comments]
+        assert capsys.readouterr().out.splitlines() == expected
