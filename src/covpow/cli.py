@@ -213,6 +213,13 @@ _TABLES = {
     "report": {"runs": ([str], _REQUIRED)},
 }
 
+# the keys of a selection.json that evaluate reads besides its classifier
+_SELECTION = {
+    "window_length": (int, _REQUIRED),
+    "window_overlap": (float, _REQUIRED),
+    "beta_star": (float, _REQUIRED),
+}
+
 
 def _mismatch(value, kind, path: str, item: bool) -> ConfigError:
     if isinstance(kind, (dict, _Variant)):
@@ -508,18 +515,15 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
         raise ConfigError(f"{selection_file}: not valid JSON: {exc}") from None
     try:
         classifier = classifier_from_dict(selection["classifier"])
-        wspec = WindowSpec(
-            length=int(selection["window_length"]),
-            overlap=float(selection["window_overlap"]),
-        )
-        beta_star = float(selection["beta_star"])
+        fields = _validate({key: selection[key] for key in _SELECTION}, _SELECTION, "selection")
     except KeyError as exc:
         raise ConfigError(f"{selection_file}: required key {exc.args[0]!r} missing") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{selection_file}: malformed selection: {exc}") from None
+    wspec = WindowSpec(length=fields["window_length"], overlap=fields["window_overlap"])
     split = SplitSpec(**cfg["split"])
     windows, stack = _window_covariances(series, wspec, cfg["ridge"])
-    metrics = _test_metrics(classifier, windows, stack, beta_star, split)
+    metrics = _test_metrics(classifier, windows, stack, fields["beta_star"], split)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "test_metrics.json").write_text(_json_text(metrics_to_dict(metrics)))
 

@@ -8,7 +8,6 @@ the standard affine-invariant form.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 
@@ -158,9 +157,9 @@ def report_to_json(report: IdentifiabilityReport) -> str:
 
 
 def write_pairwise_csv(distances: np.ndarray, path) -> None:
-    d = np.asarray(distances)
+    """The matrix as CSV under an m0,m1,... header, each value by repr, CRLF-terminated."""
+    d = np.asarray(distances, dtype=float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"m{j}" for j in range(d.shape[1])])
+        fh.write(",".join(f"m{j}" for j in range(d.shape[1])) + "\r\n")
         for row in d:
-            writer.writerow([repr(float(v)) for v in row])
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")

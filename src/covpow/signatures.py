@@ -52,7 +52,7 @@ class GmmFit:
             raise DomainError("components must be sorted by mean")
 
 
-def _log_normal_pdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
+def _log_normal_pdf(x: np.ndarray, mean, var) -> np.ndarray:
     return -0.5 * (np.log(2 * np.pi * var) + (x - mean) ** 2 / var)
 
 
@@ -65,65 +65,88 @@ def fit_gmm_1d(
     squared distance from it. The M-step clips variances at 1e-8 * var(data),
     a constrained maximization, so the log-likelihood stays non-decreasing.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size < 4:
-        raise DomainError(f"need at least 4 values, got {x.size}")
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise DomainError("values must be finite and nonnegative")
-    spread = float(x.max() - x.min())
-    if spread == 0:
-        raise DomainError("values have zero spread; nothing to separate")
+    x = np.asarray(values, dtype=float).reshape(1, -1)
+    _check_rows(x, [""])
+    return _fit_gmm_rows(x, max_iter, tol, seed)[0]
 
-    rng = np.random.default_rng(seed)
-    first = x[rng.integers(x.size)]
-    dist2 = (x - first) ** 2
-    second = x[rng.choice(x.size, p=dist2 / dist2.sum())]
-    means = np.array([first, second])
-    var_floor = 1e-8 * float(x.var())
-    variances = np.full(2, max(float(x.var()), var_floor))
-    weights = np.array([0.5, 0.5])
 
-    trace = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+def _check_rows(x: np.ndarray, names: list[str]) -> None:
+    """Raise DomainError for the first row EM cannot fit, prefixed by its name."""
+    if x.shape[1] < 4:
+        raise DomainError(f"need at least 4 values, got {x.shape[1]}")
+    bad = ~np.isfinite(x).all(axis=1) | (x < 0).any(axis=1)
+    message = "values must be finite and nonnegative"
+    if not bad.any():
+        bad, message = np.ptp(x, axis=1) == 0, "values have zero spread; nothing to separate"
+    if bad.any():
+        name = names[int(np.argmax(bad))]
+        raise DomainError(f"{name}: {message}" if name else message)
+
+
+def _fit_gmm_rows(x: np.ndarray, max_iter: int, tol: float, seed: int) -> list[GmmFit]:
+    """fit_gmm_1d of each row of a checked (B, n) array, in one EM loop.
+
+    Each row is seeded alone and runs the same elementwise recurrences; the
+    M-step's weighted sums are batched matmuls, which add in the order a lone
+    fit does. A row leaves the loop when it converges, keeping its own
+    iterates, so row i equals fit_gmm_1d(x[i]) bit for bit.
+    """
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    x = np.ascontiguousarray(x)  # reductions along a row then add as for one row
+    rows = len(x)
+    means, var = np.empty((rows, 2)), x.var(axis=1, keepdims=True)
+    for i, row in enumerate(x):
+        rng = np.random.default_rng(seed)
+        first = row[rng.integers(row.size)]
+        dist2 = (row - first) ** 2
+        means[i] = first, row[rng.choice(row.size, p=dist2 / dist2.sum())]
+    floor = 1e-8 * var
+    variances = np.maximum(var, floor).repeat(2, axis=1)
+    weights = np.full((rows, 2), 0.5)
+
+    # rows still iterating, and what each row leaves the loop with
+    live, prev = np.arange(rows), np.full(rows, np.nan)
+    final, trace = np.empty((3, rows, 2)), np.empty((rows, max_iter))
+    iterations, converged = np.empty(rows, int), np.zeros(rows, bool)
+    for it in range(1, max_iter + 1):
         # E-step in log space
-        log_comp = np.stack(
-            [
-                np.log(weights[k]) + _log_normal_pdf(x, means[k], variances[k])
-                for k in range(2)
-            ]
+        log_comp = np.log(weights)[:, :, None] + _log_normal_pdf(
+            x[:, None, :], means[:, :, None], variances[:, :, None]
         )
-        log_mix = np.logaddexp(log_comp[0], log_comp[1])
-        resp = np.exp(log_comp - log_mix)
-        ll = float(log_mix.sum())
+        log_mix = np.logaddexp(log_comp[:, 0], log_comp[:, 1])
+        resp = np.exp(log_comp - log_mix[:, None, :])
+        ll = log_mix.sum(axis=1)
         # M-step with floors
-        counts = resp.sum(axis=1)
-        counts = np.maximum(counts, 1e-12)
-        weights = counts / counts.sum()
+        counts = np.maximum(resp.sum(axis=2), 1e-12)
+        weights = counts / counts.sum(axis=1, keepdims=True)
         weights = np.clip(weights, 1e-12, 1 - 1e-12)
-        weights = weights / weights.sum()
-        means = (resp @ x) / counts
-        variances = np.maximum(
-            np.array([(resp[k] @ (x - means[k]) ** 2) / counts[k] for k in range(2)]),
-            var_floor,
-        )
-        if trace and abs(ll - trace[-1]) <= tol * max(1.0, abs(ll)):
-            trace.append(ll)
-            converged = True
-            break
-        trace.append(ll)
+        weights = weights / weights.sum(axis=1, keepdims=True)
+        means = (resp @ x[:, :, None])[:, :, 0] / counts
+        dev2 = (x[:, None, :] - means[:, :, None]) ** 2
+        variances = np.maximum((resp[:, :, None, :] @ dev2[..., None])[:, :, 0, 0] / counts, floor)
+        trace[live, it - 1] = ll
+        done = np.abs(ll - prev) <= tol * np.maximum(1.0, np.abs(ll))  # False on the first pass
+        leave = done | (it == max_iter)
+        if leave.any():
+            out = live[leave]
+            final[:, out] = weights[leave], means[leave], variances[leave]
+            iterations[out], converged[out] = it, done[leave]
+            live, x, floor, weights, means, variances, ll = (
+                a[~leave] for a in (live, x, floor, weights, means, variances, ll)
+            )
+            if not live.size:
+                break
+        prev = ll
 
-    order = np.argsort(means, kind="stable")
-    return GmmFit(
-        weights=(float(weights[order[0]]), float(weights[order[1]])),
-        means=(float(means[order[0]]), float(means[order[1]])),
-        variances=(float(variances[order[0]]), float(variances[order[1]])),
-        log_likelihood=trace[-1],
-        iterations=iterations,
-        converged=converged,
-        ll_trace=tuple(trace),
-    )
+    order = np.argsort(final[1], axis=1, kind="stable")
+    weights, means, variances = (np.take_along_axis(a, order, axis=1).tolist() for a in final)
+    return [
+        GmmFit(tuple(w), tuple(m), tuple(v), float(t[n - 1]), n, c, tuple(t[:n].tolist()))
+        for w, m, v, t, n, c in zip(
+            weights, means, variances, trace, iterations.tolist(), converged.tolist()
+        )
+    ]
 
 
 def gmm_threshold(fit: GmmFit) -> float:
@@ -162,12 +185,12 @@ def gmm_threshold(fit: GmmFit) -> float:
 
 
 def offdiag_magnitudes(matrix) -> np.ndarray:
-    """Strict upper-triangle absolute values, the GMM's input."""
+    """Strict upper-triangle absolute values, the GMM's input; a row per matrix of a stack."""
     a = np.asarray(getattr(matrix, "values", matrix), dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 2:
         raise DomainError(f"need a square matrix of dim >= 2, got shape {a.shape}")
-    iu = np.triu_indices(a.shape[0], k=1)
-    return np.abs((a + a.T) / 2)[iu]
+    iu = np.triu_indices(a.shape[-1], k=1)
+    return np.abs((a + np.swapaxes(a, -1, -2)) / 2)[..., iu[0], iu[1]]
 
 
 def extract_signature(feature, threshold: float) -> np.ndarray:
@@ -214,7 +237,9 @@ def class_signatures(
 
     class-mean (default): one GMM on the class-mean matrix. per-matrix: a GMM
     per matrix, class adjacency by per-edge majority vote (ties count as
-    present), threshold reported as the per-matrix mean.
+    present), threshold reported as the per-matrix mean. Either way every
+    GMM runs in one batched EM loop, and a matrix it cannot fit is named by
+    its class (and, per matrix, its index in ``matrices``).
     """
     if mode not in ("class-mean", "per-matrix"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -224,21 +249,28 @@ def class_signatures(
     if any(c is None for c in labels):
         raise DomainError("every feature needs a class label")
     lab = np.array([int(c) for c in labels], dtype=int)
+    classes = sorted(set(lab.tolist()))
+    if mode == "class-mean":
+        means = [np.mean(mats[lab == label], axis=0) for label in classes]
+        mats, names = np.reshape(means, (-1, *mats.shape[1:])), [f"class {c}" for c in classes]
+    else:
+        names = [f"class {c}, matrix {i}" for i, c in enumerate(lab.tolist())]
+    x = offdiag_magnitudes(mats)
+    _check_rows(x, names)
+    fits = _fit_gmm_rows(x, max_iter, tol, seed)
+    thresholds = np.array([gmm_threshold(fit) for fit in fits])
+    edges = np.abs((mats + mats.transpose(0, 2, 1)) / 2) >= thresholds[:, None, None]
     out = {}
-    for label in sorted(set(lab.tolist())):
-        group = mats[lab == label]
+    for j, label in enumerate(classes):
+        in_class = lab == label
         if mode == "class-mean":
-            adj, threshold, fit = signature_from_matrix(
-                np.mean(group, axis=0), max_iter=max_iter, tol=tol, seed=seed
-            )
+            adj, threshold, fit = edges[j].astype(int), float(thresholds[j]), fits[j]
         else:
-            sigs = [signature_from_matrix(m, max_iter=max_iter, tol=tol, seed=seed) for m in group]
-            votes = np.sum([adj for adj, _, _ in sigs], axis=0)
-            adj = (2 * votes >= len(sigs)).astype(int)
-            np.fill_diagonal(adj, 0)
-            threshold, fit = float(np.mean([t for _, t, _ in sigs])), None
+            adj = (2 * edges[in_class].sum(axis=0) >= in_class.sum()).astype(int)
+            threshold, fit = float(np.mean(thresholds[in_class])), None
+        np.fill_diagonal(adj, 0)
         out[label] = ClassSignature(
-            label=label, adjacency=adj, threshold=threshold, fit=fit, n_matrices=len(group)
+            label=label, adjacency=adj, threshold=threshold, fit=fit, n_matrices=int(in_class.sum())
         )
     return out
 

@@ -20,6 +20,7 @@ import covpow
 from covpow.cli import main
 from covpow.features import LabeledSeries, read_series_csv, write_series_csv
 from covpow.graphs import WeightedGraph
+from covpow.spd import read_matrix_csv, write_matrix_csv
 
 
 def run_cli(args, env_root=None, monkeypatch=None):
@@ -177,12 +178,25 @@ def bad_config_inputs(tmp_path_factory):
             "selection.json",
             json.dumps({**selection, "window_length": "x", "classifier": classifier}),
         ),
+        "length_fraction": (
+            "selection.json",
+            json.dumps({**selection, "window_length": 64.7, "classifier": classifier}),
+        ),
+        "length_string": (
+            "selection.json",
+            json.dumps({**selection, "window_length": "64", "classifier": classifier}),
+        ),
     }
     for name, (file, text) in broken.items():
         (root / name).mkdir()
         (root / name / file).write_text(text)
     # copies of the good archive, each with one fault
-    damaged = {"missing_matrix": {"file": "absent.csv"}, "label_a": {"label": "a"}, "cell_x": {}}
+    damaged = {
+        "missing_matrix": {"file": "absent.csv"},
+        "label_a": {"label": "a"},
+        "cell_x": {},
+        "diagonal_3": {},
+    }
     for name, change in damaged.items():
         shutil.copytree(features, root / name)
         manifest = json.loads((root / name / "manifest.json").read_text())
@@ -191,6 +205,9 @@ def bad_config_inputs(tmp_path_factory):
     matrix = root / "cell_x" / "feature_00000.csv"
     text = matrix.read_text()
     matrix.write_text("x" + text[text.index(",") :])
+    # a diagonal matrix: its off-diagonal magnitudes have zero spread
+    matrix = root / "diagonal_3" / "feature_00003.csv"
+    write_matrix_csv(np.diag(np.diag(read_matrix_csv(matrix))), matrix)
     return {
         "series": str(root / "series.csv"),
         "features": features,
@@ -381,6 +398,29 @@ BAD_CONFIGS = [
         )
         for name in ("selection_list", "classifier_list", "length_not_int")
     ],
+    *[
+        pytest.param(
+            "evaluate",
+            lambda d, name=name: {
+                "schema_version": "1",
+                "series_csv": d["series"],
+                "selection_dir": d[name],
+                "split": _SPLIT,
+            },
+            2,
+            "selection.json: malformed selection: "
+            f"selection.window_length: expected int, got {kind}",
+            id=name.replace("_", "-"),
+        )
+        for name, kind in (("length_fraction", "float"), ("length_string", "str"))
+    ],
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["diagonal_3"], "mode": "per-matrix"},
+        3,
+        "class 0, matrix 3: values have zero spread; nothing to separate",
+        id="per-matrix-zero-spread",
+    ),
     pytest.param(
         "geometry",
         lambda d: {"schema_version": "1", "features_dir": d["missing_matrix"]},

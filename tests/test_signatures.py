@@ -19,6 +19,7 @@ from covpow.graphs import (
 from covpow.matern import MaternModel, population_covariance
 from covpow.signatures import (
     GmmFit,
+    _fit_gmm_rows,
     class_signatures,
     extract_signature,
     fit_gmm_1d,
@@ -94,6 +95,41 @@ class TestFitGmm:
             fit_gmm_1d([0.1, 0.9, 0.5])
         with pytest.raises(DomainError):
             fit_gmm_1d([0.1, -0.2, 0.5, 0.9])
+
+
+    def test_rejects_max_iter_below_one(self):
+        with pytest.raises(DomainError, match="max_iter must be >= 1"):
+            fit_gmm_1d(two_cluster_values(), max_iter=0)
+
+
+class TestBatchedEm:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        n=st.integers(9, 30),
+        rows=st.lists(
+            st.tuples(st.integers(0, 10_000), st.floats(0.0, 3.0), st.floats(1e-3, 1.0)),
+            min_size=1,
+            max_size=8,
+        ),
+        max_iter=st.integers(5, 40),
+        tol=st.floats(1e-13, 1e-10),
+        seed=st.integers(0, 99),
+    )
+    def test_each_row_equals_its_lone_fit(self, n, rows, max_iter, tol, seed):
+        # two clusters a gap apart converge at differing iterations; the
+        # last row, squares spread over [0, 1], needs more than 40, so it hits
+        # max_iter
+        x = []
+        for row_seed, gap, width in rows:
+            rng = np.random.default_rng(row_seed)
+            x.append(np.abs(rng.normal(0.1, width, n) + gap * (np.arange(n) >= n // 2)))
+        x.append(np.linspace(0.0, 1.0, n) ** 2)
+        x = np.array(x)
+        fits = _fit_gmm_rows(x, max_iter, tol, seed)
+        assert not fits[-1].converged and fits[-1].iterations == max_iter
+        for row, fit in zip(x, fits):
+            lone = fit_gmm_1d(row, max_iter=max_iter, tol=tol, seed=seed)
+            assert repr(fit) == repr(lone)  # repr tells every float64 apart
 
 
 class TestThreshold:
@@ -355,6 +391,34 @@ class TestEndToEnd:
         with pytest.raises(DomainError):
             # all off-diagonal magnitudes equal: zero spread
             class_signatures(mats, [0, 0, 0, 1, 1, 1], mode="per-matrix")
+
+    def test_per_matrix_mode_equals_a_fit_per_matrix(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(24, 5, 12))
+        mats = a @ a.transpose(0, 2, 1) / 12 + 0.1 * np.eye(5)
+        labels = rng.integers(0, 2, len(mats))
+        # max_iter 20 leaves some fits unconverged
+        sigs = class_signatures(mats, labels, mode="per-matrix", max_iter=20, seed=3)
+        for label in (0, 1):
+            per = [signature_from_matrix(m, max_iter=20, seed=3) for m in mats[labels == label]]
+            votes = np.sum([adj for adj, _, _ in per], axis=0)
+            adj = (2 * votes >= len(per)).astype(int)
+            np.fill_diagonal(adj, 0)
+            assert np.array_equal(sigs[label].adjacency, adj)
+            assert sigs[label].threshold == float(np.mean([t for _, t, _ in per]))
+            assert sigs[label].n_matrices == len(per)
+
+    def test_error_names_the_class_and_matrix(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(6, 4, 8))
+        mats = a @ a.transpose(0, 2, 1) / 8 + 0.1 * np.eye(4)
+        labels = [0, 0, 0, 1, 1, 1]
+        mats[3] = np.diag(np.diag(mats[3]))
+        with pytest.raises(DomainError, match="^class 1, matrix 3: values have zero spread"):
+            class_signatures(mats, labels, mode="per-matrix")
+        mats[4:] = [np.diag(np.diag(m)) for m in mats[4:]]
+        with pytest.raises(DomainError, match="^class 1: values have zero spread"):
+            class_signatures(mats, labels, mode="class-mean")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
