@@ -213,11 +213,22 @@ _TABLES = {
     "report": {"runs": ([str], _REQUIRED)},
 }
 
-# the keys of a selection.json that evaluate reads besides its classifier
+# the keys of a selection.json that evaluate reads; weights has dim + 1
+# entries and the feature mean and scale dim each
 _SELECTION = {
     "window_length": (int, _REQUIRED),
     "window_overlap": (float, _REQUIRED),
     "beta_star": (float, _REQUIRED),
+    "classifier": (
+        {
+            "weights": ([float], _REQUIRED),
+            "feature_mean": ([float], _REQUIRED),
+            "feature_scale": ([float], _REQUIRED),
+            "dim": (_AtLeast(1), _REQUIRED),
+            "seen_tokens": ([str], _REQUIRED),
+        },
+        _REQUIRED,
+    ),
 }
 
 
@@ -514,11 +525,18 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{selection_file}: not valid JSON: {exc}") from None
     try:
-        classifier = classifier_from_dict(selection["classifier"])
         fields = _validate({key: selection[key] for key in _SELECTION}, _SELECTION, "selection")
+        rec = fields["classifier"]
+        dim = rec["dim"]
+        for key, n in (("weights", dim + 1), ("feature_mean", dim), ("feature_scale", dim)):
+            if len(rec[key]) != n:
+                raise ConfigError(
+                    f"selection.classifier.{key}: expected exactly {n} entries, got {len(rec[key])}"
+                )
+        classifier = classifier_from_dict(rec)
     except KeyError as exc:
         raise ConfigError(f"{selection_file}: required key {exc.args[0]!r} missing") from None
-    except (TypeError, ValueError, ConfigError) as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{selection_file}: malformed selection: {exc}") from None
     wspec = WindowSpec(length=fields["window_length"], overlap=fields["window_overlap"])
     split = SplitSpec(**cfg["split"])

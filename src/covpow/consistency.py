@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -358,6 +358,43 @@ def amplification_factor(abar_m, alpha: float, sigma: float) -> float:
     return sigma**2 * alpha * (1 - _spectrum(abar_m).rho) ** (-alpha - 1)
 
 
+def _contour_gates(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> ContourGate:
+    """The contour gate at every clearance at once, as arrays and shared scalars.
+
+    np.float_power matches Python's float ** bit for bit (np.power does not).
+    """
+    if beta == 0 or not np.isfinite(beta):
+        raise DomainError("contour gate needs a finite beta != 0")
+    if a_min is None or not a_min > 0:
+        raise DomainError("gate needs a positive a_min")
+    if cross_norm < 0:
+        raise DomainError("cross_norm must be nonnegative")
+    spec = _spectrum(abar_m)
+    interval = spectral_interval(spec, alpha, sigma)
+    m, m_up = interval.low, interval.high
+    eps = np.asarray(epsilons, dtype=float)
+    bad = np.flatnonzero(~((0 < eps) & (eps < m)))
+    if bad.size:
+        raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {epsilons[bad[0]]}")
+    radius = (m_up - m) / 2 + eps
+    magnitude = np.float_power(m - eps if beta >= 0 else m_up + eps, -beta)
+    k_const = radius * np.float_power(eps, -3) * magnitude
+    amp = amplification_factor(spec, alpha, sigma)
+    s_eps = eps / amp
+    spread = 4 * np.float_power(eps, 2) * sigma ** (2 * beta) * k_const
+    c_eps = s_eps * np.sqrt(a_min / (spread + a_min))
+    g_eps = np.where(c_eps < s_eps, c_eps, s_eps)  # min(s_eps, c_eps)
+    theta = np.float_power(amp * cross_norm / eps, 2)
+    values = (eps, m, m_up, radius, magnitude, k_const, amp, s_eps, c_eps, g_eps, theta)
+    return ContourGate(*values, cross_norm < g_eps)
+
+
+def _gate_at(grid: ContourGate, i: int) -> ContourGate:
+    """Gate i of a grid; a scalar field is shared by every gate."""
+    values = (getattr(grid, f.name) for f in fields(ContourGate))
+    return ContourGate(*(v[i].item() if np.ndim(v) else v for v in values))
+
+
 def contour_gate(
     abar_m,
     alpha: float,
@@ -368,38 +405,7 @@ def contour_gate(
     cross_norm: float,
 ) -> ContourGate:
     """Evaluate the contour-form gate at a given clearance epsilon."""
-    if beta == 0 or not np.isfinite(beta):
-        raise DomainError("contour gate needs a finite beta != 0")
-    if a_min is None or not a_min > 0:
-        raise DomainError("gate needs a positive a_min")
-    if cross_norm < 0:
-        raise DomainError("cross_norm must be nonnegative")
-    spec = _spectrum(abar_m)
-    interval = spectral_interval(spec, alpha, sigma)
-    m, m_up = interval.low, interval.high
-    if not 0 < epsilon < m:
-        raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {epsilon}")
-    radius = (m_up - m) / 2 + epsilon
-    magnitude = (m - epsilon) ** (-beta) if beta >= 0 else (m_up + epsilon) ** (-beta)
-    k_const = radius * epsilon**-3 * magnitude
-    amp = amplification_factor(spec, alpha, sigma)
-    s_eps = epsilon / amp
-    c_eps = s_eps * math.sqrt(a_min / (4 * epsilon**2 * sigma ** (2 * beta) * k_const + a_min))
-    g_eps = min(s_eps, c_eps)
-    return ContourGate(
-        epsilon=epsilon,
-        spectrum_low=m,
-        spectrum_high=m_up,
-        radius=radius,
-        magnitude=magnitude,
-        contour_constant=k_const,
-        amplification=amp,
-        stability=s_eps,
-        control=c_eps,
-        gate=g_eps,
-        theta_bound=(amp * cross_norm / epsilon) ** 2,
-        satisfied=bool(cross_norm < g_eps),
-    )
+    return _gate_at(_contour_gates(abar_m, alpha, beta, sigma, [epsilon], a_min, cross_norm), 0)
 
 
 def default_epsilon_grid(m: float, n_points: int = 20) -> np.ndarray:
@@ -422,13 +428,11 @@ def best_contour_gate(
     spec = _spectrum(abar_m)
     if epsilon_grid is None:
         epsilon_grid = default_epsilon_grid(spectral_interval(spec, alpha, sigma).low)
-    gates = [
-        contour_gate(spec, alpha, beta, sigma, float(eps), a_min, cross_norm)
-        for eps in epsilon_grid
-    ]
-    if not gates:
+    eps = np.fromiter(epsilon_grid, dtype=float)
+    if not eps.size:
         raise DomainError("epsilon grid is empty")
-    return max(gates, key=lambda gate: gate.gate)
+    grid = _contour_gates(spec, alpha, beta, sigma, eps, a_min, cross_norm)
+    return _gate_at(grid, int(np.argmax(grid.gate)))
 
 
 def certified_gates(

@@ -256,12 +256,11 @@ def extract_features(
 
 
 def write_series_csv(series: LabeledSeries, path) -> None:
+    """Columns t, ch0.., label; each sample by repr, each row CRLF-terminated."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"ch{j}" for j in range(series.channels)] + ["label"])
-        for t in range(series.length):
-            row = [t] + [repr(float(v)) for v in series.samples[t]] + [int(series.labels[t])]
-            writer.writerow(row)
+        fh.write(",".join(["t", *(f"ch{j}" for j in range(series.channels)), "label"]) + "\r\n")
+        for t, (row, label) in enumerate(zip(series.samples, series.labels.tolist())):
+            fh.write(f"{t},{','.join(map(repr, row.tolist()))},{label}\r\n")
 
 
 def read_series_csv(path) -> LabeledSeries:

@@ -9,7 +9,6 @@ covariances, roots, and sampling.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -135,7 +134,6 @@ def write_samples_csv(samples: np.ndarray, path) -> None:
     if samples.ndim != 2:
         raise DomainError("samples must be a 2-d array")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"node{i}" for i in range(samples.shape[1])])
+        fh.write(",".join(f"node{i}" for i in range(samples.shape[1])) + "\r\n")
         for row in samples:
-            writer.writerow([repr(float(v)) for v in row])
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")

@@ -255,21 +255,22 @@ def _fit_logistic(
     reg[-1] = 0.0  # bias is not penalized
     w = np.zeros(d)
 
-    def loss_grad_hess(w):
+    def loss_grad(w):
+        """Loss and gradient at w, and the per-sample weights of its Hessian."""
         margins = y * (z @ w)
         # log(1+exp(-m)) via logaddexp for overflow safety
         loss = float(np.mean(sample_w * np.logaddexp(0.0, -margins)))
         loss += 0.5 * float(reg @ (w * w))
         p = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))
         grad = -(z.T @ (sample_w * p * y)) / n + reg * w
-        curv = sample_w * p * (1.0 - p)
-        hess = (z.T * curv) @ z / n + np.diag(reg)
-        return loss, grad, hess
+        return loss, grad, sample_w * p * (1.0 - p)
 
-    loss, grad, hess = loss_grad_hess(w)
+    loss, grad, curv = loss_grad(w)
     for _ in range(max_iter):
         if np.linalg.norm(grad) <= tol:
             break
+        # the Hessian only at a point that takes a step
+        hess = (z.T * curv) @ z / n + np.diag(reg)
         try:
             step = np.linalg.solve(hess + 1e-12 * np.eye(d), grad)
         except np.linalg.LinAlgError as exc:
@@ -277,9 +278,9 @@ def _fit_logistic(
         t = 1.0
         for _ in range(40):
             cand = w - t * step
-            new_loss, new_grad, new_hess = loss_grad_hess(cand)
+            new_loss, new_grad, new_curv = loss_grad(cand)
             if new_loss <= loss - 1e-4 * t * float(grad @ step):
-                w, loss, grad, hess = cand, new_loss, new_grad, new_hess
+                w, loss, grad, curv = cand, new_loss, new_grad, new_curv
                 break
             t /= 2
         else:

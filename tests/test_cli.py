@@ -168,7 +168,29 @@ def bad_config_inputs(tmp_path_factory):
     classifier = {
         "weights": [0.0], "feature_mean": [], "feature_scale": [], "dim": 0, "seen_tokens": []
     }
+    # a classifier that fits the 5-channel series: 15 upper-triangle features
+    fitting = {
+        "weights": [0.0] * 16,
+        "feature_mean": [0.0] * 15,
+        "feature_scale": [1.0] * 15,
+        "dim": 15,
+        "seen_tokens": [],
+    }
+    corrupt = {
+        "dim_fraction": {"dim": 15.7},
+        "dim_string": {"dim": "15"},
+        "tokens_string": {"seen_tokens": "abc"},
+        "weights_short": {"weights": [0.0] * 15},
+        "weights_null": {"weights": None},
+    }
     broken = {
+        **{
+            f"classifier_{name}": (
+                "selection.json",
+                json.dumps({**selection, "classifier": {**fitting, **change}}),
+            )
+            for name, change in corrupt.items()
+        },
         "bad_selection": ("selection.json", "{not json"),
         "bad_manifest": ("manifest.json", "{not json"),
         "no_entries": ("manifest.json", json.dumps({"count": 0, "meta": {}})),
@@ -413,6 +435,27 @@ BAD_CONFIGS = [
             id=name.replace("_", "-"),
         )
         for name, kind in (("length_fraction", "float"), ("length_string", "str"))
+    ],
+    *[
+        pytest.param(
+            "evaluate",
+            lambda d, name=name: {
+                "schema_version": "1",
+                "series_csv": d["series"],
+                "selection_dir": d[name],
+                "split": _SPLIT,
+            },
+            2,
+            f"selection.json: malformed selection: selection.classifier.{where}",
+            id=name.replace("_", "-"),
+        )
+        for name, where in (
+            ("classifier_dim_fraction", "dim: expected int, got float"),
+            ("classifier_dim_string", "dim: expected int, got str"),
+            ("classifier_tokens_string", "seen_tokens: expected list, got str"),
+            ("classifier_weights_short", "weights: expected exactly 16 entries, got 15"),
+            ("classifier_weights_null", "weights: expected list, got NoneType"),
+        )
     ],
     pytest.param(
         "signatures",

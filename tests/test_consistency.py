@@ -12,6 +12,7 @@ from scipy.special import gammaln
 
 from covpow.consistency import (
     ConsistencyReport,
+    ContourGate,
     ShiftSpectrum,
     SpectralInterval,
     amplification_factor,
@@ -588,6 +589,117 @@ class TestContourGate:
         by_hand = max(gates, key=lambda g: g.gate)
         assert best == by_hand
         assert all(np.isfinite(g.gate) and g.gate > 0 for g in gates)
+
+
+def _scalar_contour_gate(shift, alpha, beta, sigma, eps, a_min, cross):
+    """The contour gate at one clearance, formula by formula on Python floats.
+
+    This is the per-clearance evaluation best_contour_gate used to loop over;
+    the grid evaluation must reproduce it bit for bit.
+    """
+    ev = np.linalg.eigvalsh(shift)
+    rho, lam = float(np.max(np.abs(ev))), float(ev[0])
+    m = sigma**2 * (1 - lam) ** (-alpha)
+    m_up = sigma**2 * (1 - rho) ** (-alpha)
+    if not 0 < eps < m:
+        raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {eps}")
+    radius = (m_up - m) / 2 + eps
+    magnitude = (m - eps) ** (-beta) if beta >= 0 else (m_up + eps) ** (-beta)
+    k_const = radius * eps**-3 * magnitude
+    amp = sigma**2 * alpha * (1 - rho) ** (-alpha - 1)
+    s_eps = eps / amp
+    c_eps = s_eps * math.sqrt(a_min / (4 * eps**2 * sigma ** (2 * beta) * k_const + a_min))
+    g_eps = min(s_eps, c_eps)
+    theta = (amp * cross / eps) ** 2
+    return ContourGate(
+        eps, m, m_up, radius, magnitude, k_const, amp, s_eps, c_eps, g_eps, theta, cross < g_eps
+    )
+
+
+def _scalar_best_contour_gate(shift, alpha, beta, sigma, a_min, cross, grid):
+    gates = [_scalar_contour_gate(shift, alpha, beta, sigma, e, a_min, cross) for e in grid]
+    return max(gates, key=lambda gate: gate.gate)  # ties keep the first
+
+
+def _spectrum_low(shift, alpha, sigma):
+    return sigma**2 * (1 - float(np.linalg.eigvalsh(shift)[0])) ** (-alpha)
+
+
+_clearance_fracs = st.lists(st.floats(0.001, 0.999), min_size=1, max_size=6)
+_contour_params = dict(
+    shift=st.lists(st.floats(-0.95, 0.95), min_size=2, max_size=6).map(np.diag),
+    alpha=st.floats(0.25, 3.0),
+    beta=st.floats(-2.0, 2.0).filter(lambda b: abs(b) >= 0.05),
+    sigma=st.floats(0.5, 2.0),
+    a_min=st.floats(0.05, 2.0),
+    cross=st.floats(0.0, 2.0),
+)
+
+
+class TestContourGrid:
+    """best_contour_gate evaluates the whole clearance grid in one pass."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(**_contour_params, fracs=_clearance_fracs, repeats=st.lists(st.integers(0, 5)))
+    def test_every_field_matches_the_scalar_formula(
+        self, shift, alpha, beta, sigma, a_min, cross, fracs, repeats
+    ):
+        m = _spectrum_low(shift, alpha, sigma)
+        grid = [f * m for f in fracs] + [fracs[i % len(fracs)] * m for i in repeats]
+        got = best_contour_gate(shift, alpha, beta, sigma, a_min, cross, grid)
+        want = _scalar_best_contour_gate(shift, alpha, beta, sigma, a_min, cross, grid)
+        assert repr(got) == repr(want)
+        for eps in grid[:2]:
+            args = (shift, alpha, beta, sigma, eps, a_min, cross)
+            assert repr(contour_gate(*args)) == repr(_scalar_contour_gate(*args))
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(**_contour_params)
+    def test_default_grid_matches_the_scalar_formula(self, shift, alpha, beta, sigma, a_min, cross):
+        grid = default_epsilon_grid(_spectrum_low(shift, alpha, sigma)).tolist()
+        got = best_contour_gate(shift, alpha, beta, sigma, a_min, cross)
+        want = _scalar_best_contour_gate(shift, alpha, beta, sigma, a_min, cross, grid)
+        assert repr(got) == repr(want)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        **_contour_params,
+        fracs=_clearance_fracs,
+        bad=st.lists(
+            st.one_of(st.floats(-1.0, 0.0), st.floats(1.0, 3.0), st.just(math.nan)), min_size=1
+        ),
+        at=st.integers(0, 6),
+    )
+    def test_first_clearance_outside_the_spectrum_is_named(
+        self, shift, alpha, beta, sigma, a_min, cross, fracs, bad, at
+    ):
+        m = _spectrum_low(shift, alpha, sigma)
+        grid = [f * m for f in fracs]
+        grid[at:at] = [b * m for b in bad]
+        with pytest.raises(DomainError) as want:
+            _scalar_best_contour_gate(shift, alpha, beta, sigma, a_min, cross, grid)
+        with pytest.raises(DomainError) as got:
+            best_contour_gate(shift, alpha, beta, sigma, a_min, cross, np.array(grid))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("grid", [[], (), np.array([])])
+    def test_empty_grid_rejected_before_other_checks(self, grid):
+        shift = np.diag([0.5, -0.4])
+        with pytest.raises(DomainError, match="^epsilon grid is empty$"):
+            best_contour_gate(shift, 2.0, 0.5, 1.0, 0.7, 0.0, grid)
+        with pytest.raises(DomainError, match="^epsilon grid is empty$"):
+            best_contour_gate(shift, 2.0, 0.0, 1.0, -1.0, -1.0, grid)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_ties_keep_the_first_clearance(self):
+        # the contour constant overflows to inf at these clearances, so every
+        # gate is exactly 0 and the first clearance wins
+        shift, alpha, beta, sigma, a_min = np.diag([0.99, -0.4]), 3.0, 0.5, 1.0, 0.7
+        grid = [3e-102, 1e-102, 2e-102]
+        got = best_contour_gate(shift, alpha, beta, sigma, a_min, 0.0, grid)
+        want = _scalar_best_contour_gate(shift, alpha, beta, sigma, a_min, 0.0, grid)
+        assert got.gate == 0.0 and got.epsilon == 3e-102
+        assert repr(got) == repr(want)
 
 
 class TestCertifiedGates:
