@@ -93,11 +93,12 @@ __all__ = ["main"]
 # Each verb's config is checked against one table, and each table maps the
 # keys of a section to (kind, default). A kind is a type (int, float, str,
 # bool), a nested table, [kind] for a list of that kind, a tuple of kinds for
-# a list of fixed length, _AtLeast(n) for an int no smaller than n, or a
-# _Variant of tables chosen by the section's "type". A float accepts any JSON
-# number. The default _REQUIRED marks a key that must be given; None leaves
-# an absent key None, and any other default is filled in and checked like a
-# given value.
+# a list of fixed length, _AtLeast(n) for an int no smaller than n, _OneOf(...)
+# for one of a few strings, or a _Variant of tables chosen by the section's
+# "type". A float accepts any JSON number a float can hold, and an int must
+# fit in 64 signed bits. The default _REQUIRED marks a key that must be given;
+# None leaves an absent key None, and any other default is filled in and
+# checked like a given value.
 
 _REQUIRED = object()
 
@@ -110,6 +111,13 @@ class _AtLeast:
 
 
 @dataclass(frozen=True)
+class _OneOf:
+    """A string from ``options``."""
+
+    options: tuple
+
+
+@dataclass(frozen=True)
 class _Variant:
     """A section whose table is named by its "type" key; absent, the first."""
 
@@ -117,6 +125,7 @@ class _Variant:
 
 
 _SEED = _AtLeast(0)
+_SIGNATURE_MODE = _OneOf(("class-mean", "per-matrix"))
 
 _GRAPH = _Variant(
     {
@@ -181,7 +190,7 @@ _TABLES = {
         "model": (_MODEL, _REQUIRED),
         "beta": (float, None),
         "seeds": ({"start": (_SEED, 0), "count": (_AtLeast(1), _REQUIRED)}, _REQUIRED),
-        "method": (str, "eig"),
+        "method": (_OneOf(("eig", "stieltjes", "contour")), "eig"),
         "gate_target_fraction": (float, None),
     },
     "extract": {
@@ -201,14 +210,14 @@ _TABLES = {
     "geometry": {"features_dir": (str, _REQUIRED)},
     "signatures": {
         "features_dir": (str, _REQUIRED),
-        "mode": (str, "class-mean"),
+        "mode": (_SIGNATURE_MODE, "class-mean"),
         "gmm": ({"max_iter": (int, None), "tol": (float, None), "seed": (_SEED, None)}, {}),
     },
     "pipeline": {
         "classes": ((_CLASS, _CLASS), _REQUIRED),
         "series": ({"samples_per_class": (int, _REQUIRED), "seed": (_SEED, 0)}, _REQUIRED),
         **_FIT,
-        "signatures": ({"mode": (str, "class-mean"), "seed": (_SEED, 0)}, {}),
+        "signatures": ({"mode": (_SIGNATURE_MODE, "class-mean"), "seed": (_SEED, 0)}, {}),
     },
     "report": {"runs": ([str], _REQUIRED)},
 }
@@ -252,10 +261,8 @@ def _validate(value, kind, path: str, item: bool = False):
     if isinstance(kind, _Variant):
         if not isinstance(value, dict):
             raise _mismatch(value, kind, path, item)
-        tag = _validate(value.get("type", next(iter(kind.tables))), str, f"{path}.type")
-        if tag not in kind.tables:
-            options = " or ".join(repr(t) for t in kind.tables)
-            raise ConfigError(f"{path}.type: expected {options}, got {tag!r}")
+        tags = _OneOf(tuple(kind.tables))
+        tag = _validate(value.get("type", tags.options[0]), tags, f"{path}.type")
         rest = {key: val for key, val in value.items() if key != "type"}
         return {"type": tag, **_validate(rest, kind.tables[tag], path)}
     if isinstance(kind, dict):
@@ -288,10 +295,23 @@ def _validate(value, kind, path: str, item: bool = False):
         if value < kind.low:
             raise ConfigError(f"{path}: must be >= {kind.low}")
         return value
+    if isinstance(kind, _OneOf):
+        value = _validate(value, str, path, item)
+        if value not in kind.options:
+            options = " or ".join(repr(t) for t in kind.options)
+            raise ConfigError(f"{path}: expected {options}, got {value!r}")
+        return value
     types = (int, float) if kind is float else kind
     if not isinstance(value, types) or (kind in (int, float) and isinstance(value, bool)):
         raise _mismatch(value, kind, path, item)
-    return float(value) if kind is float else value
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{path}: integer outside the signed 64-bit range")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: number too large for a float") from None
+    return value
 
 
 def _checked_config(command: str, config) -> dict:
@@ -352,15 +372,10 @@ def _json_text(obj) -> str:
 def _finish_run(run_dir: Path, command: str, config_text: str) -> None:
     """Hash every artifact and write the manifest (the only timestamped file)."""
     artifacts = {}
-    for p in sorted(run_dir.iterdir()):
-        if p.name == "manifest.json" or p.is_dir():
-            continue
-        artifacts[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
-    for sub in sorted(run_dir.iterdir()):
-        if sub.is_dir():
-            for p in sorted(sub.iterdir()):
-                rel = f"{sub.name}/{p.name}"
-                artifacts[rel] = hashlib.sha256(p.read_bytes()).hexdigest()
+    for p in sorted(run_dir.rglob("*")):
+        rel = p.relative_to(run_dir).as_posix()
+        if p.is_file() and rel != "manifest.json":
+            artifacts[rel] = hashlib.sha256(p.read_bytes()).hexdigest()
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
@@ -522,7 +537,7 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
         raise ConfigError(f"config.selection_dir: no selection.json under {selection_dir}")
     try:
         selection = json.loads(selection_file.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ConfigError(f"{selection_file}: not valid JSON: {exc}") from None
     try:
         fields = _validate({key: selection[key] for key in _SELECTION}, _SELECTION, "selection")
@@ -715,7 +730,7 @@ def main(argv=None) -> int:
         config_text = config_path.read_text()
         try:
             config = json.loads(config_text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         cfg = _checked_config(args.command, config)
         run_dir = _run_dir(args, args.command, config_text)

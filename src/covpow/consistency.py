@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .graphs import NodePartition, WeightedGraph, abar, observed_a_min, partition_blocks
+from .graphs import NodePartition, WeightedGraph, observed_a_min, partition_blocks
 from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
     SpdMatrix,
@@ -179,12 +179,12 @@ def commutation_error(
     """
     if beta == 0 or not np.isfinite(beta):
         raise DomainError("commutation error needs a finite beta != 0")
-    if c.dim != p.n:
-        raise DomainError(f"covariance dim {c.dim} does not match partition n={p.n}")
-    s = list(p.observed)
-    # reuse the same object (and factorization) when everything is observed,
-    # so the two terms cancel bitwise
-    c_s = c if len(s) == c.dim else SpdMatrix(c.values[np.ix_(s, s)])
+    c_s = observed_covariance(c, p)
+    return _commutation_error(c, c_s, p, beta, method, n_quad, contour_nodes, contour_margin)
+
+
+def _commutation_error(c, c_s, p, beta, method, n_quad=400, contour_nodes=256, contour_margin=0.5):
+    """commutation_error given its observed block c_s = observed_covariance(c, p)."""
 
     def minus_power(x: SpdMatrix) -> np.ndarray:
         if method == "eig":
@@ -197,9 +197,8 @@ def commutation_error(
             return spd_power_contour(x, beta, spec).values
         raise DomainError(f"unknown power method {method!r}")
 
-    full = minus_power(c)
-    observed = minus_power(c_s)
-    return SymMatrix(observed - full[np.ix_(s, s)])
+    s = list(p.observed)
+    return SymMatrix(minus_power(c_s) - minus_power(c)[np.ix_(s, s)])
 
 
 def is_structurally_consistent(est, truth_s: WeightedGraph, beta: float) -> StructureCheck:
@@ -482,7 +481,8 @@ def verify_instance(
         raise DomainError("beta must be a finite nonzero real")
 
     c = population_covariance(model)
-    delta = commutation_error(c, p, beta, method=method)
+    c_s = observed_covariance(c, p)
+    delta = _commutation_error(c, c_s, p, beta, method)
     delta_norm = spectral_norm(delta)
     n_obs = len(p.observed)
     delta_osc = osc(delta) if n_obs >= 2 else None
@@ -500,17 +500,19 @@ def verify_instance(
     else:
         notes.append("observed block has no edges; threshold and gates not applicable")
 
-    est = spd_power_eig(observed_covariance(c, p), -beta).values
+    est = spd_power_eig(c_s, -beta).values
     check = is_structurally_consistent(est, truth_s, beta)
     if check.status == "not_applicable":
         notes.append("structure check not applicable: need both pair kinds in the observed block")
 
-    shift, valid = abar(model.graph, model.kappa)
+    # the shifted operator I - (kappa^2 D + L) has eigenvalues 1 - w, w ascending
+    w = model.op_eigenvalues
+    rho = float(max(1 - w[0], w[-1] - 1))
     gate_frac = gate_cont = bound_frac = None
-    if not valid:
+    if not rho < 1:
         notes.append("shifted operator spectral radius >= 1; gates not applicable")
     elif a_min is not None:
-        spec = _spectrum(shift)
+        spec = ShiftSpectrum(rho=rho, lam=float(1 - w[-1]))
         gate_frac, gate_cont = certified_gates(
             spec, model.alpha, beta, model.sigma, a_min, cross_norm, epsilon_grid
         )

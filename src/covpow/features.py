@@ -348,7 +348,7 @@ def read_feature_archive(dirpath) -> tuple[list, list, SpdStack]:
         labels = [entry["label"] for entry in entries]
         ranges = [tuple(e["source_window"]) if e["source_window"] else None for e in entries]
         files = [os.path.join(dirpath, entry["file"]) for entry in entries]
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     except KeyError as exc:
         raise ConfigError(f"{path}: required key {exc.args[0]!r} missing") from None

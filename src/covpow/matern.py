@@ -100,11 +100,11 @@ def sample_field(m: MaternModel, n_samples: int, seed: int) -> np.ndarray:
 
 
 def observed_covariance(c: SpdMatrix, p: NodePartition) -> SpdMatrix:
-    """Principal submatrix of the covariance on the observed node set."""
+    """Principal submatrix on the observed nodes; ``c`` itself when all are observed."""
     if c.dim != p.n:
         raise DomainError(f"covariance dim {c.dim} does not match partition n={p.n}")
     s = list(p.observed)
-    return SpdMatrix(c.values[np.ix_(s, s)])
+    return c if len(s) == c.dim else SpdMatrix(c.values[np.ix_(s, s)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The package's public names are exactly its library modules' ``__all__`` lists."""
 
 import importlib
+import importlib.util
 import pkgutil
 import re
 from collections import defaultdict
@@ -34,3 +35,20 @@ def test_package_exports_exactly_its_modules_all():
     used = set(re.findall(r"\bcovpow\.(\w+)", workloads.read_text())) - set(submodules)
     assert used
     assert sorted(used - set(covpow.__all__)) == []
+
+
+def test_perfbench_traced_names_resolve():
+    """Every (module, attribute) the benchmark tracer wraps still exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.FUNCTIONS
+    for module_name, attr, _ in tracer.FUNCTIONS:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            # the tracer reads the class's own __dict__, not an inherited method
+            assert method in vars(getattr(module, cls_name)), attr
+        else:
+            assert callable(getattr(module, attr)), f"{module_name}.{attr}"

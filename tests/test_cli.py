@@ -111,6 +111,13 @@ class TestConfigValidation:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 2
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"schema_version": "1", "seeds": {"count": 1' + "0" * 5000 + "}}")
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "config is not valid JSON" in json.loads(capsys.readouterr().err)["message"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(
             ["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "run")]
@@ -193,6 +200,9 @@ def bad_config_inputs(tmp_path_factory):
         },
         "bad_selection": ("selection.json", "{not json"),
         "bad_manifest": ("manifest.json", "{not json"),
+        # Python refuses to parse an integer of more than 4300 digits
+        "long_selection": ("selection.json", '{"beta_star": 1' + "0" * 5000 + "}"),
+        "long_manifest": ("manifest.json", '{"count": 1' + "0" * 5000 + "}"),
         "no_entries": ("manifest.json", json.dumps({"count": 0, "meta": {}})),
         "selection_list": ("selection.json", "[]"),
         "classifier_list": ("selection.json", json.dumps({**selection, "classifier": []})),
@@ -207,6 +217,10 @@ def bad_config_inputs(tmp_path_factory):
         "length_string": (
             "selection.json",
             json.dumps({**selection, "window_length": "64", "classifier": classifier}),
+        ),
+        "beta_star_huge": (
+            "selection.json",
+            json.dumps({**selection, "beta_star": _HUGE, "classifier": fitting}),
         ),
     }
     for name, (file, text) in broken.items():
@@ -251,6 +265,7 @@ def _extract_config(inputs, channels):
 
 
 _SPLIT = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}
+_HUGE = 10**400  # a JSON integer no float or 64-bit int holds
 _ER = {"type": "er", "n_obs": 3, "n_lat": 2, "p_obs": 0.9, "p_lat": 0.9, "p_cross": 0.5}
 
 BAD_CONFIGS = [
@@ -399,6 +414,25 @@ BAD_CONFIGS = [
         id="manifest-not-json",
     ),
     pytest.param(
+        "evaluate",
+        lambda d: {
+            "schema_version": "1",
+            "series_csv": d["series"],
+            "selection_dir": d["long_selection"],
+            "split": _SPLIT,
+        },
+        2,
+        "selection.json: not valid JSON",
+        id="selection-integer-past-digit-limit",
+    ),
+    pytest.param(
+        "geometry",
+        lambda d: {"schema_version": "1", "features_dir": d["long_manifest"]},
+        2,
+        "manifest.json: not valid JSON",
+        id="manifest-integer-past-digit-limit",
+    ),
+    pytest.param(
         "signatures",
         lambda d: {"schema_version": "1", "features_dir": d["no_entries"]},
         2,
@@ -457,6 +491,55 @@ BAD_CONFIGS = [
             ("classifier_weights_null", "weights: expected list, got NoneType"),
         )
     ],
+    # numbers too large for their kind
+    pytest.param(
+        "simulate",
+        lambda d: _set(minimal_simulate_config(), "model.kappa", _HUGE),
+        2,
+        "config.model.kappa: number too large for a float",
+        id="simulate-kappa-huge",
+    ),
+    pytest.param(
+        "verify",
+        lambda d: _set(TestVerify().verify_config(count=2), "seeds.count", _HUGE),
+        2,
+        "config.seeds.count: integer outside the signed 64-bit range",
+        id="verify-count-huge",
+    ),
+    pytest.param(
+        "evaluate",
+        lambda d: {
+            "schema_version": "1",
+            "series_csv": d["series"],
+            "selection_dir": d["beta_star_huge"],
+            "split": _SPLIT,
+        },
+        2,
+        "selection.beta_star: number too large for a float",
+        id="evaluate-beta-star-huge",
+    ),
+    # strings outside their allowed set
+    pytest.param(
+        "verify",
+        lambda d: {**TestVerify().verify_config(count=2), "method": "pade"},
+        2,
+        "config.method: expected 'eig' or 'stieltjes' or 'contour', got 'pade'",
+        id="verify-method-unknown",
+    ),
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["features"], "mode": "per_matrix"},
+        2,
+        "config.mode: expected 'class-mean' or 'per-matrix', got 'per_matrix'",
+        id="signatures-mode-unknown",
+    ),
+    pytest.param(
+        "pipeline",
+        lambda d: _set(two_class_pipeline_config(), "signatures", {"mode": "per_matrix"}),
+        2,
+        "config.signatures.mode: expected 'class-mean' or 'per-matrix', got 'per_matrix'",
+        id="pipeline-signatures-mode-unknown",
+    ),
     pytest.param(
         "signatures",
         lambda d: {"schema_version": "1", "features_dir": d["diagonal_3"], "mode": "per-matrix"},

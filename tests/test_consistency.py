@@ -1,9 +1,11 @@
 import json
 import math
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
@@ -37,12 +39,13 @@ from covpow.graphs import (
     NodePartition,
     WeightedGraph,
     abar,
+    observed_a_min,
     partition_blocks,
     sample_inhomogeneous_er,
     scale_cross_block,
 )
-from covpow.matern import MaternModel, population_covariance
-from covpow.spd import SpdMatrix, operator_norm, spectral_norm
+from covpow.matern import MaternModel, observed_covariance, population_covariance
+from covpow.spd import SpdMatrix, operator_norm, spd_power_eig, spectral_norm
 
 
 def er_instance(
@@ -840,3 +843,59 @@ class TestVerifyInstance:
         report = verify_instance(model, p)
         assert report.delta_osc is None
         assert "oscillation undefined" in report.notes
+
+    def test_factors_each_matrix_once(self, monkeypatch):
+        model, p = gated_instance(23)
+        calls = Counter()
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = verify_instance(model, p)
+        assert report.gate_fractional is not None and report.gate_contour is not None
+        # one eigh for the observed block, one eigvalsh for the norm of delta
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+class TestVerifyInstanceOracles:
+    """verify_instance agrees with the public functions it stands in for."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 10_000),
+        kappa=st.floats(0.8, 1.5),
+        alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_report_matches_its_oracles(self, seed, kappa, alpha):
+        g, p = sample_inhomogeneous_er(6, 4, 0.6, 0.6, 0.3, seed=seed)
+        assume(np.all(g.degrees() > 0))
+        sigma = 1.1
+        model = MaternModel(graph=g, kappa=kappa, alpha=alpha, sigma=sigma)
+        report = verify_instance(model, p)
+        beta = report.beta
+
+        c = population_covariance(model)
+        assert report.delta_spectral_norm == spectral_norm(commutation_error(c, p, beta))
+        est = spd_power_eig(observed_covariance(c, p), -beta)
+        truth_s = WeightedGraph(partition_blocks(g.adjacency, p)[0])
+        assert report.margin == is_structurally_consistent(est, truth_s, beta).margin
+        full = NodePartition.from_observed(g.n, range(g.n))
+        assert observed_covariance(c, full) is c
+
+        shift, valid = abar(g, kappa)
+        a_min = observed_a_min(g, p)
+        if not valid or a_min is None:
+            assert report.gate_fractional is None and report.gate_contour is None
+            return
+        want = certified_gates(shift, alpha, beta, sigma, a_min, report.cross_norm)
+        for got, gate in zip((report.gate_fractional, report.gate_contour), want):
+            assert (got is None) == (gate is None)
+            if gate is None:
+                continue
+            assert got.satisfied == gate.satisfied
+            for f in fields(gate):
+                if f.name != "satisfied":
+                    assert_allclose(getattr(got, f.name), getattr(gate, f.name), rtol=1e-9)
