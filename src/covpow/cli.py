@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import (
+    ShiftSpectrum,
     certified_gates,
     report_to_dict as consistency_report_to_dict,
     verify_instance,
@@ -50,6 +51,7 @@ from .graphs import (
     NodePartition,
     WeightedGraph,
     abar,
+    interaction_operator,
     observed_a_min,
     partition_blocks,
     sample_inhomogeneous_er,
@@ -431,13 +433,16 @@ def _gate_shrink(graph, part, model_params, beta, target_frac):
     if a_min is None:
         raise DomainError("observed block has no edges; nothing to gate against")
     for _ in range(80):
-        shift, valid = abar(graph, kappa)
+        # one eigvalsh of the shift I - op serves the validity check and every gate
+        ev = np.linalg.eigvalsh(np.eye(graph.n) - interaction_operator(graph, kappa))
+        rho = float(np.max(np.abs(ev)))
         cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
-        if not valid:
+        if not rho < 1.0:
             raise DomainError("graph invalid while gating (spectral radius >= 1)")
         if cross == 0:
             return graph
-        gates = certified_gates(shift, alpha, beta, sigma, a_min, cross)
+        spec = ShiftSpectrum(rho=rho, lam=float(ev[0]))
+        gates = certified_gates(spec, alpha, beta, sigma, a_min, cross)
         if gates == (None, None):
             raise DomainError(
                 "gate_target_fraction needs an applicable gate: beta = 1/alpha in "

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, NumericalError
 
@@ -314,6 +313,7 @@ def spd_power_stieltjes(x: SpdMatrix, beta: float, n_quad: int = 400) -> SpdMatr
         raise DomainError(f"stieltjes power needs beta in (0,1), got {beta}")
     if n_quad < 16:
         raise DomainError("n_quad must be >= 16")
+    from scipy.special import roots_jacobi  # here: it costs more than all of covpow's import
     lam_min = float(x.eigenvalues[0])
     with np.errstate(invalid="ignore"):  # benign 0/0 in scipy's recurrence at k=1
         nodes, weights = roots_jacobi(n_quad, beta - 1.0, -beta)

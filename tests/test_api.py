@@ -2,8 +2,11 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -52,3 +55,37 @@ def test_perfbench_traced_names_resolve():
             assert method in vars(getattr(module, cls_name)), attr
         else:
             assert callable(getattr(module, attr)), f"{module_name}.{attr}"
+
+
+def _run_child(code):
+    """Run code in a fresh interpreter that imports covpow from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    """Only the Stieltjes oracle needs scipy; importing covpow must not pay for it."""
+    code = (
+        "import sys, covpow, covpow.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_child(code) == "[]"
+
+
+def test_stieltjes_power_resolves_its_deferred_import():
+    code = (
+        "import numpy as np\n"
+        "from covpow.spd import SpdMatrix, spd_power_eig, spd_power_stieltjes\n"
+        "x = SpdMatrix(np.array([[2.0, 0.5, 0.1], [0.5, 1.5, 0.3], [0.1, 0.3, 1.0]]))\n"
+        "diff = spd_power_stieltjes(x, 0.5).values - spd_power_eig(x, -0.5).values\n"
+        "print(float(np.max(np.abs(diff))))"
+    )
+    assert float(_run_child(code)) <= 1e-8

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
 import covpow
+from covpow import cli
 from covpow.cli import main
 from covpow.features import LabeledSeries, read_series_csv, write_series_csv
 from covpow.graphs import WeightedGraph
@@ -719,6 +721,33 @@ class TestVerify:
         assert main(["verify", "--config", path, "--out", str(run)]) == 0
         rows = (run / "summary.csv").read_text().strip().split("\n")[1:]
         assert all(row.endswith(",True") for row in rows)
+
+    def test_gate_shrink_factors_each_step_once(self, tmp_path, monkeypatch):
+        config = self.verify_config(count=6, gate_frac=0.5)
+        config["seeds"] = {"start": 5, "count": 6}
+        path = write_config(tmp_path, "verify.json", config)
+        calls, shrinking = Counter(), []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += bool(shrinking)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        def shrink(*args, _real=cli._gate_shrink):
+            shrinking.append(True)
+            try:
+                return _real(*args)
+            finally:
+                shrinking.pop()
+
+        monkeypatch.setattr(cli, "_gate_shrink", shrink)
+        monkeypatch.setattr(cli, "certified_gates", counted("steps", cli.certified_gates))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        # one certified_gates call per shrink step, each on that step's one eigvalsh
+        assert calls == {"steps": 12, "eigvalsh": 12}
 
     def test_block_diagonal_batch_tiny_deltas(self, tmp_path):
         config = self.verify_config(count=5, p_cross=0.0)
