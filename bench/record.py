@@ -1,17 +1,17 @@
 """Record covpow's benchmark into a BENCH_*.json file.
 
-    python3 bench/record.py --out BENCH_11.json --repeats 10 --parent ../covpow-parent
+    python3 bench/record.py --out BENCH_<n>.json --repeats 10 --parent ../covpow-parent
     python3 bench/record.py --out /tmp/bench.json --seconds 3     # one quick run
 
-For every workload in the checkout's BENCHMARK.json this runs
-``perfbench/run.py --workload W --seed S --seconds T`` ``--repeats`` times,
-then once more with ``--trace 1`` for the per-layer counts. With ``--parent``
-the same runs are made in a checkout of the parent commit, in pairs whose
-first side alternates (the change first in even pairs), and the file also
-holds, per metric, how many pairs the change won. Scaled and unscaled values
-are kept per run with their medians and quartiles, because the host-speed
-scale alone can move a scaled metric. Standard library only; it never
-changes a checkout except for perfbench's own git-ignored work directory.
+In the checkout that holds this script, for every workload in its
+BENCHMARK.json, it runs ``perfbench/run.py --workload W --seed S --seconds T``
+``--repeats`` times, then once with ``--trace 1`` for the per-layer counts.
+With ``--parent`` the same runs are made in a checkout of the parent commit,
+in pairs whose first side alternates (the change first in even pairs), and
+the file also holds, per metric, how many pairs the change won. Scaled and
+unscaled values are kept per run with their medians and quartiles, because
+the host-speed scale alone can move a scaled metric. Standard library only;
+it changes no checkout except for perfbench's own git-ignored work directory.
 Exits 1 when any run reports a failed output check.
 """
 
@@ -103,15 +103,14 @@ def wins(change: list[dict], parent: list[dict], better: dict[str, str]) -> dict
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--checkout", type=Path, default=ROOT)
     parser.add_argument("--parent", type=Path, help="a checkout of the parent commit")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--repeats", type=int, default=1, help="runs (or pairs) per workload")
     args = parser.parse_args(argv)
-    spec = json.loads((args.checkout / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    sides = {"change": args.checkout.resolve()}
+    sides = {"change": ROOT}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
 
