@@ -5,14 +5,19 @@
 
 In the checkout that holds this script, for every workload in its
 BENCHMARK.json, it runs ``perfbench/run.py --workload W --seed S --seconds T``
-``--repeats`` times, then once with ``--trace 1`` for the per-layer counts.
+``--repeats`` times, then once with ``--trace 1`` for the per-layer counts,
+then runs the tier-1 suite once against the checkout's own ``src`` and keeps
+its passed, skipped and failed counts (errors count as failed) and wall time.
 With ``--parent`` the same runs are made in a checkout of the parent commit,
 in pairs whose first side alternates (the change first in even pairs), and
 the file also holds, per metric, how many pairs the change won. Scaled and
 unscaled values are kept per run with their medians and quartiles, because
-the host-speed scale alone can move a scaled metric. Standard library only;
-it changes no checkout except for perfbench's own git-ignored work directory.
-Exits 1 when any run reports a failed output check.
+the host-speed scale alone can move a scaled metric. Standard library only.
+It changes no checkout except in git-ignored directories: perfbench's work
+directory ``.perfbench-work/``, and the ``__pycache__/`` and ``.hypothesis/``
+directories that Python and hypothesis write while the suite runs (pytest's
+own cache is switched off). Exits 1 when any run reports a failed output
+check; a failed test is recorded, not an exit status.
 """
 
 from __future__ import annotations
@@ -20,9 +25,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +54,25 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
             rec[key] = json.loads(rest)
     rec["metrics"] = {k: m["value"] for k, m in rec["metrics"].items()}
     return rec
+
+
+def tier1(checkout: Path) -> dict:
+    """One run of the tier-1 suite in a checkout: its counts and wall time."""
+    paths = [str(checkout / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"{checkout}: tier-1 exited {proc.returncode}:\n{proc.stdout[-2000:]}"
+                         f"{proc.stderr[-2000:]}")
+    counts = {"passed": 0, "skipped": 0, "failed": 0}
+    for n, word in re.findall(r"(\d+) (passed|skipped|failed|errors?)\b", lines[-1]):
+        counts["failed" if word.startswith("error") else word] += int(n)
+    return {**counts, "wall_s": wall_s}
 
 
 def spread(values: list[float]) -> dict:
@@ -134,7 +161,9 @@ def main(argv=None) -> int:
             summaries[w] = summarize(runs[side][w], traced)
             correct &= traced["correct"] and all(r["correct"] for r in runs[side][w])
         record[side] = {**identity(checkout), "environment": environment,
-                        "src.lines": environment["src.lines"], "workloads": summaries}
+                        "src.lines": environment["src.lines"], "tier1": tier1(checkout),
+                        "workloads": summaries}
+        print(f"{side} tier1: {record[side]['tier1']}", file=sys.stderr)
     if args.parent is not None:
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         better.update({f"unscaled.{k}": "lower" for k in UNSCALED})

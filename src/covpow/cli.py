@@ -25,12 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import (
-    ShiftSpectrum,
-    certified_gates,
     report_to_dict as consistency_report_to_dict,
+    shrink_to_gate,
     verify_instance,
 )
-from .errors import ConfigError, CovpowError, DomainError, NumericalError
+from .errors import ConfigError, CovpowError, DomainError
 from .features import (
     LabeledSeries,
     WindowSpec,
@@ -47,16 +46,7 @@ from .geometry import (
     report_to_dict as geometry_report_to_dict,
     write_pairwise_csv,
 )
-from .graphs import (
-    NodePartition,
-    WeightedGraph,
-    abar,
-    interaction_operator,
-    observed_a_min,
-    partition_blocks,
-    sample_inhomogeneous_er,
-    scale_cross_block,
-)
+from .graphs import NodePartition, WeightedGraph, abar, sample_inhomogeneous_er
 from .matern import (
     MaternModel,
     model_to_dict,
@@ -82,7 +72,6 @@ from .signatures import (
     gmm_to_dict,
     write_signature_csv,
 )
-from .spd import operator_norm
 
 SCHEMA_VERSION = "1"
 
@@ -419,42 +408,6 @@ def cmd_simulate(cfg: dict, run_dir: Path) -> None:
     )
 
 
-def _gate_shrink(graph, part, model_params, beta, target_frac):
-    """Shrink the cross block until the strongest gate admits it."""
-    kappa, alpha, sigma = model_params["kappa"], model_params["alpha"], model_params["sigma"]
-    blocks = partition_blocks(graph.adjacency, part)
-    in_block = np.concatenate([blocks[0].sum(axis=1), blocks[3].sum(axis=1)])
-    if in_block.min() <= 0 and operator_norm(blocks[1]) > 0:
-        raise DomainError(
-            "a node is held up only by cross-block edges; shrinking the cross "
-            "block to pass the gate would isolate it"
-        )
-    a_min = observed_a_min(graph, part)
-    if a_min is None:
-        raise DomainError("observed block has no edges; nothing to gate against")
-    for _ in range(80):
-        # one eigvalsh of the shift I - op serves the validity check and every gate
-        ev = np.linalg.eigvalsh(np.eye(graph.n) - interaction_operator(graph, kappa))
-        rho = float(np.max(np.abs(ev)))
-        cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
-        if not rho < 1.0:
-            raise DomainError("graph invalid while gating (spectral radius >= 1)")
-        if cross == 0:
-            return graph
-        spec = ShiftSpectrum(rho=rho, lam=float(ev[0]))
-        gates = certified_gates(spec, alpha, beta, sigma, a_min, cross)
-        if gates == (None, None):
-            raise DomainError(
-                "gate_target_fraction needs an applicable gate: beta = 1/alpha in "
-                f"(0,1) or alpha > 0, got alpha={alpha}, beta={beta}"
-            )
-        gate = max(g.gate for g in gates if g is not None)
-        if cross < target_frac * gate:
-            return graph
-        graph = scale_cross_block(graph, part, min(0.5, 0.5 * target_frac * gate / cross))
-    raise DomainError("cross block did not pass the gate after 80 shrink steps")
-
-
 def cmd_verify(cfg: dict, run_dir: Path) -> None:
     model_params = cfg["model"]
     beta, method, gate_frac = cfg["beta"], cfg["method"], cfg["gate_target_fraction"]
@@ -462,9 +415,11 @@ def cmd_verify(cfg: dict, run_dir: Path) -> None:
 
     def one(seed: int):
         graph, part = _graph(cfg["graph"], seed=seed)
-        use_beta = beta if beta is not None else 1.0 / model_params["alpha"]
         if gate_frac is not None:
-            graph = _gate_shrink(graph, part, model_params, use_beta, gate_frac)
+            use_beta = beta if beta is not None else 1.0 / model_params["alpha"]
+            graph = shrink_to_gate(
+                graph, part, beta=use_beta, target_fraction=gate_frac, **model_params
+            )
         model = MaternModel(graph=graph, **model_params)
         return verify_instance(model, part, beta=beta, method=method)
 
@@ -709,9 +664,6 @@ _COMMANDS = {
     "report": cmd_report,
 }
 
-_EXIT_CODES = {ConfigError: 2, DomainError: 3, NumericalError: 4}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="covpow",
@@ -744,23 +696,18 @@ def main(argv=None) -> int:
         print(json.dumps({"run_dir": str(run_dir)}, sort_keys=True))
         return 0
     except CovpowError as exc:
-        code = 1
-        for klass, value in _EXIT_CODES.items():
-            if isinstance(exc, klass):
-                code = value
-                break
         print(
             json.dumps(
                 {
                     "error": type(exc).__name__,
                     "message": str(exc),
-                    "exit_code": code,
+                    "exit_code": exc.exit_code,
                 },
                 sort_keys=True,
             ),
             file=sys.stderr,
         )
-        return code
+        return exc.exit_code
 
 
 if __name__ == "__main__":

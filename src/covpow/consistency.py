@@ -10,7 +10,8 @@ operator alone: a fractional-power form (power in (0,1) matched to the field
 smoothness) and a contour form (any nonzero power, positive smoothness).
 Both read that operator only through its spectral radius and smallest
 eigenvalue, so every gate function accepts either the matrix or those two
-scalars as a ShiftSpectrum; certified_gates decides which gates apply.
+scalars as a ShiftSpectrum; certified_gates decides which gates apply, and
+shrink_to_gate scales a cross block down until the strongest one admits it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .graphs import NodePartition, WeightedGraph, observed_a_min, partition_blocks
+from .graphs import NodePartition, WeightedGraph, interaction_operator, observed_a_min
+from .graphs import partition_blocks, scale_cross_block
 from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
     SpdMatrix,
@@ -56,6 +58,7 @@ __all__ = [
     "default_epsilon_grid",
     "best_contour_gate",
     "certified_gates",
+    "shrink_to_gate",
     "verify_instance",
 ]
 
@@ -167,9 +170,7 @@ def commutation_error(
     p: NodePartition,
     beta: float,
     method: str = "eig",
-    n_quad: int = 400,
     contour_nodes: int = 256,
-    contour_margin: float = 0.5,
 ) -> SymMatrix:
     """Power-then-observe minus observe-then-power, on the observed block.
 
@@ -180,20 +181,20 @@ def commutation_error(
     if beta == 0 or not np.isfinite(beta):
         raise DomainError("commutation error needs a finite beta != 0")
     c_s = observed_covariance(c, p)
-    return _commutation_error(c, c_s, p, beta, method, n_quad, contour_nodes, contour_margin)
+    return _commutation_error(c, c_s, p, beta, method, contour_nodes)
 
 
-def _commutation_error(c, c_s, p, beta, method, n_quad=400, contour_nodes=256, contour_margin=0.5):
+def _commutation_error(c, c_s, p, beta, method, contour_nodes=256):
     """commutation_error given its observed block c_s = observed_covariance(c, p)."""
 
     def minus_power(x: SpdMatrix) -> np.ndarray:
         if method == "eig":
             return spd_power_eig(x, -beta).values
         if method == "stieltjes":
-            return spd_power_stieltjes(x, beta, n_quad=n_quad).values
+            return spd_power_stieltjes(x, beta).values
         if method == "contour":
             lo, hi = float(x.eigenvalues[0]), float(x.eigenvalues[-1])
-            spec = circular_contour(lo, hi, contour_margin * lo, nodes=contour_nodes)
+            spec = circular_contour(lo, hi, 0.5 * lo, nodes=contour_nodes)
             return spd_power_contour(x, beta, spec).values
         raise DomainError(f"unknown power method {method!r}")
 
@@ -407,11 +408,11 @@ def contour_gate(
     return _gate_at(_contour_gates(abar_m, alpha, beta, sigma, [epsilon], a_min, cross_norm), 0)
 
 
-def default_epsilon_grid(m: float, n_points: int = 20) -> np.ndarray:
-    """Log-spaced clearance candidates inside (0, m)."""
+def default_epsilon_grid(m: float) -> np.ndarray:
+    """Twenty log-spaced clearance candidates inside (0, m)."""
     if not m > 0:
         raise DomainError("spectrum lower bound must be positive")
-    return np.geomspace(0.01 * m, 0.99 * m, n_points)
+    return np.geomspace(0.01 * m, 0.99 * m, 20)
 
 
 def best_contour_gate(
@@ -441,7 +442,6 @@ def certified_gates(
     sigma: float,
     a_min: float,
     cross_norm: float,
-    epsilon_grid=None,
 ) -> tuple[FractionalGate | None, ContourGate | None]:
     """Every gate that applies to (alpha, beta); None for one that does not.
 
@@ -454,15 +454,63 @@ def certified_gates(
         frac = fractional_gate(spec, beta, a_min, cross_norm)
     cont = None
     if alpha > 0:
-        cont = best_contour_gate(spec, alpha, beta, sigma, a_min, cross_norm, epsilon_grid)
+        cont = best_contour_gate(spec, alpha, beta, sigma, a_min, cross_norm)
     return frac, cont
+
+
+def shrink_to_gate(
+    graph: WeightedGraph,
+    part: NodePartition,
+    kappa: float,
+    alpha: float,
+    beta: float,
+    sigma: float,
+    target_fraction: float,
+) -> WeightedGraph:
+    """Shrink the cross block until the strongest certified gate admits it.
+
+    Each step recomputes the gates, since shrinking changes the degrees, and
+    stops once the cross-block norm is 0 or below target_fraction of the
+    strongest gate. Raises DomainError when a node has only cross-block
+    edges, no gate applies, or 80 steps do not suffice.
+    """
+    blocks = partition_blocks(graph.adjacency, part)
+    in_block = np.concatenate([blocks[0].sum(axis=1), blocks[3].sum(axis=1)])
+    if in_block.min() <= 0 and operator_norm(blocks[1]) > 0:
+        raise DomainError(
+            "a node is held up only by cross-block edges; shrinking the cross "
+            "block to pass the gate would isolate it"
+        )
+    a_min = observed_a_min(graph, part)
+    if a_min is None:
+        raise DomainError("observed block has no edges; nothing to gate against")
+    for _ in range(80):
+        # one eigvalsh of the shift I - op serves the validity check and every gate
+        ev = np.linalg.eigvalsh(np.eye(graph.n) - interaction_operator(graph, kappa))
+        rho = float(np.max(np.abs(ev)))
+        cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
+        if not rho < 1.0:
+            raise DomainError("graph invalid while gating (spectral radius >= 1)")
+        if cross == 0:
+            return graph
+        spec = ShiftSpectrum(rho=rho, lam=float(ev[0]))
+        gates = certified_gates(spec, alpha, beta, sigma, a_min, cross)
+        if gates == (None, None):
+            raise DomainError(
+                "gate_target_fraction needs an applicable gate: beta = 1/alpha in "
+                f"(0,1) or alpha > 0, got alpha={alpha}, beta={beta}"
+            )
+        gate = max(g.gate for g in gates if g is not None)
+        if cross < target_fraction * gate:
+            return graph
+        graph = scale_cross_block(graph, part, min(0.5, 0.5 * target_fraction * gate / cross))
+    raise DomainError("cross block did not pass the gate after 80 shrink steps")
 
 
 def verify_instance(
     model: MaternModel,
     p: NodePartition,
     beta: float | None = None,
-    epsilon_grid=None,
     method: str = "eig",
 ) -> ConsistencyReport:
     """Full empirical-versus-certified consistency check on one instance.
@@ -514,7 +562,7 @@ def verify_instance(
     elif a_min is not None:
         spec = ShiftSpectrum(rho=rho, lam=float(1 - w[-1]))
         gate_frac, gate_cont = certified_gates(
-            spec, model.alpha, beta, model.sigma, a_min, cross_norm, epsilon_grid
+            spec, model.alpha, beta, model.sigma, a_min, cross_norm
         )
         if gate_frac is None:
             notes.append("fractional gate needs beta = 1/alpha in (0,1)")

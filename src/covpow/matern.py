@@ -21,7 +21,7 @@ from .graphs import (
     graph_to_json,
     interaction_operator,
 )
-from .spd import SpdMatrix, SymMatrix, sym_eigen
+from .spd import _SPD_TOL, SpdMatrix, SymMatrix, sym_eigen
 
 __all__ = [
     "MaternModel",
@@ -29,9 +29,6 @@ __all__ = [
     "sample_field",
     "observed_covariance",
 ]
-
-_PD_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MaternModel:
@@ -56,7 +53,7 @@ class MaternModel:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         op = interaction_operator(self.graph, self.kappa)
         w, q = sym_eigen(SymMatrix(op))
-        if w[0] <= _PD_TOL:
+        if w[0] <= _SPD_TOL:
             raise DomainError(
                 f"interaction operator is not positive definite: lambda_min = {w[0]:.3e}"
             )

@@ -13,15 +13,14 @@ import numpy as np
 from scipy.integrate import quad
 
 from covpow import (
+    DomainError,
     LabeledSeries,
     MaternModel,
     SpdMatrix,
     SplitSpec,
     WeightedGraph,
     WindowSpec,
-    abar,
     air_distance,
-    best_contour_gate,
     beta_integral_constant,
     circular_contour,
     class_distance_stats,
@@ -29,7 +28,6 @@ from covpow import (
     empirical_covariance,
     evaluate,
     extract_signature,
-    fractional_gate,
     interaction_operator,
     operator_norm,
     osc,
@@ -39,8 +37,8 @@ from covpow import (
     s3_score,
     sample_field,
     sample_inhomogeneous_er,
-    scale_cross_block,
     select_beta,
+    shrink_to_gate,
     signature_from_matrix,
     sliding_windows,
     spd_power_contour,
@@ -81,10 +79,10 @@ def _gated_instance(seed, alpha, u, sigma=1.0):
     """One partially observed model whose cross block passes a gate.
 
     Draws an 11-node graph (7 observed, 4 latent), then shrinks the
-    observed-latent block geometrically until its norm is below fraction u of
-    the strongest applicable gate, recomputing the gate each step because
-    shrinking changes the degrees. Returns (model, partition, report) or None
-    for draws that cannot be gated.
+    observed-latent block with shrink_to_gate, the rule `covpow verify` runs
+    under gate_target_fraction, until its norm is below fraction u of the
+    strongest applicable gate. Returns (model, partition, report) or None for
+    draws that cannot be gated.
     """
     graph, part = sample_inhomogeneous_er(
         7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=seed
@@ -95,25 +93,14 @@ def _gated_instance(seed, alpha, u, sigma=1.0):
     off = adj_s[~np.eye(adj_s.shape[0], dtype=bool)]
     if not (off > 0).any() or not (off == 0).any():
         return None  # structure check needs both pair kinds
-    a_min = float(off[off > 0].min())
-    beta = 1.0 / alpha
-    for _ in range(80):
-        shift, valid = abar(graph, 1.0)
-        cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
-        if not valid or cross == 0:
-            return None
-        gates = []
-        if 0 < beta < 1:
-            gates.append(fractional_gate(shift, beta, a_min, cross).gate)
-        gates.append(best_contour_gate(shift, alpha, beta, sigma, a_min, cross).gate)
-        target = u * max(gates)
-        if cross < target:
-            break
-        graph = scale_cross_block(graph, part, min(0.5, 0.5 * target / cross))
-    else:
+    try:
+        graph = shrink_to_gate(graph, part, 1.0, alpha, 1.0 / alpha, sigma, u)
+    except DomainError:
+        return None
+    if operator_norm(partition_blocks(graph.adjacency, part)[1]) == 0:
         return None
     if graph.degrees().min() < 1e-8:
-        return None  # a latent node held up only by the shrunk cross block
+        return None
     model = MaternModel(graph=graph, kappa=1.0, alpha=alpha, sigma=sigma)
     report = verify_instance(model, part)
     gf, gc = report.gate_fractional, report.gate_contour

@@ -18,10 +18,20 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
 import covpow
-from covpow import cli
+from covpow import cli, consistency
+from covpow.errors import ConfigError, CovpowError, DomainError, NumericalError
 from covpow.cli import main
-from covpow.features import LabeledSeries, read_series_csv, write_series_csv
-from covpow.graphs import WeightedGraph
+from covpow.features import (
+    LabeledSeries,
+    WindowSpec,
+    read_feature_archive,
+    read_series_csv,
+    write_series_csv,
+)
+from covpow.graphs import WeightedGraph, sample_inhomogeneous_er
+from covpow.matern import MaternModel, model_to_dict
+from covpow.pipeline import SplitSpec, select_beta, selection_to_dict
+from covpow.signatures import class_signatures, gmm_to_dict
 from covpow.spd import read_matrix_csv, write_matrix_csv
 
 
@@ -610,6 +620,20 @@ def test_bad_input_exits_with_its_location(
     assert not run.exists()
 
 
+@pytest.mark.parametrize(
+    "error, code", [(CovpowError, 1), (ConfigError, 2), (DomainError, 3), (NumericalError, 4)]
+)
+def test_error_class_gives_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    def fail(cfg, run_dir):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "report", fail)
+    path = write_config(tmp_path, "report.json", {"schema_version": "1", "runs": []})
+    assert main(["report", "--config", path, "--out", str(tmp_path / "run")]) == code
+    want = f'{{"error": "{error.__name__}", "exit_code": {code}, "message": "boom"}}\n'
+    assert capsys.readouterr().err == want
+
+
 class TestSimulate:
     def test_minimal_round_trip(self, tmp_path, capsys):
         config = minimal_simulate_config()
@@ -735,15 +759,16 @@ class TestVerify:
 
             return wrapper
 
-        def shrink(*args, _real=cli._gate_shrink):
+        def shrink(*args, _real=consistency.shrink_to_gate, **kwargs):
             shrinking.append(True)
             try:
-                return _real(*args)
+                return _real(*args, **kwargs)
             finally:
                 shrinking.pop()
 
-        monkeypatch.setattr(cli, "_gate_shrink", shrink)
-        monkeypatch.setattr(cli, "certified_gates", counted("steps", cli.certified_gates))
+        monkeypatch.setattr(cli, "shrink_to_gate", shrink)
+        steps = counted("steps", consistency.certified_gates)
+        monkeypatch.setattr(consistency, "certified_gates", steps)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 0
         # one certified_gates call per shrink step, each on that step's one eigvalsh
@@ -907,6 +932,98 @@ class TestGeometryAndSignatures:
             assert meta["label"] == label
             assert meta["threshold"] > 0
             assert (run / f"signature_class{label}.csv").exists()
+
+
+def _simulate_case(tmp_path):
+    """A simulate config, its library result and the same read from a run."""
+    config = {
+        "schema_version": "1",
+        "graph": {"type": "er", "n_obs": 5, "n_lat": 3, "p_obs": 0.6, "p_lat": 0.6,
+                  "p_cross": 0.4, "seed": 4},
+        "model": {"kappa": 1.0, "alpha": 2.0, "sigma": 1.0},
+        "samples": {"n_samples": 4, "seed": 0},
+    }
+
+    def library(cfg):
+        graph, _ = sample_inhomogeneous_er(
+            **{key: val for key, val in cfg["graph"].items() if key != "type"}
+        )
+        model = MaternModel(graph=graph, **cfg["model"])
+        return {**model_to_dict(model), "seed": cfg["samples"]["seed"]}
+
+    return config, library, lambda run: json.loads((run / "model.json").read_text())
+
+
+def _select_case(tmp_path):
+    series_csv = TestExtractSelectEvaluate().series_file(tmp_path, seed=1)
+    config = {
+        "schema_version": "1",
+        "series_csv": series_csv,
+        "window_grid": [{"length": 32, "overlap": 0.5}],
+        "beta_grid": [0.5, 1.0],
+        "split": {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2, "seed": 2},
+    }
+
+    def library(cfg):
+        fit = {key: cfg[key] for key in ("l2", "max_iter", "tol", "ridge") if key in cfg}
+        result = select_beta(
+            read_series_csv(cfg["series_csv"]),
+            beta_grid=cfg["beta_grid"],
+            window_grid=[WindowSpec(**rec) for rec in cfg["window_grid"]],
+            split=SplitSpec(**cfg["split"]),
+            **fit,
+        )
+        return json.loads(json.dumps(selection_to_dict(result)))
+
+    return config, library, lambda run: json.loads((run / "selection.json").read_text())
+
+
+def _signatures_case(tmp_path):
+    config = {
+        "schema_version": "1",
+        "features_dir": TestGeometryAndSignatures().archive(tmp_path),
+        "gmm": {},
+    }
+
+    def library(cfg):
+        labels, _, stack = read_feature_archive(cfg["features_dir"])
+        sigs = class_signatures(stack.values, labels, **cfg["gmm"])
+        return {label: [sig.threshold, gmm_to_dict(sig.fit)] for label, sig in sigs.items()}
+
+    def artifacts(run):
+        metas = [json.loads((run / f"signature_class{label}.json").read_text()) for label in (0, 1)]
+        return {meta["label"]: [meta["threshold"], meta["gmm"]] for meta in metas}
+
+    return config, library, artifacts
+
+
+@pytest.mark.parametrize(
+    "verb, key, value",
+    [
+        ("simulate", "graph.weight_low", 0.1),
+        ("simulate", "graph.weight_high", 3.0),
+        ("simulate", "graph.target_rho", 0.8),
+        ("select", "l2", 0.5),
+        ("select", "max_iter", 2),
+        ("select", "tol", 1e-2),
+        ("select", "ridge", 0.5),
+        ("select", "split.stratified", False),
+        ("signatures", "gmm.max_iter", 2),
+        ("signatures", "gmm.tol", 1e-2),
+        ("signatures", "gmm.seed", 5),
+    ],
+)
+def test_config_key_reaches_its_library_call(tmp_path, verb, key, value):
+    """The run's artifact equals the library call given the key, which the key changes."""
+    cases = {"simulate": _simulate_case, "select": _select_case, "signatures": _signatures_case}
+    config, library, artifacts = cases[verb](tmp_path)
+    without = library(config)
+    want = library(_set(config, key, value))
+    assert want != without
+    path = write_config(tmp_path, f"{verb}.json", config)
+    run = tmp_path / "run"
+    assert main([verb, "--config", path, "--out", str(run)]) == 0
+    assert artifacts(run) == want
 
 
 class TestPipeline:

@@ -31,6 +31,7 @@ from covpow.consistency import (
     is_structurally_consistent,
     osc,
     report_to_json,
+    shrink_to_gate,
     spectral_interval,
     verify_instance,
 )
@@ -785,6 +786,43 @@ class TestGateProperties:
         eps = eps_frac * spectral_interval(shift, alpha, sigma).low
         gates = [contour_gate(shift, alpha, beta, sigma, eps, a_min, c) for c in crosses]
         _assert_monotone_in_cross_norm(gates, crosses)
+
+
+class TestShrinkToGate:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 10_000),
+        alpha=st.sampled_from([0.5, 1.0, 2.0]),
+        fraction=st.floats(0.35, 0.85),
+        sigma=st.floats(0.7, 1.4),
+        start=st.sampled_from([1.0, 0.1, 0.01, 0.001]),
+    )
+    def test_only_the_cross_block_shrinks_below_the_gate(
+        self, seed, alpha, fraction, sigma, start
+    ):
+        # the acceptance-03 draw, its cross block started at or below the
+        # gate too; the gate is recomputed from the shifted matrix
+        g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=seed)
+        g = scale_cross_block(g, p, start)
+        beta = 1 / alpha
+        try:
+            got = shrink_to_gate(g, p, 1.0, alpha, beta, sigma, fraction)
+        except DomainError:
+            return
+        before, after = partition_blocks(g.adjacency, p), partition_blocks(got.adjacency, p)
+        assert after[0].tobytes() == before[0].tobytes()
+        assert after[3].tobytes() == before[3].tobytes()
+        cross = operator_norm(after[1])
+        if cross == 0:
+            return
+        shift, valid = abar(got, 1.0)
+        assert valid
+        off = before[0][~np.eye(len(p.observed), dtype=bool)]
+        a_min = float(off[off > 0].min())
+        gates = [best_contour_gate(shift, alpha, beta, sigma, a_min, cross).gate]
+        if 0 < beta < 1:
+            gates.append(fractional_gate(shift, beta, a_min, cross).gate)
+        assert cross < fraction * max(gates)
 
 
 class TestVerifyInstance:
