@@ -3,21 +3,25 @@
     python3 bench/record.py --out BENCH_<n>.json --repeats 10 --parent ../covpow-parent
     python3 bench/record.py --out /tmp/bench.json --seconds 3     # one quick run
 
-In the checkout that holds this script, for every workload in its
+For the checkout that holds this script, and for every workload in its
 BENCHMARK.json, it runs ``perfbench/run.py --workload W --seed S --seconds T``
 ``--repeats`` times, then once with ``--trace 1`` for the per-layer counts,
 then runs the tier-1 suite once against the checkout's own ``src`` and keeps
 its passed, skipped and failed counts (errors count as failed) and wall time.
-With ``--parent`` the same runs are made in a checkout of the parent commit,
+With ``--parent`` the same runs are made for a checkout of the parent commit,
 in pairs whose first side alternates (the change first in even pairs), and
 the file also holds, per metric, how many pairs the change won. Scaled and
 unscaled values are kept per run with their medians and quartiles, because
 the host-speed scale alone can move a scaled metric. Standard library only.
-It changes no checkout except in git-ignored directories: perfbench's work
-directory ``.perfbench-work/``, and the ``__pycache__/`` and ``.hypothesis/``
-directories that Python and hypothesis write while the suite runs (pytest's
-own cache is switched off). Exits 1 when any run reports a failed output
-check; a failed test is recorded, not an exit status.
+
+Every run happens in a copy: each checkout's working tree, uncommitted edits
+included, is copied into one temporary directory (as ``change/`` and
+``parent/``) without ``.git`` and the outputs of earlier runs (``SKIP``), and
+the directory is removed at the end. Both sides thus run from the same place
+on disk; a side run in place once lost every pair on a workload whose code had
+not changed. The commit and source digest are still read from the checkouts
+themselves. Exits 1 when any run reports a failed output check; a failed test
+is recorded, not an exit status.
 """
 
 from __future__ import annotations
@@ -27,15 +31,19 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # the raw medians perfbench prints on its `unscaled` line; lower is better for both
 UNSCALED = ("setup_s", "wall_s")
+# what a checkout's copy leaves out: git metadata and the outputs of earlier runs
+SKIP = (".git", ".perfbench-work", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks")
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -137,33 +145,38 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    sides = {"change": ROOT}
+    checkouts = {"change": ROOT}
     if args.parent is not None:
-        sides["parent"] = args.parent.resolve()
-
-    runs = {side: {w: [] for w in workloads} for side in sides}
-    for i in range(args.repeats):
-        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        for w in workloads:
-            for side in order:
-                rec = perfbench(sides[side], w, args.seed, args.seconds, 0)
-                runs[side][w].append(rec)
-                print(f"{i} {w} {side}: {rec['metrics']}", file=sys.stderr)
+        checkouts["parent"] = args.parent.resolve()
 
     record = {"command": ["python3", "perfbench/run.py", "--seed", str(args.seed),
                           "--seconds", str(args.seconds)], "repeats": args.repeats}
     correct = True
-    for side, checkout in sides.items():
-        environment = runs[side][workloads[0]][0]["environment"]
-        summaries = {}
-        for w in workloads:
-            traced = perfbench(checkout, w, args.seed, args.seconds, 1)
-            summaries[w] = summarize(runs[side][w], traced)
-            correct &= traced["correct"] and all(r["correct"] for r in runs[side][w])
-        record[side] = {**identity(checkout), "environment": environment,
-                        "src.lines": environment["src.lines"], "tier1": tier1(checkout),
-                        "workloads": summaries}
-        print(f"{side} tier1: {record[side]['tier1']}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="covpow-bench-") as tmp:
+        skip = shutil.ignore_patterns(*SKIP)
+        sides = {side: shutil.copytree(checkout, Path(tmp) / side, ignore=skip)
+                 for side, checkout in checkouts.items()}
+
+        runs = {side: {w: [] for w in workloads} for side in sides}
+        for i in range(args.repeats):
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            for w in workloads:
+                for side in order:
+                    rec = perfbench(sides[side], w, args.seed, args.seconds, 0)
+                    runs[side][w].append(rec)
+                    print(f"{i} {w} {side}: {rec['metrics']}", file=sys.stderr)
+
+        for side, workdir in sides.items():
+            environment = runs[side][workloads[0]][0]["environment"]
+            summaries = {}
+            for w in workloads:
+                traced = perfbench(workdir, w, args.seed, args.seconds, 1)
+                summaries[w] = summarize(runs[side][w], traced)
+                correct &= traced["correct"] and all(r["correct"] for r in runs[side][w])
+            record[side] = {**identity(checkouts[side]), "environment": environment,
+                            "src.lines": environment["src.lines"], "tier1": tier1(workdir),
+                            "workloads": summaries}
+            print(f"{side} tier1: {record[side]['tier1']}", file=sys.stderr)
     if args.parent is not None:
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         better.update({f"unscaled.{k}": "lower" for k in UNSCALED})

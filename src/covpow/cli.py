@@ -309,13 +309,8 @@ def _checked_config(command: str, config) -> dict:
     """The config validated against its verb's table, defaults filled in."""
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    table = {"schema_version": (str, _REQUIRED), **_TABLES[command]}
-    cfg = _validate(config, table, "config")
-    if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config.schema_version: expected {SCHEMA_VERSION!r}, got {cfg['schema_version']!r}"
-        )
-    return cfg
+    table = {"schema_version": (_OneOf((SCHEMA_VERSION,)), _REQUIRED), **_TABLES[command]}
+    return _validate(config, table, "config")
 
 
 def _graph(rec: dict, seed: int | None = None):

@@ -29,6 +29,7 @@ from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
     SpdMatrix,
     SymMatrix,
+    _square,
     circular_contour,
     operator_norm,
     spd_power_contour,
@@ -155,9 +156,7 @@ class ConsistencyReport:
 
 def osc(m) -> float:
     """Spread of the off-diagonal entries: max minus min, ignoring the diagonal."""
-    a = np.asarray(getattr(m, "values", m), dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    a = _square(m)
     if a.shape[0] < 2:
         raise DomainError("oscillation needs at least a 2x2 matrix")
     mask = ~np.eye(a.shape[0], dtype=bool)

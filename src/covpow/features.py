@@ -102,12 +102,10 @@ class Window:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Power-transformed window covariance plus provenance."""
+    """Power-transformed window covariance and its class label."""
 
     matrix: SpdMatrix
     label: int | None
-    beta: float
-    source_window: tuple[int, int] | None
 
 
 def sliding_windows(series: LabeledSeries, spec: WindowSpec) -> list[Window]:
@@ -184,17 +182,9 @@ def _window_covariances(
     return windows, SpdStack(covs)
 
 
-def power_features(
-    cov: SpdMatrix,
-    beta: float,
-    label: int | None = None,
-    source_window: tuple[int, int] | None = None,
-) -> FeatureMatrix:
-    """Raise a window covariance to the beta power and tag it."""
-    powered = spd_power_eig(cov, beta)
-    return FeatureMatrix(
-        matrix=powered, label=label, beta=float(beta), source_window=source_window
-    )
+def power_features(cov: SpdMatrix, beta: float, label: int | None = None) -> FeatureMatrix:
+    """Raise a window covariance to the beta power and tag it with its label."""
+    return FeatureMatrix(matrix=spd_power_eig(cov, beta), label=label)
 
 
 def _histogram_mi(channel: np.ndarray, labels: np.ndarray, bins: int) -> float:
@@ -309,7 +299,7 @@ def _first_bad_line(path, width: int) -> str | None:
 
 
 def write_feature_archive(
-    labels, ranges, stack: SpdStack, beta: float, dirpath, meta: dict | None = None
+    labels, ranges, stack: SpdStack, beta: float, dirpath, meta: dict
 ) -> None:
     """Directory of matrix CSVs plus a JSON manifest with provenance.
 
@@ -329,7 +319,7 @@ def write_feature_archive(
                 "source_window": list(source) if source else None,
             }
         )
-    manifest = {"count": len(entries), "entries": entries, "meta": meta or {}}
+    manifest = {"count": len(entries), "entries": entries, "meta": meta}
     with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 

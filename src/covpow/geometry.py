@@ -8,7 +8,6 @@ the standard affine-invariant form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -150,10 +149,6 @@ def class_distance_stats(features: list) -> IdentifiabilityReport:
 
 def report_to_dict(report: IdentifiabilityReport) -> dict:
     return asdict(report)
-
-
-def report_to_json(report: IdentifiabilityReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True)
 
 
 def write_pairwise_csv(distances: np.ndarray, path) -> None:

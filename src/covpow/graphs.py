@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .spd import _square
 
 __all__ = [
     "WeightedGraph",
@@ -218,9 +219,7 @@ def partition_blocks(
     m: np.ndarray, p: NodePartition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four blocks of a square matrix under the (S, S') ordering."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m)
     if m.shape[0] != p.n:
         raise DomainError(f"matrix dim {m.shape[0]} does not match partition n={p.n}")
     s = list(p.observed)

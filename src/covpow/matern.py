@@ -117,10 +117,8 @@ def model_to_dict(m: MaternModel) -> dict:
     }
 
 
-def write_model_json(m: MaternModel, path, seed: int | None = None) -> None:
-    rec = model_to_dict(m)
-    if seed is not None:
-        rec["seed"] = int(seed)
+def write_model_json(m: MaternModel, path, seed: int) -> None:
+    rec = {**model_to_dict(m), "seed": int(seed)}
     with open(path, "w") as fh:
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

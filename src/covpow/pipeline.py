@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .features import FeatureMatrix, LabeledSeries, WindowSpec, _window_covariances
+from .spd import _square
 
 __all__ = [
     "SplitSpec",
@@ -151,10 +152,7 @@ def vectorize_feature(matrix) -> np.ndarray:
     Makes the Euclidean inner product of vectors equal the Frobenius inner
     product of the matrices.
     """
-    a = np.asarray(getattr(matrix, "values", matrix), dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return _vectorize(a)
+    return _vectorize(_square(matrix))
 
 
 def _design_rows(features: list[FeatureMatrix]) -> np.ndarray:
@@ -169,10 +167,10 @@ class LinearClassifier:
     feature_mean: np.ndarray
     feature_scale: np.ndarray
     dim: int
-    seen_tokens: tuple[str, ...] = field(default=())
+    seen_tokens: tuple[str, ...]
 
-    def _decide(self, x: np.ndarray) -> np.ndarray:
-        """Decision values for a design matrix of vectorized features."""
+    def _predict(self, x: np.ndarray) -> np.ndarray:
+        """0/1 predictions for a design matrix of vectorized features."""
         if not len(x):
             raise DomainError("no features to score")
         if x.shape[1] != self.dim:
@@ -180,27 +178,16 @@ class LinearClassifier:
                 f"feature dim {x.shape[1]} does not match trained dim {self.dim}"
             )
         z = (x - self.feature_mean) / self.feature_scale
-        return np.column_stack([z, np.ones(len(x))]) @ self.weights
-
-    def _predict(self, x: np.ndarray) -> np.ndarray:
-        return (self._decide(x) >= 0).astype(int)
-
-    def decision_function(self, features: list[FeatureMatrix]) -> np.ndarray:
-        return self._decide(_design_rows(features))
+        return (np.column_stack([z, np.ones(len(x))]) @ self.weights >= 0).astype(int)
 
     def predict(self, features: list[FeatureMatrix]) -> np.ndarray:
         return self._predict(_design_rows(features))
 
 
-def _labels_from(features: list[FeatureMatrix], labels) -> np.ndarray:
-    if labels is not None:
-        lab = np.asarray(labels, dtype=int)
-    else:
-        if any(f.label is None for f in features):
-            raise DomainError("features carry no labels; pass labels explicitly")
-        lab = np.array([int(f.label) for f in features])
-    if lab.shape != (len(features),):
-        raise DomainError("labels must match the number of features")
+def _labels_from(features: list[FeatureMatrix]) -> np.ndarray:
+    if any(f.label is None for f in features):
+        raise DomainError("features carry no labels")
+    lab = np.array([int(f.label) for f in features])
     if not np.isin(lab, (0, 1)).all():
         raise DomainError("labels must be 0/1")
     return lab
@@ -208,7 +195,6 @@ def _labels_from(features: list[FeatureMatrix], labels) -> np.ndarray:
 
 def train_linear_classifier(
     features: list[FeatureMatrix],
-    labels=None,
     l2: float = 1e-3,
     max_iter: int = 100,
     tol: float = 1e-8,
@@ -220,7 +206,7 @@ def train_linear_classifier(
     unchanged; weights n/(2 n_c) rebalance classes without resampling.
     Deterministic: zero init, full batch, fixed backtracking schedule.
     """
-    lab = _labels_from(features, labels)
+    lab = _labels_from(features)
     return _fit_logistic(_design_rows(features), lab, l2, max_iter, tol, seen_tokens)
 
 
@@ -356,7 +342,6 @@ class SelectionResult:
     per_beta_table: list[dict]
     window_spec_star: WindowSpec | None
     classifier: LinearClassifier
-    seen_tokens: tuple[str, ...]
 
 
 def select_beta(
@@ -458,7 +443,6 @@ def _select_beta(
         per_beta_table=table,
         window_spec_star=wspec,
         classifier=clf,
-        seen_tokens=clf.seen_tokens,
     )
     return result, windows, stack
 
@@ -466,7 +450,7 @@ def _select_beta(
 def evaluate(classifier: LinearClassifier, features: list[FeatureMatrix], token: str | None = None) -> Metrics:
     """Held-out metrics; refuses data whose token was visible in training."""
     _refuse_leak(classifier, token)
-    return _evaluate(classifier, _design_rows(features), _labels_from(features, None))
+    return _evaluate(classifier, _design_rows(features), _labels_from(features))
 
 
 def _refuse_leak(classifier: LinearClassifier, token: str | None) -> None:

@@ -61,7 +61,8 @@ def _require(ok, exc, message, index=None) -> None:
 
 
 def _square(values) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
+    """A matrix, or a wrapper's ``values``, as a float array; rejects a non-square shape."""
+    a = _as_array(values)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -250,18 +251,15 @@ class SpdStack:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circle center/radius plus the clearance margin and node count."""
+    """Circle center/radius plus the node count."""
 
     center: float
     radius: float
-    epsilon: float
     nodes: int = 256
 
     def __post_init__(self) -> None:
         if not self.radius > 0:
             raise DomainError("contour radius must be positive")
-        if not self.epsilon > 0:
-            raise DomainError("contour epsilon must be positive")
         if not self.center - self.radius > 0:
             raise DomainError("contour must avoid (-inf, 0]: need center - radius > 0")
         if int(self.nodes) != self.nodes or self.nodes < 8:
@@ -276,7 +274,7 @@ def circular_contour(m: float, m_up: float, epsilon: float, nodes: int = 256) ->
         raise DomainError("epsilon must lie in (0, m)")
     center = (m + m_up) / 2
     radius = (m_up - m) / 2 + epsilon
-    return ContourSpec(center=center, radius=radius, epsilon=epsilon, nodes=nodes)
+    return ContourSpec(center=center, radius=radius, nodes=nodes)
 
 
 def sym_eigen(x) -> tuple[np.ndarray, np.ndarray]:

@@ -866,6 +866,13 @@ class TestVerifyInstance:
         assert report.gate_fractional is None
         assert "fractional gate needs beta = 1/alpha" in report.notes
         assert report.gate_contour is not None
+        # a negative alpha (beta = 1/alpha = -1) admits neither gate
+        model, p = er_instance(27, alpha=-1.0)
+        report = verify_instance(model, p)
+        assert report.gate_fractional is None and report.gate_contour is None
+        assert report.notes.endswith(
+            "fractional gate needs beta = 1/alpha in (0,1); contour gate needs alpha > 0"
+        )
 
     def test_report_serializes(self):
         model, p = er_instance(29)

@@ -178,10 +178,8 @@ class TestPowerFeatures:
 
     def test_provenance_carried(self):
         cov = SpdMatrix(np.eye(2))
-        feat = power_features(cov, 0.5, label=1, source_window=(10, 20))
+        feat = power_features(cov, 0.5, label=1)
         assert feat.label == 1
-        assert feat.source_window == (10, 20)
-        assert feat.beta == 0.5
 
 
 class TestMutualInfoSelect:

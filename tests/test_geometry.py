@@ -14,7 +14,7 @@ from covpow.geometry import (
     class_distance_stats,
     distance_stats,
     pairwise_distance_matrix,
-    report_to_json,
+    report_to_dict,
     write_pairwise_csv,
 )
 from covpow.graphs import sample_inhomogeneous_er
@@ -32,7 +32,7 @@ def random_spd(rng, n, cond_low=1.0, cond_high=50.0):
 
 
 def feature(mat, label):
-    return FeatureMatrix(matrix=mat, label=label, beta=1.0, source_window=None)
+    return FeatureMatrix(matrix=mat, label=label)
 
 
 def stack_of(feats):
@@ -224,7 +224,7 @@ class TestClassStats:
         m = SpdMatrix(np.eye(2))
         with pytest.raises(DomainError):
             class_distance_stats(
-                [feature(m, 0), FeatureMatrix(matrix=m, label=None, beta=1.0, source_window=None)]
+                [feature(m, 0), FeatureMatrix(matrix=m, label=None)]
             )
 
     def test_report_json(self):
@@ -233,7 +233,7 @@ class TestClassStats:
             feature(SpdMatrix(4 * np.eye(2)), 1),
             feature(SpdMatrix(9 * np.eye(2)), 1),
         ]
-        rec = json.loads(report_to_json(class_distance_stats(feats)))
+        rec = json.loads(json.dumps(report_to_dict(class_distance_stats(feats)), sort_keys=True))
         assert rec["n_pairs"]["inter"] == 2
         assert rec["intra_mean"][0] is None
 

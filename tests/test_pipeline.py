@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,13 +42,8 @@ from covpow.pipeline import (
 from covpow.spd import SpdMatrix
 
 
-def spd_feature(diag, label, beta=1.0):
-    return FeatureMatrix(
-        matrix=SpdMatrix(np.diag(np.asarray(diag, dtype=float))),
-        label=label,
-        beta=beta,
-        source_window=None,
-    )
+def spd_feature(diag, label):
+    return FeatureMatrix(matrix=SpdMatrix(np.diag(np.asarray(diag, dtype=float))), label=label)
 
 
 def two_class_series(seed=0, t=512, corr=0.9, scale=2.0):
@@ -261,9 +257,13 @@ class TestTrainClassifier:
         clf_once = train_linear_classifier(feats, l2=1e-3)
         clf_twice = train_linear_classifier(feats + feats, l2=1e-3)
         probe = self.separable_features(n_per=5, seed=9)
-        s1 = clf_once.decision_function(probe)
-        s2 = clf_twice.decision_function(probe)
-        assert np.max(np.abs(s1 - s2)) <= 1e-9
+        x = np.array([vectorize_feature(f.matrix) for f in probe])
+
+        def decide(clf):
+            z = (x - clf.feature_mean) / clf.feature_scale
+            return np.column_stack([z, np.ones(len(x))]) @ clf.weights
+
+        assert np.max(np.abs(decide(clf_once) - decide(clf_twice))) <= 1e-9
 
     def test_converges_to_stationary_point(self):
         # rebuild the documented loss and check its gradient at the optimum
@@ -284,6 +284,51 @@ class TestTrainClassifier:
         p = 1.0 / (1.0 + np.exp(y * (z @ clf.weights)))
         grad = -(z.T @ (sw * p * y)) / len(lab) + reg * clf.weights
         assert np.linalg.norm(grad) <= 1e-6
+
+    def test_line_search_halves_and_never_ascends_at_zero_tol(self, monkeypatch):
+        # tol=0 (the select key "tol") runs Newton to max_iter, where rounding
+        # makes some full steps fail the Armijo test; default tol stops first
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(np, "logaddexp", counted("loss", np.logaddexp))
+        l2 = 1e-3
+        halvings = []
+        for seed in range(5):
+            feats = self.separable_features(n_per=8, seed=seed)
+            before = calls.copy()
+            clf = train_linear_classifier(feats, l2=l2, tol=0.0)
+            done = calls - before
+            # one loss at the start, then one per line-search trial; each
+            # Newton step solves once and each failed trial halves the step
+            halvings.append(done["loss"] - 1 - done["solve"])
+            again = train_linear_classifier(feats, l2=l2, tol=0.0)
+            assert again.weights.tobytes() == clf.weights.tobytes()
+
+            x = np.array([vectorize_feature(f.matrix) for f in feats])
+            lab = np.array([f.label for f in feats])
+            z = np.column_stack([(x - clf.feature_mean) / clf.feature_scale, np.ones(len(x))])
+            y = 2.0 * lab - 1.0
+            n1 = lab.sum()
+            sw = np.where(lab == 1, len(lab) / (2 * n1), len(lab) / (2 * (len(lab) - n1)))
+            reg = np.full(z.shape[1], l2)
+            reg[-1] = 0.0
+
+            def loss(w):
+                margins = y * (z @ w)
+                return float(np.mean(sw * np.logaddexp(0.0, -margins))) + 0.5 * float(
+                    reg @ (w * w)
+                )
+
+            assert loss(clf.weights) <= loss(np.zeros_like(clf.weights))
+        assert max(halvings) >= 1, halvings
 
     def test_gradient_matches_finite_differences(self):
         # the analytic gradient used by Newton must match the loss it claims
@@ -396,6 +441,10 @@ class TestSelectBeta:
         assert result.beta_star == 0.5
         assert len(result.per_beta_table) == 1
         assert result.window_spec_star == spec
+        # no window grid: one spec of 64 samples at 0.75 overlap
+        result = select_beta(series, beta_grid=[0.5])
+        assert result.window_spec_star == WindowSpec(length=64, overlap=0.75)
+        assert len(result.per_beta_table) == 1
 
     def test_selected_beats_identity_power(self):
         series = two_class_series(seed=2)
@@ -458,7 +507,7 @@ class TestSelectBeta:
         parts = split_dataset(list(range(len(windows))), labels, split)
         blob = json.dumps(selection_to_dict(result), sort_keys=True)
         assert parts.test_token not in blob
-        assert parts.train_token in result.seen_tokens
+        assert parts.train_token in result.classifier.seen_tokens
 
     def test_permutation_null_stays_below_true_score(self):
         series = two_class_series(seed=8, t=512)
@@ -590,8 +639,6 @@ class TestEvaluate:
                             np.diag(base + rng.uniform(-0.2, 0.2, 2))
                         ),
                         label=label,
-                        beta=1.0,
-                        source_window=None,
                     )
                 )
         clf = train_linear_classifier(feats, l2=1e-6)

@@ -86,18 +86,15 @@ class TestContourSpec:
         c = circular_contour(1.0, 3.0, 0.5, nodes=64)
         assert c.center == 2.0
         assert c.radius == 1.5  # half the spread plus the clearance
-        assert c.epsilon == 0.5
         assert c.nodes == 64
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            ContourSpec(center=1.0, radius=0.0, epsilon=0.1)
+            ContourSpec(center=1.0, radius=0.0)
         with pytest.raises(DomainError):
-            ContourSpec(center=1.0, radius=0.5, epsilon=0.0)
+            ContourSpec(center=1.0, radius=1.5)  # dips below zero
         with pytest.raises(DomainError):
-            ContourSpec(center=1.0, radius=1.5, epsilon=0.1)  # dips below zero
-        with pytest.raises(DomainError):
-            ContourSpec(center=2.0, radius=0.5, epsilon=0.1, nodes=4)
+            ContourSpec(center=2.0, radius=0.5, nodes=4)
 
     def test_circular_contour_validation(self):
         with pytest.raises(DomainError):
@@ -154,6 +151,8 @@ class TestPowerEig:
     def test_rejects_nonfinite_beta(self):
         with pytest.raises(DomainError):
             spd_power_eig(random_spd(3, seed=0), np.nan)
+        with pytest.raises(DomainError, match="^beta must be finite$"):
+            SpdStack(spd_stack_values(2, 3, seed=0)).power(np.inf)
 
 
 class TestPowerStieltjes:
@@ -190,7 +189,7 @@ class TestPowerStieltjes:
 class TestPowerContour:
     def test_identity_any_power(self):
         x = SpdMatrix(np.eye(3))
-        spec = ContourSpec(center=1.0, radius=0.5, epsilon=0.5, nodes=64)
+        spec = ContourSpec(center=1.0, radius=0.5, nodes=64)
         assert_allclose(spd_power_contour(x, 2.0, spec).values, np.eye(3), atol=1e-8)
 
     def test_negative_beta_recovers_matrix(self):
@@ -222,15 +221,15 @@ class TestPowerContour:
     def test_rejects_contour_missing_spectrum(self):
         x = SpdMatrix([[1.0, -0.5], [-0.5, 1.0]])  # spectrum {0.5, 1.5}
         with pytest.raises(DomainError):
-            spd_power_contour(x, 0.5, ContourSpec(center=10.0, radius=1.0, epsilon=0.5))
+            spd_power_contour(x, 0.5, ContourSpec(center=10.0, radius=1.0))
         with pytest.raises(DomainError):
             # top eigenvalue 1.5 sits outside center 1.0, radius 0.45
-            spd_power_contour(x, 0.5, ContourSpec(center=1.0, radius=0.45, epsilon=0.1))
+            spd_power_contour(x, 0.5, ContourSpec(center=1.0, radius=0.45))
 
     def test_rejects_zero_beta(self):
         x = SpdMatrix(np.eye(2))
         with pytest.raises(DomainError):
-            spd_power_contour(x, 0.0, ContourSpec(center=1.0, radius=0.5, epsilon=0.5))
+            spd_power_contour(x, 0.0, ContourSpec(center=1.0, radius=0.5))
 
 
 class TestNorms:
