@@ -1,9 +1,10 @@
 """Command-line front end for reproducible batch runs.
 
 Every command reads one JSON config and validates it against that verb's
-table in ``_TABLES`` (unknown keys, wrong types and out-of-range seeds are
-rejected with their path), computes everything up front, and only then
-writes artifacts into a single run directory named after the config hash.
+table in ``_TABLES`` (unknown keys, wrong types, and out-of-range seeds and
+tolerances are rejected with their path), computes everything up front, and
+only then writes artifacts into a single run directory named after the config
+hash.
 Reruns with the same config produce byte-identical primary artifacts; the
 manifest carries hashes plus the only timestamp.
 
@@ -84,21 +85,22 @@ __all__ = ["main"]
 # Each verb's config is checked against one table, and each table maps the
 # keys of a section to (kind, default). A kind is a type (int, float, str,
 # bool), a nested table, [kind] for a list of that kind, a tuple of kinds for
-# a list of fixed length, _AtLeast(n) for an int no smaller than n, _OneOf(...)
-# for one of a few strings, or a _Variant of tables chosen by the section's
-# "type". A float accepts any JSON number a float can hold, and an int must
-# fit in 64 signed bits. The default _REQUIRED marks a key that must be given;
-# None leaves an absent key None, and any other default is filled in and
-# checked like a given value.
+# a list of fixed length, _AtLeast(n) for an int no smaller than n (a float
+# with _AtLeast(x, float)), _OneOf(...) for one of a few strings, or a
+# _Variant of tables chosen by the section's "type". A float accepts any JSON
+# number a float can hold, and an int must fit in 64 signed bits. The default
+# _REQUIRED marks a key that must be given; None leaves an absent key None,
+# and any other default is filled in and checked like a given value.
 
 _REQUIRED = object()
 
 
 @dataclass(frozen=True)
 class _AtLeast:
-    """An int no smaller than ``low``."""
+    """A number of type ``kind`` no smaller than ``low``."""
 
-    low: int
+    low: int | float
+    kind: type = int
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,7 @@ class _Variant:
 
 
 _SEED = _AtLeast(0)
+_TOL = _AtLeast(0.0, float)  # 0 is legal: the fit then stops only at max_iter
 _SIGNATURE_MODE = _OneOf(("class-mean", "per-matrix"))
 
 _GRAPH = _Variant(
@@ -165,7 +168,7 @@ _FIT = {
     "split": (_SPLIT, {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}),
     "l2": (float, None),
     "max_iter": (int, None),
-    "tol": (float, None),
+    "tol": (_TOL, None),
     "ridge": (float, None),
 }
 
@@ -202,7 +205,7 @@ _TABLES = {
     "signatures": {
         "features_dir": (str, _REQUIRED),
         "mode": (_SIGNATURE_MODE, "class-mean"),
-        "gmm": ({"max_iter": (int, None), "tol": (float, None), "seed": (_SEED, None)}, {}),
+        "gmm": ({"max_iter": (int, None), "tol": (_TOL, None), "seed": (_SEED, None)}, {}),
     },
     "pipeline": {
         "classes": ((_CLASS, _CLASS), _REQUIRED),
@@ -282,8 +285,8 @@ def _validate(value, kind, path: str, item: bool = False):
             for i, (val, sub) in enumerate(zip(value, kinds))
         ]
     if isinstance(kind, _AtLeast):
-        value = _validate(value, int, path, item)
-        if value < kind.low:
+        value = _validate(value, kind.kind, path, item)
+        if not value >= kind.low:  # also rejects a float NaN
             raise ConfigError(f"{path}: must be >= {kind.low}")
         return value
     if isinstance(kind, _OneOf):
@@ -418,12 +421,23 @@ def cmd_verify(cfg: dict, run_dir: Path) -> None:
         model = MaternModel(graph=graph, **model_params)
         return verify_instance(model, part, beta=beta, method=method)
 
-    seeds = list(range(start, start + count))
-    reports = [one(s) for s in seeds]
+    # a seed whose instance is outside a model's domain fails alone
+    reports, errors = {}, {}
+    for seed in range(start, start + count):
+        try:
+            reports[seed] = one(seed)
+        except DomainError as exc:
+            errors[seed] = exc
+    if not reports:
+        raise errors[start]
 
     run_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for seed, report in zip(seeds, reports):
+    for seed in range(start, start + count):
+        if seed in errors:
+            rows.append([seed, "", "", "", "", "", "", "failed", str(errors[seed])])
+            continue
+        report = reports[seed]
         rec = consistency_report_to_dict(report)
         (run_dir / f"report_{seed:05d}.json").write_text(_json_text(rec))
         gate_vals = [
@@ -442,12 +456,15 @@ def cmd_verify(cfg: dict, run_dir: Path) -> None:
                 else "",
                 repr(report.delta_spectral_norm),
                 report.empirically_consistent,
+                "ok",
+                "",
             ]
         )
     with open(run_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["seed", "beta", "cross_norm", "gate", "bound", "empirical_norm", "consistent"]
+            ["seed", "beta", "cross_norm", "gate", "bound", "empirical_norm", "consistent",
+             "status", "error"]
         )
         writer.writerows(rows)
 
@@ -604,7 +621,10 @@ def cmd_pipeline(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_report(cfg: dict, run_dir: Path) -> None:
-    """Aggregate verify runs: consistency rate and bound-tightness ratios."""
+    """Aggregate verify runs: consistency rate and bound-tightness ratios.
+
+    Failed seeds are counted; the rates are taken over the seeds that succeeded.
+    """
     if not cfg["runs"]:
         raise ConfigError("config.runs: need at least one verify run directory")
     rows = []
@@ -616,14 +636,15 @@ def cmd_report(cfg: dict, run_dir: Path) -> None:
             found = list(csv.DictReader(fh))
         if not found:
             raise ConfigError(f"config.runs[{i}]: {summary} has no rows")
-        missing = {"consistent", "bound", "empirical_norm"} - set(found[0])
+        missing = {"consistent", "bound", "empirical_norm", "status"} - set(found[0])
         if missing:
             raise ConfigError(f"config.runs[{i}]: {summary} lacks column(s) {sorted(missing)}")
         rows += found
     n_total = len(rows)
-    n_consistent = sum(1 for r in rows if r["consistent"] == "True")
+    ok = [r for r in rows if r["status"] == "ok"]
+    n_consistent = sum(1 for r in ok if r["consistent"] == "True")
     ratios = []
-    for r in rows:
+    for r in ok:
         if r["bound"]:
             bound = float(r["bound"])
             emp = float(r["empirical_norm"])
@@ -631,8 +652,9 @@ def cmd_report(cfg: dict, run_dir: Path) -> None:
                 ratios.append(emp / bound)
     report = {
         "n_rows": n_total,
+        "n_failed": n_total - len(ok),
         "n_consistent": n_consistent,
-        "consistency_rate": n_consistent / n_total,
+        "consistency_rate": n_consistent / len(ok) if ok else None,
         "tightness": {
             "count": len(ratios),
             "min": min(ratios) if ratios else None,

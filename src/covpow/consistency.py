@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -180,25 +180,21 @@ def commutation_error(
     if beta == 0 or not np.isfinite(beta):
         raise DomainError("commutation error needs a finite beta != 0")
     c_s = observed_covariance(c, p)
-    return _commutation_error(c, c_s, p, beta, method, contour_nodes)
+    power_s = _minus_power(c_s, beta, method, contour_nodes)
+    return SymMatrix(power_s - _minus_power(c, beta, method, contour_nodes)[p._meshes[0]])
 
 
-def _commutation_error(c, c_s, p, beta, method, contour_nodes=256):
-    """commutation_error given its observed block c_s = observed_covariance(c, p)."""
-
-    def minus_power(x: SpdMatrix) -> np.ndarray:
-        if method == "eig":
-            return spd_power_eig(x, -beta).values
-        if method == "stieltjes":
-            return spd_power_stieltjes(x, beta).values
-        if method == "contour":
-            lo, hi = float(x.eigenvalues[0]), float(x.eigenvalues[-1])
-            spec = circular_contour(lo, hi, 0.5 * lo, nodes=contour_nodes)
-            return spd_power_contour(x, beta, spec).values
-        raise DomainError(f"unknown power method {method!r}")
-
-    s = list(p.observed)
-    return SymMatrix(minus_power(c_s) - minus_power(c)[np.ix_(s, s)])
+def _minus_power(x: SpdMatrix, beta: float, method: str, contour_nodes: int = 256) -> np.ndarray:
+    """X^(-beta) by one of commutation_error's methods."""
+    if method == "eig":
+        return spd_power_eig(x, -beta).values
+    if method == "stieltjes":
+        return spd_power_stieltjes(x, beta).values
+    if method == "contour":
+        lo, hi = float(x.eigenvalues[0]), float(x.eigenvalues[-1])
+        spec = circular_contour(lo, hi, 0.5 * lo, nodes=contour_nodes)
+        return spd_power_contour(x, beta, spec).values
+    raise DomainError(f"unknown power method {method!r}")
 
 
 def is_structurally_consistent(est, truth_s: WeightedGraph, beta: float) -> StructureCheck:
@@ -357,11 +353,17 @@ def amplification_factor(abar_m, alpha: float, sigma: float) -> float:
     return sigma**2 * alpha * (1 - _spectrum(abar_m).rho) ** (-alpha - 1)
 
 
-def _contour_gates(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> ContourGate:
-    """The contour gate at every clearance at once, as arrays and shared scalars.
+def _best_gate(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> ContourGate:
+    """The contour gate at the clearance that maximizes it; ties keep the first.
 
-    np.float_power matches Python's float ** bit for bit (np.power does not).
+    Every clearance is evaluated in one numpy pass. epsilons=None takes
+    default_epsilon_grid. np.float_power matches Python's float ** bit for
+    bit (np.power does not).
     """
+    if epsilons is not None:
+        eps = np.fromiter(epsilons, dtype=float)
+        if not eps.size:
+            raise DomainError("epsilon grid is empty")
     if beta == 0 or not np.isfinite(beta):
         raise DomainError("contour gate needs a finite beta != 0")
     if a_min is None or not a_min > 0:
@@ -371,10 +373,12 @@ def _contour_gates(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> C
     spec = _spectrum(abar_m)
     interval = spectral_interval(spec, alpha, sigma)
     m, m_up = interval.low, interval.high
-    eps = np.asarray(epsilons, dtype=float)
-    bad = np.flatnonzero(~((0 < eps) & (eps < m)))
-    if bad.size:
-        raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {epsilons[bad[0]]}")
+    if epsilons is None:
+        eps = default_epsilon_grid(m)  # inside (0, m) by construction
+    else:
+        bad = np.flatnonzero(~((0 < eps) & (eps < m)))
+        if bad.size:
+            raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {eps[bad[0]]}")
     radius = (m_up - m) / 2 + eps
     magnitude = np.float_power(m - eps if beta >= 0 else m_up + eps, -beta)
     k_const = radius * np.float_power(eps, -3) * magnitude
@@ -384,14 +388,22 @@ def _contour_gates(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> C
     c_eps = s_eps * np.sqrt(a_min / (spread + a_min))
     g_eps = np.where(c_eps < s_eps, c_eps, s_eps)  # min(s_eps, c_eps)
     theta = np.float_power(amp * cross_norm / eps, 2)
-    values = (eps, m, m_up, radius, magnitude, k_const, amp, s_eps, c_eps, g_eps, theta)
-    return ContourGate(*values, cross_norm < g_eps)
-
-
-def _gate_at(grid: ContourGate, i: int) -> ContourGate:
-    """Gate i of a grid; a scalar field is shared by every gate."""
-    values = (getattr(grid, f.name) for f in fields(ContourGate))
-    return ContourGate(*(v[i].item() if np.ndim(v) else v for v in values))
+    i = int(np.argmax(g_eps))
+    gate = g_eps[i].item()
+    return ContourGate(
+        epsilon=eps[i].item(),
+        spectrum_low=m,
+        spectrum_high=m_up,
+        radius=radius[i].item(),
+        magnitude=magnitude[i].item(),
+        contour_constant=k_const[i].item(),
+        amplification=amp,
+        stability=s_eps[i].item(),
+        control=c_eps[i].item(),
+        gate=gate,
+        theta_bound=theta[i].item(),
+        satisfied=bool(cross_norm < gate),
+    )
 
 
 def contour_gate(
@@ -404,14 +416,27 @@ def contour_gate(
     cross_norm: float,
 ) -> ContourGate:
     """Evaluate the contour-form gate at a given clearance epsilon."""
-    return _gate_at(_contour_gates(abar_m, alpha, beta, sigma, [epsilon], a_min, cross_norm), 0)
+    return _best_gate(abar_m, alpha, beta, sigma, [epsilon], a_min, cross_norm)
+
+
+_STEPS = np.arange(20.0)
+_STEPS.flags.writeable = False
 
 
 def default_epsilon_grid(m: float) -> np.ndarray:
-    """Twenty log-spaced clearance candidates inside (0, m)."""
+    """Twenty log-spaced clearance candidates inside (0, m).
+
+    Bit for bit np.geomspace(0.01 * m, 0.99 * m, 20), spelled out as numpy's
+    own linspace-then-power arithmetic to skip its general-case overhead.
+    """
     if not m > 0:
         raise DomainError("spectrum lower bound must be positive")
-    return np.geomspace(0.01 * m, 0.99 * m, 20)
+    lo, hi = np.log10(0.01 * m), np.log10(0.99 * m)
+    y = _STEPS * ((hi - lo) / 19) + lo
+    y[-1] = hi
+    grid = np.power(10.0, y)
+    grid[0], grid[-1] = 0.01 * m, 0.99 * m
+    return grid
 
 
 def best_contour_gate(
@@ -424,14 +449,7 @@ def best_contour_gate(
     epsilon_grid=None,
 ) -> ContourGate:
     """Contour gate maximized over a clearance grid; ties keep the first."""
-    spec = _spectrum(abar_m)
-    if epsilon_grid is None:
-        epsilon_grid = default_epsilon_grid(spectral_interval(spec, alpha, sigma).low)
-    eps = np.fromiter(epsilon_grid, dtype=float)
-    if not eps.size:
-        raise DomainError("epsilon grid is empty")
-    grid = _contour_gates(spec, alpha, beta, sigma, eps, a_min, cross_norm)
-    return _gate_at(grid, int(np.argmax(grid.gate)))
+    return _best_gate(abar_m, alpha, beta, sigma, epsilon_grid, a_min, cross_norm)
 
 
 def certified_gates(
@@ -529,7 +547,10 @@ def verify_instance(
 
     c = population_covariance(model)
     c_s = observed_covariance(c, p)
-    delta = _commutation_error(c, c_s, p, beta, method)
+    # the eig route's observed power doubles as the structure estimator
+    est = spd_power_eig(c_s, -beta).values
+    power_s = est if method == "eig" else _minus_power(c_s, beta, method)
+    delta = SymMatrix(power_s - _minus_power(c, beta, method)[p._meshes[0]])
     delta_norm = spectral_norm(delta)
     n_obs = len(p.observed)
     delta_osc = osc(delta) if n_obs >= 2 else None
@@ -547,7 +568,6 @@ def verify_instance(
     else:
         notes.append("observed block has no edges; threshold and gates not applicable")
 
-    est = spd_power_eig(c_s, -beta).values
     check = is_structurally_consistent(est, truth_s, beta)
     if check.status == "not_applicable":
         notes.append("structure check not applicable: need both pair kinds in the observed block")

@@ -8,6 +8,7 @@ radius decides model validity.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -111,6 +112,16 @@ class NodePartition:
     @property
     def n(self) -> int:
         return len(self.observed) + len(self.latent)
+
+    @functools.cached_property
+    def _meshes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """np.ix_ meshes of the (S,S), (S,S'), (S',S) and (S',S') blocks, read-only."""
+        s, sp = list(self.observed), list(self.latent)
+        meshes = (np.ix_(s, s), np.ix_(s, sp), np.ix_(sp, s), np.ix_(sp, sp))
+        for mesh in meshes:
+            for arr in mesh:
+                arr.flags.writeable = False
+        return meshes
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
@@ -222,14 +233,8 @@ def partition_blocks(
     m = _square(m)
     if m.shape[0] != p.n:
         raise DomainError(f"matrix dim {m.shape[0]} does not match partition n={p.n}")
-    s = list(p.observed)
-    sp = list(p.latent)
-    return (
-        m[np.ix_(s, s)],
-        m[np.ix_(s, sp)],
-        m[np.ix_(sp, s)],
-        m[np.ix_(sp, sp)],
-    )
+    ss, s_sp, sp_s, sp_sp = p._meshes
+    return m[ss], m[s_sp], m[sp_s], m[sp_sp]
 
 
 def observed_a_min(g: WeightedGraph, p: NodePartition) -> float | None:
@@ -252,11 +257,10 @@ def scale_cross_block(g: WeightedGraph, p: NodePartition, factor: float) -> Weig
     """
     if factor < 0:
         raise DomainError("cross-block scale factor must be nonnegative")
-    s = list(p.observed)
-    sp = list(p.latent)
+    _, s_sp, sp_s, _ = p._meshes
     a = np.array(g.adjacency)
-    a[np.ix_(s, sp)] *= factor
-    a[np.ix_(sp, s)] *= factor
+    a[s_sp] *= factor
+    a[sp_s] *= factor
     return WeightedGraph(a)
 
 

@@ -100,8 +100,7 @@ def observed_covariance(c: SpdMatrix, p: NodePartition) -> SpdMatrix:
     """Principal submatrix on the observed nodes; ``c`` itself when all are observed."""
     if c.dim != p.n:
         raise DomainError(f"covariance dim {c.dim} does not match partition n={p.n}")
-    s = list(p.observed)
-    return c if len(s) == c.dim else SpdMatrix(c.values[np.ix_(s, s)])
+    return c if len(p.observed) == c.dim else SpdMatrix(c.values[p._meshes[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,7 @@ def operator_norm(block: np.ndarray) -> float:
     b = np.asarray(block, dtype=float)
     if b.size == 0:
         return 0.0
-    return float(np.linalg.norm(b, 2))
+    return float(np.linalg.svd(b, compute_uv=False).max())  # what norm(b, 2) computes
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """End-to-end CLI tests: validation, exit codes, artifacts, reproducibility."""
 
+import csv
 import importlib.metadata
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -182,6 +184,11 @@ def bad_config_inputs(tmp_path_factory):
     (header_only / "summary.csv").write_text(
         "seed,beta,cross_norm,gate,bound,empirical_norm,consistent\n"
     )
+    no_status = root / "no-status"  # a summary written before the status column
+    no_status.mkdir()
+    (no_status / "summary.csv").write_text(
+        "seed,beta,cross_norm,gate,bound,empirical_norm,consistent\n0,0.5,0.1,0.2,,0.01,True\n"
+    )
     (root / "bare").mkdir()
     selection = {"beta_star": 1.0, "window_length": 32, "window_overlap": 0.5}
     classifier = {
@@ -261,6 +268,7 @@ def bad_config_inputs(tmp_path_factory):
         "features": features,
         "no_classifier": str(no_classifier),
         "header_only": str(header_only),
+        "no_status": str(no_status),
         "bare": str(root / "bare"),
         **{name: str(root / name) for name in [*broken, *damaged]},
     }
@@ -341,6 +349,35 @@ BAD_CONFIGS = [
         2,
         "config.gmm.seed",
         id="signatures-gmm-seed",
+    ),
+    # negative or NaN tolerances, which would run every fit to max_iter
+    pytest.param(
+        "select",
+        lambda d: {"schema_version": "1", "series_csv": d["series"], "tol": -1e-8},
+        2,
+        "config.tol: must be >= 0.0",
+        id="select-negative-tol",
+    ),
+    pytest.param(
+        "select",
+        lambda d: {"schema_version": "1", "series_csv": d["series"], "tol": math.nan},
+        2,
+        "config.tol: must be >= 0.0",
+        id="select-nan-tol",
+    ),
+    pytest.param(
+        "pipeline",
+        lambda d: _set(two_class_pipeline_config(), "tol", -1),
+        2,
+        "config.tol: must be >= 0.0",
+        id="pipeline-negative-tol",
+    ),
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["features"], "gmm": {"tol": -0.5}},
+        2,
+        "config.gmm.tol: must be >= 0.0",
+        id="signatures-gmm-negative-tol",
     ),
     # list elements
     pytest.param(
@@ -591,6 +628,13 @@ BAD_CONFIGS = [
         id="summary-header-only",
     ),
     pytest.param(
+        "report",
+        lambda d: {"schema_version": "1", "runs": [d["no_status"]]},
+        2,
+        "summary.csv lacks column(s) ['status']",
+        id="summary-without-status",
+    ),
+    pytest.param(
         "geometry",
         lambda d: {"schema_version": "1", "features_dir": d["bare"]},
         2,
@@ -618,6 +662,16 @@ def test_bad_input_exits_with_its_location(
     assert err["exit_code"] == code
     assert where in err["message"]
     assert not run.exists()
+
+
+def test_zero_tol_is_legal():
+    # tol 0 fits to max_iter, and the line-search tests rely on it
+    select = {"schema_version": "1", "series_csv": "s.csv", "tol": 0}
+    signatures = {"schema_version": "1", "features_dir": "f", "gmm": {"tol": 0.0}}
+    assert cli._checked_config("select", select)["tol"] == 0.0
+    pipeline = _set(two_class_pipeline_config(), "tol", 0)
+    assert cli._checked_config("pipeline", pipeline)["tol"] == 0.0
+    assert cli._checked_config("signatures", signatures)["gmm"]["tol"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -734,7 +788,9 @@ class TestVerify:
         assert len(reports) == 10
         rows = (run / "summary.csv").read_text().strip().split("\n")
         assert len(rows) == 11  # header + 10 seeds
-        assert rows[0] == "seed,beta,cross_norm,gate,bound,empirical_norm,consistent"
+        assert rows[0] == (
+            "seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error"
+        )
 
     def test_gated_batch_all_consistent(self, tmp_path):
         config = self.verify_config(count=6, gate_frac=0.5)
@@ -744,7 +800,31 @@ class TestVerify:
         run = tmp_path / "run"
         assert main(["verify", "--config", path, "--out", str(run)]) == 0
         rows = (run / "summary.csv").read_text().strip().split("\n")[1:]
-        assert all(row.endswith(",True") for row in rows)
+        assert all(row.endswith(",True,ok,") for row in rows)
+
+    def test_failed_seed_fails_alone(self, tmp_path):
+        # seed 4 draws a node with only cross edges, which cannot be gated
+        config = self.verify_config(count=3, gate_frac=0.5)
+        config["seeds"] = {"start": 3, "count": 3}
+        path = write_config(tmp_path, "verify.json", config)
+        run = tmp_path / "run"
+        assert main(["verify", "--config", path, "--out", str(run)]) == 0
+        reports = sorted(p.name for p in run.glob("report_*.json"))
+        assert reports == ["report_00003.json", "report_00005.json"]
+        with open(run / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["seed"], r["status"]) for r in rows] == [
+            ("3", "ok"), ("4", "failed"), ("5", "ok")
+        ]
+        assert "held up only by cross-block edges" in rows[1]["error"]
+        assert rows[1]["consistent"] == rows[1]["beta"] == "" and rows[0]["error"] == ""
+        # a good seed's report does not depend on a failed neighbour
+        config["seeds"] = {"start": 5, "count": 1}
+        alone = tmp_path / "alone"
+        path = write_config(tmp_path, "alone.json", config)
+        assert main(["verify", "--config", path, "--out", str(alone)]) == 0
+        name = "report_00005.json"
+        assert (run / name).read_bytes() == (alone / name).read_bytes()
 
     def test_gate_shrink_factors_each_step_once(self, tmp_path, monkeypatch):
         config = self.verify_config(count=6, gate_frac=0.5)
@@ -1094,10 +1174,29 @@ class TestReport:
         assert main(["report", "--config", rpath, "--out", str(rrun)]) == 0
         report = json.loads((rrun / "report.json").read_text())
         assert report["n_rows"] == 5
+        assert report["n_failed"] == 0
         assert report["consistency_rate"] == 1.0
         if report["tightness"]["count"] > 0:
             assert 0 < report["tightness"]["min"]
             assert report["tightness"]["max"] <= 1.0
+
+    def test_rates_skip_failed_rows(self, tmp_path):
+        header = "seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error\n"
+        (tmp_path / "v").mkdir()
+        (tmp_path / "v" / "summary.csv").write_text(
+            header
+            + "0,0.5,0.1,0.2,0.5,0.125,True,ok,\n"
+            + "1,,,,,,,failed,a node is held up only by cross-block edges\n"
+            + "2,0.5,0.1,0.2,0.5,0.375,False,ok,\n"
+        )
+        report_config = {"schema_version": "1", "runs": [str(tmp_path / "v")]}
+        rpath = write_config(tmp_path, "report.json", report_config)
+        rrun = tmp_path / "report-run"
+        assert main(["report", "--config", rpath, "--out", str(rrun)]) == 0
+        report = json.loads((rrun / "report.json").read_text())
+        assert (report["n_rows"], report["n_failed"], report["n_consistent"]) == (3, 1, 1)
+        assert report["consistency_rate"] == 0.5
+        assert report["tightness"] == {"count": 2, "min": 0.25, "max": 0.75, "mean": 0.5}
 
     def test_missing_summary_rejected(self, tmp_path, capsys):
         report_config = {"schema_version": "1", "runs": [str(tmp_path / "ghost")]}

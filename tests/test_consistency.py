@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.linalg import fractional_matrix_power
 from scipy.special import gammaln
 
+from covpow import consistency
 from covpow.consistency import (
     ConsistencyReport,
     ContourGate,
@@ -686,6 +687,12 @@ class TestContourGrid:
             best_contour_gate(shift, alpha, beta, sigma, a_min, cross, np.array(grid))
         assert str(got.value) == str(want.value)
 
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(m=st.one_of(st.floats(1e-12, 1e12), st.floats(-12.0, 12.0).map(lambda e: 10.0**e)))
+    def test_default_grid_is_geomspace_bit_for_bit(self, m):
+        want = np.geomspace(0.01 * m, 0.99 * m, 20)
+        assert default_epsilon_grid(m).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("grid", [[], (), np.array([])])
     def test_empty_grid_rejected_before_other_checks(self, grid):
         shift = np.diag([0.5, -0.4])
@@ -823,6 +830,41 @@ class TestShrinkToGate:
         if 0 < beta < 1:
             gates.append(fractional_gate(shift, beta, a_min, cross).gate)
         assert cross < fraction * max(gates)
+
+
+class TestGatePathCallCounts:
+    """The numpy calls the gate path replaced stay replaced."""
+
+    @staticmethod
+    def counted(calls, name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    def test_shrink_run_meshes_each_partition_once(self, monkeypatch):
+        # seed 3 of the acceptance-03 draw takes two shrink steps
+        g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=3)
+        calls = Counter()
+        for module, name in ((np, "ix_"), (np, "geomspace"), (consistency, "certified_gates")):
+            monkeypatch.setattr(module, name, self.counted(calls, name, getattr(module, name)))
+        shrink_to_gate(g, p, 1.0, 2.0, 0.5, 1.0, 0.5)
+        assert calls["certified_gates"] >= 2
+        # one mesh per block of the partition, and no geomspace in any contour gate
+        assert calls["ix_"] <= 4 and calls["geomspace"] == 0
+
+    def test_eig_route_powers_the_observed_block_once(self, monkeypatch):
+        model, p = gated_instance(23)
+        dims = Counter()
+
+        def counted(x, beta, _real=consistency.spd_power_eig):
+            dims[x.dim] += 1
+            return _real(x, beta)
+
+        monkeypatch.setattr(consistency, "spd_power_eig", counted)
+        verify_instance(model, p, method="eig")
+        assert dims == {len(p.observed): 1, model.n: 1}
 
 
 class TestVerifyInstance:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covpow.errors import DomainError
@@ -156,6 +158,39 @@ class TestPartitionBlocks:
         p = NodePartition.from_observed(3, [0])
         with pytest.raises(DomainError):
             partition_blocks(np.zeros((4, 4)), p)
+
+
+# an observed-node mask over 2..8 nodes with at least one observed node
+_layouts = st.integers(2, 8).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+)
+
+
+class TestCachedMeshes:
+    """Block indexing through a partition's cached meshes equals np.ix_ indexing."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(layout=_layouts, seed=st.integers(0, 2**32 - 1), factor=st.floats(0.0, 2.0))
+    def test_blocks_and_cross_scaling_match_ix(self, layout, seed, factor):
+        n = len(layout)
+        s = [i for i in range(n) if layout[i]]
+        sp = [i for i in range(n) if not layout[i]]
+        p = NodePartition.from_observed(n, s)
+        rng = np.random.default_rng(seed)
+        # the second matrix and the second graph index an already-cached partition
+        for m in (rng.standard_normal((n, n)), rng.standard_normal((n, n))):
+            want = (m[np.ix_(s, s)], m[np.ix_(s, sp)], m[np.ix_(sp, s)], m[np.ix_(sp, sp)])
+            for got, block in zip(partition_blocks(m, p), want):
+                assert got.shape == block.shape and got.tobytes() == block.tobytes()
+        for _ in range(2):
+            a = np.triu(rng.uniform(0.0, 2.0, (n, n)), k=1)
+            a = a + a.T
+            want = a.copy()
+            want[np.ix_(s, sp)] *= factor
+            want[np.ix_(sp, s)] *= factor
+            got = scale_cross_block(WeightedGraph(a), p, factor).adjacency
+            assert got.tobytes() == want.tobytes()
+        assert not any(arr.flags.writeable for mesh in p._meshes for arr in mesh)
 
 
 class TestErSampler:
