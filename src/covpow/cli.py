@@ -85,8 +85,8 @@ __all__ = ["main"]
 # Each verb's config is checked against one table, and each table maps the
 # keys of a section to (kind, default). A kind is a type (int, float, str,
 # bool), a nested table, [kind] for a list of that kind, a tuple of kinds for
-# a list of fixed length, _AtLeast(n) for an int no smaller than n (a float
-# with _AtLeast(x, float)), _OneOf(...) for one of a few strings, or a
+# a list of fixed length, _AtLeast(n) for an int no smaller than n (a finite
+# float with _AtLeast(x, float)), _OneOf(...) for one of a few strings, or a
 # _Variant of tables chosen by the section's "type". A float accepts any JSON
 # number a float can hold, and an int must fit in 64 signed bits. The default
 # _REQUIRED marks a key that must be given; None leaves an absent key None,
@@ -97,7 +97,7 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _AtLeast:
-    """A number of type ``kind`` no smaller than ``low``."""
+    """A number of type ``kind`` no smaller than ``low``; a float must also be finite."""
 
     low: int | float
     kind: type = int
@@ -166,7 +166,7 @@ _FIT = {
     "window_grid": ([_WINDOW], None),
     "beta_grid": ([float], None),
     "split": (_SPLIT, {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}),
-    "l2": (float, None),
+    "l2": (_AtLeast(0.0, float), None),
     "max_iter": (int, None),
     "tol": (_TOL, None),
     "ridge": (float, None),
@@ -286,8 +286,10 @@ def _validate(value, kind, path: str, item: bool = False):
         ]
     if isinstance(kind, _AtLeast):
         value = _validate(value, kind.kind, path, item)
-        if not value >= kind.low:  # also rejects a float NaN
+        if not value >= kind.low:  # also rejects a float NaN and -inf
             raise ConfigError(f"{path}: must be >= {kind.low}")
+        if value == float("inf"):
+            raise ConfigError(f"{path}: must be finite")
         return value
     if isinstance(kind, _OneOf):
         value = _validate(value, str, path, item)

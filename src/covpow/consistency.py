@@ -23,13 +23,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .graphs import NodePartition, WeightedGraph, interaction_operator, observed_a_min
-from .graphs import partition_blocks, scale_cross_block
+from .graphs import NodePartition, WeightedGraph, interaction_operator
+from .graphs import _positive_min, partition_blocks, scale_cross_block
 from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
     SpdMatrix,
     SymMatrix,
     _square,
+    _symmetrized,
     circular_contour,
     operator_norm,
     spd_power_contour,
@@ -177,7 +178,7 @@ def commutation_error(
     "stieltjes" (power in (0,1) only), or "contour". The integral methods are
     cross-checks; they share no factorization with the eigen path.
     """
-    if beta == 0 or not np.isfinite(beta):
+    if beta == 0 or not math.isfinite(beta):
         raise DomainError("commutation error needs a finite beta != 0")
     c_s = observed_covariance(c, p)
     power_s = _minus_power(c_s, beta, method, contour_nodes)
@@ -253,8 +254,8 @@ def _spectrum(shift) -> ShiftSpectrum:
     """
     if isinstance(shift, ShiftSpectrum):
         return shift
-    ev = np.linalg.eigvalsh(SymMatrix(getattr(shift, "values", shift)).values)
-    return ShiftSpectrum(rho=float(np.max(np.abs(ev))), lam=float(ev[0]))
+    ev = np.linalg.eigvalsh(_symmetrized(_square(shift)))  # SymMatrix(shift).values
+    return ShiftSpectrum(rho=float(np.abs(ev).max()), lam=float(ev[0]))
 
 
 def _fractional_stability(spec: ShiftSpectrum, beta: float) -> float:
@@ -364,7 +365,7 @@ def _best_gate(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> Conto
         eps = np.fromiter(epsilons, dtype=float)
         if not eps.size:
             raise DomainError("epsilon grid is empty")
-    if beta == 0 or not np.isfinite(beta):
+    if beta == 0 or not math.isfinite(beta):
         raise DomainError("contour gate needs a finite beta != 0")
     if a_min is None or not a_min > 0:
         raise DomainError("gate needs a positive a_min")
@@ -387,11 +388,10 @@ def _best_gate(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> Conto
     spread = 4 * np.float_power(eps, 2) * sigma ** (2 * beta) * k_const
     c_eps = s_eps * np.sqrt(a_min / (spread + a_min))
     g_eps = np.where(c_eps < s_eps, c_eps, s_eps)  # min(s_eps, c_eps)
-    theta = np.float_power(amp * cross_norm / eps, 2)
-    i = int(np.argmax(g_eps))
-    gate = g_eps[i].item()
+    i = int(g_eps.argmax())
+    gate, epsilon = g_eps[i].item(), eps[i].item()
     return ContourGate(
-        epsilon=eps[i].item(),
+        epsilon=epsilon,
         spectrum_low=m,
         spectrum_high=m_up,
         radius=radius[i].item(),
@@ -401,7 +401,7 @@ def _best_gate(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> Conto
         stability=s_eps[i].item(),
         control=c_eps[i].item(),
         gate=gate,
-        theta_bound=theta[i].item(),
+        theta_bound=float(np.float_power(amp * cross_norm / epsilon, 2)),
         satisfied=bool(cross_norm < gate),
     )
 
@@ -498,13 +498,13 @@ def shrink_to_gate(
             "a node is held up only by cross-block edges; shrinking the cross "
             "block to pass the gate would isolate it"
         )
-    a_min = observed_a_min(graph, part)
+    a_min = _positive_min(blocks[0])  # observed_a_min(graph, part)
     if a_min is None:
         raise DomainError("observed block has no edges; nothing to gate against")
     for _ in range(80):
         # one eigvalsh of the shift I - op serves the validity check and every gate
         ev = np.linalg.eigvalsh(np.eye(graph.n) - interaction_operator(graph, kappa))
-        rho = float(np.max(np.abs(ev)))
+        rho = float(np.abs(ev).max())
         cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
         if not rho < 1.0:
             raise DomainError("graph invalid while gating (spectral radius >= 1)")
@@ -542,7 +542,7 @@ def verify_instance(
     if beta is None:
         beta = 1 / model.alpha
         notes.append("beta defaulted to 1/alpha")
-    if beta == 0 or not np.isfinite(beta):
+    if beta == 0 or not math.isfinite(beta):
         raise DomainError("beta must be a finite nonzero real")
 
     c = population_covariance(model)
@@ -560,7 +560,7 @@ def verify_instance(
     adj_s, cross, _, _ = partition_blocks(model.graph.adjacency, p)
     cross_norm = operator_norm(cross)
     truth_s = WeightedGraph(adj_s)
-    a_min = observed_a_min(model.graph, p)
+    a_min = _positive_min(adj_s)  # observed_a_min(model.graph, p)
 
     threshold = None
     if a_min is not None:

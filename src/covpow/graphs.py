@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,13 +47,13 @@ class WeightedGraph:
         a = np.asarray(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError(f"adjacency must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DomainError("adjacency has non-finite entries")
-        if not np.array_equal(a, a.T):
+        if not (a == a.T).all():
             raise DomainError("adjacency must be exactly symmetric")
-        if np.any(a < 0):
+        if (a < 0).any():
             raise DomainError("adjacency entries must be nonnegative")
-        if np.any(np.diagonal(a) != 0):
+        if a.diagonal().any():
             raise DomainError("adjacency diagonal must be zero")
         object.__setattr__(self, "adjacency", _frozen(a))
 
@@ -79,6 +80,11 @@ class WeightedGraph:
         return cls(a)
 
 
+def _increasing(idx: tuple[int, ...]) -> bool:
+    """Strictly increasing, that is sorted and duplicate-free."""
+    return all(map(operator.lt, idx, idx[1:]))
+
+
 @dataclass(frozen=True)
 class NodePartition:
     """Observed node set S and its latent complement, both kept sorted."""
@@ -87,27 +93,28 @@ class NodePartition:
     latent: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        obs = tuple(int(i) for i in self.observed)
-        lat = tuple(int(i) for i in self.latent)
+        obs = tuple(map(int, self.observed))
+        lat = tuple(map(int, self.latent))
         if not obs:
             raise DomainError("observed set must be non-empty")
-        if obs != tuple(sorted(set(obs))) or lat != tuple(sorted(set(lat))):
+        if not (_increasing(obs) and _increasing(lat)):
             raise DomainError("partition index lists must be sorted and duplicate-free")
-        if set(obs) & set(lat):
+        if not set(obs).isdisjoint(lat):
             raise DomainError("observed and latent sets must be disjoint")
-        union = sorted(set(obs) | set(lat))
-        if union != list(range(len(union))):
+        # n distinct indices cover 0..n-1 exactly when all lie in [0, n)
+        n = len(obs) + len(lat)
+        if min(obs[:1] + lat[:1]) < 0 or max(obs[-1:] + lat[-1:]) >= n:
             raise DomainError("partition must cover 0..n-1 without gaps")
         object.__setattr__(self, "observed", obs)
         object.__setattr__(self, "latent", lat)
 
     @classmethod
     def from_observed(cls, n: int, observed) -> "NodePartition":
-        obs = sorted(set(int(i) for i in observed))
+        seen = set(map(int, observed))
+        obs = sorted(seen)
         if obs and (obs[0] < 0 or obs[-1] >= n):
             raise DomainError(f"observed indices out of range for n={n}")
-        lat = tuple(i for i in range(n) if i not in set(obs))
-        return cls(tuple(obs), lat)
+        return cls(tuple(obs), tuple(i for i in range(n) if i not in seen))
 
     @property
     def n(self) -> int:
@@ -133,7 +140,9 @@ def interaction_operator(g: WeightedGraph, kappa: float) -> np.ndarray:
     """kappa^2*D + L; positive definite when every degree is positive."""
     if not kappa > 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    return kappa**2 * np.diag(g.degrees()) + laplacian(g)
+    d = g.degrees()
+    # kappa^2*diag(d) + laplacian(g) bit for bit, signed zeros included
+    return np.diag(kappa**2 * d + d) - g.adjacency
 
 
 def abar(g: WeightedGraph, kappa: float) -> tuple[np.ndarray, bool]:
@@ -145,7 +154,7 @@ def abar(g: WeightedGraph, kappa: float) -> tuple[np.ndarray, bool]:
     op = interaction_operator(g, kappa)
     a = np.eye(g.n) - op
     a = (a + a.T) / 2  # the subtraction is already symmetric; keep it bitwise so
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    rho = float(np.abs(np.linalg.eigvalsh(a)).max())
     return a, rho < 1.0
 
 
@@ -193,7 +202,7 @@ def sample_inhomogeneous_er(
 
     u = rng.random((n, n))
     w = rng.uniform(weight_low, weight_high, (n, n))
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    upper = ~np.tri(n, dtype=bool)  # strictly above the diagonal
     a = np.where(upper & (u < prob), w, 0.0)
     a = a + a.T
 
@@ -243,9 +252,16 @@ def observed_a_min(g: WeightedGraph, p: NodePartition) -> float | None:
     None when the observed block has no edges; gates that need this value
     report a not-applicable status in that case.
     """
-    a_s = partition_blocks(g.adjacency, p)[0]
-    vals = a_s[np.triu_indices_from(a_s, k=1)]
-    pos = vals[vals > 0]
+    return _positive_min(partition_blocks(g.adjacency, p)[0])
+
+
+def _positive_min(a_s: np.ndarray) -> float | None:
+    """observed_a_min of an already cut observed block of a WeightedGraph.
+
+    The graph's diagonal is zero, so the positive entries are the positive
+    off-diagonal ones, each counted twice, which leaves their minimum as is.
+    """
+    pos = a_s[a_s > 0]
     return float(pos.min()) if pos.size else None
 
 

@@ -10,6 +10,7 @@ covariances, roots, and sampling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,11 @@ class MaternModel:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.kappa) and self.kappa > 0):
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if not (np.isfinite(self.alpha) and self.alpha != 0):
+        if not (math.isfinite(self.alpha) and self.alpha != 0):
             raise DomainError(f"alpha must be a nonzero real, got {self.alpha}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         op = interaction_operator(self.graph, self.kappa)
         w, q = sym_eigen(SymMatrix(op))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -221,8 +222,9 @@ def _fit_logistic(
     """train_linear_classifier on a design matrix and 0/1 labels."""
     if len(lab) < 2:
         raise DomainError("need at least 2 training examples")
-    if l2 < 0:
-        raise DomainError("l2 must be nonnegative")
+    for name, value in (("l2", l2), ("tol", tol)):
+        if not 0 <= value < math.inf:  # also rejects NaN
+            raise DomainError(f"{name} must be finite and nonnegative, got {value}")
     n1 = int(lab.sum())
     n0 = len(lab) - n1
     if n0 == 0 or n1 == 0:

@@ -93,6 +93,8 @@ def _fit_gmm_rows(x: np.ndarray, max_iter: int, tol: float, seed: int) -> list[G
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0 <= tol < math.inf:  # also rejects NaN
+        raise DomainError(f"tol must be finite and nonnegative, got {tol}")
     x = np.ascontiguousarray(x)  # reductions along a row then add as for one row
     rows = len(x)
     means, var = np.empty((rows, 2)), x.var(axis=1, keepdims=True)

@@ -41,7 +41,8 @@ def _as_array(m) -> np.ndarray:
 def _fro(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of a (k, k) matrix or of each matrix in an (N, k, k) stack."""
     if a.ndim == 2:  # the per-matrix hot path of SymMatrix and sym_eigen
-        return np.linalg.norm(a)
+        x = a.ravel(order="K")
+        return np.sqrt(x.dot(x))  # what np.linalg.norm(a) computes
     return np.sqrt(np.einsum("nij,nij->n", a, a))
 
 
@@ -173,10 +174,10 @@ class SpdMatrix(SymMatrix):
 
         Internal fast path for power results whose spectrum is known exactly.
         """
-        _require_positive(np.min(w))
-        order = np.argsort(w)
-        w = np.ascontiguousarray(w[order])
-        q = np.ascontiguousarray(q[:, order])
+        _require_positive(w.min())
+        order = w.argsort()
+        w = w[order]
+        q = np.ascontiguousarray(q[:, order])  # the column gather is Fortran-ordered
         vals = (q * w) @ q.T
         vals = (vals + vals.T) / 2
         obj = cls.__new__(cls)
@@ -360,7 +361,7 @@ def spd_power_contour(x: SpdMatrix, beta: float, contour: ContourSpec) -> SpdMat
 def spectral_norm(m) -> float:
     """max |eigenvalue| of a symmetric matrix."""
     a = m.values if isinstance(m, SymMatrix) else SymMatrix(m).values
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return float(np.abs(np.linalg.eigvalsh(a)).max())
 
 
 def lambda_min(m) -> float:

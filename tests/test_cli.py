@@ -379,6 +379,57 @@ BAD_CONFIGS = [
         "config.gmm.tol: must be >= 0.0",
         id="signatures-gmm-negative-tol",
     ),
+    # infinite tolerances, which stop EM and Newton at once; and bad l2 penalties,
+    # which score every power 0 and write zero weights
+    pytest.param(
+        "select",
+        lambda d: {"schema_version": "1", "series_csv": d["series"], "tol": math.inf},
+        2,
+        "config.tol: must be finite",
+        id="select-inf-tol",
+    ),
+    pytest.param(
+        "select",
+        lambda d: {"schema_version": "1", "series_csv": d["series"], "tol": -math.inf},
+        2,
+        "config.tol: must be >= 0.0",
+        id="select-minus-inf-tol",
+    ),
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["features"], "gmm": {"tol": math.inf}},
+        2,
+        "config.gmm.tol: must be finite",
+        id="signatures-gmm-inf-tol",
+    ),
+    pytest.param(
+        "select",
+        lambda d: {"schema_version": "1", "series_csv": d["series"], "l2": math.nan},
+        2,
+        "config.l2: must be >= 0.0",
+        id="select-nan-l2",
+    ),
+    pytest.param(
+        "select",
+        lambda d: {"schema_version": "1", "series_csv": d["series"], "l2": math.inf},
+        2,
+        "config.l2: must be finite",
+        id="select-inf-l2",
+    ),
+    pytest.param(
+        "select",
+        lambda d: {"schema_version": "1", "series_csv": d["series"], "l2": -1e-3},
+        2,
+        "config.l2: must be >= 0.0",
+        id="select-negative-l2",
+    ),
+    pytest.param(
+        "pipeline",
+        lambda d: _set(two_class_pipeline_config(), "l2", math.inf),
+        2,
+        "config.l2: must be finite",
+        id="pipeline-inf-l2",
+    ),
     # list elements
     pytest.param(
         "simulate",
@@ -662,6 +713,11 @@ def test_bad_input_exits_with_its_location(
     assert err["exit_code"] == code
     assert where in err["message"]
     assert not run.exists()
+
+
+def test_zero_l2_is_legal():
+    select = {"schema_version": "1", "series_csv": "s.csv", "l2": 0}
+    assert cli._checked_config("select", select)["l2"] == 0.0
 
 
 def test_zero_tol_is_legal():

@@ -950,6 +950,22 @@ class TestVerifyInstance:
 class TestVerifyInstanceOracles:
     """verify_instance agrees with the public functions it stands in for."""
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10_000), p_obs=st.floats(0.0, 1.0))
+    def test_a_min_is_observed_a_min(self, seed, p_obs):
+        # verify_instance reads a_min off the observed block it already cut
+        g, p = sample_inhomogeneous_er(6, 4, p_obs, 0.6, 0.3, seed=seed)
+        assume(np.all(g.degrees() > 0))
+        a_min = observed_a_min(g, p)
+        a_s = partition_blocks(g.adjacency, p)[0]
+        upper = a_s[np.triu_indices_from(a_s, k=1)]
+        assert a_min == (upper[upper > 0].min() if (upper > 0).any() else None)
+        report = verify_instance(MaternModel(graph=g, kappa=1.0, alpha=2.0, sigma=1.3), p)
+        if a_min is None:
+            assert report.threshold is None and report.gate_contour is None
+        else:
+            assert report.threshold == consistency_threshold(a_min, 1.3, report.beta)
+
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
         seed=st.integers(0, 10_000),

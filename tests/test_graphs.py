@@ -96,6 +96,83 @@ class TestNodePartition:
         assert p.latent == ()
 
 
+# Each construction fault with the message it raises; a list is in check order,
+# so with several faults the first one's message comes out.
+_ADJACENCY_FAULTS = {
+    "non-finite": "adjacency has non-finite entries",
+    "asymmetric": "adjacency must be exactly symmetric",
+    "negative": "adjacency entries must be nonnegative",
+    "diagonal": "adjacency diagonal must be zero",
+}
+_PARTITION_FAULTS = {
+    "unsorted": "partition index lists must be sorted and duplicate-free",
+    "duplicate": "partition index lists must be sorted and duplicate-free",
+    "overlapping": "observed and latent sets must be disjoint",
+    "gap": "partition must cover 0..n-1 without gaps",
+}
+
+
+def _fault_sets(faults):
+    return st.lists(st.sampled_from(list(faults)), min_size=1, max_size=2, unique=True)
+
+
+class TestCheckOrder:
+    """With one or two faults, construction raises the first fault's message."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(3, 8),
+        faults=_fault_sets(_ADJACENCY_FAULTS),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_adjacency_fault_precedence(self, n, faults, seed, bad):
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), k=1)
+        a = a + a.T
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]  # three distinct ones
+        (i, j), (k, l), (p, q) = (pairs[t] for t in rng.choice(len(pairs), 3, replace=False))
+        if "non-finite" in faults:
+            a[i, j] = a[j, i] = bad
+        if "negative" in faults:
+            a[p, q] = a[q, p] = -rng.uniform(0.5, 2.0)
+        if "asymmetric" in faults:
+            a[k, l] += rng.uniform(0.1, 1.0)  # one entry only
+        if "diagonal" in faults:
+            d = int(rng.integers(n))
+            a[d, d] = rng.uniform(0.5, 2.0)
+        first = min(faults, key=list(_ADJACENCY_FAULTS).index)
+        with pytest.raises(DomainError) as err:
+            WeightedGraph(a)
+        assert str(err.value) == _ADJACENCY_FAULTS[first]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        layout=st.lists(st.booleans(), min_size=3, max_size=10).filter(any),
+        faults=_fault_sets(_PARTITION_FAULTS),
+        extra=st.integers(0, 3),
+    )
+    def test_partition_fault_precedence(self, layout, faults, extra):
+        n = len(layout)
+        obs = [i for i in range(n) if layout[i]]
+        lat = [i for i in range(n) if not layout[i]]
+        # applied in the reverse of check order, so that no fault undoes an earlier one
+        if "gap" in faults:
+            top = obs if obs[-1] == n - 1 else lat
+            top[-1] = n + extra
+        if "overlapping" in faults:
+            lat = sorted(lat + [obs[0]])
+        if "duplicate" in faults:
+            obs.insert(0, obs[0])
+        if "unsorted" in faults:
+            longer = obs if len(set(obs)) >= 2 else lat
+            longer[0], longer[-1] = longer[-1], longer[0]
+        first = min(faults, key=list(_PARTITION_FAULTS).index)
+        with pytest.raises(DomainError) as err:
+            NodePartition(observed=tuple(obs), latent=tuple(lat))
+        assert str(err.value) == _PARTITION_FAULTS[first]
+
+
 class TestOperators:
     def test_two_node_laplacian(self):
         assert_array_equal(laplacian(two_node()), [[1.0, -1.0], [-1.0, 1.0]])
@@ -108,6 +185,16 @@ class TestOperators:
         # w = 0.5, kappa = 1: D = L = 0.5*[[1,-1],[-1,1]] shifted, sum is known
         op = interaction_operator(two_node(0.5), kappa=1.0)
         assert_allclose(op, [[1.0, -0.5], [-0.5, 1.0]])
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), kappa=st.sampled_from([1.0, 0.7, 1.3, 1e-3, 40.0]))
+    def test_interaction_operator_is_its_definition_bit_for_bit(self, seed, kappa):
+        # the degrees are summed once; signed zeros must match too
+        g, _ = sample_inhomogeneous_er(7, 4, 0.5, 0.5, 0.15, seed=seed)
+        got = interaction_operator(g, kappa)
+        want = kappa**2 * np.diag(g.degrees()) + laplacian(g)
+        assert got.tobytes() == want.tobytes()
+        assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_interaction_operator_rejects_nonpositive_kappa(self):
         for kappa in (0.0, -1.0):

@@ -247,6 +247,21 @@ class TestTrainClassifier:
         m = classification_metrics(clf.predict(feats), [f.label for f in feats])
         assert m.accuracy == 1.0
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("l2", -1e-3), ("l2", float("nan")), ("l2", float("inf")),
+         ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf"))],
+    )
+    def test_bad_l2_or_tol_rejected(self, key, value):
+        # a NaN l2 used to score every power 0; a negative or NaN tol ran to max_iter
+        feats = self.separable_features(n_per=5)
+        with pytest.raises(DomainError, match=f"^{key} must be finite and nonnegative, got"):
+            train_linear_classifier(feats, **{key: value})
+
+    def test_zero_l2_and_tol_accepted(self):
+        clf = train_linear_classifier(self.separable_features(n_per=5), l2=0.0, tol=0.0)
+        assert np.isfinite(clf.weights).all()
+
     def test_single_class_rejected(self):
         feats = [spd_feature([1.0, 2.0], 1) for _ in range(4)]
         with pytest.raises(DomainError):

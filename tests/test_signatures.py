@@ -101,6 +101,12 @@ class TestFitGmm:
         with pytest.raises(DomainError, match="max_iter must be >= 1"):
             fit_gmm_1d(two_cluster_values(), max_iter=0)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol):
+        # a negative or NaN tol ran EM to max_iter; an infinite one stopped it at once
+        with pytest.raises(DomainError, match="^tol must be finite and nonnegative, got"):
+            fit_gmm_1d(two_cluster_values(), tol=tol)
+
 
 class TestBatchedEm:
     @settings(derandomize=True, deadline=None, max_examples=60)

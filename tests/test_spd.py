@@ -10,6 +10,7 @@ from covpow.spd import (
     SpdMatrix,
     SpdStack,
     SymMatrix,
+    _fro,
     circular_contour,
     lambda_min,
     operator_norm,
@@ -233,6 +234,17 @@ class TestPowerContour:
 
 
 class TestNorms:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["C", "F", "T", "strided"]),
+    )
+    def test_fro_of_a_matrix_is_linalg_norm(self, shape, seed, layout):
+        a = np.random.default_rng(seed).standard_normal(shape)
+        a = {"C": a, "F": np.asfortranarray(a), "T": a.T, "strided": a[::2, ::-1]}[layout]
+        assert _fro(a).tobytes() == np.linalg.norm(a).tobytes()
+
     def test_spectral_norm_known(self):
         assert abs(spectral_norm(SymMatrix([[1.0, -0.5], [-0.5, 1.0]])) - 1.5) <= 1e-14
         # a shifted operator: plain arrays are accepted too
