@@ -137,21 +137,17 @@ def majority_vote_label(window_labels) -> int:
     return int(2 * labels.sum() >= labels.size)
 
 
-def _default_ridge(centered: np.ndarray) -> float:
-    """1e-6 times the mean channel variance of a centered window."""
-    trace = float(np.sum(centered * centered) / centered.shape[0])
-    return 1e-6 * trace / centered.shape[1]
+def _covariances(blocks: np.ndarray, ridge: float | None) -> np.ndarray:
+    """Covariances of a (B, n, k) stack of windows, as empirical_covariance.
 
-
-def _covariance(w: np.ndarray, ridge: float | None) -> np.ndarray:
-    """Mean-centered sample covariance of a window plus ridge*I, unvalidated."""
-    centered = w - w.mean(axis=0, keepdims=True)
+    ridge=None takes 1e-6 times each window's mean channel variance.
+    """
+    n, k = blocks.shape[1:]
+    centered = blocks - blocks.mean(axis=1, keepdims=True)
     if ridge is None:
-        ridge = _default_ridge(centered)
-    if ridge < 0:
-        raise DomainError("ridge must be nonnegative")
-    cov = centered.T @ centered / w.shape[0]
-    return cov + ridge * np.eye(w.shape[1])
+        ridge = 1e-6 * ((centered * centered).sum(axis=(1, 2)) / n) / k
+    cov = np.swapaxes(centered, 1, 2) @ centered / n
+    return cov + np.multiply.outer(ridge, np.eye(k))
 
 
 def empirical_covariance(window, ridge: float | None = None) -> SpdMatrix:
@@ -163,7 +159,9 @@ def empirical_covariance(window, ridge: float | None = None) -> SpdMatrix:
     w = np.asarray(window, dtype=float)
     if w.ndim != 2 or w.shape[0] < 1:
         raise DomainError(f"window must be a nonempty 2-d block, got shape {w.shape}")
-    return SpdMatrix(_covariance(w, ridge))
+    if ridge is not None and ridge < 0:
+        raise DomainError("ridge must be nonnegative")
+    return SpdMatrix(_covariances(w[None], ridge)[0])
 
 
 def _window_covariances(
@@ -171,14 +169,18 @@ def _window_covariances(
 ) -> tuple[list[Window], SpdStack]:
     """The windows of a series and their covariances as one SPD stack.
 
-    Each window's covariance (as `empirical_covariance` computes it) is
-    written into one preallocated (N, k, k) array, which is validated and
-    factored by a single stacked ``eigh``. Errors name the window index.
+    The covariances (as `empirical_covariance` computes them) are formed 128
+    windows at a time, one batched product per block, and the stack is
+    validated and factored by a single stacked ``eigh``. Errors name the
+    window index.
     """
+    if ridge is not None and ridge < 0:
+        raise DomainError("ridge must be nonnegative")
     windows = sliding_windows(series, spec)
     covs = np.empty((len(windows), series.channels, series.channels))
-    for i, win in enumerate(windows):
-        covs[i] = _covariance(win.samples, ridge)
+    for lo in range(0, len(windows), 128):  # small blocks keep peak memory flat
+        block = np.stack([w.samples for w in windows[lo : lo + 128]])
+        covs[lo : lo + 128] = _covariances(block, ridge)
     return windows, SpdStack(covs)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -138,7 +139,7 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
 def interaction_operator(g: WeightedGraph, kappa: float) -> np.ndarray:
     """kappa^2*D + L; positive definite when every degree is positive."""
-    if not kappa > 0:
+    if not 0 < kappa < math.inf:  # also rejects NaN
         raise DomainError(f"kappa must be positive, got {kappa}")
     d = g.degrees()
     # kappa^2*diag(d) + laplacian(g) bit for bit, signed zeros included

@@ -95,12 +95,9 @@ def classification_metrics(predictions, labels) -> Metrics:
         raise DomainError(
             f"predictions and labels must be equal-length nonempty, got {pred.shape} vs {lab.shape}"
         )
-    if not (np.isin(pred, (0, 1)).all() and np.isin(lab, (0, 1)).all()):
+    if ((pred | lab | 1) != 1).any():  # some entry is neither 0 nor 1
         raise DomainError("predictions and labels must be 0/1")
-    tp = int(np.sum((pred == 1) & (lab == 1)))
-    fp = int(np.sum((pred == 1) & (lab == 0)))
-    tn = int(np.sum((pred == 0) & (lab == 0)))
-    fn = int(np.sum((pred == 0) & (lab == 1)))
+    tn, fp, fn, tp = np.bincount(2 * lab + pred, minlength=4).tolist()
     return Metrics.from_counts(tp, fp, tn, fn)
 
 
@@ -241,6 +238,7 @@ def _fit_logistic(
     d = z.shape[1]
     reg = np.full(d, l2)
     reg[-1] = 0.0  # bias is not penalized
+    hess_diag = reg + 1e-12
     w = np.zeros(d)
 
     def loss_grad(w):
@@ -257,10 +255,13 @@ def _fit_logistic(
     for _ in range(max_iter):
         if np.linalg.norm(grad) <= tol:
             break
-        # the Hessian only at a point that takes a step
-        hess = (z.T * curv) @ z / n + np.diag(reg)
+        # the Hessian only at a point that takes a step; u.T @ u is one
+        # symmetric rank-k update, half a general product and exactly symmetric
+        u = z * np.sqrt(curv)[:, None]
+        hess = u.T @ u / n
+        hess.flat[:: d + 1] += hess_diag
         try:
-            step = np.linalg.solve(hess + 1e-12 * np.eye(d), grad)
+            step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"newton step failed: {exc}") from exc
         t = 1.0

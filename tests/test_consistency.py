@@ -41,6 +41,7 @@ from covpow.graphs import (
     NodePartition,
     WeightedGraph,
     abar,
+    interaction_operator,
     observed_a_min,
     partition_blocks,
     sample_inhomogeneous_er,
@@ -830,6 +831,21 @@ class TestShrinkToGate:
         if 0 < beta < 1:
             gates.append(fractional_gate(shift, beta, a_min, cross).gate)
         assert cross < fraction * max(gates)
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_non_finite_kappa_rejected_like_matern(self, kappa):
+        # a non-finite kappa is named as the fault, not reported as an
+        # invalid graph or passed on as inf and nan operator entries
+        g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=3)
+        message = f"^kappa must be positive, got {kappa}$"
+        for call in (
+            lambda: interaction_operator(g, kappa),
+            lambda: abar(g, kappa),
+            lambda: shrink_to_gate(g, p, kappa, 2.0, 0.5, 1.0, 0.5),
+            lambda: MaternModel(g, kappa=kappa, alpha=2.0, sigma=1.0),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 class TestGatePathCallCounts:

@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from covpow import features
 from covpow.errors import DomainError
 from covpow.features import (
     FeatureMatrix,
     LabeledSeries,
     WindowSpec,
+    _window_covariances,
     empirical_covariance,
     extract_features,
     majority_vote_label,
@@ -150,6 +156,79 @@ class TestEmpiricalCovariance:
         ridge = (with_default - base)[0, 0]
         trace = np.trace(base)
         assert ridge == pytest.approx(1e-6 * trace / 3, rel=1e-9)
+
+
+def per_window_covariance(w, ridge):
+    """The per-window formula the batched covariances replaced, kept as the oracle."""
+    centered = w - w.mean(axis=0, keepdims=True)
+    if ridge is None:
+        trace = float(np.sum(centered * centered) / centered.shape[0])
+        ridge = 1e-6 * trace / centered.shape[1]
+    cov = centered.T @ centered / w.shape[0]
+    return cov + ridge * np.eye(w.shape[1])
+
+
+class Unvalidated:
+    """Stands in for SpdMatrix and SpdStack so that the raw arithmetic shows
+    at every scale; the absolute SPD floor rejects data scaled by 1e-6."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values)
+
+
+class TestWindowCovariances:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.sampled_from([1, 127, 128, 129, 257]),  # around the 128-window blocks
+        channels=st.integers(1, 5),
+        extra=st.integers(2, 12),
+        overlap=st.sampled_from([0.0, 0.5, 0.75]),
+        log_scale=st.floats(-6.0, 6.0),
+        ridge=st.sampled_from([None, 0.0, 0.25, 3e-7]),
+    )
+    def test_bitwise_equal_to_the_per_window_formula(
+        self, seed, count, channels, extra, overlap, log_scale, ridge
+    ):
+        rng = np.random.default_rng(seed)
+        spec = WindowSpec(length=channels + extra, overlap=overlap)
+        t = spec.length + (count - 1) * spec.stride
+        scale = 10.0**log_scale
+        samples = (rng.standard_normal((t, channels)) + rng.uniform(-3, 3, channels)) * scale
+        series = LabeledSeries(samples=samples, labels=rng.integers(0, 2, t))
+        with mock.patch.object(features, "SpdStack", Unvalidated), mock.patch.object(
+            features, "SpdMatrix", Unvalidated
+        ):
+            windows, stack = _window_covariances(series, spec, ridge)
+            assert len(windows) == count == len(stack.values)
+            for w, got in zip(windows, stack.values):
+                want = per_window_covariance(w.samples, ridge)
+                assert got.tobytes() == want.tobytes()
+                assert empirical_covariance(w.samples, ridge).values.tobytes() == want.tobytes()
+
+    def test_validated_stack_keeps_the_same_bits(self):
+        series = make_series(t=300, channels=4, seed=7)
+        spec = WindowSpec(length=16, overlap=0.5)
+        windows, stack = _window_covariances(series, spec)
+        want = np.array([per_window_covariance(w.samples, None) for w in windows])
+        assert stack.values.tobytes() == want.tobytes()
+
+    def test_negative_ridge_raises_before_any_window(self):
+        series = make_series(t=300, channels=4, seed=7)
+        spec = WindowSpec(length=16, overlap=0.5)
+
+        def no_window(*args):
+            raise AssertionError("a window was computed")
+
+        with mock.patch.object(features, "_covariances", no_window), mock.patch.object(
+            features, "sliding_windows", no_window
+        ):
+            for call in (
+                lambda: _window_covariances(series, spec, -1e-9),
+                lambda: empirical_covariance(series.samples[:16], -1.0),
+            ):
+                with pytest.raises(DomainError, match="^ridge must be nonnegative$"):
+                    call()
 
 
 class TestPowerFeatures:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covpow import pipeline
 from covpow.errors import ConfigError, DomainError
 from covpow.features import (
     FeatureMatrix,
@@ -157,9 +158,22 @@ class TestMetrics:
         with pytest.raises(DomainError):
             classification_metrics([0, 1], [0, 1, 1])
 
+    def test_counts_equal_the_four_masked_sums(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 51):
+            pred = rng.integers(0, 2, n)
+            lab = rng.integers(0, 2, n)
+            m = classification_metrics(pred, lab)
+            counts = (m.tp, m.fp, m.tn, m.fn)
+            cells = ((1, 1), (1, 0), (0, 0), (0, 1))
+            assert counts == tuple(int(np.sum((pred == p) & (lab == y))) for p, y in cells)
+            assert all(type(c) is int for c in counts)
+
     def test_rejects_non_binary(self):
-        with pytest.raises(DomainError):
-            classification_metrics([0, 2], [0, 1])
+        for bad in (2, -1):
+            for pred, lab in (([0, bad], [0, 1]), ([0, 1], [bad, 1])):
+                with pytest.raises(DomainError, match="^predictions and labels must be 0/1$"):
+                    classification_metrics(pred, lab)
 
     def test_s3_zero_when_rate_undefined(self):
         good = classification_metrics([1, 0], [1, 0])
@@ -540,6 +554,48 @@ class TestSelectBeta:
                 select_beta(shuffled, beta_grid=grid, window_grid=[spec]).s3
             )
         assert max(nulls) < true_s3
+
+
+def logistic_gradient(x, lab, l2, clf):
+    """The fit's loss gradient at its weights, formed with the fit's own operations."""
+    z = np.column_stack([(x - clf.feature_mean) / clf.feature_scale, np.ones(len(x))])
+    y = 2.0 * lab - 1.0
+    n, n1 = len(lab), int(lab.sum())
+    sample_w = np.where(lab == 1, n / (2 * n1), n / (2 * (n - n1)))
+    reg = np.full(z.shape[1], l2)
+    reg[-1] = 0.0
+    p = 1.0 / (1.0 + np.exp(np.clip(y * (z @ clf.weights), -500, 500)))
+    return -(z.T @ (sample_w * p * y)) / n + reg * clf.weights
+
+
+class TestNewtonStep:
+    def test_symmetric_hessian_and_every_fit_stops_on_the_gradient(self, monkeypatch):
+        hessians_symmetric = []
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            hessians_symmetric.append(bool((a == a.T).all()))
+            return real_solve(a, b)
+
+        fits = []
+        real_fit = pipeline._fit_logistic
+
+        def fit(x, lab, l2, max_iter, tol, seen_tokens):
+            before = len(hessians_symmetric)
+            clf = real_fit(x, lab, l2, max_iter, tol, seen_tokens)
+            fits.append((x, lab, l2, max_iter, tol, clf, len(hessians_symmetric) - before))
+            return clf
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(pipeline, "_fit_logistic", fit)
+        select_beta(two_class_series(seed=0), window_grid=[WindowSpec(32, 0.5)])
+        assert len(fits) == 32
+        assert all(hessians_symmetric)
+        # the scale-then-general-product Hessian this replaced also took 310 steps
+        assert len(hessians_symmetric) == 310
+        for x, lab, l2, max_iter, tol, clf, steps in fits:
+            assert steps < max_iter
+            assert np.linalg.norm(logistic_gradient(x, lab, l2, clf)) <= tol
 
 
 class TestSelectBetaFailedPowers:
