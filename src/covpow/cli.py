@@ -119,6 +119,7 @@ class _Variant:
 
 _SEED = _AtLeast(0)
 _TOL = _AtLeast(0.0, float)  # 0 is legal: the fit then stops only at max_iter
+_RIDGE = _AtLeast(0.0, float)  # 0 is legal: a rank-deficient window then fails SPD validation
 _SIGNATURE_MODE = _OneOf(("class-mean", "per-matrix"))
 
 _GRAPH = _Variant(
@@ -169,7 +170,7 @@ _FIT = {
     "l2": (_AtLeast(0.0, float), None),
     "max_iter": (int, None),
     "tol": (_TOL, None),
-    "ridge": (float, None),
+    "ridge": (_RIDGE, None),
 }
 
 # every verb's table also holds "schema_version"
@@ -191,7 +192,7 @@ _TABLES = {
         "series_csv": (str, _REQUIRED),
         "window": (_WINDOW, _REQUIRED),
         "beta": (float, _REQUIRED),
-        "ridge": (float, None),
+        "ridge": (_RIDGE, None),
         "channels": ([int], None),
     },
     "select": {"series_csv": (str, _REQUIRED), **_FIT},
@@ -199,7 +200,7 @@ _TABLES = {
         "series_csv": (str, _REQUIRED),
         "selection_dir": (str, _REQUIRED),
         "split": (_SPLIT, _REQUIRED),
-        "ridge": (float, None),
+        "ridge": (_RIDGE, None),
     },
     "geometry": {"features_dir": (str, _REQUIRED)},
     "signatures": {
@@ -475,13 +476,13 @@ def cmd_extract(cfg: dict, run_dir: Path) -> None:
     series = _read_series(cfg["series_csv"])
     spec = WindowSpec(**cfg["window"])
     beta = cfg["beta"]
-    windows, stack = extract_features(
+    labels, ranges, stack = extract_features(
         series, spec, beta, ridge=cfg["ridge"], channels=cfg["channels"]
     )
     run_dir.mkdir(parents=True, exist_ok=True)
     write_feature_archive(
-        [w.label for w in windows],
-        [(w.start, w.stop) for w in windows],
+        labels,
+        ranges,
         stack,
         beta,
         run_dir / "features",
@@ -529,16 +530,15 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
         raise ConfigError(f"{selection_file}: malformed selection: {exc}") from None
     wspec = WindowSpec(length=fields["window_length"], overlap=fields["window_overlap"])
     split = SplitSpec(**cfg["split"])
-    windows, stack = _window_covariances(series, wspec, cfg["ridge"])
-    metrics = _test_metrics(classifier, windows, stack, fields["beta_star"], split)
+    _, labels, stack = _window_covariances(series, wspec, cfg["ridge"])
+    metrics = _test_metrics(classifier, labels, stack, fields["beta_star"], split)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "test_metrics.json").write_text(_json_text(metrics_to_dict(metrics)))
 
 
-def _test_metrics(classifier, windows, stack, beta: float, split: SplitSpec):
+def _test_metrics(classifier, labels, stack, beta: float, split: SplitSpec):
     """Metrics of the classifier on the test windows of the split, at power beta."""
-    labels = np.array([w.label for w in windows])
-    parts = split_dataset(list(range(len(windows))), labels, split)
+    parts = split_dataset(list(range(len(labels))), labels, split)
     test = list(parts.test_idx)
     x = _vectorize(stack.power(beta, test).values)
     return _evaluate(classifier, x, labels[test], token=parts.test_token)
@@ -599,10 +599,9 @@ def cmd_pipeline(cfg: dict, run_dir: Path) -> None:
     )
 
     fit = _fit_kwargs(cfg)
-    result, windows, stack = _select_beta(series, **fit)
-    metrics = _test_metrics(result.classifier, windows, stack, result.beta_star, fit["split"])
+    result, labels, stack = _select_beta(series, **fit)
+    metrics = _test_metrics(result.classifier, labels, stack, result.beta_star, fit["split"])
     powered = stack.power(result.beta_star)
-    labels = [w.label for w in windows]
     distances = pairwise_distance_matrix(powered)
     identifiability = distance_stats(distances, labels)
 

@@ -2,8 +2,9 @@
 
 The path from raw data to classifier input: slide fixed-length windows over
 the series, label each window by majority vote, estimate a (ridge-regularized)
-covariance per window, and raise it to a chosen power. Channel selection by
-histogram mutual information against the labels trims wide recordings first.
+covariance per window, and raise it to a chosen power. A windowed feature set
+is held as arrays, not per-window objects: the window labels, their
+(start, stop) ranges and one SpdStack, the triple a feature archive stores.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "sliding_windows",
     "empirical_covariance",
     "power_features",
-    "mutual_info_select",
     "extract_features",
 ]
 
@@ -42,7 +42,7 @@ class LabeledSeries:
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=float)
         labels = np.asarray(self.labels, dtype=int)
-        if samples.ndim != 2 or samples.shape[0] < 1:
+        if samples.ndim != 2 or not samples.size:
             raise DomainError(f"samples must be a nonempty 2-d array, got {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise DomainError("samples contain non-finite values")
@@ -108,33 +108,31 @@ class FeatureMatrix:
     label: int | None
 
 
+def _window_index(series: LabeledSeries, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, labels) of the windows: starting at 0, spec.stride apart, fully
+    inside the series, each labeled by majority vote with exact ties going to
+    the event class 1. The votes come from one cumulative sum of the labels.
+    """
+    t, length = series.length, spec.length
+    if length > t:
+        raise DomainError(f"window length {length} exceeds series length {t}")
+    starts = np.arange((t - length) // spec.stride + 1) * spec.stride
+    ones = np.concatenate(([0], np.cumsum(series.labels)))
+    return starts, (2 * (ones[starts + length] - ones[starts]) >= length).astype(int)
+
+
 def sliding_windows(series: LabeledSeries, spec: WindowSpec) -> list[Window]:
-    """Windows starting at 0, spec.stride apart, fully inside the series."""
-    t = series.length
-    if spec.length > t:
-        raise DomainError(f"window length {spec.length} exceeds series length {t}")
-    count = (t - spec.length) // spec.stride + 1
-    out = []
-    for i in range(count):
-        start = i * spec.stride
-        stop = start + spec.length
-        out.append(
-            Window(
-                start=start,
-                stop=stop,
-                samples=series.samples[start:stop],
-                label=majority_vote_label(series.labels[start:stop]),
-            )
-        )
-    return out
+    """The windows of `_window_index` as objects whose samples view the series."""
+    starts, labels = _window_index(series, spec)
+    return [
+        Window(start=s, stop=s + spec.length, samples=series.samples[s : s + spec.length], label=y)
+        for s, y in zip(starts.tolist(), labels.tolist())
+    ]
 
 
-def majority_vote_label(window_labels) -> int:
-    """Majority class of a window; exact ties go to the event class 1."""
-    labels = np.asarray(window_labels, dtype=int)
-    if labels.size == 0:
-        raise DomainError("cannot vote on an empty label window")
-    return int(2 * labels.sum() >= labels.size)
+def _check_ridge(ridge: float | None) -> None:
+    if ridge is not None and not 0 <= ridge < np.inf:  # also rejects NaN
+        raise DomainError(f"ridge must be finite and nonnegative, got {ridge}")
 
 
 def _covariances(blocks: np.ndarray, ridge: float | None) -> np.ndarray:
@@ -157,72 +155,35 @@ def empirical_covariance(window, ridge: float | None = None) -> SpdMatrix:
     validation whenever the window is rank deficient.
     """
     w = np.asarray(window, dtype=float)
-    if w.ndim != 2 or w.shape[0] < 1:
+    if w.ndim != 2 or not w.size:
         raise DomainError(f"window must be a nonempty 2-d block, got shape {w.shape}")
-    if ridge is not None and ridge < 0:
-        raise DomainError("ridge must be nonnegative")
+    _check_ridge(ridge)
     return SpdMatrix(_covariances(w[None], ridge)[0])
 
 
 def _window_covariances(
     series: LabeledSeries, spec: WindowSpec, ridge: float | None = None
-) -> tuple[list[Window], SpdStack]:
-    """The windows of a series and their covariances as one SPD stack.
+) -> tuple[np.ndarray, np.ndarray, SpdStack]:
+    """(starts, labels) of `_window_index` and the window covariances as one SPD stack.
 
     The covariances (as `empirical_covariance` computes them) are formed 128
-    windows at a time, one batched product per block, and the stack is
-    validated and factored by a single stacked ``eigh``. Errors name the
-    window index.
+    windows at a time, one gather and one batched product per block, and the
+    stack is validated and factored by a single stacked ``eigh``. Errors name
+    the window index.
     """
-    if ridge is not None and ridge < 0:
-        raise DomainError("ridge must be nonnegative")
-    windows = sliding_windows(series, spec)
-    covs = np.empty((len(windows), series.channels, series.channels))
-    for lo in range(0, len(windows), 128):  # small blocks keep peak memory flat
-        block = np.stack([w.samples for w in windows[lo : lo + 128]])
+    _check_ridge(ridge)
+    starts, labels = _window_index(series, spec)
+    offsets = np.arange(spec.length)
+    covs = np.empty((len(starts), series.channels, series.channels))
+    for lo in range(0, len(starts), 128):  # small blocks keep peak memory flat
+        block = series.samples[starts[lo : lo + 128, None] + offsets]
         covs[lo : lo + 128] = _covariances(block, ridge)
-    return windows, SpdStack(covs)
+    return starts, labels, SpdStack(covs)
 
 
 def power_features(cov: SpdMatrix, beta: float, label: int | None = None) -> FeatureMatrix:
     """Raise a window covariance to the beta power and tag it with its label."""
     return FeatureMatrix(matrix=spd_power_eig(cov, beta), label=label)
-
-
-def _histogram_mi(channel: np.ndarray, labels: np.ndarray, bins: int) -> float:
-    lo, hi = float(channel.min()), float(channel.max())
-    if hi <= lo:
-        return 0.0  # constant channel carries no information
-    idx = np.minimum(((channel - lo) / (hi - lo) * bins).astype(int), bins - 1)
-    mi = 0.0
-    n = channel.size
-    for y in (0, 1):
-        mask = labels == y
-        p_y = mask.sum() / n
-        if p_y == 0:
-            continue
-        counts = np.bincount(idx[mask], minlength=bins)
-        p_xy = counts / n
-        p_x = np.bincount(idx, minlength=bins) / n
-        pos = p_xy > 0
-        mi += float(np.sum(p_xy[pos] * np.log(p_xy[pos] / (p_x[pos] * p_y))))
-    return mi
-
-
-def mutual_info_select(series: LabeledSeries, k_keep: int, bins: int = 16) -> list[int]:
-    """Top channels by histogram mutual information with the labels.
-
-    Equal-width bins per channel; ties rank the lower channel index first.
-    """
-    if not 1 <= k_keep <= series.channels:
-        raise DomainError(f"k_keep must lie in [1, {series.channels}], got {k_keep}")
-    if bins < 2:
-        raise DomainError("need at least 2 bins")
-    scores = np.array(
-        [_histogram_mi(series.samples[:, j], series.labels, bins) for j in range(series.channels)]
-    )
-    order = np.argsort(-scores, kind="stable")
-    return [int(j) for j in order[:k_keep]]
 
 
 def extract_features(
@@ -231,16 +192,20 @@ def extract_features(
     beta: float,
     ridge: float | None = None,
     channels: list[int] | None = None,
-) -> tuple[list[Window], SpdStack]:
-    """The windows of the series and their powered covariances as one stack."""
+) -> tuple[list[int], list[tuple[int, int]], SpdStack]:
+    """(labels, ranges, stack) of the windows: the majority-vote labels, the
+    (start, stop) ranges and the powered covariances, as
+    `write_feature_archive` takes them and `read_feature_archive` returns them.
+    """
     if channels is not None:
         for c in channels:
             if not 0 <= c < series.channels:
                 raise DomainError(f"channel index {c} is outside [0, {series.channels})")
         samples = series.samples[:, channels]
         series = LabeledSeries(samples=samples, labels=series.labels)
-    windows, stack = _window_covariances(series, spec, ridge)
-    return windows, stack.power(beta)
+    starts, labels, stack = _window_covariances(series, spec, ridge)
+    ranges = [(s, s + spec.length) for s in starts.tolist()]
+    return labels.tolist(), ranges, stack.power(beta)
 
 
 # ---------------------------------------------------------------------------

@@ -381,7 +381,7 @@ def _select_beta(
     tol=1e-8,
     ridge=None,
 ):
-    """select_beta, plus the windows and SPD stack of the selected window spec."""
+    """select_beta, plus the window labels and SPD stack of the selected window spec."""
     if beta_grid is None:
         beta_grid = default_beta_grid()
     beta_grid = [float(b) for b in beta_grid]
@@ -397,14 +397,13 @@ def _select_beta(
         split = SplitSpec(train_frac=0.6, val_frac=0.2, test_frac=0.2, seed=0)
 
     table: list[dict] = []
-    best = None  # (key, row, classifier, window spec, windows, stack)
+    best = None  # (key, row, classifier, window spec, labels, stack)
     first_error = None
     for wspec in window_grid:
-        windows, stack = _window_covariances(dataset, wspec, ridge)
-        labels = np.array([w.label for w in windows])
+        _, labels, stack = _window_covariances(dataset, wspec, ridge)
         if labels.min() == labels.max():
             raise DomainError("windowed dataset contains a single class")
-        parts = split_dataset(list(range(len(windows))), labels, split)
+        parts = split_dataset(list(range(len(labels))), labels, split)
         if not parts.train_idx or not parts.val_idx:
             raise DomainError("degenerate split: empty train or validation part")
         train, val = list(parts.train_idx), list(parts.val_idx)
@@ -435,11 +434,11 @@ def _select_beta(
             row.update(s3=s3, train=metrics_to_dict(m_train), val=metrics_to_dict(m_val))
             key = (-s3, abs(beta), len(table))
             if best is None or key < best[0]:
-                best = (key, row, clf, wspec, windows, stack)
+                best = (key, row, clf, wspec, labels, stack)
 
     if best is None:
         raise DomainError(f"every power on the grid failed; the first was {first_error}")
-    _, row, clf, wspec, windows, stack = best
+    _, row, clf, wspec, labels, stack = best
     result = SelectionResult(
         beta_star=row["beta"],
         s3=row["s3"],
@@ -447,7 +446,7 @@ def _select_beta(
         window_spec_star=wspec,
         classifier=clf,
     )
-    return result, windows, stack
+    return result, labels, stack
 
 
 def evaluate(classifier: LinearClassifier, features: list[FeatureMatrix], token: str | None = None) -> Metrics:

@@ -94,8 +94,10 @@ def _checked_eigh(sym: np.ndarray, positive: bool = False):
     One ``eigh`` call factors a matrix or a whole (N, k, k) stack. Per matrix:
     orthonormal eigenvectors to 1e-10 and reconstruction to 1e-8 relative
     (else NumericalError) and, when `positive`, lambda_min > 1e-12 (else
-    DomainError).
+    DomainError; so is a 0 x 0 matrix).
     """
+    if positive and not sym.shape[-1]:
+        raise DomainError(f"an SPD matrix must be at least 1 x 1, got shape {sym.shape}")
     w, q = np.linalg.eigh(sym)
     qt = q.swapaxes(-1, -2)
     ortho = _fro(q @ qt - np.eye(sym.shape[-1]))

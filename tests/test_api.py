@@ -1,5 +1,6 @@
 """The package's public names are exactly its library modules' ``__all__`` lists."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -55,6 +56,54 @@ def test_perfbench_traced_names_resolve():
             assert method in vars(getattr(module, cls_name)), attr
         else:
             assert callable(getattr(module, attr)), f"{module_name}.{attr}"
+
+
+def _reads(node, strings=False) -> set:
+    """Every name a piece of code reads: bare names, attributes and imported names.
+
+    With ``strings``, the dotted parts of string constants count too, as in the
+    tracer's (module, "Class.method") targets.
+    """
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(sub.value.split("."))
+    return names
+
+
+def test_every_unexported_definition_has_a_caller():
+    """No helper whose only caller is its own test.
+
+    A module-level function or class outside its module's ``__all__`` must be
+    read by some package module, its own body aside, or by the benchmark's
+    workloads or tracer.
+    """
+    src = Path(covpow.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    benchmark = set().union(
+        *(_reads(ast.parse((perfbench / name).read_text()), strings=True)
+          for name in ("workloads.py", "tracer.py"))
+    )
+    statements = [(stmt, _reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    orphans = []
+    for module, tree in trees.items():
+        defs = [s for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))]
+        if not defs:  # the package's __init__ and __main__
+            continue
+        exported = importlib.import_module(f"covpow.{module}").__all__
+        for stmt in defs:
+            if stmt.name in exported or stmt.name in benchmark:
+                continue
+            if not any(stmt.name in reads for other, reads in statements if other is not stmt):
+                orphans.append(f"{module}.{stmt.name}")
+    assert orphans == []
 
 
 def _run_child(code):

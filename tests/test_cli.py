@@ -285,6 +285,18 @@ def _extract_config(inputs, channels):
 
 
 _SPLIT = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}
+# a valid config of each verb that takes a ridge
+_RIDGE_CONFIGS = {
+    "extract": lambda d: _extract_config(d, [0, 1]),
+    "select": lambda d: {"schema_version": "1", "series_csv": d["series"]},
+    "evaluate": lambda d: {
+        "schema_version": "1",
+        "series_csv": d["series"],
+        "selection_dir": d["bare"],
+        "split": _SPLIT,
+    },
+    "pipeline": lambda d: two_class_pipeline_config(),
+}
 _HUGE = 10**400  # a JSON integer no float or 64-bit int holds
 _ER = {"type": "er", "n_obs": 3, "n_lat": 2, "p_obs": 0.9, "p_lat": 0.9, "p_cross": 0.5}
 
@@ -430,6 +442,26 @@ BAD_CONFIGS = [
         "config.l2: must be finite",
         id="pipeline-inf-l2",
     ),
+    # bad ridges, which fail every window's SPD check (NaN) or overflow (inf)
+    *[
+        pytest.param(
+            verb,
+            lambda d, verb=verb, ridge=ridge: {**_RIDGE_CONFIGS[verb](d), "ridge": ridge},
+            2,
+            f"config.ridge: {where}",
+            id=f"{verb}-{name}-ridge",
+        )
+        for verb, name, ridge, where in (
+            ("extract", "nan", math.nan, "must be >= 0.0"),
+            ("extract", "inf", math.inf, "must be finite"),
+            ("extract", "negative", -1e-6, "must be >= 0.0"),
+            ("select", "nan", math.nan, "must be >= 0.0"),
+            ("select", "inf", math.inf, "must be finite"),
+            ("evaluate", "nan", math.nan, "must be >= 0.0"),
+            ("evaluate", "minus-inf", -math.inf, "must be >= 0.0"),
+            ("pipeline", "negative", -1.0, "must be >= 0.0"),
+        )
+    ],
     # list elements
     pytest.param(
         "simulate",
@@ -480,6 +512,13 @@ BAD_CONFIGS = [
         3,
         "channel index -1",
         id="channel-negative",
+    ),
+    pytest.param(
+        "extract",
+        lambda d: _extract_config(d, []),
+        3,
+        "samples must be a nonempty 2-d array",
+        id="channels-empty",
     ),
     # malformed input files
     pytest.param(
@@ -718,6 +757,13 @@ def test_bad_input_exits_with_its_location(
 def test_zero_l2_is_legal():
     select = {"schema_version": "1", "series_csv": "s.csv", "l2": 0}
     assert cli._checked_config("select", select)["l2"] == 0.0
+
+
+def test_zero_ridge_is_legal():
+    inputs = {"series": "s.csv", "bare": "b"}
+    for verb, make_config in _RIDGE_CONFIGS.items():
+        config = {**make_config(inputs), "ridge": 0}
+        assert cli._checked_config(verb, config)["ridge"] == 0.0, verb
 
 
 def test_zero_tol_is_legal():

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -13,10 +13,9 @@ from covpow.features import (
     LabeledSeries,
     WindowSpec,
     _window_covariances,
+    _window_index,
     empirical_covariance,
     extract_features,
-    majority_vote_label,
-    mutual_info_select,
     power_features,
     read_feature_archive,
     read_series_csv,
@@ -42,6 +41,8 @@ class TestLabeledSeries:
             LabeledSeries(samples=np.zeros((5, 2)), labels=np.zeros(4, dtype=int))
         with pytest.raises(DomainError):
             LabeledSeries(samples=np.zeros((5, 2)), labels=np.full(5, 2))
+        with pytest.raises(DomainError, match=r"nonempty 2-d array, got \(5, 0\)$"):
+            LabeledSeries(samples=np.zeros((5, 0)), labels=np.zeros(5, dtype=int))
 
     def test_properties(self):
         s = make_series(t=50, channels=4)
@@ -116,18 +117,61 @@ class TestSlidingWindows:
         assert_array_equal(w.samples, series.samples[w.start : w.stop])
 
 
-class TestMajorityVote:
-    def test_examples(self):
-        assert majority_vote_label([0, 0, 1]) == 0
-        assert majority_vote_label([1, 1, 0]) == 1
-        assert majority_vote_label([0, 1]) == 1  # tie goes to the event class
+    def test_exact_tie_votes_the_event_class(self):
+        series = LabeledSeries(samples=np.zeros((2, 1)), labels=[0, 1])
+        (window,) = sliding_windows(series, WindowSpec(length=2))
+        assert window.label == 1
 
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            majority_vote_label([])
+
+def old_window_loop(labels, t, spec):
+    """The per-window loop that the window index replaced, kept as the oracle."""
+    count = (t - spec.length) // spec.stride + 1
+    starts = [i * spec.stride for i in range(count)]
+    votes = [int(2 * labels[s : s + spec.length].sum() >= spec.length) for s in starts]
+    return starts, votes
+
+
+@st.composite
+def labeled_windowing(draw):
+    """A label series of length 1..300 and a window spec that fits it.
+
+    Half the series are random labels; the other half alternate runs of one
+    length, and windows are often short and even, so that many tie exactly.
+    """
+    t = draw(st.integers(1, 300))
+    run, first = draw(st.integers(1, 12)), draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        labels = (np.arange(t) // run + first) % 2
+    else:
+        labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, t)
+    even = st.sampled_from([2, 2 * run, 4 * run]).filter(lambda n: n <= t)
+    length = draw(st.integers(1, t) | even)
+    overlap = draw(st.floats(0.0, 0.95, exclude_max=True))
+    assume(int(round(length * (1 - overlap))) >= 1)
+    return labels, WindowSpec(length=length, overlap=overlap)
+
+
+class TestWindowIndex:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=labeled_windowing())
+    def test_matches_the_per_window_loop(self, case):
+        labels, spec = case
+        series = LabeledSeries(samples=np.zeros((labels.size, 1)), labels=labels)
+        want_starts, want_votes = old_window_loop(labels, labels.size, spec)
+        starts, votes = _window_index(series, spec)
+        assert starts.tolist() == want_starts
+        assert votes.tolist() == want_votes
+        wins = sliding_windows(series, spec)
+        assert [(w.start, w.stop, w.label) for w in wins] == [
+            (s, s + spec.length, y) for s, y in zip(want_starts, want_votes)
+        ]
 
 
 class TestEmpiricalCovariance:
+    def test_zero_channels_rejected(self):
+        with pytest.raises(DomainError, match="nonempty 2-d block"):
+            empirical_covariance(np.empty((5, 0)))
+
     def test_constant_window_with_ridge(self):
         window = np.ones((8, 3))
         cov = empirical_covariance(window, ridge=0.1)
@@ -199,18 +243,19 @@ class TestWindowCovariances:
         with mock.patch.object(features, "SpdStack", Unvalidated), mock.patch.object(
             features, "SpdMatrix", Unvalidated
         ):
-            windows, stack = _window_covariances(series, spec, ridge)
-            assert len(windows) == count == len(stack.values)
-            for w, got in zip(windows, stack.values):
-                want = per_window_covariance(w.samples, ridge)
+            starts, labels, stack = _window_covariances(series, spec, ridge)
+            assert len(starts) == len(labels) == count == len(stack.values)
+            for start, got in zip(starts, stack.values):
+                window = samples[start : start + spec.length]
+                want = per_window_covariance(window, ridge)
                 assert got.tobytes() == want.tobytes()
-                assert empirical_covariance(w.samples, ridge).values.tobytes() == want.tobytes()
+                assert empirical_covariance(window, ridge).values.tobytes() == want.tobytes()
 
     def test_validated_stack_keeps_the_same_bits(self):
         series = make_series(t=300, channels=4, seed=7)
         spec = WindowSpec(length=16, overlap=0.5)
-        windows, stack = _window_covariances(series, spec)
-        want = np.array([per_window_covariance(w.samples, None) for w in windows])
+        starts, _, stack = _window_covariances(series, spec)
+        want = np.array([per_window_covariance(series.samples[s : s + 16], None) for s in starts])
         assert stack.values.tobytes() == want.tobytes()
 
     def test_negative_ridge_raises_before_any_window(self):
@@ -221,14 +266,17 @@ class TestWindowCovariances:
             raise AssertionError("a window was computed")
 
         with mock.patch.object(features, "_covariances", no_window), mock.patch.object(
-            features, "sliding_windows", no_window
+            features, "_window_index", no_window
         ):
-            for call in (
-                lambda: _window_covariances(series, spec, -1e-9),
-                lambda: empirical_covariance(series.samples[:16], -1.0),
-            ):
-                with pytest.raises(DomainError, match="^ridge must be nonnegative$"):
-                    call()
+            for ridge in (-1e-9, -1.0, np.nan, np.inf, -np.inf):
+                for call in (
+                    lambda: _window_covariances(series, spec, ridge),
+                    lambda: empirical_covariance(series.samples[:16], ridge),
+                ):
+                    with pytest.raises(
+                        DomainError, match=f"^ridge must be finite and nonnegative, got {ridge}$"
+                    ):
+                        call()
 
 
 class TestPowerFeatures:
@@ -261,83 +309,27 @@ class TestPowerFeatures:
         assert feat.label == 1
 
 
-class TestMutualInfoSelect:
-    def test_label_channel_ranks_first(self):
-        rng = np.random.default_rng(6)
-        labels = (rng.random(400) < 0.4).astype(int)
-        noise = rng.standard_normal((400, 2))
-        samples = np.column_stack([noise[:, 0], labels.astype(float), noise[:, 1]])
-        series = LabeledSeries(samples=samples, labels=labels)
-        assert mutual_info_select(series, 1)[0] == 1
-
-    def test_independent_channel_near_zero_mi(self):
-        # permutation baseline: the observed MI of a label-independent channel
-        # should sit within 3 sigma of the permuted-label MI distribution
-        from covpow.features import _histogram_mi
-
-        rng = np.random.default_rng(7)
-        labels = (rng.random(600) < 0.5).astype(int)
-        channel = rng.standard_normal(600)
-        observed = _histogram_mi(channel, labels, bins=16)
-        null = []
-        for _ in range(200):
-            null.append(_histogram_mi(channel, rng.permutation(labels), bins=16))
-        mu, sd = np.mean(null), np.std(null)
-        assert abs(observed - mu) <= 3 * sd
-
-    def test_keep_all_orders_by_mi(self):
-        rng = np.random.default_rng(8)
-        labels = (rng.random(500) < 0.5).astype(int)
-        strong = labels + 0.05 * rng.standard_normal(500)
-        weak = 0.3 * labels + rng.standard_normal(500)
-        pure = rng.standard_normal(500)
-        series = LabeledSeries(
-            samples=np.column_stack([pure, weak, strong]), labels=labels
-        )
-        assert mutual_info_select(series, 3) == [2, 1, 0]
-
-    def test_constant_channel_scores_zero_not_error(self):
-        labels = np.array([0, 1, 0, 1])
-        samples = np.column_stack([np.ones(4), labels.astype(float)])
-        series = LabeledSeries(samples=samples, labels=labels)
-        assert mutual_info_select(series, 2) == [1, 0]
-
-    def test_tie_breaks_by_lower_index(self):
-        labels = np.array([0, 1, 0, 1, 0, 1])
-        const = np.ones(6)
-        series = LabeledSeries(samples=np.column_stack([const, const]), labels=labels)
-        assert mutual_info_select(series, 2) == [0, 1]
-
-    def test_domain(self):
-        series = make_series(channels=3)
-        with pytest.raises(DomainError):
-            mutual_info_select(series, 0)
-        with pytest.raises(DomainError):
-            mutual_info_select(series, 4)
-        with pytest.raises(DomainError):
-            mutual_info_select(series, 2, bins=1)
-
-
 class TestExtractFeatures:
     def test_every_feature_is_spd_and_ordered(self):
         series = make_series(t=300, channels=4, seed=9)
-        windows, stack = extract_features(series, WindowSpec(length=50, overlap=0.5), beta=0.5)
-        assert len(windows) == len(stack) == 11
+        labels, ranges, stack = extract_features(
+            series, WindowSpec(length=50, overlap=0.5), beta=0.5
+        )
+        assert len(labels) == len(ranges) == len(stack) == 11
         assert isinstance(stack, SpdStack)
-        starts = [w.start for w in windows]
-        assert starts == sorted(starts)
+        assert ranges == [(25 * i, 25 * i + 50) for i in range(11)]
 
     def test_channel_restriction(self):
         series = make_series(t=120, channels=5, seed=10)
-        _, stack = extract_features(series, WindowSpec(length=40), beta=1.0, channels=[0, 3])
+        _, _, stack = extract_features(series, WindowSpec(length=40), beta=1.0, channels=[0, 3])
         assert stack.values.shape[1:] == (2, 2)
 
     def test_labels_follow_majority(self):
         samples = np.zeros((20, 2)) + np.random.default_rng(11).standard_normal((20, 2))
         labels = np.array([0] * 10 + [1] * 10)
         series = LabeledSeries(samples=samples, labels=labels)
-        windows, _ = extract_features(series, WindowSpec(length=10), beta=1.0)
-        assert [w.label for w in windows] == [0, 1]
+        labels, _, _ = extract_features(series, WindowSpec(length=10), beta=1.0)
+        assert labels == [0, 1]
 
 
 class TestSerialization:
@@ -383,13 +375,10 @@ class TestSerialization:
 
     def test_feature_archive_round_trip(self, tmp_path):
         series = make_series(t=100, channels=3, seed=13)
-        windows, stack = extract_features(series, WindowSpec(length=25), beta=0.5)
-        labels = [w.label for w in windows]
-        ranges = [(w.start, w.stop) for w in windows]
+        labels, ranges, stack = extract_features(series, WindowSpec(length=25), beta=0.5)
         adir = tmp_path / "archive"
         write_feature_archive(labels, ranges, stack, 0.5, adir, meta={"beta": 0.5})
         back_labels, back_ranges, back = read_feature_archive(adir)
-        assert len(back) == len(stack)
-        assert_array_equal(back.values, stack.values)
         assert back_labels == labels
         assert back_ranges == ranges
+        assert back.values.tobytes() == stack.values.tobytes()

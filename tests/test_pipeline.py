@@ -232,7 +232,7 @@ class TestVectorize:
             labels=rng.integers(0, 2, 120),
         )
         spec = WindowSpec(length=length, overlap=0.5)
-        _, stack = _window_covariances(series, spec)
+        _, _, stack = _window_covariances(series, spec)
         covs = [empirical_covariance(w.samples) for w in sliding_windows(series, spec)]
         want = np.array([vectorize_feature(power_features(c, beta).matrix) for c in covs])
         got = _vectorize(stack.power(beta).values)

@@ -77,6 +77,10 @@ class TestSpdMatrix:
         with pytest.raises(DomainError):
             SpdMatrix(np.zeros((3, 3)))
 
+    def test_rejects_zero_by_zero(self):
+        with pytest.raises(DomainError, match=r"at least 1 x 1, got shape \(0, 0\)"):
+            SpdMatrix(np.empty((0, 0)))
+
     def test_eigenvalues_ascending(self):
         x = random_spd(6, seed=1)
         assert np.all(np.diff(x.eigenvalues) >= 0)
@@ -315,6 +319,8 @@ class TestSpdStack:
             SpdStack(np.eye(3))
         with pytest.raises(DomainError):
             SpdStack(np.zeros((2, 3, 4)))
+        with pytest.raises(DomainError, match=r"at least 1 x 1, got shape \(3, 0, 0\)"):
+            SpdStack(np.empty((3, 0, 0)))
 
     def test_power_losing_definiteness_names_the_matrix(self):
         mats = spd_stack_values(4, 3, seed=40)
