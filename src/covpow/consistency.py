@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .graphs import NodePartition, WeightedGraph, interaction_operator
-from .graphs import _positive_min, partition_blocks, scale_cross_block
+from .graphs import NodePartition, WeightedGraph
+from .graphs import _positive_min, _shift, partition_blocks, scale_cross_block
 from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
     SpdMatrix,
@@ -166,11 +166,7 @@ def osc(m) -> float:
 
 
 def commutation_error(
-    c: SpdMatrix,
-    p: NodePartition,
-    beta: float,
-    method: str = "eig",
-    contour_nodes: int = 256,
+    c: SpdMatrix, p: NodePartition, beta: float, method: str = "eig"
 ) -> SymMatrix:
     """Power-then-observe minus observe-then-power, on the observed block.
 
@@ -181,19 +177,33 @@ def commutation_error(
     if beta == 0 or not math.isfinite(beta):
         raise DomainError("commutation error needs a finite beta != 0")
     c_s = observed_covariance(c, p)
-    power_s = _minus_power(c_s, beta, method, contour_nodes)
-    return SymMatrix(power_s - _minus_power(c, beta, method, contour_nodes)[p._meshes[0]])
+    power_s = _minus_power(c_s, beta, method)
+    return SymMatrix(power_s - _minus_power(c, beta, method)[p._meshes[0]])
 
 
-def _minus_power(x: SpdMatrix, beta: float, method: str, contour_nodes: int = 256) -> np.ndarray:
-    """X^(-beta) by one of commutation_error's methods."""
+_MAX_CONTOUR_NODES = 16384
+
+
+def _minus_power(x: SpdMatrix, beta: float, method: str) -> np.ndarray:
+    """X^(-beta) by one of commutation_error's methods.
+
+    The contour route's trapezoid error decays like exp(-N / cond) on its
+    circle (Trefethen & Weideman 2014), so it takes N = cond * ln(1e12) nodes,
+    rounded up to a multiple of 8, and refuses more than _MAX_CONTOUR_NODES.
+    """
     if method == "eig":
         return spd_power_eig(x, -beta).values
     if method == "stieltjes":
         return spd_power_stieltjes(x, beta).values
     if method == "contour":
         lo, hi = float(x.eigenvalues[0]), float(x.eigenvalues[-1])
-        spec = circular_contour(lo, hi, 0.5 * lo, nodes=contour_nodes)
+        nodes = 8 * math.ceil(hi / lo * math.log(1e12) / 8)
+        if nodes > _MAX_CONTOUR_NODES:
+            raise DomainError(
+                f"contour route needs {nodes} nodes for condition number {hi / lo:.6g}, "
+                f"over its limit of {_MAX_CONTOUR_NODES}"
+            )
+        spec = circular_contour(lo, hi, 0.5 * lo, nodes=nodes)
         return spd_power_contour(x, beta, spec).values
     raise DomainError(f"unknown power method {method!r}")
 
@@ -258,24 +268,25 @@ def _spectrum(shift) -> ShiftSpectrum:
     return ShiftSpectrum(rho=float(np.abs(ev).max()), lam=float(ev[0]))
 
 
-def _fractional_stability(spec: ShiftSpectrum, beta: float) -> float:
-    """Stability radius s of the fractional form's Neumann argument."""
-    return beta * (1 - spec.rho) ** (1 + 1 / beta) / (1 - spec.lam) ** (1 / beta)
-
-
-def fractional_bound_h(abar_m, beta: float) -> float:
-    """Prefactor of the commutation-error norm bound, fractional form."""
+def _fractional_form(shift, beta: float) -> tuple[float, float]:
+    """(h, s): the fractional bound's prefactor and its Neumann stability radius."""
+    spec = _spectrum(shift)
     if not 0 < beta < 1:
         raise DomainError(f"fractional bound needs beta in (0,1), got {beta}")
-    spec = _spectrum(abar_m)
     core = 2 * beta_integral_constant(beta)  # Gamma(1-b) Gamma(2+b)
-    return (
+    h = (
         math.sin(math.pi * beta)
         / math.pi
         * core
         * (1 - spec.lam) ** (2 / beta + 1)
         / (2 * beta**2 * (1 - spec.rho) ** (2 / beta + 2))
     )
+    return h, beta * (1 - spec.rho) ** (1 + 1 / beta) / (1 - spec.lam) ** (1 / beta)
+
+
+def fractional_bound_h(abar_m, beta: float) -> float:
+    """Prefactor of the commutation-error norm bound, fractional form."""
+    return _fractional_form(abar_m, beta)[0]
 
 
 def fractional_gate(abar_m, beta: float, a_min: float, cross_norm: float) -> FractionalGate:
@@ -284,11 +295,7 @@ def fractional_gate(abar_m, beta: float, a_min: float, cross_norm: float) -> Fra
         raise DomainError("gate needs a positive a_min")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    spec = _spectrum(abar_m)
-    if not 0 < beta < 1:
-        raise DomainError(f"fractional gate needs beta in (0,1), got {beta}")
-    h = fractional_bound_h(spec, beta)
-    s = _fractional_stability(spec, beta)
+    h, s = _fractional_form(abar_m, beta)
     c = s * math.sqrt(a_min / (4 * s**2 * h + a_min))
     g = min(s, c)
     return FractionalGate(
@@ -311,11 +318,7 @@ def delta_norm_bound_fractional(abar_m, beta: float, sigma: float, cross_norm: f
         raise DomainError("sigma must be positive")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    spec = _spectrum(abar_m)
-    if not 0 < beta < 1:
-        raise DomainError(f"fractional bound needs beta in (0,1), got {beta}")
-    h = fractional_bound_h(spec, beta)
-    s = _fractional_stability(spec, beta)
+    h, s = _fractional_form(abar_m, beta)
     if cross_norm >= s:
         raise DomainError(
             f"cross_norm {cross_norm:.6g} >= stability {s:.6g}: bound is vacuous"
@@ -324,21 +327,27 @@ def delta_norm_bound_fractional(abar_m, beta: float, sigma: float, cross_norm: f
     return h / (sigma ** (2 * beta) * (1 - theta)) * cross_norm**2
 
 
+def _contour_form(shift, alpha: float, sigma: float) -> tuple[SpectralInterval, float]:
+    """The contour form's covariance spectrum enclosure and amplification factor."""
+    spec = _spectrum(shift)
+    if not alpha > 0:
+        raise DomainError("spectral interval is defined for alpha > 0")
+    if not sigma > 0:
+        raise DomainError("sigma must be positive")
+    interval = SpectralInterval(
+        low=sigma**2 * (1 - spec.lam) ** (-alpha),
+        high=sigma**2 * (1 - spec.rho) ** (-alpha),
+    )
+    return interval, sigma**2 * alpha * (1 - spec.rho) ** (-alpha - 1)
+
+
 def spectral_interval(abar_m, alpha: float, sigma: float) -> SpectralInterval:
     """Enclosure of the covariance spectrum from the shifted operator.
 
     The lower end is exact (the covariance eigenvalue map is monotone); the
     upper end uses the spectral radius, which is an envelope.
     """
-    if not alpha > 0:
-        raise DomainError("spectral interval is defined for alpha > 0")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
-    spec = _spectrum(abar_m)
-    return SpectralInterval(
-        low=sigma**2 * (1 - spec.lam) ** (-alpha),
-        high=sigma**2 * (1 - spec.rho) ** (-alpha),
-    )
+    return _contour_form(abar_m, alpha, sigma)[0]
 
 
 def amplification_factor(abar_m, alpha: float, sigma: float) -> float:
@@ -347,63 +356,7 @@ def amplification_factor(abar_m, alpha: float, sigma: float) -> float:
     Only meaningful for alpha > 0, where the covariance cross block is
     controlled by the adjacency cross block.
     """
-    if not alpha > 0:
-        raise DomainError("amplification factor is defined for alpha > 0")
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
-    return sigma**2 * alpha * (1 - _spectrum(abar_m).rho) ** (-alpha - 1)
-
-
-def _best_gate(abar_m, alpha, beta, sigma, epsilons, a_min, cross_norm) -> ContourGate:
-    """The contour gate at the clearance that maximizes it; ties keep the first.
-
-    Every clearance is evaluated in one numpy pass. epsilons=None takes
-    default_epsilon_grid. np.float_power matches Python's float ** bit for
-    bit (np.power does not).
-    """
-    if epsilons is not None:
-        eps = np.fromiter(epsilons, dtype=float)
-        if not eps.size:
-            raise DomainError("epsilon grid is empty")
-    if beta == 0 or not math.isfinite(beta):
-        raise DomainError("contour gate needs a finite beta != 0")
-    if a_min is None or not a_min > 0:
-        raise DomainError("gate needs a positive a_min")
-    if cross_norm < 0:
-        raise DomainError("cross_norm must be nonnegative")
-    spec = _spectrum(abar_m)
-    interval = spectral_interval(spec, alpha, sigma)
-    m, m_up = interval.low, interval.high
-    if epsilons is None:
-        eps = default_epsilon_grid(m)  # inside (0, m) by construction
-    else:
-        bad = np.flatnonzero(~((0 < eps) & (eps < m)))
-        if bad.size:
-            raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {eps[bad[0]]}")
-    radius = (m_up - m) / 2 + eps
-    magnitude = np.float_power(m - eps if beta >= 0 else m_up + eps, -beta)
-    k_const = radius * np.float_power(eps, -3) * magnitude
-    amp = amplification_factor(spec, alpha, sigma)
-    s_eps = eps / amp
-    spread = 4 * np.float_power(eps, 2) * sigma ** (2 * beta) * k_const
-    c_eps = s_eps * np.sqrt(a_min / (spread + a_min))
-    g_eps = np.where(c_eps < s_eps, c_eps, s_eps)  # min(s_eps, c_eps)
-    i = int(g_eps.argmax())
-    gate, epsilon = g_eps[i].item(), eps[i].item()
-    return ContourGate(
-        epsilon=epsilon,
-        spectrum_low=m,
-        spectrum_high=m_up,
-        radius=radius[i].item(),
-        magnitude=magnitude[i].item(),
-        contour_constant=k_const[i].item(),
-        amplification=amp,
-        stability=s_eps[i].item(),
-        control=c_eps[i].item(),
-        gate=gate,
-        theta_bound=float(np.float_power(amp * cross_norm / epsilon, 2)),
-        satisfied=bool(cross_norm < gate),
-    )
+    return _contour_form(abar_m, alpha, sigma)[1]
 
 
 def contour_gate(
@@ -416,7 +369,7 @@ def contour_gate(
     cross_norm: float,
 ) -> ContourGate:
     """Evaluate the contour-form gate at a given clearance epsilon."""
-    return _best_gate(abar_m, alpha, beta, sigma, [epsilon], a_min, cross_norm)
+    return best_contour_gate(abar_m, alpha, beta, sigma, a_min, cross_norm, [epsilon])
 
 
 _STEPS = np.arange(20.0)
@@ -448,8 +401,53 @@ def best_contour_gate(
     cross_norm: float,
     epsilon_grid=None,
 ) -> ContourGate:
-    """Contour gate maximized over a clearance grid; ties keep the first."""
-    return _best_gate(abar_m, alpha, beta, sigma, epsilon_grid, a_min, cross_norm)
+    """Contour gate maximized over a clearance grid; ties keep the first.
+
+    Every clearance is evaluated in one numpy pass. epsilon_grid=None takes
+    default_epsilon_grid. np.float_power matches Python's float ** bit for
+    bit (np.power does not).
+    """
+    if epsilon_grid is not None:
+        eps = np.fromiter(epsilon_grid, dtype=float)
+        if not eps.size:
+            raise DomainError("epsilon grid is empty")
+    if beta == 0 or not math.isfinite(beta):
+        raise DomainError("contour gate needs a finite beta != 0")
+    if a_min is None or not a_min > 0:
+        raise DomainError("gate needs a positive a_min")
+    if cross_norm < 0:
+        raise DomainError("cross_norm must be nonnegative")
+    interval, amp = _contour_form(abar_m, alpha, sigma)
+    m, m_up = interval.low, interval.high
+    if epsilon_grid is None:
+        eps = default_epsilon_grid(m)  # inside (0, m) by construction
+    else:
+        bad = np.flatnonzero(~((0 < eps) & (eps < m)))
+        if bad.size:
+            raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {eps[bad[0]]}")
+    radius = (m_up - m) / 2 + eps
+    magnitude = np.float_power(m - eps if beta >= 0 else m_up + eps, -beta)
+    k_const = radius * np.float_power(eps, -3) * magnitude
+    s_eps = eps / amp
+    spread = 4 * np.float_power(eps, 2) * sigma ** (2 * beta) * k_const
+    c_eps = s_eps * np.sqrt(a_min / (spread + a_min))
+    g_eps = np.where(c_eps < s_eps, c_eps, s_eps)  # min(s_eps, c_eps)
+    i = int(g_eps.argmax())
+    gate, epsilon = g_eps[i].item(), eps[i].item()
+    return ContourGate(
+        epsilon=epsilon,
+        spectrum_low=m,
+        spectrum_high=m_up,
+        radius=radius[i].item(),
+        magnitude=magnitude[i].item(),
+        contour_constant=k_const[i].item(),
+        amplification=amp,
+        stability=s_eps[i].item(),
+        control=c_eps[i].item(),
+        gate=gate,
+        theta_bound=float(np.float_power(amp * cross_norm / epsilon, 2)),
+        satisfied=bool(cross_norm < gate),
+    )
 
 
 def certified_gates(
@@ -466,10 +464,9 @@ def certified_gates(
     beta = 1/alpha in (0,1); the contour gate needs alpha > 0.
     """
     spec = _spectrum(shift)
-    frac = None
+    frac = cont = None
     if 0 < beta < 1 and abs(beta * alpha - 1) <= 1e-9:
         frac = fractional_gate(spec, beta, a_min, cross_norm)
-    cont = None
     if alpha > 0:
         cont = best_contour_gate(spec, alpha, beta, sigma, a_min, cross_norm)
     return frac, cont
@@ -502,8 +499,7 @@ def shrink_to_gate(
     if a_min is None:
         raise DomainError("observed block has no edges; nothing to gate against")
     for _ in range(80):
-        # one eigvalsh of the shift I - op serves the validity check and every gate
-        ev = np.linalg.eigvalsh(np.eye(graph.n) - interaction_operator(graph, kappa))
+        _, ev = _shift(graph, kappa)  # one eigvalsh serves the validity check and every gate
         rho = float(np.abs(ev).max())
         cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
         if not rho < 1.0:

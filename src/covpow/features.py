@@ -198,9 +198,11 @@ def extract_features(
     `write_feature_archive` takes them and `read_feature_archive` returns them.
     """
     if channels is not None:
-        for c in channels:
+        for i, c in enumerate(channels):
             if not 0 <= c < series.channels:
                 raise DomainError(f"channel index {c} is outside [0, {series.channels})")
+            if c in channels[:i]:
+                raise DomainError(f"channel index {c} is repeated")
         samples = series.samples[:, channels]
         series = LabeledSeries(samples=samples, labels=series.labels)
     starts, labels, stack = _window_covariances(series, spec, ridge)
@@ -271,7 +273,7 @@ def write_feature_archive(
     """Directory of matrix CSVs plus a JSON manifest with provenance.
 
     Entry i holds matrix i of the stack with its label and (start, stop)
-    window range; every entry records the power `beta`.
+    window range, from lists or integer arrays; every entry records `beta`.
     """
     os.makedirs(dirpath, exist_ok=True)
     entries = []
@@ -281,9 +283,9 @@ def write_feature_archive(
         entries.append(
             {
                 "file": name,
-                "label": label,
+                "label": int(label),
                 "beta": float(beta),
-                "source_window": list(source) if source else None,
+                "source_window": None if source is None else [int(b) for b in source],
             }
         )
     manifest = {"count": len(entries), "entries": entries, "meta": meta}

@@ -146,17 +146,20 @@ def interaction_operator(g: WeightedGraph, kappa: float) -> np.ndarray:
     return np.diag(kappa**2 * d + d) - g.adjacency
 
 
+def _shift(g: WeightedGraph, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """I - (kappa^2*D + L), exactly symmetric, and its ascending eigenvalues."""
+    a = np.eye(g.n) - interaction_operator(g, kappa)
+    return a, np.linalg.eigvalsh(a)
+
+
 def abar(g: WeightedGraph, kappa: float) -> tuple[np.ndarray, bool]:
     """Shifted operator I - kappa^2*D - L plus a validity flag.
 
     The flag is True when the spectral radius is strictly below 1; an invalid
     graph is reported, never rejected.
     """
-    op = interaction_operator(g, kappa)
-    a = np.eye(g.n) - op
-    a = (a + a.T) / 2  # the subtraction is already symmetric; keep it bitwise so
-    rho = float(np.abs(np.linalg.eigvalsh(a)).max())
-    return a, rho < 1.0
+    a, ev = _shift(g, kappa)
+    return a, float(np.abs(ev).max()) < 1.0
 
 
 def sample_inhomogeneous_er(

@@ -515,6 +515,13 @@ BAD_CONFIGS = [
     ),
     pytest.param(
         "extract",
+        lambda d: _extract_config(d, [0, 1, 0]),
+        3,
+        "channel index 0 is repeated",
+        id="channel-repeated",
+    ),
+    pytest.param(
+        "extract",
         lambda d: _extract_config(d, []),
         3,
         "samples must be a nonempty 2-d array",
@@ -893,6 +900,20 @@ class TestVerify:
         assert rows[0] == (
             "seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error"
         )
+
+    def test_stieltjes_route_matches_eig(self, tmp_path):
+        runs = {}
+        for method in ("eig", "stieltjes"):
+            config = {**self.verify_config(count=3), "method": method}
+            path = write_config(tmp_path, f"{method}.json", config)
+            runs[method] = tmp_path / method
+            assert main(["verify", "--config", path, "--out", str(runs[method])]) == 0
+        for seed in range(3):
+            name = f"report_{seed:05d}.json"
+            eig, sti = (json.loads((run / name).read_text()) for run in runs.values())
+            for key in ("delta_spectral_norm", "delta_osc"):
+                assert sti.pop(key) == pytest.approx(eig.pop(key), rel=1e-10, abs=0)
+            assert sti == eig
 
     def test_gated_batch_all_consistent(self, tmp_path):
         config = self.verify_config(count=6, gate_frac=0.5)

@@ -16,6 +16,7 @@ from covpow import consistency
 from covpow.consistency import (
     ConsistencyReport,
     ContourGate,
+    FractionalGate,
     ShiftSpectrum,
     SpectralInterval,
     amplification_factor,
@@ -166,7 +167,7 @@ class TestCommutationError:
         c = population_covariance(model)
         d_eig = commutation_error(c, p, 0.5, method="eig").values
         d_sti = commutation_error(c, p, 0.5, method="stieltjes").values
-        d_con = commutation_error(c, p, 0.5, method="contour", contour_nodes=1024).values
+        d_con = commutation_error(c, p, 0.5, method="contour").values
         assert np.max(np.abs(d_sti - d_eig)) <= 1e-8
         assert np.max(np.abs(d_con - d_eig)) <= 1e-8
 
@@ -174,7 +175,7 @@ class TestCommutationError:
         model, p = er_instance(11, target_rho=0.6)
         c = population_covariance(model)
         d_eig = commutation_error(c, p, -1.5, method="eig").values
-        d_con = commutation_error(c, p, -1.5, method="contour", contour_nodes=1024).values
+        d_con = commutation_error(c, p, -1.5, method="contour").values
         assert np.max(np.abs(d_con - d_eig)) <= 1e-8
 
     def test_rejects_zero_beta_and_bad_method(self):
@@ -714,6 +715,73 @@ class TestContourGrid:
         assert repr(got) == repr(want)
 
 
+def _scalar_shift(shift):
+    ev = np.linalg.eigvalsh(shift)
+    return float(np.max(np.abs(ev))), float(ev[0])
+
+
+def _scalar_fractional_hs(shift, beta):
+    """(h, s) of the fractional form, formula by formula on Python floats."""
+    rho, lam = _scalar_shift(shift)
+    core = 2 * (math.gamma(1 - beta) * math.gamma(2 + beta) / 2)
+    h = (
+        math.sin(math.pi * beta)
+        / math.pi
+        * core
+        * (1 - lam) ** (2 / beta + 1)
+        / (2 * beta**2 * (1 - rho) ** (2 / beta + 2))
+    )
+    s = beta * (1 - rho) ** (1 + 1 / beta) / (1 - lam) ** (1 / beta)
+    return h, s
+
+
+_pin_shifts = st.lists(st.floats(-0.95, 0.95), min_size=2, max_size=6).map(np.diag)
+_fractional_params = dict(
+    shift=_pin_shifts,
+    beta=st.floats(0.05, 0.95),
+    sigma=st.floats(0.5, 2.0),
+    a_min=st.floats(0.05, 2.0),
+    cross_frac=st.floats(0.0, 1.5),
+)
+
+
+class TestGateFormulaPins:
+    """Every gate quantity equals its formula written out on Python floats, bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(**_fractional_params)
+    def test_fractional_form(self, shift, beta, sigma, a_min, cross_frac):
+        h, s = _scalar_fractional_hs(shift, beta)
+        cross = cross_frac * s
+        c = s * math.sqrt(a_min / (4 * s**2 * h + a_min))
+        g = min(s, c)
+        want = FractionalGate(h, s, c, g, (cross / s) ** 2, cross < g)
+        assert repr(fractional_gate(shift, beta, a_min, cross)) == repr(want)
+        assert repr(fractional_bound_h(shift, beta)) == repr(h)
+        if cross < s:
+            theta = (cross / s) ** 2
+            bound = h / (sigma ** (2 * beta) * (1 - theta)) * cross**2
+            got = delta_norm_bound_fractional(shift, beta, sigma, cross)
+            assert repr(got) == repr(bound)
+        else:
+            with pytest.raises(DomainError, match="bound is vacuous"):
+                delta_norm_bound_fractional(shift, beta, sigma, cross)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(shift=_pin_shifts, alpha=st.floats(0.25, 3.0), sigma=st.floats(0.5, 2.0))
+    def test_contour_form_scalars(self, shift, alpha, sigma):
+        rho, lam = _scalar_shift(shift)
+        interval = SpectralInterval(
+            low=sigma**2 * (1 - lam) ** (-alpha), high=sigma**2 * (1 - rho) ** (-alpha)
+        )
+        amp = sigma**2 * alpha * (1 - rho) ** (-alpha - 1)
+        assert repr(spectral_interval(shift, alpha, sigma)) == repr(interval)
+        assert repr(amplification_factor(shift, alpha, sigma)) == repr(amp)
+        spec = ShiftSpectrum(rho=rho, lam=lam)
+        assert repr(spectral_interval(spec, alpha, sigma)) == repr(interval)
+        assert repr(amplification_factor(spec, alpha, sigma)) == repr(amp)
+
+
 class TestCertifiedGates:
     SHIFT = np.array([[0.3, 0.2, 0.0], [0.2, -0.4, 0.1], [0.0, 0.1, 0.5]])
 
@@ -961,6 +1029,33 @@ class TestVerifyInstance:
         assert report.gate_fractional is not None and report.gate_contour is not None
         # one eigh for the observed block, one eigvalsh for the norm of delta
         assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+class TestVerifyRoutes:
+    """The integral routes of verify_instance against its eig route."""
+
+    # 7+5-node draws at alpha 2 (beta 0.5), covariance condition numbers up to about 42
+    INSTANCES = [inst for inst in map(er_instance, range(40)) if inst is not None]
+
+    @pytest.mark.parametrize("method, rtol", [("stieltjes", 1e-10), ("contour", 1e-7)])
+    def test_route_matches_eig(self, method, rtol):
+        assert len(self.INSTANCES) == 39
+        changed = ("delta_spectral_norm", "delta_osc")
+        same = [f.name for f in fields(ConsistencyReport) if f.name not in changed]
+        for model, p in self.INSTANCES:
+            want = verify_instance(model, p)
+            got = verify_instance(model, p, method=method)
+            assert abs(got.delta_spectral_norm - want.delta_spectral_norm) <= (
+                rtol * want.delta_spectral_norm
+            )
+            for name in same:
+                assert getattr(got, name) == getattr(want, name), name
+
+    def test_contour_node_count_is_bounded(self):
+        c = SpdMatrix(np.diag([1.0, 2.0, 1e4]))
+        p = NodePartition.from_observed(3, [0, 1])
+        with pytest.raises(DomainError, match=r"needs 276312 nodes for condition number 10000,"):
+            commutation_error(c, p, 0.5, method="contour")
 
 
 class TestVerifyInstanceOracles:

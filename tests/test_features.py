@@ -324,6 +324,12 @@ class TestExtractFeatures:
         _, _, stack = extract_features(series, WindowSpec(length=40), beta=1.0, channels=[0, 3])
         assert stack.values.shape[1:] == (2, 2)
 
+    @pytest.mark.parametrize("channels", [[0, 0], [2, 1, 2]])
+    def test_repeated_channel_rejected(self, channels):
+        series = make_series(t=120, channels=3, seed=10)
+        with pytest.raises(DomainError, match=f"^channel index {channels[-1]} is repeated$"):
+            extract_features(series, WindowSpec(length=20), beta=1.0, channels=channels)
+
     def test_labels_follow_majority(self):
         samples = np.zeros((20, 2)) + np.random.default_rng(11).standard_normal((20, 2))
         labels = np.array([0] * 10 + [1] * 10)
@@ -382,3 +388,14 @@ class TestSerialization:
         assert back_labels == labels
         assert back_ranges == ranges
         assert back.values.tobytes() == stack.values.tobytes()
+
+    def test_feature_archive_takes_array_labels_and_ranges(self, tmp_path):
+        series = make_series(t=100, channels=3, seed=13)
+        starts, labels, stack = _window_covariances(series, WindowSpec(length=25))
+        ranges = np.stack([starts, starts + 25], axis=1)
+        as_lists = (labels.tolist(), [tuple(r) for r in ranges.tolist()])
+        for name, (lab, spans) in {"arrays": (labels, ranges), "lists": as_lists}.items():
+            write_feature_archive(lab, spans, stack, 0.5, tmp_path / name, meta={"beta": 0.5})
+        manifest = (tmp_path / "arrays" / "manifest.json").read_bytes()
+        assert manifest == (tmp_path / "lists" / "manifest.json").read_bytes()
+        assert read_feature_archive(tmp_path / "arrays")[:2] == as_lists

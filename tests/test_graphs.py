@@ -201,6 +201,15 @@ class TestOperators:
             with pytest.raises(DomainError):
                 interaction_operator(two_node(), kappa)
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), kappa=st.sampled_from([1.0, 0.7, 1.3, 1e-3, 40.0]))
+    def test_abar_is_exactly_symmetric(self, seed, kappa):
+        # so abar needs no (a + a.T) / 2; signed zeros must match too
+        g, _ = sample_inhomogeneous_er(7, 4, 0.5, 0.5, 0.15, seed=seed)
+        a, valid = abar(g, kappa)
+        assert a.tobytes() == ((a + a.T) / 2).tobytes() == a.T.copy().tobytes()
+        assert valid == (np.abs(np.linalg.eigvalsh(a)).max() < 1)
+
     def test_abar_two_node(self):
         a, valid = abar(two_node(0.5), kappa=1.0)
         assert_allclose(a, [[0.0, 0.5], [0.5, 0.0]])
