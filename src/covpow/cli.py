@@ -118,7 +118,7 @@ class _Variant:
 
 
 _SEED = _AtLeast(0)
-_TOL = _AtLeast(0.0, float)  # 0 is legal: the fit then stops only at max_iter
+_TOL = _AtLeast(0.0, float)  # 0 is legal: a fit then stops at a step that leaves its loss as it was
 _RIDGE = _AtLeast(0.0, float)  # 0 is legal: a rank-deficient window then fails SPD validation
 _SIGNATURE_MODE = _OneOf(("class-mean", "per-matrix"))
 

@@ -152,9 +152,26 @@ def report_to_dict(report: IdentifiabilityReport) -> dict:
 
 
 def write_pairwise_csv(distances: np.ndarray, path) -> None:
-    """The matrix as CSV under an m0,m1,... header, each value by repr, CRLF-terminated."""
+    """An exactly symmetric matrix as CRLF CSV under m0,m1,..., each value by repr.
+
+    Each distance is formatted once, in the row that holds it on or above the
+    diagonal; column j's bytearray collects the cells below the diagonal as
+    earlier rows are formatted and is freed once row j is written, so at most
+    about n^2/4 cells are held.
+    """
     d = np.asarray(distances, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"m{j}" for j in range(d.shape[1])) + "\r\n")
-        for row in d:
-            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise DomainError(f"need a square distance matrix, got shape {d.shape}")
+    bits = d.view(np.uint64)  # tells -0.0 from 0.0, as repr does
+    if not (bits == bits.T).all():
+        i, j = np.argwhere(bits != bits.T)[0].tolist()
+        raise DomainError(f"distance matrix is not exactly symmetric at ({i}, {j})")
+    lower = [bytearray() for _ in range(len(d))]
+    with open(path, "wb") as fh:
+        fh.write(",".join(f"m{j}" for j in range(len(d))).encode() + b"\r\n")
+        for i, row in enumerate(d):
+            upper = ",".join(map(repr, row[i:].tolist())).encode()
+            for col, cell in zip(lower[i + 1 :], upper.split(b",")[1:]):
+                col += cell + b","
+            fh.write(lower[i] + upper + b"\r\n")
+            lower[i] = None

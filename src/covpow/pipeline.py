@@ -269,11 +269,14 @@ def _fit_logistic(
             cand = w - t * step
             new_loss, new_grad, new_curv = loss_grad(cand)
             if new_loss <= loss - 1e-4 * t * float(grad @ step):
+                stalled = new_loss >= loss
                 w, loss, grad, curv = cand, new_loss, new_grad, new_curv
                 break
             t /= 2
         else:
             break  # no descent direction left; accept current point
+        if stalled:
+            break  # the step left the loss where it was; at tol=0 the rest would too
 
     return LinearClassifier(
         weights=w,

@@ -83,13 +83,31 @@ def _check_rows(x: np.ndarray, names: list[str]) -> None:
         raise DomainError(f"{name}: {message}" if name else message)
 
 
+def _seed_means(x: np.ndarray, seed: int) -> np.ndarray:
+    """(B, 2) D^2-sampled starting means of the rows of a contiguous (B, n) array.
+
+    A lone row draws from its own default_rng(seed): integers(n) picks the
+    first center, and Generator.choice(n, p=dist2 / dist2.sum()) the second,
+    as the searchsorted(side="right") of one random() in the normalized
+    cumulative sum of p. All rows share seed and n, so they share both draws,
+    and the count of cumulative entries <= u is that searchsorted.
+    """
+    rng = np.random.default_rng(seed)
+    first = x[:, rng.integers(x.shape[1])]
+    dist2 = (x - first[:, None]) ** 2
+    cdf = (dist2 / dist2.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    second = (cdf <= rng.random()).sum(axis=1)
+    return np.column_stack([first, x[np.arange(len(x)), second]])
+
+
 def _fit_gmm_rows(x: np.ndarray, max_iter: int, tol: float, seed: int) -> list[GmmFit]:
     """fit_gmm_1d of each row of a checked (B, n) array, in one EM loop.
 
-    Each row is seeded alone and runs the same elementwise recurrences; the
-    M-step's weighted sums are batched matmuls, which add in the order a lone
-    fit does. A row leaves the loop when it converges, keeping its own
-    iterates, so row i equals fit_gmm_1d(x[i]) bit for bit.
+    Each row is seeded as a lone fit is and runs the same elementwise
+    recurrences; the M-step's weighted sums are batched matmuls, which add in
+    the order a lone fit does. A row leaves the loop when it converges,
+    keeping its own iterates, so row i equals fit_gmm_1d(x[i]) bit for bit.
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
@@ -97,12 +115,7 @@ def _fit_gmm_rows(x: np.ndarray, max_iter: int, tol: float, seed: int) -> list[G
         raise DomainError(f"tol must be finite and nonnegative, got {tol}")
     x = np.ascontiguousarray(x)  # reductions along a row then add as for one row
     rows = len(x)
-    means, var = np.empty((rows, 2)), x.var(axis=1, keepdims=True)
-    for i, row in enumerate(x):
-        rng = np.random.default_rng(seed)
-        first = row[rng.integers(row.size)]
-        dist2 = (row - first) ** 2
-        means[i] = first, row[rng.choice(row.size, p=dist2 / dist2.sum())]
+    means, var = _seed_means(x, seed), x.var(axis=1, keepdims=True)
     floor = 1e-8 * var
     variances = np.maximum(var, floor).repeat(2, axis=1)
     weights = np.full((rows, 2), 0.5)

@@ -137,6 +137,44 @@ class TestPairwiseMatrix:
         assert np.array_equal(back, d)
 
 
+def per_value_csv(d: np.ndarray) -> bytes:
+    """The pairwise CSV with every cell formatted on its own."""
+    lines = [",".join(f"m{j}" for j in range(d.shape[1]))]
+    lines += [",".join(map(repr, row.tolist())) for row in d]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+class TestPairwiseCsv:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(n=st.integers(0, 12), data=st.data())
+    def test_bytes_equal_a_per_value_writer(self, tmp_path_factory, n, data):
+        iu = np.triu_indices(n)
+        value = st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-5, 0.1, 1e16]), st.floats(0.0, 1e300)
+        )
+        d = np.zeros((n, n))
+        d[iu] = data.draw(st.lists(value, min_size=iu[0].size, max_size=iu[0].size))
+        d.T[iu] = d[iu]
+        path = tmp_path_factory.getbasetemp() / "pairwise.csv"
+        write_pairwise_csv(d, path)
+        assert path.read_bytes() == per_value_csv(d)
+
+    @pytest.mark.parametrize(
+        "d, match",
+        [
+            (np.zeros((2, 3)), r"need a square distance matrix, got shape \(2, 3\)"),
+            (np.zeros(4), r"need a square distance matrix, got shape \(4,\)"),
+            (np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, np.nextafter(3.0, 4.0), 0.0]]),
+             r"not exactly symmetric at \(1, 2\)"),
+            (np.array([[0.0, -0.0], [0.0, 0.0]]), r"not exactly symmetric at \(0, 1\)"),
+        ],
+    )
+    def test_rejects_a_matrix_that_is_not_exactly_symmetric(self, tmp_path, d, match):
+        with pytest.raises(DomainError, match=match):
+            write_pairwise_csv(d, tmp_path / "pairwise.csv")
+        assert not (tmp_path / "pairwise.csv").exists()
+
+
 class TestClassStats:
     def test_identical_classes_not_separated(self):
         m = SpdMatrix(np.eye(2))

@@ -315,8 +315,9 @@ class TestTrainClassifier:
         assert np.linalg.norm(grad) <= 1e-6
 
     def test_line_search_halves_and_never_ascends_at_zero_tol(self, monkeypatch):
-        # tol=0 (the select key "tol") runs Newton to max_iter, where rounding
-        # makes some full steps fail the Armijo test; default tol stops first
+        # tol=0 (the select key "tol") runs Newton past the default tol's stop,
+        # until a step leaves the loss unchanged; rounding there makes some
+        # full steps fail the Armijo test
         calls = Counter()
 
         def counted(name, real):
@@ -508,6 +509,24 @@ class TestSelectBeta:
         assert json.dumps(selection_to_dict(a), sort_keys=True) == json.dumps(
             selection_to_dict(b), sort_keys=True
         )
+
+    def test_zero_tol_stops_when_a_step_leaves_the_loss_unchanged(self, monkeypatch):
+        # without a stop on an unchanged loss, tol=0 runs each fit to max_iter (300 solves)
+        solves = Counter()
+        real_solve = np.linalg.solve
+
+        def solve(a, b):
+            solves[tol] += 1
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        kwargs = dict(beta_grid=[0.5, 1.0, -1.0], window_grid=[WindowSpec(32, 0.5)])
+        results = {}
+        for tol in (0.0, 1e-8):
+            results[tol] = select_beta(two_class_series(seed=0), tol=tol, **kwargs)
+        assert solves[1e-8] < solves[0.0] < 2 * solves[1e-8]
+        assert results[0.0].beta_star == results[1e-8].beta_star
+        assert np.allclose(results[0.0].classifier.weights, results[1e-8].classifier.weights)
 
     def test_rejects_zero_power_and_empty_grid(self):
         series = two_class_series(seed=5)

@@ -20,6 +20,7 @@ from covpow.matern import MaternModel, population_covariance
 from covpow.signatures import (
     GmmFit,
     _fit_gmm_rows,
+    _seed_means,
     class_signatures,
     extract_signature,
     fit_gmm_1d,
@@ -136,6 +137,37 @@ class TestBatchedEm:
         for row, fit in zip(x, fits):
             lone = fit_gmm_1d(row, max_iter=max_iter, tol=tol, seed=seed)
             assert repr(fit) == repr(lone)  # repr tells every float64 apart
+
+
+class TestSeeding:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        n=st.integers(4, 30),
+        rows=st.lists(
+            st.tuples(st.integers(0, 10_000), st.integers(0, 30), st.booleans()),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 99),
+    )
+    def test_means_equal_a_generator_choice_per_row(self, n, rows, seed):
+        # each row: a leading run of zeros, then values that tie when rounded;
+        # both leave runs of equal steps in the choice's cumulative sum
+        x = []
+        for row_seed, zeros, rounded in rows:
+            row = np.random.default_rng(row_seed).uniform(0.0, 1.0, n)
+            row[: min(zeros, n - 2)] = 0.0
+            x.append(np.round(row, 1) if rounded else row)
+        x = np.array([row for row in x if np.ptp(row) > 0])
+        if not len(x):
+            x = np.linspace(0.0, 1.0, n)[None]
+        expected = []
+        for row in x:
+            rng = np.random.default_rng(seed)
+            first = row[rng.integers(n)]
+            dist2 = (row - first) ** 2
+            expected.append((first, row[rng.choice(n, p=dist2 / dist2.sum())]))
+        assert _seed_means(x, seed).tobytes() == np.array(expected).tobytes()
 
 
 class TestThreshold:
