@@ -549,9 +549,11 @@ def cmd_geometry(cfg: dict, run_dir: Path) -> None:
     distances = pairwise_distance_matrix(stack)
     report = distance_stats(distances, labels)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "identifiability.json").write_text(
-        _json_text(geometry_report_to_dict(report))
-    )
+    _write_geometry(run_dir, report, distances)
+
+
+def _write_geometry(run_dir: Path, report, distances) -> None:
+    (run_dir / "identifiability.json").write_text(_json_text(geometry_report_to_dict(report)))
     write_pairwise_csv(distances, run_dir / "pairwise.csv")
 
 
@@ -614,10 +616,7 @@ def cmd_pipeline(cfg: dict, run_dir: Path) -> None:
         (run_dir / f"model_class{label}.json").write_text(_json_text(rec))
     _write_selection(run_dir, result)
     (run_dir / "test_metrics.json").write_text(_json_text(metrics_to_dict(metrics)))
-    (run_dir / "identifiability.json").write_text(
-        _json_text(geometry_report_to_dict(identifiability))
-    )
-    write_pairwise_csv(distances, run_dir / "pairwise.csv")
+    _write_geometry(run_dir, identifiability, distances)
     _write_signatures(run_dir, sigs)
 
 

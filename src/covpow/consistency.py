@@ -30,7 +30,7 @@ from .spd import (
     SpdMatrix,
     SymMatrix,
     _square,
-    _symmetrized,
+    _sym_values,
     circular_contour,
     operator_norm,
     spd_power_contour,
@@ -264,8 +264,12 @@ def _spectrum(shift) -> ShiftSpectrum:
     """
     if isinstance(shift, ShiftSpectrum):
         return shift
-    ev = np.linalg.eigvalsh(_symmetrized(_square(shift)))  # SymMatrix(shift).values
-    return ShiftSpectrum(rho=float(np.abs(ev).max()), lam=float(ev[0]))
+    return ShiftSpectrum(*_rho_lam(np.linalg.eigvalsh(_sym_values(shift))))
+
+
+def _rho_lam(ev: np.ndarray) -> tuple[float, float]:
+    """(rho, lam) of a ShiftSpectrum from the shifted operator's ascending eigenvalues."""
+    return float(max(-ev[0], ev[-1])), float(ev[0])
 
 
 def _fractional_form(shift, beta: float) -> tuple[float, float]:
@@ -499,15 +503,14 @@ def shrink_to_gate(
     if a_min is None:
         raise DomainError("observed block has no edges; nothing to gate against")
     for _ in range(80):
-        _, ev = _shift(graph, kappa)  # one eigvalsh serves the validity check and every gate
-        rho = float(np.abs(ev).max())
+        # one eigvalsh serves the validity check and every gate
+        rho, lam = _rho_lam(_shift(graph, kappa)[1])
         cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
         if not rho < 1.0:
             raise DomainError("graph invalid while gating (spectral radius >= 1)")
         if cross == 0:
             return graph
-        spec = ShiftSpectrum(rho=rho, lam=float(ev[0]))
-        gates = certified_gates(spec, alpha, beta, sigma, a_min, cross)
+        gates = certified_gates(ShiftSpectrum(rho, lam), alpha, beta, sigma, a_min, cross)
         if gates == (None, None):
             raise DomainError(
                 "gate_target_fraction needs an applicable gate: beta = 1/alpha in "
@@ -569,13 +572,12 @@ def verify_instance(
         notes.append("structure check not applicable: need both pair kinds in the observed block")
 
     # the shifted operator I - (kappa^2 D + L) has eigenvalues 1 - w, w ascending
-    w = model.op_eigenvalues
-    rho = float(max(1 - w[0], w[-1] - 1))
+    rho, lam = _rho_lam(1 - model.op_eigenvalues[::-1])
     gate_frac = gate_cont = bound_frac = None
     if not rho < 1:
         notes.append("shifted operator spectral radius >= 1; gates not applicable")
     elif a_min is not None:
-        spec = ShiftSpectrum(rho=rho, lam=float(1 - w[-1]))
+        spec = ShiftSpectrum(rho, lam)
         gate_frac, gate_cont = certified_gates(
             spec, model.alpha, beta, model.sigma, a_min, cross_norm
         )

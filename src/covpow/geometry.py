@@ -37,20 +37,32 @@ class IdentifiabilityReport:
 
 
 def air_distance(x: SpdMatrix, y: SpdMatrix) -> float:
+    """d(x, y) by the row kernel of `pairwise_distance_matrix`; a failed check names pair (0, 1)."""
     if not isinstance(x, SpdMatrix) or not isinstance(y, SpdMatrix):
         raise DomainError("air_distance needs SPD matrices")
     if x.dim != y.dim:
         raise DomainError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    w, q = x.eigenvalues, x.eigenvectors
-    inv_root = (q * w ** -0.5) @ q.T
-    inner = inv_root @ y.values @ inv_root
-    asym = np.max(np.abs(inner - inner.T))
-    if asym > 1e-10 * max(1.0, np.max(np.abs(inner))):
-        raise NumericalError(f"congruence result asymmetric by {asym}")
-    eig = np.linalg.eigvalsh((inner + inner.T) / 2)
-    if eig[0] <= 0:
-        raise NumericalError(f"congruence result lost definiteness: {eig[0]}")
-    return float(np.sqrt(np.sum(np.log(eig) ** 2)))
+    return float(_air_row(x.eigenvalues, x.eigenvectors, y.values[None], 0)[0])
+
+
+def _air_row(w: np.ndarray, q: np.ndarray, ys: np.ndarray, i: int) -> np.ndarray:
+    """AIR distances from the matrix with eigenpairs (w, q) to each matrix of ys.
+
+    Whitens ys by X^{-1/2} and takes one batched ``eigvalsh``. A congruence
+    result asymmetric above 1e-10 relative or not positive definite raises
+    NumericalError naming the pair (i, i + 1 + j) of ys[j].
+    """
+    inv_root = (q * w**-0.5) @ q.T
+    inner = inv_root @ ys @ inv_root
+    inner_t = np.swapaxes(inner, 1, 2)
+    asym = np.abs(inner - inner_t).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(inner).max(axis=(1, 2)))
+    ok = asym <= 1e-10 * scale
+    _require_pairs(ok, i, lambda j: f"congruence result asymmetric by {asym[j]}")
+    eig = np.linalg.eigvalsh((inner + inner_t) / 2)
+    ok = eig[:, 0] > 0
+    _require_pairs(ok, i, lambda j: f"congruence result lost definiteness: {eig[j, 0]}")
+    return np.sqrt(np.sum(np.log(eig) ** 2, axis=1))
 
 
 def _require_pairs(ok: np.ndarray, i: int, message) -> None:
@@ -63,10 +75,9 @@ def _require_pairs(ok: np.ndarray, i: int, message) -> None:
 def pairwise_distance_matrix(stack: SpdStack) -> np.ndarray:
     """Full symmetric AIR distance matrix of a stack, in stack order.
 
-    Row i whitens every later matrix by X_i^{-1/2}, built from the stack's
-    eigen-cache, and takes one batched ``eigvalsh``; each entry is the
-    ``air_distance`` of its pair, with the same checks, and an error names
-    the pair (i, j).
+    Row i runs `_air_row` of X_i, from the stack's eigen-cache, against every
+    later matrix, so each entry is the ``air_distance`` of its pair bit for
+    bit, and an error names the pair (i, j).
     """
     if not isinstance(stack, SpdStack):
         raise DomainError("pairwise_distance_matrix needs an SpdStack")
@@ -74,19 +85,7 @@ def pairwise_distance_matrix(stack: SpdStack) -> np.ndarray:
     n = len(stack)
     out = np.zeros((n, n))
     for i in range(n - 1):
-        inv_root = (q[i] * w[i] ** -0.5) @ q[i].T
-        inner = inv_root @ values[i + 1 :] @ inv_root
-        inner_t = np.swapaxes(inner, 1, 2)
-        asym = np.abs(inner - inner_t).max(axis=(1, 2))
-        scale = np.maximum(1.0, np.abs(inner).max(axis=(1, 2)))
-        _require_pairs(
-            asym <= 1e-10 * scale, i, lambda j: f"congruence result asymmetric by {asym[j]}"
-        )
-        eig = np.linalg.eigvalsh((inner + inner_t) / 2)
-        _require_pairs(
-            eig[:, 0] > 0, i, lambda j: f"congruence result lost definiteness: {eig[j, 0]}"
-        )
-        out[i, i + 1 :] = out[i + 1 :, i] = np.sqrt(np.sum(np.log(eig) ** 2, axis=1))
+        out[i, i + 1 :] = out[i + 1 :, i] = _air_row(w[i], q[i], values[i + 1 :], i)
     return out
 
 

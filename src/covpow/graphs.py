@@ -9,7 +9,6 @@ radius decides model validity.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -288,7 +287,6 @@ def scale_cross_block(g: WeightedGraph, p: NodePartition, factor: float) -> Weig
 # serialization
 
 
-def graph_to_json(g: WeightedGraph) -> str:
-    rec = {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges()]}
-    return json.dumps(rec, sort_keys=True)
+def graph_to_dict(g: WeightedGraph) -> dict:
+    return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges()]}
 

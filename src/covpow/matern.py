@@ -19,10 +19,10 @@ from .errors import DomainError
 from .graphs import (
     NodePartition,
     WeightedGraph,
-    graph_to_json,
+    graph_to_dict,
     interaction_operator,
 )
-from .spd import _SPD_TOL, SpdMatrix, SymMatrix, sym_eigen
+from .spd import SpdMatrix, _checked_eigh, _sym_values
 
 __all__ = [
     "MaternModel",
@@ -53,11 +53,7 @@ class MaternModel:
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         op = interaction_operator(self.graph, self.kappa)
-        w, q = sym_eigen(SymMatrix(op))
-        if w[0] <= _SPD_TOL:
-            raise DomainError(
-                f"interaction operator is not positive definite: lambda_min = {w[0]:.3e}"
-            )
+        w, q = _checked_eigh(_sym_values(op), positive=True, name="interaction operator")
         w.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "_op_eigenvalues", w)
@@ -110,7 +106,7 @@ def observed_covariance(c: SpdMatrix, p: NodePartition) -> SpdMatrix:
 
 def model_to_dict(m: MaternModel) -> dict:
     return {
-        "graph": json.loads(graph_to_json(m.graph)),
+        "graph": graph_to_dict(m.graph),
         "kappa": float(m.kappa),
         "alpha": float(m.alpha),
         "sigma": float(m.sigma),

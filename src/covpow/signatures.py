@@ -77,7 +77,13 @@ def _check_rows(x: np.ndarray, names: list[str]) -> None:
     bad = ~np.isfinite(x).all(axis=1) | (x < 0).any(axis=1)
     message = "values must be finite and nonnegative"
     if not bad.any():
-        bad, message = np.ptp(x, axis=1) == 0, "values have zero spread; nothing to separate"
+        spread = np.ptp(x, axis=1)
+        bad, message = spread == 0, "values have zero spread; nothing to separate"
+    if not bad.any():  # EM sums up to n squared deviations, each at most spread^2
+        with np.errstate(over="ignore", under="ignore"):
+            square = spread**2
+            bad = ~((square >= np.finfo(float).tiny) & (square * x.shape[1] < np.inf))
+        message = "squared spread of the values overflows or underflows; rescale them"
     if bad.any():
         name = names[int(np.argmax(bad))]
         raise DomainError(f"{name}: {message}" if name else message)

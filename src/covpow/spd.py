@@ -88,13 +88,13 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
     return (a + at) / 2
 
 
-def _checked_eigh(sym: np.ndarray, positive: bool = False):
+def _checked_eigh(sym: np.ndarray, positive: bool = False, name: str = "matrix"):
     """Eigenvalues (ascending) and eigenvectors of a `_symmetrized` stack.
 
     One ``eigh`` call factors a matrix or a whole (N, k, k) stack. Per matrix:
     orthonormal eigenvectors to 1e-10 and reconstruction to 1e-8 relative
     (else NumericalError) and, when `positive`, lambda_min > 1e-12 (else
-    DomainError; so is a 0 x 0 matrix).
+    DomainError naming the matrix as `name`; so is a 0 x 0 matrix).
     """
     if positive and not sym.shape[-1]:
         raise DomainError(f"an SPD matrix must be at least 1 x 1, got shape {sym.shape}")
@@ -113,17 +113,51 @@ def _checked_eigh(sym: np.ndarray, positive: bool = False):
         lambda i: f"eigendecomposition reconstruction residual {recon[i]:.3e}",
     )
     if positive:
-        _require_positive(w[..., 0])
+        _require_positive(w[..., 0], name=name)
     return w, q
 
 
-def _require_positive(lam_min: np.ndarray, index=None) -> None:
+def _require_positive(lam_min: np.ndarray, index=None, name: str = "matrix") -> None:
     _require(
         lam_min > _SPD_TOL,
         DomainError,
-        lambda i: f"matrix is not positive definite: lambda_min = {lam_min[i]:.3e}",
+        lambda i: f"{name} is not positive definite: lambda_min = {lam_min[i]:.3e}",
         index,
     )
+
+
+def _sym_values(m) -> np.ndarray:
+    """A SymMatrix's own values, else m as a square matrix, symmetrized and checked."""
+    return m.values if isinstance(m, SymMatrix) else _symmetrized(_square(m))
+
+
+def _compose(w: np.ndarray, q: np.ndarray, index=None):
+    """(values, ascending w, q) of the SPD matrix or stack with eigenpairs (w, q).
+
+    Each row of w must be monotone, as a positive multiple of a power of an
+    ascending spectrum is; a descending row is reversed with the columns of
+    its q, so a matrix comes out the same alone or in a stack. Checks
+    lambda_min > 1e-12 per matrix (errors name the element as `_require`
+    does), reconstructs (q * w) @ q^T and symmetrizes.
+    """
+    down = w[..., :1] > w[..., -1:]
+    if down.all():
+        w, q = np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(q[..., ::-1])
+    elif down.any():  # a stack with rows that tie throughout: those stay as they are
+        w, q = np.where(down, w[..., ::-1], w), np.where(down[..., None], q[..., ::-1], q)
+    _require_positive(w[..., 0], index)
+    vals = (q * w[..., None, :]) @ q.swapaxes(-1, -2)
+    return (vals + vals.swapaxes(-1, -2)) / 2, w, q
+
+
+def _power(w: np.ndarray, q: np.ndarray, beta: float, index=None):
+    """`_compose` of X^beta from X's ascending eigenpairs; beta = 0 gives I exactly."""
+    if not np.isfinite(beta):
+        raise DomainError("beta must be finite")
+    if beta == 0:
+        eye = np.tile(np.eye(w.shape[-1]), (*w.shape[:-1], 1, 1))
+        return eye, np.ones_like(w), eye
+    return _compose(w**beta, q, index)
 
 
 class SymMatrix:
@@ -163,10 +197,12 @@ class SpdMatrix(SymMatrix):
 
     def __init__(self, values) -> None:
         sym = _symmetrized(_square(values))
-        w, q = _checked_eigh(sym, positive=True)
-        for arr in (sym, w, q):
+        self._set(sym, *_checked_eigh(sym, positive=True))
+
+    def _set(self, values: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
+        for arr in (values, w, q):
             arr.flags.writeable = False
-        object.__setattr__(self, "_values", sym)
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_eigenvalues", w)
         object.__setattr__(self, "_eigenvectors", q)
 
@@ -174,21 +210,11 @@ class SpdMatrix(SymMatrix):
     def _from_eigh(cls, w: np.ndarray, q: np.ndarray) -> "SpdMatrix":
         """Build from a known eigendecomposition, skipping the re-solve.
 
-        Internal fast path for power results whose spectrum is known exactly.
+        Internal fast path for power results whose spectrum is known exactly;
+        w must be monotone, as `_compose` says.
         """
-        _require_positive(w.min())
-        order = w.argsort()
-        w = w[order]
-        q = np.ascontiguousarray(q[:, order])  # the column gather is Fortran-ordered
-        vals = (q * w) @ q.T
-        vals = (vals + vals.T) / 2
         obj = cls.__new__(cls)
-        vals.flags.writeable = False
-        w.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(obj, "_values", vals)
-        object.__setattr__(obj, "_eigenvalues", w)
-        object.__setattr__(obj, "_eigenvectors", q)
+        obj._set(*_compose(w, q))
         return obj
 
     @property
@@ -233,22 +259,11 @@ class SpdStack:
         Each matrix equals ``spd_power_eig`` of it. Errors name the window
         as ``index`` maps it.
         """
-        if not np.isfinite(beta):
-            raise DomainError("beta must be finite")
         index = None if index is None else list(index)
         w = self.eigenvalues if index is None else self.eigenvalues[index]
         q = self.eigenvectors if index is None else self.eigenvectors[index]
         out = SpdStack.__new__(SpdStack)
-        if beta == 0:
-            eye = np.tile(np.eye(w.shape[1]), (len(w), 1, 1))
-            out._set(eye, np.ones_like(w), eye)
-            return out
-        wb = w**beta
-        _require_positive(wb.min(axis=-1), index)
-        if beta < 0:  # keep the powered spectrum ascending
-            wb, q = np.ascontiguousarray(wb[:, ::-1]), np.ascontiguousarray(q[:, :, ::-1])
-        vals = (q * wb[:, None, :]) @ np.swapaxes(q, 1, 2)
-        out._set((vals + np.swapaxes(vals, 1, 2)) / 2, wb, q)
+        out._set(*_power(w, q, beta, index))
         return out
 
 
@@ -286,18 +301,14 @@ def sym_eigen(x) -> tuple[np.ndarray, np.ndarray]:
     The factorization is validated: orthonormality to 1e-10 and
     reconstruction to 1e-8 relative, else NumericalError.
     """
-    a = x.values if isinstance(x, SymMatrix) else _symmetrized(_square(x))
-    return _checked_eigh(a)
+    return _checked_eigh(_sym_values(x))
 
 
 def spd_power_eig(x: SpdMatrix, beta: float) -> SpdMatrix:
     """X^beta through the cached eigendecomposition; beta = 0 gives I."""
-    if not np.isfinite(beta):
-        raise DomainError("beta must be finite")
-    if beta == 0:
-        return SpdMatrix(np.eye(x.dim))
-    w = x.eigenvalues**beta
-    return SpdMatrix._from_eigh(w, x.eigenvectors)
+    out = SpdMatrix.__new__(SpdMatrix)
+    out._set(*_power(x.eigenvalues, x.eigenvectors, beta))
+    return out
 
 
 def spd_power_stieltjes(x: SpdMatrix, beta: float, n_quad: int = 400) -> SpdMatrix:
@@ -362,13 +373,11 @@ def spd_power_contour(x: SpdMatrix, beta: float, contour: ContourSpec) -> SpdMat
 
 def spectral_norm(m) -> float:
     """max |eigenvalue| of a symmetric matrix."""
-    a = m.values if isinstance(m, SymMatrix) else SymMatrix(m).values
-    return float(np.abs(np.linalg.eigvalsh(a)).max())
+    return float(np.abs(np.linalg.eigvalsh(_sym_values(m))).max())
 
 
 def lambda_min(m) -> float:
-    a = m.values if isinstance(m, SymMatrix) else SymMatrix(m).values
-    return float(np.linalg.eigvalsh(a)[0])
+    return float(np.linalg.eigvalsh(_sym_values(m))[0])
 
 
 def operator_norm(block: np.ndarray) -> float:

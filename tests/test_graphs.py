@@ -11,7 +11,7 @@ from covpow.graphs import (
     NodePartition,
     WeightedGraph,
     abar,
-    graph_to_json,
+    graph_to_dict,
     interaction_operator,
     laplacian,
     observed_a_min,
@@ -390,15 +390,15 @@ class TestObservedHelpers:
 class TestSerialization:
     def test_json_round_trip_bitwise(self):
         g, _ = sample_inhomogeneous_er(5, 5, 0.6, 0.6, 0.4, seed=4)
-        rec = json.loads(graph_to_json(g))
+        rec = json.loads(json.dumps(graph_to_dict(g)))
         h = WeightedGraph.from_edges(rec["n"], rec["edges"])
         assert_array_equal(g.adjacency, h.adjacency)
 
     def test_json_keeps_isolated_nodes(self):
         g = WeightedGraph.from_edges(5, [(0, 1, 1.0)])
-        rec = json.loads(graph_to_json(g))
+        rec = graph_to_dict(g)
         assert rec["n"] == 5
 
     def test_json_schema(self):
-        rec = json.loads(graph_to_json(two_node(0.75)))
+        rec = graph_to_dict(two_node(0.75))
         assert rec == {"n": 2, "edges": [[0, 1, 0.75]]}

@@ -5,7 +5,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from covpow.errors import DomainError
-from covpow.graphs import NodePartition, WeightedGraph, sample_inhomogeneous_er
+from covpow.graphs import (
+    NodePartition,
+    WeightedGraph,
+    interaction_operator,
+    sample_inhomogeneous_er,
+)
 from covpow.matern import (
     MaternModel,
     model_to_dict,
@@ -15,7 +20,7 @@ from covpow.matern import (
     write_model_json,
     write_samples_csv,
 )
-from covpow.spd import SpdMatrix, spd_power_eig, spectral_norm
+from covpow.spd import SpdMatrix, SpdStack, spd_power_eig, spectral_norm
 
 
 def two_node_model(alpha=1.0, sigma=1.0, kappa=1.0):
@@ -61,6 +66,20 @@ class TestPopulationCovariance:
         assert_allclose(
             population_covariance(m).values, [[1.0, -0.5], [-0.5, 1.0]], atol=1e-12
         )
+
+    @pytest.mark.parametrize("alpha", [-1.5, 0.5, 2.0])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_is_the_stack_power_of_the_operator_bit_for_bit(self, alpha, sigma):
+        # sigma^2 is a power of two, so scaling the spectrum by it is exact
+        m, _ = er_model(seed=3, alpha=alpha, sigma=sigma)
+        c = population_covariance(m)
+        op = interaction_operator(m.graph, m.kappa)
+        want = SpdStack([op]).power(-alpha)
+        assert_array_equal(c.values, sigma**2 * want.values[0])
+        assert_array_equal(c.eigenvalues, sigma**2 * want.eigenvalues[0])
+        assert_array_equal(c.eigenvectors, want.eigenvectors[0])
+        lone = spd_power_eig(SpdMatrix(op), -alpha)
+        assert_array_equal(c.values, sigma**2 * lone.values)
 
     def test_sigma_doubling_quadruples(self):
         c1 = population_covariance(two_node_model(sigma=1.0)).values

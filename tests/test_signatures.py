@@ -53,6 +53,9 @@ def symmetric_fit(m1=0.2, m2=0.8, var=0.01, w=0.5):
     )
 
 
+SPREAD_OUT_OF_RANGE = [[0, 1, 2, 1e160, 1e160], [0, 1e-300, 2e-300, 3e-300, 5e-300]]
+
+
 class TestFitGmm:
     def test_separated_clusters_recovered(self):
         fit = fit_gmm_1d(two_cluster_values(seed=1))
@@ -107,6 +110,12 @@ class TestFitGmm:
         # a negative or NaN tol ran EM to max_iter; an infinite one stopped it at once
         with pytest.raises(DomainError, match="^tol must be finite and nonnegative, got"):
             fit_gmm_1d(two_cluster_values(), tol=tol)
+
+    @pytest.mark.parametrize("values", SPREAD_OUT_OF_RANGE)
+    def test_rejects_squared_spread_out_of_float_range(self, values):
+        # the D^2 seeding and the variance square the spread: 1e320 overflows, 2.5e-599 is 0
+        with pytest.raises(DomainError, match="^squared spread of the values overflows"):
+            fit_gmm_1d(values)
 
 
 class TestBatchedEm:
@@ -457,6 +466,26 @@ class TestEndToEnd:
         mats[4:] = [np.diag(np.diag(m)) for m in mats[4:]]
         with pytest.raises(DomainError, match="^class 1: values have zero spread"):
             class_signatures(mats, labels, mode="class-mean")
+
+    @pytest.mark.parametrize("values", SPREAD_OUT_OF_RANGE)
+    def test_squared_spread_out_of_range_names_the_matrix(self, values):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(6, 4, 8))
+        mats = a @ a.transpose(0, 2, 1) / 8 + 0.1 * np.eye(4)
+        labels = [0, 0, 0, 1, 1, 1]
+        sigs = class_signatures(mats, labels, mode="per-matrix")
+        bad = np.zeros((4, 4))
+        bad[np.triu_indices(4, k=1)] = [*values, values[1]]
+        mats[4] = bad + bad.T
+        with pytest.raises(DomainError, match="^class 1, matrix 4: squared spread"):
+            class_signatures(mats, labels, mode="per-matrix")
+        # the rows the check passes fit as before, alone or in a batch
+        keep = [0, 1, 2, 3, 5]
+        again = class_signatures(mats[keep], [labels[i] for i in keep], mode="per-matrix")
+        assert repr(again[0]) == repr(sigs[0])
+        x = offdiag_magnitudes(mats[keep])
+        for row, fit in zip(x, _fit_gmm_rows(x, 200, 1e-8, 0)):
+            assert repr(fit) == repr(fit_gmm_1d(row))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):

@@ -302,17 +302,26 @@ class TestSpdStack:
             assert_array_equal(stack.eigenvalues[i], single.eigenvalues)
             assert_array_equal(stack.eigenvectors[i], single.eigenvectors)
 
-    @pytest.mark.parametrize("beta", [-2.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [-2.5, -2.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.75, 3.0])
     def test_power_matches_spd_power_eig(self, beta):
-        mats = spd_stack_values(5, 3, seed=30)
+        # random spectra, the identity, a scaled identity and repeated eigenvalues,
+        # whose powers can tie exactly
+        repeated = [rotated_diag(eigs, seed=s).values for s, eigs in
+                    enumerate([[0.7, 0.7, 1.9], [1.3, 1.3, 1.3], [2.0, 0.5, 2.0]])]
+        mats = np.concatenate(
+            [spd_stack_values(5, 3, seed=30), [np.eye(3), 2.5 * np.eye(3)], repeated]
+        )
         stack = SpdStack(mats)
-        want = np.array([spd_power_eig(SpdMatrix(m), beta).values for m in mats])
-        assert_array_equal(stack.power(beta).values, want)
-        picked = stack.power(beta, [4, 1])
+        singles = [spd_power_eig(SpdMatrix(m), beta) for m in mats]
+        powered = stack.power(beta)
+        for i, single in enumerate(singles):
+            assert_array_equal(powered.values[i], single.values)
+            assert_array_equal(powered.eigenvalues[i], single.eigenvalues)  # ascending
+            assert_array_equal(powered.eigenvectors[i], single.eigenvectors)
+        picked = stack.power(beta, [4, 1, 6, 8])
         assert isinstance(picked, SpdStack)
-        assert_array_equal(picked.values, want[[4, 1]])
-        for got, m in zip(picked.eigenvalues, mats[[4, 1]]):  # ascending, as SpdMatrix
-            assert_array_equal(got, spd_power_eig(SpdMatrix(m), beta).eigenvalues)
+        assert_array_equal(picked.values, powered.values[[4, 1, 6, 8]])
+        assert_array_equal(picked.eigenvalues, powered.eigenvalues[[4, 1, 6, 8]])
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
