@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import NodePartition, WeightedGraph
-from .graphs import _positive_min, _shift, partition_blocks, scale_cross_block
+from .graphs import _factored_spectrum, _positive_min, _shift
+from .graphs import partition_blocks, scale_cross_block
 from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
     SpdMatrix,
@@ -261,10 +262,18 @@ def _spectrum(shift) -> ShiftSpectrum:
 
     A ShiftSpectrum passes through unchanged, so each public gate function
     factors its matrix once and hands the scalars to the helpers it calls.
+    A float ndarray with the shape and bytes of the operator that abar (or
+    shrink_to_gate) factored last takes that factorization's eigenvalues:
+    that operator is exactly symmetric, so symmetrizing it would give the
+    same bytes and eigvalsh the same spectrum. Any other input is
+    symmetrized, checked and factored here.
     """
     if isinstance(shift, ShiftSpectrum):
         return shift
-    return ShiftSpectrum(*_rho_lam(np.linalg.eigvalsh(_sym_values(shift))))
+    ev = _factored_spectrum(shift)
+    if ev is None:
+        ev = np.linalg.eigvalsh(_sym_values(shift))
+    return ShiftSpectrum(*_rho_lam(ev))
 
 
 def _rho_lam(ev: np.ndarray) -> tuple[float, float]:
@@ -388,12 +397,22 @@ def default_epsilon_grid(m: float) -> np.ndarray:
     """
     if not m > 0:
         raise DomainError("spectrum lower bound must be positive")
+    if not 0.01 * m > 0:
+        raise DomainError(f"spectrum lower bound {m:.6g} is too small for a clearance grid")
     lo, hi = np.log10(0.01 * m), np.log10(0.99 * m)
     y = _STEPS * ((hi - lo) / 19) + lo
     y[-1] = hi
     grid = np.power(10.0, y)
     grid[0], grid[-1] = 0.01 * m, 0.99 * m
     return grid
+
+
+def _pow(x: float, y: float) -> float:
+    """x ** y for x > 0, with an overflow read as inf."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
 
 
 def best_contour_gate(
@@ -407,13 +426,15 @@ def best_contour_gate(
 ) -> ContourGate:
     """Contour gate maximized over a clearance grid; ties keep the first.
 
-    Every clearance is evaluated in one numpy pass. epsilon_grid=None takes
-    default_epsilon_grid. np.float_power matches Python's float ** bit for
-    bit (np.power does not).
+    Every clearance is evaluated in one pass on Python floats, formula by
+    formula, so the best one's fields equal contour_gate at that clearance
+    bit for bit. epsilon_grid=None takes default_epsilon_grid. A power that
+    overflows reads inf, as np.float_power would give, where Python's float
+    ** raises OverflowError.
     """
     if epsilon_grid is not None:
-        eps = np.fromiter(epsilon_grid, dtype=float)
-        if not eps.size:
+        grid = list(map(float, epsilon_grid))
+        if not grid:
             raise DomainError("epsilon grid is empty")
     if beta == 0 or not math.isfinite(beta):
         raise DomainError("contour gate needs a finite beta != 0")
@@ -424,32 +445,34 @@ def best_contour_gate(
     interval, amp = _contour_form(abar_m, alpha, sigma)
     m, m_up = interval.low, interval.high
     if epsilon_grid is None:
-        eps = default_epsilon_grid(m)  # inside (0, m) by construction
-    else:
-        bad = np.flatnonzero(~((0 < eps) & (eps < m)))
-        if bad.size:
-            raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {eps[bad[0]]}")
-    radius = (m_up - m) / 2 + eps
-    magnitude = np.float_power(m - eps if beta >= 0 else m_up + eps, -beta)
-    k_const = radius * np.float_power(eps, -3) * magnitude
-    s_eps = eps / amp
-    spread = 4 * np.float_power(eps, 2) * sigma ** (2 * beta) * k_const
-    c_eps = s_eps * np.sqrt(a_min / (spread + a_min))
-    g_eps = np.where(c_eps < s_eps, c_eps, s_eps)  # min(s_eps, c_eps)
-    i = int(g_eps.argmax())
-    gate, epsilon = g_eps[i].item(), eps[i].item()
+        grid = default_epsilon_grid(m).tolist()
+    for eps in grid:  # a subnormal m can round a default clearance up to m
+        if not 0 < eps < m:
+            raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {eps}")
+    half_spread, scale = (m_up - m) / 2, sigma ** (2 * beta)
+    best = None
+    for eps in grid:
+        radius = half_spread + eps
+        magnitude = _pow(m - eps if beta >= 0 else m_up + eps, -beta)
+        k_const = radius * _pow(eps, -3) * magnitude
+        s_eps = eps / amp if amp else math.inf  # amp underflows to 0 at a subnormal sigma
+        c_eps = s_eps * math.sqrt(a_min / (4 * _pow(eps, 2) * scale * k_const + a_min))
+        g_eps = min(s_eps, c_eps)
+        if best is None or g_eps > best[0]:
+            best = (g_eps, eps, radius, magnitude, k_const, s_eps, c_eps)
+    gate, epsilon, radius, magnitude, k_const, s_eps, c_eps = best
     return ContourGate(
         epsilon=epsilon,
         spectrum_low=m,
         spectrum_high=m_up,
-        radius=radius[i].item(),
-        magnitude=magnitude[i].item(),
-        contour_constant=k_const[i].item(),
+        radius=radius,
+        magnitude=magnitude,
+        contour_constant=k_const,
         amplification=amp,
-        stability=s_eps[i].item(),
-        control=c_eps[i].item(),
+        stability=s_eps,
+        control=c_eps,
         gate=gate,
-        theta_bound=float(np.float_power(amp * cross_norm / epsilon, 2)),
+        theta_bound=_pow(amp * cross_norm / epsilon, 2),
         satisfied=bool(cross_norm < gate),
     )
 

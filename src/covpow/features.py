@@ -297,8 +297,9 @@ def read_feature_archive(dirpath) -> tuple[list, list, SpdStack]:
     """(labels, ranges, stack) of an archive, factored by one stacked ``eigh``.
 
     A manifest that is not valid JSON or lacks a key raises ConfigError
-    naming it; a label other than 0 or 1, or a matrix file that is missing,
-    unparsable or of another shape, raises DomainError naming its file.
+    naming it; a label other than the integer 0 or 1 (a bool or a float such
+    as 1.0 included), or a matrix file that is missing, unparsable or of
+    another shape, raises DomainError naming its entry or file.
     """
     path = os.path.join(dirpath, "manifest.json")
     try:
@@ -314,7 +315,7 @@ def read_feature_archive(dirpath) -> tuple[list, list, SpdStack]:
     except TypeError as exc:
         raise ConfigError(f"{path}: malformed manifest: {exc}") from None
     for entry, label in enumerate(labels):
-        if label not in (0, 1):
+        if type(label) is not int or label not in (0, 1):  # not True or 1.0 either
             raise DomainError(f"{path}: entry {entry}: label must be 0 or 1, got {label!r}")
     mats = [read_matrix_csv(f) for f in files]
     for f, m in zip(files, mats):

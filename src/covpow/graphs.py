@@ -122,13 +122,16 @@ class NodePartition:
 
     @functools.cached_property
     def _meshes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """np.ix_ meshes of the (S,S), (S,S'), (S',S) and (S',S') blocks, read-only."""
-        s, sp = list(self.observed), list(self.latent)
-        meshes = (np.ix_(s, s), np.ix_(s, sp), np.ix_(sp, s), np.ix_(sp, sp))
-        for mesh in meshes:
-            for arr in mesh:
-                arr.flags.writeable = False
-        return meshes
+        """np.ix_ meshes of the (S,S), (S,S'), (S',S) and (S',S') blocks, read-only.
+
+        Column and row views of one read-only intp array per index set, equal
+        to np.ix_'s arrays in values, dtype, shape and flag; an explicit dtype
+        keeps an empty latent set intp.
+        """
+        s, sp = (np.array(idx, dtype=np.intp) for idx in (self.observed, self.latent))
+        s.flags.writeable = sp.flags.writeable = False  # and so every view below
+        s_col, s_row, sp_col, sp_row = s[:, None], s[None, :], sp[:, None], sp[None, :]
+        return (s_col, s_row), (s_col, sp_row), (sp_col, s_row), (sp_col, sp_row)
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
@@ -145,17 +148,52 @@ def interaction_operator(g: WeightedGraph, kappa: float) -> np.ndarray:
     return np.diag(kappa**2 * d + d) - g.adjacency
 
 
+# The last shifted operator _shift factored whose spectrum is finite, as
+# (shape, bytes, ascending eigenvalues); one entry, replaced by each such call.
+_last_shift: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
+
+
 def _shift(g: WeightedGraph, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """I - (kappa^2*D + L), exactly symmetric, and its ascending eigenvalues."""
+    """I - (kappa^2*D + L), exactly symmetric, and its ascending eigenvalues.
+
+    A finite spectrum is also kept in the one-entry record that
+    _factored_spectrum reads, so a gate handed this matrix does not factor it
+    again.
+    """
+    global _last_shift
     a = np.eye(g.n) - interaction_operator(g, kappa)
-    return a, np.linalg.eigvalsh(a)
+    ev = np.linalg.eigvalsh(a)
+    if np.isfinite(ev).all():
+        ev.flags.writeable = False
+        _last_shift = (a.shape, a.tobytes(), ev)
+    return a, ev
+
+
+def _factored_spectrum(m) -> np.ndarray | None:
+    """Recorded eigenvalues of m when m is the operator _shift factored last.
+
+    m must be a float ndarray of the recorded shape and bytes; any other input
+    gives None.
+    """
+    rec = _last_shift
+    if (
+        rec is not None
+        and type(m) is np.ndarray
+        and m.dtype == np.float64
+        and m.shape == rec[0]
+        and m.tobytes() == rec[1]
+    ):
+        return rec[2]
+    return None
 
 
 def abar(g: WeightedGraph, kappa: float) -> tuple[np.ndarray, bool]:
     """Shifted operator I - kappa^2*D - L plus a validity flag.
 
     The flag is True when the spectral radius is strictly below 1; an invalid
-    graph is reported, never rejected.
+    graph is reported, never rejected. The one eigvalsh behind the flag is
+    recorded, so a gate function handed the returned matrix, unchanged,
+    reuses it instead of factoring the matrix again.
     """
     a, ev = _shift(g, kappa)
     return a, float(np.abs(ev).max()) < 1.0

@@ -327,7 +327,8 @@ def spd_power_stieltjes(x: SpdMatrix, beta: float, n_quad: int = 400) -> SpdMatr
         raise DomainError("n_quad must be >= 16")
     from scipy.special import roots_jacobi  # here: it costs more than all of covpow's import
     lam_min = float(x.eigenvalues[0])
-    with np.errstate(invalid="ignore"):  # benign 0/0 in scipy's recurrence at k=1
+    # scipy's recurrence divides by an exact 0 at k=1 (0/0 or tiny/0); np.where drops the term
+    with np.errstate(invalid="ignore", divide="ignore"):
         nodes, weights = roots_jacobi(n_quad, beta - 1.0, -beta)
     t = (nodes + 1.0) / 2.0
     # batched solve of ((1-t) X + lam_min t I) G = I across all nodes

@@ -249,6 +249,8 @@ def bad_config_inputs(tmp_path_factory):
     damaged = {
         "missing_matrix": {"file": "absent.csv"},
         "label_a": {"label": "a"},
+        "label_true": {"label": True},
+        "label_float": {"label": 1.0},
         "cell_x": {},
         "diagonal_3": {},
     }
@@ -710,12 +712,14 @@ BAD_CONFIGS = [
     *[
         pytest.param(
             verb,
-            lambda d: {"schema_version": "1", "features_dir": d["label_a"]},
+            lambda d, _name=name: {"schema_version": "1", "features_dir": d[_name]},
             3,
-            "manifest.json: entry 0: label must be 0 or 1, got 'a'",
-            id=f"{verb}-label-a",
+            f"manifest.json: entry 0: label must be 0 or 1, got {shown}",
+            id=f"{verb}-{name.replace('_', '-')}",
         )
         for verb in ("geometry", "signatures")
+        # a bool or a float label is not the integer class it equals
+        for name, shown in (("label_a", "'a'"), ("label_true", "True"), ("label_float", "1.0"))
     ],
     pytest.param(
         "report",
@@ -914,6 +918,21 @@ class TestVerify:
             for key in ("delta_spectral_norm", "delta_osc"):
                 assert sti.pop(key) == pytest.approx(eig.pop(key), rel=1e-10, abs=0)
             assert sti == eig
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stieltjes_route_at_a_third(self, tmp_path):
+        # beta = 1/alpha = 1/3 is one of the betas whose Jacobi nodes divide
+        # by zero inside scipy; the batch must not see that warning
+        config = {**self.verify_config(count=5), "method": "stieltjes"}
+        config["model"]["alpha"] = 3.0
+        path = write_config(tmp_path, "verify.json", config)
+        run = tmp_path / "run"
+        assert main(["verify", "--config", path, "--out", str(run)]) == 0
+        rows = (run / "summary.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            [str(seed), "0.3333333333333333"] for seed in range(5)
+        ]
+        assert all(row.endswith(",ok,") for row in rows)
 
     def test_gated_batch_all_consistent(self, tmp_path):
         config = self.verify_config(count=6, gate_frac=0.5)

@@ -49,7 +49,7 @@ from covpow.graphs import (
     scale_cross_block,
 )
 from covpow.matern import MaternModel, observed_covariance, population_covariance
-from covpow.spd import SpdMatrix, operator_norm, spd_power_eig, spectral_norm
+from covpow.spd import SpdMatrix, SymMatrix, operator_norm, spd_power_eig, spectral_norm
 
 
 def er_instance(
@@ -644,7 +644,8 @@ _contour_params = dict(
 
 
 class TestContourGrid:
-    """best_contour_gate evaluates the whole clearance grid in one pass."""
+    """best_contour_gate evaluates the whole clearance grid in one float pass,
+    each clearance formula by formula as _scalar_contour_gate does."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(**_contour_params, fracs=_clearance_fracs, repeats=st.lists(st.integers(0, 5)))
@@ -713,6 +714,82 @@ class TestContourGrid:
         want = _scalar_best_contour_gate(shift, alpha, beta, sigma, a_min, 0.0, grid)
         assert got.gate == 0.0 and got.epsilon == 3e-102
         assert repr(got) == repr(want)
+
+
+def _numpy_best_contour_gate(shift, alpha, beta, sigma, a_min, cross, grid):
+    """The grid as one numpy pass, where an overflowing power reads inf.
+
+    np.float_power matches Python's float ** bit for bit where ** does not
+    overflow, and gives inf where ** raises OverflowError.
+    """
+    ev = np.linalg.eigvalsh(shift)
+    rho, lam = float(np.max(np.abs(ev))), float(ev[0])
+    m = sigma**2 * (1 - lam) ** (-alpha)
+    m_up = sigma**2 * (1 - rho) ** (-alpha)
+    amp = sigma**2 * alpha * (1 - rho) ** (-alpha - 1)
+    eps = np.array(grid, dtype=float)
+    with np.errstate(all="ignore"):
+        radius = (m_up - m) / 2 + eps
+        magnitude = np.float_power(m - eps if beta >= 0 else m_up + eps, -beta)
+        k_const = radius * np.float_power(eps, -3) * magnitude
+        s_eps = eps / amp
+        spread = 4 * np.float_power(eps, 2) * sigma ** (2 * beta) * k_const
+        c_eps = s_eps * np.sqrt(a_min / (spread + a_min))
+        g_eps = np.where(c_eps < s_eps, c_eps, s_eps)
+        i = int(g_eps.argmax())
+        theta = float(np.float_power(amp * cross / eps[i], 2))
+    fields = (radius, magnitude, k_const, s_eps, c_eps, g_eps)
+    radius, magnitude, k_const, s_eps, c_eps, gate = (f[i].item() for f in fields)
+    return ContourGate(
+        eps[i].item(), m, m_up, radius, magnitude, k_const, amp, s_eps, c_eps, gate, theta,
+        cross < gate,
+    )
+
+
+class TestContourOverflow:
+    """Where Python's float ** overflows, the float pass reads inf as numpy does."""
+
+    SHIFT = np.diag([0.99, -0.4])
+
+    @pytest.mark.parametrize(
+        "grid", [[1e-104], [1e-104, 3e-102], [0.2, 1e-104], [1e-110, 1e-105, 1e-104]]
+    )
+    def test_overflowing_clearance_gives_inf_fields_and_a_zero_gate(self, grid):
+        # (1e-104) ** -3 overflows: ** raises OverflowError, np.float_power
+        # gives inf; no RuntimeWarning either, which this suite turns into errors
+        args = (self.SHIFT, 3.0, 0.5, 1.0, 0.7, 0.1)
+        with pytest.raises(OverflowError):
+            _scalar_contour_gate(*args[:4], 1e-104, *args[4:])
+        got = best_contour_gate(*args, grid)
+        assert repr(got) == repr(_numpy_best_contour_gate(*args, grid))
+        if 0.2 not in grid:
+            assert got.gate == 0.0 and got.epsilon == grid[0]
+            assert got.contour_constant == math.inf
+
+    def test_overflowing_magnitude(self):
+        # a negative beta raises m_up + eps to a large positive power
+        args = (self.SHIFT, 3.0, -200.0, 1.0, 0.7, 0.1)
+        grid = [1e-3, 0.2]
+        got = best_contour_gate(*args, grid)
+        assert got.magnitude == math.inf
+        assert repr(got) == repr(_numpy_best_contour_gate(*args, grid))
+
+    def test_amplification_underflowing_to_zero(self):
+        # sigma**2 * alpha underflows while the spectrum's lower end does not:
+        # every stability reads eps / 0 = inf, as in numpy
+        args = (self.SHIFT, 1e-10, 0.5, 1e-160, 0.7, 0.1)
+        alpha, sigma = args[1], args[3]
+        assert amplification_factor(self.SHIFT, alpha, sigma) == 0.0
+        grid = default_epsilon_grid(spectral_interval(self.SHIFT, alpha, sigma).low).tolist()
+        got = best_contour_gate(*args)
+        assert got.stability == math.inf
+        assert repr(got) == repr(_numpy_best_contour_gate(*args, grid))
+
+    def test_subnormal_spectrum_has_no_default_grid(self):
+        # 0.01 * m underflows to 0, so no clearance grid fits inside (0, m)
+        args = (self.SHIFT, 1.0, 0.5, 1e-161, 0.7, 0.1)
+        with pytest.raises(DomainError, match="is too small for a clearance grid"):
+            best_contour_gate(*args)
 
 
 def _scalar_shift(shift):
@@ -935,8 +1012,9 @@ class TestGatePathCallCounts:
             monkeypatch.setattr(module, name, self.counted(calls, name, getattr(module, name)))
         shrink_to_gate(g, p, 1.0, 2.0, 0.5, 1.0, 0.5)
         assert calls["certified_gates"] >= 2
-        # one mesh per block of the partition, and no geomspace in any contour gate
-        assert calls["ix_"] <= 4 and calls["geomspace"] == 0
+        # the meshes are views of one index array per set, without np.ix_, and
+        # no contour gate calls geomspace
+        assert calls["ix_"] == 0 and calls["geomspace"] == 0
 
     def test_eig_route_powers_the_observed_block_once(self, monkeypatch):
         model, p = gated_instance(23)
@@ -949,6 +1027,114 @@ class TestGatePathCallCounts:
         monkeypatch.setattr(consistency, "spd_power_eig", counted)
         verify_instance(model, p, method="eig")
         assert dims == {len(p.observed): 1, model.n: 1}
+
+
+def _acceptance_step(seed, alpha=2.0, sigma=1.1):
+    """One acceptance-03 shrink step through public functions: (shift, gate inputs)."""
+    g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=seed)
+    shift, valid = abar(g, 1.0)
+    assert valid
+    a_min = observed_a_min(g, p)
+    cross = operator_norm(partition_blocks(g.adjacency, p)[1])
+    return shift, (alpha, 1 / alpha, sigma, a_min, cross)
+
+
+def _gates_of(shift, alpha, beta, sigma, a_min, cross):
+    """Every gate function's result on one shifted operator, as one repr."""
+    return repr(
+        (
+            fractional_gate(shift, beta, a_min, cross) if 0 < beta < 1 else None,
+            best_contour_gate(shift, alpha, beta, sigma, a_min, cross),
+            certified_gates(shift, alpha, beta, sigma, a_min, cross),
+            spectral_interval(shift, alpha, sigma),
+            amplification_factor(shift, alpha, sigma),
+        )
+    )
+
+
+class TestShiftRecord:
+    """A gate handed abar's matrix reuses abar's eigvalsh, bit for bit."""
+
+    @staticmethod
+    def count_eigvalsh(monkeypatch) -> Counter:
+        """Count np.linalg.eigvalsh calls from here on."""
+        calls = Counter()
+
+        def counted(*args, _real=np.linalg.eigvalsh, **kwargs):
+            calls["eigvalsh"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @staticmethod
+    def evict():
+        """Replace the record with the operator of another graph."""
+        abar(WeightedGraph.from_edges(3, [(0, 1, 0.2), (1, 2, 0.3)]), 1.0)
+
+    # acceptance-03 draws whose shifted operator is valid (many are not)
+    SEEDS = [1, 2, 3, 5, 8, 9, 10, 11, 14, 15, 17, 18]
+
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_acceptance_step_factors_once(self, seed, monkeypatch):
+        g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=seed)
+        eigvalsh_calls = self.count_eigvalsh(monkeypatch)
+        shift, valid = abar(g, 1.0)
+        a_min = observed_a_min(g, p)
+        cross = operator_norm(partition_blocks(g.adjacency, p)[1])
+        fractional_gate(shift, 0.5, a_min, cross)
+        best_contour_gate(shift, 2.0, 0.5, 1.1, a_min, cross)
+        assert valid and eigvalsh_calls == {"eigvalsh": 1}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("alpha", [2.0, 0.5, 1.0, 3.0])
+    def test_hit_equals_the_full_path(self, seed, alpha, monkeypatch):
+        shift, (_, beta, sigma, a_min, cross) = _acceptance_step(seed, alpha)
+        eigvalsh_calls = self.count_eigvalsh(monkeypatch)
+        hit = _gates_of(shift, alpha, beta, sigma, a_min, cross)
+        assert not eigvalsh_calls
+        self.evict()
+        full = _gates_of(shift, alpha, beta, sigma, a_min, cross)
+        # the evicting abar, then one factorization per gate function
+        assert eigvalsh_calls == {"eigvalsh": 1 + (5 if 0 < beta < 1 else 4)}
+        assert hit == full
+
+    def test_other_inputs_take_the_full_path(self, monkeypatch):
+        shift, args = _acceptance_step(3)
+        eigvalsh_calls = self.count_eigvalsh(monkeypatch)
+        alpha, beta, sigma, a_min, cross = args
+        want = repr(best_contour_gate(shift, *args))
+        ulp = shift.copy()
+        ulp[0, 0] = np.nextafter(ulp[0, 0], 2.0)
+        asym = shift.copy()
+        asym[0, 1] += 1e-3
+        for same in (SymMatrix(shift), shift.tolist()):
+            calls = eigvalsh_calls["eigvalsh"]
+            assert repr(best_contour_gate(same, *args)) == want
+            assert eigvalsh_calls["eigvalsh"] == calls + 1
+        calls = eigvalsh_calls["eigvalsh"]
+        moved = best_contour_gate(ulp, *args)
+        assert eigvalsh_calls["eigvalsh"] == calls + 1
+        ev = np.linalg.eigvalsh(ulp)
+        spec = ShiftSpectrum(float(max(-ev[0], ev[-1])), float(ev[0]))
+        assert repr(moved) == repr(best_contour_gate(spec, *args))
+        with pytest.raises(DomainError, match="not symmetric"):
+            fractional_gate(asym, beta, a_min, cross)
+        with pytest.raises(DomainError, match="expected a square matrix"):
+            fractional_gate(shift.reshape(1, -1), beta, a_min, cross)
+        # none of these replaced the record: the matrix itself still hits
+        calls = eigvalsh_calls["eigvalsh"]
+        assert repr(best_contour_gate(shift, *args)) == want
+        assert eigvalsh_calls["eigvalsh"] == calls
+
+    def test_a_changed_matrix_is_factored_again(self, monkeypatch):
+        shift, args = _acceptance_step(5)
+        eigvalsh_calls = self.count_eigvalsh(monkeypatch)
+        before = best_contour_gate(shift, *args)
+        shift *= 0.5  # abar hands out a writable array
+        after = best_contour_gate(shift, *args)
+        assert eigvalsh_calls == {"eigvalsh": 1}
+        assert after != before
 
 
 class TestVerifyInstance:

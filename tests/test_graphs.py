@@ -289,6 +289,26 @@ class TestCachedMeshes:
         assert not any(arr.flags.writeable for mesh in p._meshes for arr in mesh)
 
 
+    @pytest.mark.parametrize(
+        "n, observed", [(5, [0, 2, 3]), (4, [1]), (3, [0, 1, 2]), (6, [0, 1, 2, 3, 4])]
+    )
+    def test_meshes_equal_ix(self, n, observed):
+        # (3, [0, 1, 2]) leaves the latent set empty, whose meshes stay intp
+        p = NodePartition.from_observed(n, observed)
+        s, sp = list(p.observed), list(p.latent)
+        want = (np.ix_(s, s), np.ix_(s, sp), np.ix_(sp, s), np.ix_(sp, sp))
+        assert len(p._meshes) == 4
+        for got_mesh, want_mesh in zip(p._meshes, want):
+            assert len(got_mesh) == 2
+            for got, arr in zip(got_mesh, want_mesh):
+                assert got.dtype == arr.dtype == np.intp
+                assert got.shape == arr.shape
+                assert_array_equal(got, arr)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0
+
+
 class TestErSampler:
     def test_deterministic_in_seed(self):
         g1, _ = sample_inhomogeneous_er(5, 5, 0.4, 0.4, 0.2, seed=3)

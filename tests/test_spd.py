@@ -182,6 +182,17 @@ class TestPowerStieltjes:
             rel = np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
             assert rel <= 1e-5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_warning_across_the_beta_range(self):
+        # scipy's Jacobi recurrence divides by an exact 0 at k=1 for 27 of
+        # these betas (1/3, 0.2 and 0.1 among them); the term is dropped, and
+        # the divide warning must not escape as an error
+        x = random_spd(4, seed=10)
+        for beta in np.linspace(0.01, 0.99, 99).tolist():
+            got = spd_power_stieltjes(x, beta).values
+            want = spd_power_eig(x, -beta).values
+            assert np.linalg.norm(got - want, 2) <= 1e-8 * np.linalg.norm(want, 2)
+
     def test_domain_checks(self):
         x = random_spd(3, seed=9)
         for beta in (0.0, 1.0, -0.5, 1.5):
