@@ -1,14 +1,14 @@
 """Command-line front end for reproducible batch runs.
 
-Every command reads one JSON config and validates it against that verb's
-table in ``_TABLES`` (unknown keys, wrong types, and out-of-range seeds and
-tolerances are rejected with their path), computes everything up front, and
-only then writes artifacts into a single run directory named after the config
-hash.
-Reruns with the same config produce byte-identical primary artifacts; the
-manifest carries hashes plus the only timestamp.
+Every command checks its JSON config, and each input file it reads (a
+selection.json, a features manifest.json, a verify summary.csv), against a
+table in ``schema.py``; a fault exits 2 naming the file and the path in it.
+It computes everything up front and only then writes artifacts into one run
+directory named after the config hash. Reruns with the same config produce
+byte-identical primary artifacts; the manifest carries hashes plus the only
+timestamp.
 
-Exit codes: 0 success, 2 config error, 3 domain error, 4 numerical failure.
+Exit codes: 0 success, 2 config or input-file error, 3 domain error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -68,255 +67,14 @@ from .pipeline import (
     split_dataset,
     write_selection_csv,
 )
+from .schema import _FIT, _SELECTION, _SUMMARY_ROW, _TABLES, _VERSION, load_json, read_csv_rows
 from .signatures import (
     class_signatures,
     gmm_to_dict,
     write_signature_csv,
 )
 
-SCHEMA_VERSION = "1"
-
 __all__ = ["main"]
-
-
-# ---------------------------------------------------------------------------
-# config schema
-#
-# Each verb's config is checked against one table, and each table maps the
-# keys of a section to (kind, default). A kind is a type (int, float, str,
-# bool), a nested table, [kind] for a list of that kind, a tuple of kinds for
-# a list of fixed length, _AtLeast(n) for an int no smaller than n (a finite
-# float with _AtLeast(x, float)), _OneOf(...) for one of a few strings, or a
-# _Variant of tables chosen by the section's "type". A float accepts any JSON
-# number a float can hold, and an int must fit in 64 signed bits. The default
-# _REQUIRED marks a key that must be given; None leaves an absent key None,
-# and any other default is filled in and checked like a given value.
-
-_REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class _AtLeast:
-    """A number of type ``kind`` no smaller than ``low``; a float must also be finite."""
-
-    low: int | float
-    kind: type = int
-
-
-@dataclass(frozen=True)
-class _OneOf:
-    """A string from ``options``."""
-
-    options: tuple
-
-
-@dataclass(frozen=True)
-class _Variant:
-    """A section whose table is named by its "type" key; absent, the first."""
-
-    tables: dict
-
-
-_SEED = _AtLeast(0)
-_TOL = _AtLeast(0.0, float)  # 0 is legal: a fit then stops at a step that leaves its loss as it was
-_RIDGE = _AtLeast(0.0, float)  # 0 is legal: a rank-deficient window then fails SPD validation
-_SIGNATURE_MODE = _OneOf(("class-mean", "per-matrix"))
-
-_GRAPH = _Variant(
-    {
-        "er": {
-            "n_obs": (int, _REQUIRED),
-            "n_lat": (int, _REQUIRED),
-            "p_obs": (float, _REQUIRED),
-            "p_lat": (float, _REQUIRED),
-            "p_cross": (float, _REQUIRED),
-            "weight_low": (float, None),
-            "weight_high": (float, None),
-            "target_rho": (float, None),
-            "seed": (_SEED, 0),
-        },
-        "explicit": {
-            "n": (int, _REQUIRED),
-            "edges": ([(int, int, float)], _REQUIRED),
-            "observed": ([int], _REQUIRED),
-        },
-    }
-)
-
-_MODEL = {
-    "kappa": (float, _REQUIRED),
-    "alpha": (float, _REQUIRED),
-    "sigma": (float, _REQUIRED),
-}
-
-_CLASS = {"graph": (_GRAPH, _REQUIRED), "model": (_MODEL, _REQUIRED)}
-
-_WINDOW = {"length": (int, _REQUIRED), "overlap": (float, 0.0)}
-
-_SPLIT = {
-    "train_frac": (float, _REQUIRED),
-    "val_frac": (float, _REQUIRED),
-    "test_frac": (float, _REQUIRED),
-    "seed": (_SEED, 0),
-    "stratified": (bool, True),
-}
-
-# the select_beta keys that select and pipeline share; the split default is
-# select_beta's own
-_FIT = {
-    "window_grid": ([_WINDOW], None),
-    "beta_grid": ([float], None),
-    "split": (_SPLIT, {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}),
-    "l2": (_AtLeast(0.0, float), None),
-    "max_iter": (int, None),
-    "tol": (_TOL, None),
-    "ridge": (_RIDGE, None),
-}
-
-# every verb's table also holds "schema_version"
-_TABLES = {
-    "simulate": {
-        "graph": (_GRAPH, _REQUIRED),
-        "model": (_MODEL, _REQUIRED),
-        "samples": ({"n_samples": (int, _REQUIRED), "seed": (_SEED, 0)}, _REQUIRED),
-    },
-    "verify": {
-        "graph": (_GRAPH, _REQUIRED),
-        "model": (_MODEL, _REQUIRED),
-        "beta": (float, None),
-        "seeds": ({"start": (_SEED, 0), "count": (_AtLeast(1), _REQUIRED)}, _REQUIRED),
-        "method": (_OneOf(("eig", "stieltjes", "contour")), "eig"),
-        "gate_target_fraction": (float, None),
-    },
-    "extract": {
-        "series_csv": (str, _REQUIRED),
-        "window": (_WINDOW, _REQUIRED),
-        "beta": (float, _REQUIRED),
-        "ridge": (_RIDGE, None),
-        "channels": ([int], None),
-    },
-    "select": {"series_csv": (str, _REQUIRED), **_FIT},
-    "evaluate": {
-        "series_csv": (str, _REQUIRED),
-        "selection_dir": (str, _REQUIRED),
-        "split": (_SPLIT, _REQUIRED),
-        "ridge": (_RIDGE, None),
-    },
-    "geometry": {"features_dir": (str, _REQUIRED)},
-    "signatures": {
-        "features_dir": (str, _REQUIRED),
-        "mode": (_SIGNATURE_MODE, "class-mean"),
-        "gmm": ({"max_iter": (int, None), "tol": (_TOL, None), "seed": (_SEED, None)}, {}),
-    },
-    "pipeline": {
-        "classes": ((_CLASS, _CLASS), _REQUIRED),
-        "series": ({"samples_per_class": (int, _REQUIRED), "seed": (_SEED, 0)}, _REQUIRED),
-        **_FIT,
-        "signatures": ({"mode": (_SIGNATURE_MODE, "class-mean"), "seed": (_SEED, 0)}, {}),
-    },
-    "report": {"runs": ([str], _REQUIRED)},
-}
-
-# the keys of a selection.json that evaluate reads; weights has dim + 1
-# entries and the feature mean and scale dim each
-_SELECTION = {
-    "window_length": (int, _REQUIRED),
-    "window_overlap": (float, _REQUIRED),
-    "beta_star": (float, _REQUIRED),
-    "classifier": (
-        {
-            "weights": ([float], _REQUIRED),
-            "feature_mean": ([float], _REQUIRED),
-            "feature_scale": ([float], _REQUIRED),
-            "dim": (_AtLeast(1), _REQUIRED),
-            "seen_tokens": ([str], _REQUIRED),
-        },
-        _REQUIRED,
-    ),
-}
-
-
-def _mismatch(value, kind, path: str, item: bool) -> ConfigError:
-    if isinstance(kind, (dict, _Variant)):
-        name = "an object" if item else "dict"
-    elif isinstance(kind, (list, tuple)):
-        name = "list"
-    elif item and kind is float:
-        return ConfigError(f"{path}: expected number")
-    else:
-        name = kind.__name__
-    return ConfigError(f"{path}: expected {name}, got {type(value).__name__}")
-
-
-def _validate(value, kind, path: str, item: bool = False):
-    """Check a config value against its kind; return it with defaults filled in.
-
-    ``item`` marks a list element, which messages name a little differently.
-    """
-    if isinstance(kind, _Variant):
-        if not isinstance(value, dict):
-            raise _mismatch(value, kind, path, item)
-        tags = _OneOf(tuple(kind.tables))
-        tag = _validate(value.get("type", tags.options[0]), tags, f"{path}.type")
-        rest = {key: val for key, val in value.items() if key != "type"}
-        return {"type": tag, **_validate(rest, kind.tables[tag], path)}
-    if isinstance(kind, dict):
-        if not isinstance(value, dict):
-            raise _mismatch(value, kind, path, item)
-        unknown = sorted(set(value) - set(kind))
-        if unknown:
-            raise ConfigError(f"{path}: unknown key(s) {unknown}")
-        out = {}
-        for key, (sub, default) in kind.items():
-            if key in value:
-                out[key] = _validate(value[key], sub, f"{path}.{key}")
-            elif default is _REQUIRED:
-                raise ConfigError(f"{path}.{key}: required key missing")
-            else:
-                out[key] = None if default is None else _validate(default, sub, f"{path}.{key}")
-        return out
-    if isinstance(kind, (list, tuple)):
-        if not isinstance(value, list):
-            raise _mismatch(value, kind, path, item)
-        if isinstance(kind, tuple) and len(value) != len(kind):
-            raise ConfigError(f"{path}: expected exactly {len(kind)} entries, got {len(value)}")
-        kinds = kind if isinstance(kind, tuple) else kind * len(value)
-        return [
-            _validate(val, sub, f"{path}[{i}]", item=True)
-            for i, (val, sub) in enumerate(zip(value, kinds))
-        ]
-    if isinstance(kind, _AtLeast):
-        value = _validate(value, kind.kind, path, item)
-        if not value >= kind.low:  # also rejects a float NaN and -inf
-            raise ConfigError(f"{path}: must be >= {kind.low}")
-        if value == float("inf"):
-            raise ConfigError(f"{path}: must be finite")
-        return value
-    if isinstance(kind, _OneOf):
-        value = _validate(value, str, path, item)
-        if value not in kind.options:
-            options = " or ".join(repr(t) for t in kind.options)
-            raise ConfigError(f"{path}: expected {options}, got {value!r}")
-        return value
-    types = (int, float) if kind is float else kind
-    if not isinstance(value, types) or (kind in (int, float) and isinstance(value, bool)):
-        raise _mismatch(value, kind, path, item)
-    if kind is int and not -(2**63) <= value < 2**63:
-        raise ConfigError(f"{path}: integer outside the signed 64-bit range")
-    if kind is float:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{path}: number too large for a float") from None
-    return value
-
-
-def _checked_config(command: str, config) -> dict:
-    """The config validated against its verb's table, defaults filled in."""
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
-    table = {"schema_version": (_OneOf((SCHEMA_VERSION,)), _REQUIRED), **_TABLES[command]}
-    return _validate(config, table, "config")
 
 
 def _graph(rec: dict, seed: int | None = None):
@@ -346,9 +104,7 @@ def _read_series(path: str) -> LabeledSeries:
 
 
 def _read_features(features_dir: str):
-    if not Path(features_dir).is_dir():
-        raise ConfigError(f"config.features_dir: no such directory {features_dir!r}")
-    if not (Path(features_dir) / "manifest.json").exists():
+    if not (Path(features_dir) / "manifest.json").is_file():
         raise ConfigError(f"config.features_dir: no manifest.json under {features_dir}")
     return read_feature_archive(features_dir)
 
@@ -443,26 +199,13 @@ def cmd_verify(cfg: dict, run_dir: Path) -> None:
         report = reports[seed]
         rec = consistency_report_to_dict(report)
         (run_dir / f"report_{seed:05d}.json").write_text(_json_text(rec))
-        gate_vals = [
-            g["gate"]
-            for g in (rec["gate_fractional"], rec["gate_contour"])
-            if g is not None
-        ]
-        rows.append(
-            [
-                seed,
-                repr(report.beta),
-                repr(report.cross_norm),
-                repr(max(gate_vals)) if gate_vals else "",
-                repr(report.bound_fractional)
-                if report.bound_fractional is not None
-                else "",
-                repr(report.delta_spectral_norm),
-                report.empirically_consistent,
-                "ok",
-                "",
-            ]
-        )
+        gates = [g.gate for g in (report.gate_fractional, report.gate_contour) if g is not None]
+        bound = report.bound_fractional
+        rows.append([
+            seed, repr(report.beta), repr(report.cross_norm), repr(max(gates)) if gates else "",
+            "" if bound is None else repr(bound), repr(report.delta_spectral_norm),
+            report.empirically_consistent, "ok", "",
+        ])
     with open(run_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -510,24 +253,8 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
     selection_file = selection_dir / "selection.json"
     if not selection_file.exists():
         raise ConfigError(f"config.selection_dir: no selection.json under {selection_dir}")
-    try:
-        selection = json.loads(selection_file.read_text())
-    except ValueError as exc:  # also an integer past Python's digit limit
-        raise ConfigError(f"{selection_file}: not valid JSON: {exc}") from None
-    try:
-        fields = _validate({key: selection[key] for key in _SELECTION}, _SELECTION, "selection")
-        rec = fields["classifier"]
-        dim = rec["dim"]
-        for key, n in (("weights", dim + 1), ("feature_mean", dim), ("feature_scale", dim)):
-            if len(rec[key]) != n:
-                raise ConfigError(
-                    f"selection.classifier.{key}: expected exactly {n} entries, got {len(rec[key])}"
-                )
-        classifier = classifier_from_dict(rec)
-    except KeyError as exc:
-        raise ConfigError(f"{selection_file}: required key {exc.args[0]!r} missing") from None
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"{selection_file}: malformed selection: {exc}") from None
+    fields = load_json(selection_file.read_bytes(), selection_file, _SELECTION, "selection")
+    classifier = classifier_from_dict(fields["classifier"])
     wspec = WindowSpec(length=fields["window_length"], overlap=fields["window_overlap"])
     split = SplitSpec(**cfg["split"])
     _, labels, stack = _window_covariances(series, wspec, cfg["ridge"])
@@ -632,24 +359,13 @@ def cmd_report(cfg: dict, run_dir: Path) -> None:
         summary = Path(run) / "summary.csv"
         if not summary.exists():
             raise ConfigError(f"config.runs[{i}]: no summary.csv under {run!r}")
-        with open(summary, newline="") as fh:
-            found = list(csv.DictReader(fh))
-        if not found:
-            raise ConfigError(f"config.runs[{i}]: {summary} has no rows")
-        missing = {"consistent", "bound", "empirical_norm", "status"} - set(found[0])
-        if missing:
-            raise ConfigError(f"config.runs[{i}]: {summary} lacks column(s) {sorted(missing)}")
-        rows += found
+        rows += read_csv_rows(summary, _SUMMARY_ROW)
     n_total = len(rows)
     ok = [r for r in rows if r["status"] == "ok"]
     n_consistent = sum(1 for r in ok if r["consistent"] == "True")
-    ratios = []
-    for r in ok:
-        if r["bound"]:
-            bound = float(r["bound"])
-            emp = float(r["empirical_norm"])
-            if bound > 0:
-                ratios.append(emp / bound)
+    ratios = [
+        r["empirical_norm"] / r["bound"] for r in ok if r["bound"] is not None and r["bound"] > 0
+    ]
     report = {
         "n_rows": n_total,
         "n_failed": n_total - len(ok),
@@ -702,11 +418,8 @@ def main(argv=None) -> int:
         if not config_path.exists():
             raise ConfigError(f"config file not found: {args.config}")
         config_text = config_path.read_text()
-        try:
-            config = json.loads(config_text)
-        except ValueError as exc:  # also an integer past Python's digit limit
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        cfg = _checked_config(args.command, config)
+        table = {**_VERSION, **_TABLES[args.command]}
+        cfg = load_json(config_text, args.config, table, "config", strict=True)
         run_dir = _run_dir(args, args.command, config_text)
         _COMMANDS[args.command](cfg, run_dir)
         _finish_run(run_dir, args.command, config_text)

@@ -287,14 +287,17 @@ def _fractional_form(shift, beta: float) -> tuple[float, float]:
     if not 0 < beta < 1:
         raise DomainError(f"fractional bound needs beta in (0,1), got {beta}")
     core = 2 * beta_integral_constant(beta)  # Gamma(1-b) Gamma(2+b)
-    h = (
-        math.sin(math.pi * beta)
-        / math.pi
-        * core
-        * (1 - spec.lam) ** (2 / beta + 1)
-        / (2 * beta**2 * (1 - spec.rho) ** (2 / beta + 2))
-    )
-    return h, beta * (1 - spec.rho) ** (1 + 1 / beta) / (1 - spec.lam) ** (1 / beta)
+    try:
+        h = (
+            math.sin(math.pi * beta)
+            / math.pi
+            * core
+            * (1 - spec.lam) ** (2 / beta + 1)
+            / (2 * beta**2 * (1 - spec.rho) ** (2 / beta + 2))
+        )
+        return h, beta * (1 - spec.rho) ** (1 + 1 / beta) / (1 - spec.lam) ** (1 / beta)
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"fractional bound out of float range at beta {beta}, rho {spec.rho}")
 
 
 def fractional_bound_h(abar_m, beta: float) -> float:
@@ -316,7 +319,7 @@ def fractional_gate(abar_m, beta: float, a_min: float, cross_norm: float) -> Fra
         stability=s,
         control=c,
         gate=g,
-        theta_bound=(cross_norm / s) ** 2,
+        theta_bound=_pow(cross_norm / s, 2),
         satisfied=bool(cross_norm < g),
     )
 
@@ -347,11 +350,14 @@ def _contour_form(shift, alpha: float, sigma: float) -> tuple[SpectralInterval, 
         raise DomainError("spectral interval is defined for alpha > 0")
     if not sigma > 0:
         raise DomainError("sigma must be positive")
-    interval = SpectralInterval(
-        low=sigma**2 * (1 - spec.lam) ** (-alpha),
-        high=sigma**2 * (1 - spec.rho) ** (-alpha),
-    )
-    return interval, sigma**2 * alpha * (1 - spec.rho) ** (-alpha - 1)
+    try:
+        interval = SpectralInterval(
+            low=sigma**2 * (1 - spec.lam) ** (-alpha),
+            high=sigma**2 * (1 - spec.rho) ** (-alpha),
+        )
+        return interval, sigma**2 * alpha * (1 - spec.rho) ** (-alpha - 1)
+    except OverflowError:
+        raise DomainError(f"contour bound out of float range at alpha {alpha}, sigma {sigma}")
 
 
 def spectral_interval(abar_m, alpha: float, sigma: float) -> SpectralInterval:
@@ -449,7 +455,7 @@ def best_contour_gate(
     for eps in grid:  # a subnormal m can round a default clearance up to m
         if not 0 < eps < m:
             raise DomainError(f"epsilon must lie in (0, {m:.6g}), got {eps}")
-    half_spread, scale = (m_up - m) / 2, sigma ** (2 * beta)
+    half_spread, scale = (m_up - m) / 2, _pow(sigma, 2 * beta)
     best = None
     for eps in grid:
         radius = half_spread + eps

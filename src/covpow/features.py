@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
+from .schema import _MANIFEST, load_json
 from .spd import SpdMatrix, SpdStack, read_matrix_csv, spd_power_eig, write_matrix_csv
 
 __all__ = [
@@ -280,14 +281,8 @@ def write_feature_archive(
     for i, (label, source) in enumerate(zip(labels, ranges)):
         name = f"feature_{i:05d}.csv"
         write_matrix_csv(stack.values[i], os.path.join(dirpath, name))
-        entries.append(
-            {
-                "file": name,
-                "label": int(label),
-                "beta": float(beta),
-                "source_window": None if source is None else [int(b) for b in source],
-            }
-        )
+        entries.append({"file": name, "label": int(label), "beta": float(beta),
+                        "source_window": [int(b) for b in source]})
     manifest = {"count": len(entries), "entries": entries, "meta": meta}
     with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -296,29 +291,18 @@ def write_feature_archive(
 def read_feature_archive(dirpath) -> tuple[list, list, SpdStack]:
     """(labels, ranges, stack) of an archive, factored by one stacked ``eigh``.
 
-    A manifest that is not valid JSON or lacks a key raises ConfigError
-    naming it; a label other than the integer 0 or 1 (a bool or a float such
-    as 1.0 included), or a matrix file that is missing, unparsable or of
-    another shape, raises DomainError naming its entry or file.
+    A manifest that is not valid JSON or does not follow its table (a label
+    other than the integer 0 or 1 included) raises ConfigError naming the
+    manifest and the entry; a matrix file that is missing, unparsable or of
+    another shape raises DomainError naming it.
     """
     path = os.path.join(dirpath, "manifest.json")
-    try:
-        with open(path) as fh:
-            entries = json.load(fh)["entries"]
-        labels = [entry["label"] for entry in entries]
-        ranges = [tuple(e["source_window"]) if e["source_window"] else None for e in entries]
-        files = [os.path.join(dirpath, entry["file"]) for entry in entries]
-    except ValueError as exc:  # also an integer past Python's digit limit
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    except KeyError as exc:
-        raise ConfigError(f"{path}: required key {exc.args[0]!r} missing") from None
-    except TypeError as exc:
-        raise ConfigError(f"{path}: malformed manifest: {exc}") from None
-    for entry, label in enumerate(labels):
-        if type(label) is not int or label not in (0, 1):  # not True or 1.0 either
-            raise DomainError(f"{path}: entry {entry}: label must be 0 or 1, got {label!r}")
+    with open(path, "rb") as fh:
+        entries = load_json(fh.read(), path, _MANIFEST, "manifest")["entries"]
+    files = [os.path.join(dirpath, entry["file"]) for entry in entries]
     mats = [read_matrix_csv(f) for f in files]
     for f, m in zip(files, mats):
         if m.shape != mats[0].shape:
             raise DomainError(f"{f}: shape {m.shape} differs from {files[0]}: {mats[0].shape}")
-    return labels, ranges, SpdStack(mats)
+    labels = [entry["label"] for entry in entries]
+    return labels, [tuple(entry["source_window"]) for entry in entries], SpdStack(mats)

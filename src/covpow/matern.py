@@ -74,7 +74,12 @@ class MaternModel:
 
 def population_covariance(m: MaternModel) -> SpdMatrix:
     """Exact covariance sigma^2 * operator^(-alpha) from the cached spectrum."""
-    w = m.sigma**2 * m.op_eigenvalues ** (-m.alpha)
+    try:
+        with np.errstate(over="raise"):
+            w = m.sigma**2 * m.op_eigenvalues ** (-m.alpha)
+            w.dot(w)  # its squared Frobenius norm, which SPD validation takes
+    except ArithmeticError:  # OverflowError from the float sigma, FloatingPointError from numpy
+        raise DomainError(f"covariance out of float range at alpha {m.alpha}, sigma {m.sigma}")
     return SpdMatrix._from_eigh(w, m.op_eigenvectors)
 
 

@@ -138,3 +138,22 @@ def test_stieltjes_power_resolves_its_deferred_import():
         "print(float(np.max(np.abs(diff))))"
     )
     assert float(_run_child(code)) <= 1e-8
+
+
+def test_only_the_schema_catches_shape_errors():
+    """Input files are checked by their schema tables, not by per-reader handlers.
+
+    An ``except`` that catches KeyError or TypeError is how a hand-written
+    check of a parsed file's shape starts; no module but ``schema`` has one.
+    """
+    src = Path(covpow.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "schema.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and {"KeyError", "TypeError"} & _reads(node.type)
+    ]
+    assert found == []

@@ -8,11 +8,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -33,6 +36,7 @@ from covpow.features import (
 from covpow.graphs import WeightedGraph, sample_inhomogeneous_er
 from covpow.matern import MaternModel, model_to_dict
 from covpow.pipeline import SplitSpec, select_beta, selection_to_dict
+from covpow.schema import _TABLES, _VERSION, load_json
 from covpow.signatures import class_signatures, gmm_to_dict
 from covpow.spd import read_matrix_csv, write_matrix_csv
 
@@ -130,7 +134,7 @@ class TestConfigValidation:
         path.write_text('{"schema_version": "1", "seeds": {"count": 1' + "0" * 5000 + "}}")
         code = main(["verify", "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "config is not valid JSON" in json.loads(capsys.readouterr().err)["message"]
+        assert "long.json: not valid JSON" in json.loads(capsys.readouterr().err)["message"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(
@@ -189,6 +193,16 @@ def bad_config_inputs(tmp_path_factory):
     (no_status / "summary.csv").write_text(
         "seed,beta,cross_norm,gate,bound,empirical_norm,consistent\n0,0.5,0.1,0.2,,0.01,True\n"
     )
+    # summaries with one bad row after a good one
+    good_row = "0,0.5,0.1,0.2,0.5,0.125,True,ok,\n"
+    summaries = {"bound_x": "1,0.5,0.1,0.2,x,0.125,True,ok,", "short_row": "1,0.5,0.1",
+                 "status_maybe": "1,0.5,0.1,0.2,0.5,0.125,True,maybe,"}
+    for name, row in summaries.items():
+        (root / name).mkdir()
+        (root / name / "summary.csv").write_text(
+            "seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error\n"
+            + good_row + row + "\n"
+        )
     (root / "bare").mkdir()
     selection = {"beta_star": 1.0, "window_length": 32, "window_overlap": 0.5}
     classifier = {
@@ -259,6 +273,9 @@ def bad_config_inputs(tmp_path_factory):
         manifest = json.loads((root / name / "manifest.json").read_text())
         manifest["entries"][0].update(change)
         (root / name / "manifest.json").write_text(json.dumps(manifest))
+    shutil.copytree(features, root / "count_off")
+    manifest = json.loads((root / "count_off" / "manifest.json").read_text())
+    (root / "count_off" / "manifest.json").write_text(json.dumps({**manifest, "count": 99}))
     matrix = root / "cell_x" / "feature_00000.csv"
     text = matrix.read_text()
     matrix.write_text("x" + text[text.index(",") :])
@@ -272,7 +289,7 @@ def bad_config_inputs(tmp_path_factory):
         "header_only": str(header_only),
         "no_status": str(no_status),
         "bare": str(root / "bare"),
-        **{name: str(root / name) for name in [*broken, *damaged]},
+        **{name: str(root / name) for name in [*broken, *damaged, *summaries, "count_off"]},
     }
 
 
@@ -539,7 +556,7 @@ BAD_CONFIGS = [
             "split": _SPLIT,
         },
         2,
-        "selection.json: required key 'classifier' missing",
+        "selection.json: selection.classifier: required key missing",
         id="selection-without-classifier",
     ),
     pytest.param(
@@ -584,7 +601,7 @@ BAD_CONFIGS = [
         "signatures",
         lambda d: {"schema_version": "1", "features_dir": d["no_entries"]},
         2,
-        "manifest.json: required key 'entries' missing",
+        "manifest.json: manifest.entries: required key missing",
         id="manifest-without-entries",
     ),
     *[
@@ -597,10 +614,14 @@ BAD_CONFIGS = [
                 "split": _SPLIT,
             },
             2,
-            "selection.json: malformed selection",
+            f"selection.json: selection{where}",
             id=name.replace("_", "-"),
         )
-        for name in ("selection_list", "classifier_list", "length_not_int")
+        for name, where in (
+            ("selection_list", ": expected dict, got list"),
+            ("classifier_list", ".classifier: expected dict, got list"),
+            ("length_not_int", ".window_length: expected int, got str"),
+        )
     ],
     *[
         pytest.param(
@@ -612,8 +633,7 @@ BAD_CONFIGS = [
                 "split": _SPLIT,
             },
             2,
-            "selection.json: malformed selection: "
-            f"selection.window_length: expected int, got {kind}",
+            f"selection.json: selection.window_length: expected int, got {kind}",
             id=name.replace("_", "-"),
         )
         for name, kind in (("length_fraction", "float"), ("length_string", "str"))
@@ -628,7 +648,7 @@ BAD_CONFIGS = [
                 "split": _SPLIT,
             },
             2,
-            f"selection.json: malformed selection: selection.classifier.{where}",
+            f"selection.json: selection.classifier.{where}",
             id=name.replace("_", "-"),
         )
         for name, where in (
@@ -713,13 +733,13 @@ BAD_CONFIGS = [
         pytest.param(
             verb,
             lambda d, _name=name: {"schema_version": "1", "features_dir": d[_name]},
-            3,
-            f"manifest.json: entry 0: label must be 0 or 1, got {shown}",
+            2,
+            f"manifest.json: manifest.entries[0].label: expected int, got {shown}",
             id=f"{verb}-{name.replace('_', '-')}",
         )
         for verb in ("geometry", "signatures")
         # a bool or a float label is not the integer class it equals
-        for name, shown in (("label_a", "'a'"), ("label_true", "True"), ("label_float", "1.0"))
+        for name, shown in (("label_a", "str"), ("label_true", "bool"), ("label_float", "float"))
     ],
     pytest.param(
         "report",
@@ -732,8 +752,29 @@ BAD_CONFIGS = [
         "report",
         lambda d: {"schema_version": "1", "runs": [d["no_status"]]},
         2,
-        "summary.csv lacks column(s) ['status']",
+        "summary.csv: line 2: status: required key missing",
         id="summary-without-status",
+    ),
+    *[
+        pytest.param(
+            "report",
+            lambda d, name=name: {"schema_version": "1", "runs": [d[name]]},
+            2,
+            f"summary.csv: line 3: {where}",
+            id=f"summary-{name.replace('_', '-')}",
+        )
+        for name, where in (
+            ("bound_x", "bound: expected float, got 'x'"),
+            ("short_row", "status: required key missing"),
+            ("status_maybe", "status: expected 'ok' or 'failed', got 'maybe'"),
+        )
+    ],
+    pytest.param(
+        "geometry",
+        lambda d: {"schema_version": "1", "features_dir": d["count_off"]},
+        2,
+        "manifest.json: manifest.entries: expected exactly 99 entries, got",
+        id="manifest-count-off",
     ),
     pytest.param(
         "geometry",
@@ -765,26 +806,32 @@ def test_bad_input_exits_with_its_location(
     assert not run.exists()
 
 
+def _checked(verb, config):
+    """The config as the verb checks it, defaults filled in."""
+    table = {**_VERSION, **_TABLES[verb]}
+    return load_json(json.dumps(config), "config.json", table, "config", strict=True)
+
+
 def test_zero_l2_is_legal():
     select = {"schema_version": "1", "series_csv": "s.csv", "l2": 0}
-    assert cli._checked_config("select", select)["l2"] == 0.0
+    assert _checked("select", select)["l2"] == 0.0
 
 
 def test_zero_ridge_is_legal():
     inputs = {"series": "s.csv", "bare": "b"}
     for verb, make_config in _RIDGE_CONFIGS.items():
         config = {**make_config(inputs), "ridge": 0}
-        assert cli._checked_config(verb, config)["ridge"] == 0.0, verb
+        assert _checked(verb, config)["ridge"] == 0.0, verb
 
 
 def test_zero_tol_is_legal():
     # tol 0 fits to max_iter, and the line-search tests rely on it
     select = {"schema_version": "1", "series_csv": "s.csv", "tol": 0}
     signatures = {"schema_version": "1", "features_dir": "f", "gmm": {"tol": 0.0}}
-    assert cli._checked_config("select", select)["tol"] == 0.0
+    assert _checked("select", select)["tol"] == 0.0
     pipeline = _set(two_class_pipeline_config(), "tol", 0)
-    assert cli._checked_config("pipeline", pipeline)["tol"] == 0.0
-    assert cli._checked_config("signatures", signatures)["gmm"]["tol"] == 0.0
+    assert _checked("pipeline", pipeline)["tol"] == 0.0
+    assert _checked("signatures", signatures)["gmm"]["tol"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -995,6 +1042,49 @@ class TestVerify:
         assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 0
         # one certified_gates call per shrink step, each on that step's one eigvalsh
         assert calls == {"steps": 12, "eigvalsh": 12}
+
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=40,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        alpha=st.floats(0.5, 400.0),
+        sigma=st.floats(1e-150, 1e200),
+        gate_frac=st.sampled_from([None, 0.5]),
+        start=st.integers(0, 100),
+        count=st.just(2),
+    )
+    # two 3-seed configs whose gate formulas left the float range with a traceback
+    @example(alpha=320.0, sigma=1.0, gate_frac=0.5, start=0, count=3)
+    @example(alpha=2.0, sigma=1e200, gate_frac=0.5, start=0, count=3)
+    def test_any_smoothness_and_scale_exits_cleanly(
+        self, tmp_path, capsys, alpha, sigma, gate_frac, start, count
+    ):
+        """A seed outside the float range fails alone; all failing exits 3, never raises."""
+        config = {
+            "schema_version": "1",
+            "graph": {
+                "type": "er", "n_obs": 7, "n_lat": 4, "p_obs": 0.5, "p_lat": 0.5, "p_cross": 0.15
+            },
+            "model": {"kappa": 1.0, "alpha": alpha, "sigma": sigma},
+            "seeds": {"start": start, "count": count},
+        }
+        if gate_frac is not None:
+            config["gate_target_fraction"] = gate_frac
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        path = write_config(run, "verify.json", config)
+        code = main(["verify", "--config", path, "--out", str(run / "run")])
+        out, err = capsys.readouterr()
+        if code == 3:
+            assert json.loads(err)["error"] == "DomainError"
+            assert not (run / "run").exists()
+        else:
+            assert code == 0
+            with open(run / "run" / "summary.csv", newline="") as fh:
+                statuses = [row["status"] for row in csv.DictReader(fh)]
+            assert len(statuses) == count and "ok" in statuses
 
     def test_block_diagonal_batch_tiny_deltas(self, tmp_path):
         config = self.verify_config(count=5, p_cross=0.0)
