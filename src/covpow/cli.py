@@ -57,8 +57,8 @@ from .matern import (
 from .pipeline import (
     SplitSpec,
     _evaluate,
+    _power_rows,
     _select_beta,
-    _vectorize,
     classifier_from_dict,
     classifier_to_dict,
     metrics_to_dict,
@@ -117,7 +117,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _finish_run(run_dir: Path, command: str, config_text: str) -> None:
+def _finish_run(run_dir: Path, command: str, config_sha256: str) -> None:
     """Hash every artifact and write the manifest (the only timestamped file)."""
     artifacts = {}
     for p in sorted(run_dir.rglob("*")):
@@ -126,19 +126,18 @@ def _finish_run(run_dir: Path, command: str, config_text: str) -> None:
             artifacts[rel] = hashlib.sha256(p.read_bytes()).hexdigest()
     manifest = {
         "command": command,
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config_sha256": config_sha256,
         "artifacts": artifacts,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     (run_dir / "manifest.json").write_text(_json_text(manifest))
 
 
-def _run_dir(args, command: str, config_text: str) -> Path:
+def _run_dir(args, command: str, config_sha256: str) -> Path:
     if args.out:
         return Path(args.out)
     root = Path(os.environ.get("COVPOW_RUNS_ROOT", "runs"))
-    digest = hashlib.sha256(config_text.encode()).hexdigest()[:12]
-    return root / f"{command}-{digest}"
+    return root / f"{command}-{config_sha256[:12]}"
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def _test_metrics(classifier, labels, stack, beta: float, split: SplitSpec):
     """Metrics of the classifier on the test windows of the split, at power beta."""
     parts = split_dataset(list(range(len(labels))), labels, split)
     test = list(parts.test_idx)
-    x = _vectorize(stack.power(beta, test).values)
+    x = _power_rows(stack, beta, test)
     return _evaluate(classifier, x, labels[test], token=parts.test_token)
 
 
@@ -417,12 +416,15 @@ def main(argv=None) -> int:
         config_path = Path(args.config)
         if not config_path.exists():
             raise ConfigError(f"config file not found: {args.config}")
-        config_text = config_path.read_text()
+        config = config_path.read_bytes()
         table = {**_VERSION, **_TABLES[args.command]}
-        cfg = load_json(config_text, args.config, table, "config", strict=True)
-        run_dir = _run_dir(args, args.command, config_text)
+        cfg = load_json(config, args.config, table, "config", strict=True)
+        # the digest of the text that universal newlines would read: JSON holds a
+        # raw CR or LF only between tokens, and no multibyte UTF-8 character holds one
+        digest = hashlib.sha256(config.replace(b"\r\n", b"\n").replace(b"\r", b"\n")).hexdigest()
+        run_dir = _run_dir(args, args.command, digest)
         _COMMANDS[args.command](cfg, run_dir)
-        _finish_run(run_dir, args.command, config_text)
+        _finish_run(run_dir, args.command, digest)
         print(json.dumps({"run_dir": str(run_dir)}, sort_keys=True))
         return 0
     except CovpowError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .schema import _MANIFEST, load_json
-from .spd import SpdMatrix, SpdStack, read_matrix_csv, spd_power_eig, write_matrix_csv
+from .spd import _BLOCK, SpdMatrix, SpdStack, read_matrix_csv, spd_power_eig, write_matrix_csv
 
 __all__ = [
     "LabeledSeries",
@@ -167,18 +167,18 @@ def _window_covariances(
 ) -> tuple[np.ndarray, np.ndarray, SpdStack]:
     """(starts, labels) of `_window_index` and the window covariances as one SPD stack.
 
-    The covariances (as `empirical_covariance` computes them) are formed 128
-    windows at a time, one gather and one batched product per block, and the
-    stack is validated and factored by a single stacked ``eigh``. Errors name
-    the window index.
+    The covariances (as `empirical_covariance` computes them) are formed
+    `_BLOCK` windows at a time, one gather and one batched product per block,
+    and `SpdStack` validates and factors them in blocks of the same size.
+    Errors name the window index.
     """
     _check_ridge(ridge)
     starts, labels = _window_index(series, spec)
     offsets = np.arange(spec.length)
     covs = np.empty((len(starts), series.channels, series.channels))
-    for lo in range(0, len(starts), 128):  # small blocks keep peak memory flat
-        block = series.samples[starts[lo : lo + 128, None] + offsets]
-        covs[lo : lo + 128] = _covariances(block, ridge)
+    for lo in range(0, len(starts), _BLOCK):
+        block = series.samples[starts[lo : lo + _BLOCK, None] + offsets]
+        covs[lo : lo + _BLOCK] = _covariances(block, ridge)
     return starts, labels, SpdStack(covs)
 
 
@@ -289,7 +289,7 @@ def write_feature_archive(
 
 
 def read_feature_archive(dirpath) -> tuple[list, list, SpdStack]:
-    """(labels, ranges, stack) of an archive, factored by one stacked ``eigh``.
+    """(labels, ranges, stack) of an archive, its matrices read into one SpdStack.
 
     A manifest that is not valid JSON or does not follow its table (a label
     other than the integer 0 or 1 included) raises ConfigError naming the

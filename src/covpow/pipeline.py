@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .features import FeatureMatrix, LabeledSeries, WindowSpec, _window_covariances
-from .spd import _square
+from .spd import _BLOCK, SpdStack, _square
 
 __all__ = [
     "SplitSpec",
@@ -142,6 +142,21 @@ def _vectorize(a: np.ndarray) -> np.ndarray:
     """Vectorize every matrix of a (..., k, k) stack; see vectorize_feature."""
     rows, cols, scale = _triangle_index(a.shape[-1])
     return a[..., rows, cols] * scale
+
+
+def _power_rows(stack: SpdStack, beta: float, index=None) -> np.ndarray:
+    """``_vectorize(stack.power(beta, index).values)``, `_BLOCK` windows at a time.
+
+    Each block is powered and vectorized into one preallocated design, so no
+    powered stack of all the windows is built. Errors name the window as
+    ``stack.power`` does.
+    """
+    index = range(len(stack)) if index is None else index
+    k = stack.values.shape[-1]
+    x = np.empty((len(index), k * (k + 1) // 2))
+    for lo in range(0, len(index), _BLOCK):
+        x[lo : lo + _BLOCK] = _vectorize(stack.power(beta, index[lo : lo + _BLOCK]).values)
+    return x
 
 
 def vectorize_feature(matrix) -> np.ndarray:
@@ -363,11 +378,13 @@ def select_beta(
     """Grid-search the covariance power (and window) on a train/val split.
 
     Window covariances are estimated and factored once per window spec, as
-    one SPD stack; each power is one batched matmul on that stack. A power
-    that is not positive definite on some window scores 0, carries an
-    "error" in its table row and is never selected. The test portion of the
-    split is never touched here; its token is withheld from the result on
-    purpose.
+    one SPD stack. Each power is computed on every window of the stack, the
+    test windows included, and its design rows are built a block of windows
+    at a time. A power that is not positive definite on some window, even a
+    test window, scores 0, carries an "error" in its table row and is never
+    selected. The classifier is fitted on the train windows and scored on
+    the train and validation windows only; the test windows' rows and labels
+    go unused, and the test token is withheld from the result on purpose.
     """
     return _select_beta(
         dataset, beta_grid, window_grid, split, l2, max_iter, tol, ridge
@@ -418,7 +435,7 @@ def _select_beta(
             }
             table.append(row)
             try:
-                x = _vectorize(stack.power(beta).values)
+                x = _power_rows(stack, beta)
             except DomainError as exc:
                 row.update(s3=0.0, train=None, val=None, error=str(exc))
                 first_error = first_error or f"beta {beta} on {wspec}: {exc}"

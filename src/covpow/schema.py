@@ -324,12 +324,16 @@ def load_json(data, source, table, root: str, strict: bool = False):
 def read_csv_rows(path, row) -> list:
     """The rows of the CSV file at ``path``, each ``checked`` against the ``row`` table.
 
-    An empty cell, or one a short row lacks, is absent. A file without rows is a fault.
+    An empty cell, or one a short row lacks, is absent. A file without rows,
+    or one that is not UTF-8, is a fault.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        cells = ({key: val for key, val in line.items() if val} for line in reader)
-        rows = [checked(c, f"{path}: line {reader.line_num}", row, "") for c in cells]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            cells = ({key: val for key, val in line.items() if val} for line in reader)
+            rows = [checked(c, f"{path}: line {reader.line_num}", row, "") for c in cells]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
     if not rows:
         raise ConfigError(f"{path} has no rows")
     return rows

@@ -32,6 +32,8 @@ __all__ = [
 
 _SYM_RTOL = 1e-10
 _SPD_TOL = 1e-12
+# matrices per step of every stack kernel: their temporaries stay this size, not the stack's
+_BLOCK = 128
 
 
 def _as_array(m) -> np.ndarray:
@@ -69,46 +71,80 @@ def _square(values) -> np.ndarray:
     return a
 
 
+def _blockwise(kernel, *args):
+    """``kernel(*args)``, a tuple of per-matrix arrays, run `_BLOCK` matrices at a time.
+
+    The last argument is a (k, k) matrix or an (N, k, k) stack, and every
+    argument has one entry per matrix. A matrix or a stack of at most `_BLOCK`
+    goes through in one call; a longer stack goes block by block into
+    preallocated outputs, so its temporaries stay at one block's size.
+    """
+    n = len(args[-1])
+    if args[-1].ndim < 3 or n <= _BLOCK:
+        return kernel(*args)
+    outs = None
+    for lo in range(0, n, _BLOCK):
+        parts = kernel(*(a[lo : lo + _BLOCK] for a in args))
+        if outs is None:
+            outs = tuple(np.empty((n, *p.shape[1:]), p.dtype) for p in parts)
+        for out, part in zip(outs, parts):
+            out[lo : lo + _BLOCK] = part
+    return outs
+
+
+def _finite(a: np.ndarray) -> tuple:
+    return (np.isfinite(a).all(axis=(-2, -1)),)
+
+
+def _symmetric_parts(a: np.ndarray) -> tuple:
+    at = a.swapaxes(-1, -2)
+    return _fro(a - at), _fro(a), (a + at) / 2
+
+
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """Average of a matrix or (N, k, k) stack and its transpose, checked per matrix.
 
     Rejects non-finite entries and asymmetry above 1e-10 relative in
     Frobenius norm; anything below is averaged away.
     """
-    finite = np.isfinite(a).all(axis=(-2, -1))
+    (finite,) = _blockwise(_finite, a)
     _require(finite, DomainError, lambda i: "matrix has non-finite entries")
-    at = a.swapaxes(-1, -2)
-    asym, scale = _fro(a - at), _fro(a)
+    asym, scale, sym = _blockwise(_symmetric_parts, a)
     _require(
         asym <= _SYM_RTOL * scale,
         DomainError,
         lambda i: "matrix is not symmetric: relative asymmetry "
         f"{asym[i] / max(scale[i], 1e-300):.3e}",
     )
-    return (a + at) / 2
+    return sym
+
+
+def _eigh_parts(sym: np.ndarray) -> tuple:
+    """Eigenpairs, orthonormality and reconstruction residuals, and norms of sym."""
+    w, q = np.linalg.eigh(sym)
+    qt = q.swapaxes(-1, -2)
+    ortho = _fro(q @ qt - np.eye(sym.shape[-1]))
+    return w, q, ortho, _fro((q * w[..., None, :]) @ qt - sym), _fro(sym)
 
 
 def _checked_eigh(sym: np.ndarray, positive: bool = False, name: str = "matrix"):
     """Eigenvalues (ascending) and eigenvectors of a `_symmetrized` stack.
 
-    One ``eigh`` call factors a matrix or a whole (N, k, k) stack. Per matrix:
-    orthonormal eigenvectors to 1e-10 and reconstruction to 1e-8 relative
-    (else NumericalError) and, when `positive`, lambda_min > 1e-12 (else
-    DomainError naming the matrix as `name`; so is a 0 x 0 matrix).
+    ``eigh`` factors a matrix, or a whole (N, k, k) stack `_BLOCK` matrices at
+    a time. Per matrix: orthonormal eigenvectors to 1e-10 and reconstruction
+    to 1e-8 relative (else NumericalError) and, when `positive`, lambda_min >
+    1e-12 (else DomainError naming the matrix as `name`; so is a 0 x 0 matrix).
     """
     if positive and not sym.shape[-1]:
         raise DomainError(f"an SPD matrix must be at least 1 x 1, got shape {sym.shape}")
-    w, q = np.linalg.eigh(sym)
-    qt = q.swapaxes(-1, -2)
-    ortho = _fro(q @ qt - np.eye(sym.shape[-1]))
+    w, q, ortho, recon, scale = _blockwise(_eigh_parts, sym)
     _require(
         ortho <= 1e-10,
         NumericalError,
         lambda i: f"eigenvector orthonormality residual {ortho[i]:.3e}",
     )
-    recon = _fro((q * w[..., None, :]) @ qt - sym)
     _require(
-        recon <= 1e-8 * _fro(sym),
+        recon <= 1e-8 * scale,
         NumericalError,
         lambda i: f"eigendecomposition reconstruction residual {recon[i]:.3e}",
     )
@@ -146,8 +182,13 @@ def _compose(w: np.ndarray, q: np.ndarray, index=None):
     elif down.any():  # a stack with rows that tie throughout: those stay as they are
         w, q = np.where(down, w[..., ::-1], w), np.where(down[..., None], q[..., ::-1], q)
     _require_positive(w[..., 0], index)
+    (values,) = _blockwise(_reconstructed, w, q)
+    return values, w, q
+
+
+def _reconstructed(w: np.ndarray, q: np.ndarray) -> tuple:
     vals = (q * w[..., None, :]) @ q.swapaxes(-1, -2)
-    return (vals + vals.swapaxes(-1, -2)) / 2, w, q
+    return ((vals + vals.swapaxes(-1, -2)) / 2,)
 
 
 def _power(w: np.ndarray, q: np.ndarray, beta: float, index=None):
@@ -229,11 +270,11 @@ class SpdMatrix(SymMatrix):
 class SpdStack:
     """N SPD matrices of one size: the (N, k, k) values and their eigenpairs.
 
-    One validated ``eigh`` call on the stack replaces N SpdMatrix
-    constructions; every power X_i^beta of every matrix then costs one
-    batched matmul and is again a stack. Like SpdMatrix, a stack keeps its
-    symmetrized values and an ascending spectrum. Errors name the stack index
-    of the offending matrix.
+    Validated ``eigh`` calls on `_BLOCK` matrices at a time replace N SpdMatrix
+    constructions; every power X_i^beta of every matrix then costs batched
+    matmuls, again a block at a time, and is again a stack. Like SpdMatrix, a
+    stack keeps its symmetrized values and an ascending spectrum. Errors name
+    the stack index of the offending matrix.
     """
 
     __slots__ = ("values", "eigenvalues", "eigenvectors")
@@ -334,7 +375,10 @@ def spd_power_stieltjes(x: SpdMatrix, beta: float, n_quad: int = 400) -> SpdMatr
     # batched solve of ((1-t) X + lam_min t I) G = I across all nodes
     eye = np.eye(x.dim)
     pencils = (1.0 - t)[:, None, None] * x.values + (lam_min * t)[:, None, None] * eye
-    resolvents = np.linalg.solve(pencils, np.broadcast_to(eye, pencils.shape))
+    try:
+        resolvents = np.linalg.solve(pencils, np.broadcast_to(eye, pencils.shape))
+    except np.linalg.LinAlgError as exc:  # cond(X) past 1/eps: pencils near X are singular
+        raise DomainError(f"stieltjes power: a resolvent pencil is singular: {exc}") from None
     acc = np.einsum("k,kij->ij", weights, resolvents)
     out = np.sin(np.pi * beta) / np.pi * lam_min ** (1.0 - beta) * acc
     return SpdMatrix((out + out.T) / 2)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: validation, exit codes, artifacts, reproducibility."""
 
 import csv
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -50,7 +51,10 @@ def run_cli(args, env_root=None, monkeypatch=None):
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):  # a config written byte for byte
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -203,6 +207,11 @@ def bad_config_inputs(tmp_path_factory):
             "seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error\n"
             + good_row + row + "\n"
         )
+    (root / "not_utf8").mkdir()
+    (root / "not_utf8" / "summary.csv").write_bytes(
+        b"seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error\n"
+        + good_row.encode() + b"1,0.5,0.1,0.2,0.5,0.125,True,failed,\xff\n"
+    )
     (root / "bare").mkdir()
     selection = {"beta_star": 1.0, "window_length": 32, "window_overlap": 0.5}
     classifier = {
@@ -289,7 +298,10 @@ def bad_config_inputs(tmp_path_factory):
         "header_only": str(header_only),
         "no_status": str(no_status),
         "bare": str(root / "bare"),
-        **{name: str(root / name) for name in [*broken, *damaged, *summaries, "count_off"]},
+        **{
+            name: str(root / name)
+            for name in [*broken, *damaged, *summaries, "count_off", "not_utf8"]
+        },
     }
 
 
@@ -769,6 +781,21 @@ BAD_CONFIGS = [
             ("status_maybe", "status: expected 'ok' or 'failed', got 'maybe'"),
         )
     ],
+    # byte 0xff, which no UTF-8 text holds: a traceback before, now a fault naming the file
+    pytest.param(
+        "report",
+        lambda d: {"schema_version": "1", "runs": [d["not_utf8"]]},
+        2,
+        "summary.csv: not valid UTF-8: 'utf-8' codec can't decode byte 0xff",
+        id="summary-not-utf8",
+    ),
+    pytest.param(
+        "report",
+        lambda d: b'{"schema_version": "1", "runs": ["\xff"]}',
+        2,
+        "bad.json: not valid JSON: 'utf-8' codec can't decode byte 0xff",
+        id="config-not-utf8",
+    ),
     pytest.param(
         "geometry",
         lambda d: {"schema_version": "1", "features_dir": d["count_off"]},
@@ -1055,12 +1082,13 @@ class TestVerify:
         gate_frac=st.sampled_from([None, 0.5]),
         start=st.integers(0, 100),
         count=st.just(2),
+        method=st.sampled_from(["eig", "stieltjes"]),
     )
     # two 3-seed configs whose gate formulas left the float range with a traceback
-    @example(alpha=320.0, sigma=1.0, gate_frac=0.5, start=0, count=3)
-    @example(alpha=2.0, sigma=1e200, gate_frac=0.5, start=0, count=3)
+    @example(alpha=320.0, sigma=1.0, gate_frac=0.5, start=0, count=3, method="eig")
+    @example(alpha=2.0, sigma=1e200, gate_frac=0.5, start=0, count=3, method="eig")
     def test_any_smoothness_and_scale_exits_cleanly(
-        self, tmp_path, capsys, alpha, sigma, gate_frac, start, count
+        self, tmp_path, capsys, alpha, sigma, gate_frac, start, count, method
     ):
         """A seed outside the float range fails alone; all failing exits 3, never raises."""
         config = {
@@ -1070,6 +1098,7 @@ class TestVerify:
             },
             "model": {"kappa": 1.0, "alpha": alpha, "sigma": sigma},
             "seeds": {"start": start, "count": count},
+            "method": method,
         }
         if gate_frac is not None:
             config["gate_target_fraction"] = gate_frac
@@ -1085,6 +1114,25 @@ class TestVerify:
             with open(run / "run" / "summary.csv", newline="") as fh:
                 statuses = [row["status"] for row in csv.DictReader(fh)]
             assert len(statuses) == count and "ok" in statuses
+
+    def test_singular_stieltjes_pencil_is_a_domain_error(self, tmp_path, capsys):
+        # seed 58 makes a singular pencil, which escaped as a LinAlgError, and
+        # seed 59 a matrix that is not positive definite, so the batch fails
+        # whole with seed 58's error
+        config = {
+            "schema_version": "1",
+            "graph": {
+                "type": "er", "n_obs": 7, "n_lat": 4, "p_obs": 0.5, "p_lat": 0.5, "p_cross": 0.15
+            },
+            "model": {"kappa": 1.0, "alpha": 50.601084321778636, "sigma": 1.8257893695642337e18},
+            "seeds": {"start": 58, "count": 2},
+            "method": "stieltjes",
+        }
+        path = write_config(tmp_path, "verify.json", config)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert err["message"].startswith("stieltjes power: a resolvent pencil is singular")
 
     def test_block_diagonal_batch_tiny_deltas(self, tmp_path):
         config = self.verify_config(count=5, p_cross=0.0)
@@ -1450,6 +1498,19 @@ class TestEnvironmentAndEntryPoints:
         assert run_dir.parent == tmp_path / "roots"
         assert run_dir.name.startswith("simulate-")
         assert (run_dir / "model.json").exists()
+
+    def test_run_dir_is_named_by_the_config_text(self, tmp_path, monkeypatch, capsys):
+        # the config is read as bytes; its digest stays that of the text read
+        # with universal newlines, so a CRLF config keeps its run directory
+        monkeypatch.setenv("COVPOW_RUNS_ROOT", str(tmp_path / "roots"))
+        path = tmp_path / "sim.json"
+        text = json.dumps(minimal_simulate_config(), indent=1)
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        digest = hashlib.sha256(path.read_text().encode()).hexdigest()
+        assert main(["simulate", "--config", str(path)]) == 0
+        run_dir = Path(json.loads(capsys.readouterr().out)["run_dir"])
+        assert run_dir.name == f"simulate-{digest[:12]}"
+        assert json.loads((run_dir / "manifest.json").read_text())["config_sha256"] == digest
 
     def test_no_writes_outside_run_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -31,6 +32,7 @@ from covpow.pipeline import (
     evaluate,
     metrics_to_dict,
     s3_from_metrics,
+    _power_rows,
     _vectorize,
     s3_score,
     select_beta,
@@ -40,7 +42,7 @@ from covpow.pipeline import (
     vectorize_feature,
     write_selection_csv,
 )
-from covpow.spd import SpdMatrix
+from covpow.spd import _BLOCK, SpdMatrix, SpdStack
 
 
 def spd_feature(diag, label):
@@ -239,6 +241,64 @@ class TestVectorize:
         assert got.shape == want.shape
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert err.max() <= 1e-12
+
+
+def gram_stack(n, dim, seed):
+    a = np.random.default_rng(seed).standard_normal((n, dim, 2 * dim))
+    return a @ a.swapaxes(1, 2) / (2 * dim) + 0.1 * np.eye(dim)
+
+
+def assert_exact(got, want):
+    """Equal bit for bit: same shape, dtype and bytes."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPowerRows:
+    """A power's design rows, built `_BLOCK` windows at a time."""
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("beta", [-2.25, 0.5, 3.0])
+    def test_equal_the_rows_of_the_whole_power(self, n, beta):
+        stack = SpdStack(gram_stack(n, 4, seed=n))
+        want = _vectorize(stack.power(beta).values)
+        assert_exact(_power_rows(stack, beta), want)
+        index = np.random.default_rng(0).permutation(n)[: max(1, n - 3)].tolist()
+        assert_exact(_power_rows(stack, beta, index), _vectorize(stack.power(beta, index).values))
+
+    def test_failing_power_names_the_same_window(self):
+        mats = gram_stack(300, 3, seed=3)
+        mats[200] = np.diag([1e-4, 1.0, 2.0])
+        stack = SpdStack(mats)
+        index = [7, *range(140, 290)]  # window 200 sits in the index map's second block
+        for picked in (None, index):
+            with pytest.raises(DomainError) as whole:
+                stack.power(4.0, picked)
+            with pytest.raises(DomainError) as rows:
+                _power_rows(stack, 4.0, picked)
+            assert str(rows.value) == str(whole.value)
+            assert str(rows.value).startswith("stack element 200: ")
+
+    def test_peak_memory_is_the_kept_arrays_plus_a_few_blocks(self):
+        n, k = 2048, 12
+        covs = gram_stack(n, k, seed=4)
+        block = _BLOCK * k * k * covs.itemsize
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                kept = build()
+                return tracemalloc.get_traced_memory()[1], kept
+            finally:
+                tracemalloc.stop()
+
+        peak, stack = traced_peak(lambda: SpdStack(covs))
+        kept = stack.values.nbytes + stack.eigenvalues.nbytes + stack.eigenvectors.nbytes
+        # a whole-stack build peaked near twice what it keeps
+        assert peak <= kept + 8 * block
+        peak, x = traced_peak(lambda: _power_rows(stack, -1.5))
+        # the whole powered stack, which this no longer builds, is itself 16 blocks
+        assert peak <= x.nbytes + 8 * block
 
 
 # ---------------------------------------------------------------------------

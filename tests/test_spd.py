@@ -10,6 +10,7 @@ from covpow.spd import (
     SpdMatrix,
     SpdStack,
     SymMatrix,
+    _BLOCK,
     _fro,
     circular_contour,
     lambda_min,
@@ -298,6 +299,12 @@ def spd_stack_values(n, dim, seed, lo=0.5, hi=4.0):
     return np.array([random_spd(dim, seed=seed + i, lo=lo, hi=hi).values for i in range(n)])
 
 
+def gram_stack(n, dim, seed):
+    """n well-conditioned SPD matrices, a @ a.T / dim + I."""
+    a = np.random.default_rng(seed).standard_normal((n, dim, dim))
+    return a @ a.swapaxes(1, 2) / dim + np.eye(dim)
+
+
 def rel_err(a, b):
     """Largest per-matrix Frobenius error of a against b, relative to b."""
     return float(np.max(np.linalg.norm(a - b, axis=(-2, -1)) / np.linalg.norm(b, axis=(-2, -1))))
@@ -305,13 +312,18 @@ def rel_err(a, b):
 
 class TestSpdStack:
     def test_one_eigh_matches_per_matrix_factorization(self):
-        mats = spd_stack_values(6, 4, seed=20)
-        stack = SpdStack(mats)
-        assert len(stack) == 6
-        for i, m in enumerate(mats):
-            single = SpdMatrix(m)
-            assert_array_equal(stack.eigenvalues[i], single.eigenvalues)
-            assert_array_equal(stack.eigenvectors[i], single.eigenvectors)
+        # past 128 matrices a stack is built and powered a block at a time
+        assert _BLOCK == 128
+        for mats in (spd_stack_values(6, 4, seed=20), gram_stack(129, 4, 21), gram_stack(300, 4, 22)):
+            stack = SpdStack(mats)
+            powered = stack.power(-1.5)
+            assert len(stack) == len(mats)
+            for i, m in enumerate(mats):
+                single = SpdMatrix(m)
+                assert_array_equal(stack.values[i], single.values)
+                assert_array_equal(stack.eigenvalues[i], single.eigenvalues)
+                assert_array_equal(stack.eigenvectors[i], single.eigenvectors)
+                assert_array_equal(powered.values[i], spd_power_eig(single, -1.5).values)
 
     @pytest.mark.parametrize("beta", [-2.5, -2.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.75, 3.0])
     def test_power_matches_spd_power_eig(self, beta):
@@ -351,6 +363,23 @@ class TestSpdStack:
         with pytest.raises(DomainError, match="stack element 2: "):
             stack.power(4.0, [0, 2])
         assert len(stack.power(4.0, [0, 1, 3])) == 3
+
+
+class TestStackBlocks:
+    def test_first_failing_check_wins_across_blocks(self):
+        # every check runs over the whole stack before the next one starts, so
+        # a later block's earlier check names its element, not block 0's
+        mats = gram_stack(301, 3, seed=61)
+        mats[5] = np.diag([-1.0, 1.0, 2.0])
+        with pytest.raises(DomainError, match="stack element 5: .*not positive definite"):
+            SpdStack(mats)
+        asym = mats.copy()
+        asym[260, 0, 2] += 0.1
+        with pytest.raises(DomainError, match="stack element 260: matrix is not symmetric"):
+            SpdStack(asym)
+        mats[300, 1, 1] = np.inf
+        with pytest.raises(DomainError, match="stack element 300: matrix has non-finite"):
+            SpdStack(mats)
 
 
 class TestStackProperties:
