@@ -42,7 +42,6 @@ from .spd import (
 
 __all__ = [
     "ShiftSpectrum",
-    "SpectralInterval",
     "FractionalGate",
     "ContourGate",
     "StructureCheck",
@@ -52,11 +51,8 @@ __all__ = [
     "is_structurally_consistent",
     "consistency_threshold",
     "beta_integral_constant",
-    "fractional_bound_h",
     "fractional_gate",
     "delta_norm_bound_fractional",
-    "spectral_interval",
-    "amplification_factor",
     "contour_gate",
     "default_epsilon_grid",
     "best_contour_gate",
@@ -80,20 +76,6 @@ class ShiftSpectrum:
     def __post_init__(self) -> None:
         if not self.rho < 1:
             raise DomainError(f"shifted operator spectral radius must be < 1, got {self.rho}")
-
-
-@dataclass(frozen=True)
-class SpectralInterval:
-    """Certified enclosure [low, high] of the covariance spectrum."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.low <= self.high:
-            raise DomainError(
-                f"need 0 < low <= high, got [{self.low}, {self.high}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -300,11 +282,6 @@ def _fractional_form(shift, beta: float) -> tuple[float, float]:
         raise DomainError(f"fractional bound out of float range at beta {beta}, rho {spec.rho}")
 
 
-def fractional_bound_h(abar_m, beta: float) -> float:
-    """Prefactor of the commutation-error norm bound, fractional form."""
-    return _fractional_form(abar_m, beta)[0]
-
-
 def fractional_gate(abar_m, beta: float, a_min: float, cross_norm: float) -> FractionalGate:
     """Evaluate the fractional-form gate at a given cross-block norm."""
     if a_min is None or not a_min > 0:
@@ -343,39 +320,25 @@ def delta_norm_bound_fractional(abar_m, beta: float, sigma: float, cross_norm: f
     return h / (sigma ** (2 * beta) * (1 - theta)) * cross_norm**2
 
 
-def _contour_form(shift, alpha: float, sigma: float) -> tuple[SpectralInterval, float]:
-    """The contour form's covariance spectrum enclosure and amplification factor."""
+def _contour_form(shift, alpha: float, sigma: float) -> tuple[float, float, float]:
+    """The covariance spectrum's enclosure [low, high] and the amplification factor.
+
+    low is exact (the covariance eigenvalue map is monotone) and high, from the
+    spectral radius, an envelope; amp turns an adjacency cross norm into a covariance one.
+    """
     spec = _spectrum(shift)
     if not alpha > 0:
         raise DomainError("spectral interval is defined for alpha > 0")
     if not sigma > 0:
         raise DomainError("sigma must be positive")
     try:
-        interval = SpectralInterval(
-            low=sigma**2 * (1 - spec.lam) ** (-alpha),
-            high=sigma**2 * (1 - spec.rho) ** (-alpha),
-        )
-        return interval, sigma**2 * alpha * (1 - spec.rho) ** (-alpha - 1)
+        low = sigma**2 * (1 - spec.lam) ** (-alpha)
+        high = sigma**2 * (1 - spec.rho) ** (-alpha)
+        if not 0 < low <= high:
+            raise DomainError(f"need 0 < low <= high, got [{low}, {high}]")
+        return low, high, sigma**2 * alpha * (1 - spec.rho) ** (-alpha - 1)
     except OverflowError:
         raise DomainError(f"contour bound out of float range at alpha {alpha}, sigma {sigma}")
-
-
-def spectral_interval(abar_m, alpha: float, sigma: float) -> SpectralInterval:
-    """Enclosure of the covariance spectrum from the shifted operator.
-
-    The lower end is exact (the covariance eigenvalue map is monotone); the
-    upper end uses the spectral radius, which is an envelope.
-    """
-    return _contour_form(abar_m, alpha, sigma)[0]
-
-
-def amplification_factor(abar_m, alpha: float, sigma: float) -> float:
-    """Factor turning an adjacency cross norm into a covariance cross norm.
-
-    Only meaningful for alpha > 0, where the covariance cross block is
-    controlled by the adjacency cross block.
-    """
-    return _contour_form(abar_m, alpha, sigma)[1]
 
 
 def contour_gate(
@@ -448,8 +411,7 @@ def best_contour_gate(
         raise DomainError("gate needs a positive a_min")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    interval, amp = _contour_form(abar_m, alpha, sigma)
-    m, m_up = interval.low, interval.high
+    m, m_up, amp = _contour_form(abar_m, alpha, sigma)
     if epsilon_grid is None:
         grid = default_epsilon_grid(m).tolist()
     for eps in grid:  # a subnormal m can round a default clearance up to m
@@ -518,9 +480,11 @@ def shrink_to_gate(
 
     Each step recomputes the gates, since shrinking changes the degrees, and
     stops once the cross-block norm is 0 or below target_fraction of the
-    strongest gate. Raises DomainError when a node has only cross-block
-    edges, no gate applies, or 80 steps do not suffice.
+    strongest gate. Raises DomainError when target_fraction is not in (0, inf),
+    a node has only cross-block edges, no gate applies, or 80 steps do not suffice.
     """
+    if not 0 < target_fraction < math.inf:  # also rejects NaN
+        raise DomainError(f"gate_target_fraction must be finite and > 0, got {target_fraction}")
     blocks = partition_blocks(graph.adjacency, part)
     in_block = np.concatenate([blocks[0].sum(axis=1), blocks[3].sum(axis=1)])
     if in_block.min() <= 0 and operator_norm(blocks[1]) > 0:

@@ -237,6 +237,8 @@ def _fit_logistic(
     for name, value in (("l2", l2), ("tol", tol)):
         if not 0 <= value < math.inf:  # also rejects NaN
             raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     n1 = int(lab.sum())
     n0 = len(lab) - n1
     if n0 == 0 or n1 == 0:
@@ -361,7 +363,7 @@ class SelectionResult:
     beta_star: float
     s3: float
     per_beta_table: list[dict]
-    window_spec_star: WindowSpec | None
+    window_spec_star: WindowSpec
     classifier: LinearClassifier
 
 
@@ -503,8 +505,8 @@ def selection_to_dict(result: SelectionResult) -> dict:
     return {
         "beta_star": result.beta_star,
         "s3": result.s3,
-        "window_length": wspec.length if wspec else None,
-        "window_overlap": wspec.overlap if wspec else None,
+        "window_length": wspec.length,
+        "window_overlap": wspec.overlap,
         "per_beta_table": result.per_beta_table,
         "classifier": classifier_to_dict(result.classifier),
     }

@@ -120,7 +120,7 @@ _FIT = {
     "beta_grid": ([float], None),
     "split": (_SPLIT, {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2}),
     "l2": (_AtLeast(0.0, float), None),
-    "max_iter": (int, None),
+    "max_iter": (_AtLeast(1), None),
     "tol": (_TOL, None),
     "ridge": (_RIDGE, None),
 }
@@ -139,7 +139,7 @@ _TABLES = {
         "beta": (float, None),
         "seeds": ({"start": (_SEED, 0), "count": (_AtLeast(1), _REQUIRED)}, _REQUIRED),
         "method": (_OneOf(("eig", "stieltjes", "contour")), "eig"),
-        "gate_target_fraction": (float, None),
+        "gate_target_fraction": (_AtLeast(0.0, float), None),  # shrink_to_gate refuses 0
     },
     "extract": {
         "series_csv": (str, _REQUIRED),
@@ -159,7 +159,7 @@ _TABLES = {
     "signatures": {
         "features_dir": (str, _REQUIRED),
         "mode": (_SIGNATURE_MODE, "class-mean"),
-        "gmm": ({"max_iter": (int, None), "tol": (_TOL, None), "seed": (_SEED, None)}, {}),
+        "gmm": ({"max_iter": (_AtLeast(1), None), "tol": (_TOL, None), "seed": (_SEED, None)}, {}),
     },
     "pipeline": {
         "classes": ((_CLASS, _CLASS), _REQUIRED),

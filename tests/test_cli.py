@@ -817,6 +817,71 @@ BAD_CONFIGS = [
         "no manifest.json under",
         id="signatures-no-manifest",
     ),
+    # a gate target of 0 deleted the cross block, an infinite one shrank nothing,
+    # and a negative or NaN one failed every seed
+    *[
+        pytest.param(
+            "verify",
+            lambda d, value=value: TestVerify().verify_config(count=2, gate_frac=value),
+            code,
+            where,
+            id=f"verify-gate-target-{name}",
+        )
+        for name, value, code, where in (
+            ("zero", 0.0, 3, "gate_target_fraction must be finite and > 0, got 0.0"),
+            ("negative", -0.5, 2, "config.gate_target_fraction: must be >= 0.0"),
+            ("nan", math.nan, 2, "config.gate_target_fraction: must be >= 0.0"),
+            ("inf", math.inf, 2, "config.gate_target_fraction: must be finite"),
+        )
+    ],
+    # a max_iter below 1 skipped every fit and scored every power 0
+    *[
+        pytest.param(
+            "select",
+            lambda d, v=value: {"schema_version": "1", "series_csv": d["series"], "max_iter": v},
+            2,
+            "config.max_iter: must be >= 1",
+            id=f"select-max-iter-{value}",
+        )
+        for value in (0, -3)
+    ],
+    pytest.param(
+        "pipeline",
+        lambda d: _set(two_class_pipeline_config(), "max_iter", 0),
+        2,
+        "config.max_iter: must be >= 1",
+        id="pipeline-max-iter-0",
+    ),
+    # gmm.max_iter 0 reached the EM fit's own check (exit 3)
+    pytest.param(
+        "signatures",
+        lambda d: {"schema_version": "1", "features_dir": d["features"], "gmm": {"max_iter": 0}},
+        2,
+        "config.gmm.max_iter: must be >= 1",
+        id="signatures-gmm-max-iter-0",
+    ),
+    # checks no other case reached
+    pytest.param(
+        "simulate",
+        lambda d: _set(minimal_simulate_config(), "graph", 5),
+        2,
+        "config.graph: expected dict, got int",
+        id="simulate-graph-not-an-object",
+    ),
+    pytest.param(
+        "evaluate",
+        lambda d: {**_RIDGE_CONFIGS["evaluate"](d), "selection_dir": d["bare"]},
+        2,
+        "config.selection_dir: no selection.json under",
+        id="evaluate-no-selection",
+    ),
+    pytest.param(
+        "report",
+        lambda d: {"schema_version": "1", "runs": []},
+        2,
+        "config.runs: need at least one verify run directory",
+        id="report-no-runs",
+    ),
 ]
 
 

@@ -18,8 +18,6 @@ from covpow.consistency import (
     ContourGate,
     FractionalGate,
     ShiftSpectrum,
-    SpectralInterval,
-    amplification_factor,
     best_contour_gate,
     beta_integral_constant,
     certified_gates,
@@ -28,13 +26,11 @@ from covpow.consistency import (
     contour_gate,
     default_epsilon_grid,
     delta_norm_bound_fractional,
-    fractional_bound_h,
     fractional_gate,
     is_structurally_consistent,
     osc,
     report_to_json,
     shrink_to_gate,
-    spectral_interval,
     verify_instance,
 )
 from covpow.errors import DomainError
@@ -296,6 +292,11 @@ class TestBetaIntegralConstant:
                 beta_integral_constant(beta)
 
 
+def _prefactor(shift, beta):
+    """The fractional bound's prefactor h, as the fractional gate reports it."""
+    return fractional_gate(shift, beta, a_min=1.0, cross_norm=0.0).prefactor
+
+
 class TestFractionalBound:
     def test_zero_shift_closed_form(self):
         for beta in (0.25, 0.5, 0.75):
@@ -305,19 +306,25 @@ class TestFractionalBound:
                 * math.gamma(2 + beta)
                 / (2 * math.pi * beta**2)
             )
-            assert fractional_bound_h(np.zeros((3, 3)), beta) == pytest.approx(
-                want, rel=1e-12
-            )
+            assert _prefactor(np.zeros((3, 3)), beta) == pytest.approx(want, rel=1e-12)
 
     def test_grows_as_radius_approaches_one(self):
-        vals = [
-            fractional_bound_h(np.diag([r, -0.1]), 0.5) for r in np.linspace(0.2, 0.95, 12)
-        ]
+        vals = [_prefactor(np.diag([r, -0.1]), 0.5) for r in np.linspace(0.2, 0.95, 12)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_unstable_shift(self):
-        with pytest.raises(DomainError):
-            fractional_bound_h(np.diag([1.2, 0.0]), 0.5)
+        with pytest.raises(DomainError, match="spectral radius must be < 1"):
+            _prefactor(np.diag([1.2, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_defined_for_beta_in_the_unit_interval(self, beta):
+        message = f"^fractional bound needs beta in \\(0,1\\), got {beta}$"
+        for call in (
+            lambda: _prefactor(np.zeros((3, 3)), beta),
+            lambda: delta_norm_bound_fractional(np.zeros((3, 3)), beta, 1.0, 0.0),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 class TestFractionalGate:
@@ -413,11 +420,18 @@ class TestDeltaNormBound:
 
 
 class TestSpectralInterval:
+    """The contour gate's spectrum_low and spectrum_high enclose the covariance spectrum."""
+
     def test_invariants(self):
-        with pytest.raises(DomainError):
-            SpectralInterval(low=2.0, high=1.0)
-        with pytest.raises(DomainError):
-            SpectralInterval(low=0.0, high=1.0)
+        for spec, sigma, message in (
+            # lam above rho is no operator's spectrum: the lower end passes the upper
+            (ShiftSpectrum(0.1, 0.5), 1.0, "need 0 < low <= high, got [4.0, 1.2345679012345678]"),
+            # sigma**2 underflows, and with it both ends
+            (ShiftSpectrum(0.5, -0.4), 1e-200, "need 0 < low <= high, got [0.0, 0.0]"),
+        ):
+            with pytest.raises(DomainError) as exc:
+                best_contour_gate(spec, 2.0, 0.5, sigma, 0.7, 0.0)
+            assert str(exc.value) == message
 
     def test_encloses_covariance_spectrum(self):
         for seed in range(20):
@@ -428,16 +442,17 @@ class TestSpectralInterval:
             shift, valid = abar(model.graph, model.kappa)
             if not valid:
                 continue
-            interval = spectral_interval(shift, model.alpha, model.sigma)
+            gate = best_contour_gate(shift, model.alpha, 0.5, model.sigma, 0.7, 0.0)
             eigs = population_covariance(model).eigenvalues
-            assert eigs[0] >= interval.low - 1e-12
-            assert eigs[-1] <= interval.high + 1e-12
+            assert eigs[0] >= gate.spectrum_low - 1e-12
+            assert eigs[-1] <= gate.spectrum_high + 1e-12
             # lower end is exact, not just an envelope
-            assert eigs[0] == pytest.approx(interval.low, rel=1e-9)
+            assert eigs[0] == pytest.approx(gate.spectrum_low, rel=1e-9)
 
     def test_requires_positive_alpha(self):
-        with pytest.raises(DomainError):
-            spectral_interval(np.zeros((2, 2)), -1.0, 1.0)
+        for alpha in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="^spectral interval is defined for alpha > 0$"):
+                best_contour_gate(np.zeros((2, 2)), alpha, 0.5, 1.0, 0.7, 0.0)
 
 
 class TestAmplification:
@@ -451,7 +466,7 @@ class TestAmplification:
             shift, valid = abar(model.graph, model.kappa)
             if not valid:
                 continue
-            amp = amplification_factor(shift, model.alpha, model.sigma)
+            amp = best_contour_gate(shift, model.alpha, 0.5, model.sigma, 0.7, 0.0).amplification
             c = population_covariance(model).values
             c_cross = operator_norm(partition_blocks(c, p)[1])
             a_cross = operator_norm(partition_blocks(model.graph.adjacency, p)[1])
@@ -460,8 +475,8 @@ class TestAmplification:
         assert hits >= 20
 
     def test_requires_positive_alpha(self):
-        with pytest.raises(DomainError):
-            amplification_factor(np.zeros((2, 2)), 0.0, 1.0)
+        with pytest.raises(DomainError, match="^spectral interval is defined for alpha > 0$"):
+            best_contour_gate(np.zeros((2, 2)), 0.0, 0.5, 1.0, 0.7, 0.0)
 
 
 class TestResolventBound:
@@ -538,7 +553,7 @@ class TestContourGate:
 
     def test_epsilon_domain(self):
         shift = np.diag([0.4, -0.3])
-        m = spectral_interval(shift, 2.0, 1.0).low
+        m = _spectrum_low(shift, 2.0, 1.0)
         for eps in (0.0, m, 2 * m):
             with pytest.raises(DomainError):
                 contour_gate(shift, 2.0, 0.5, 1.0, eps, 0.7, 0.0)
@@ -552,9 +567,9 @@ class TestContourGate:
 
     def test_negative_beta_uses_upper_end(self):
         shift = np.diag([0.4, -0.3])
-        interval = spectral_interval(shift, 2.0, 1.0)
+        m_up = (1 - 0.4) ** -2.0  # sigma**2 (1 - rho)**(-alpha) at sigma 1, alpha 2
         gate = contour_gate(shift, 2.0, -1.0, 1.0, 0.1, 0.7, 0.0)
-        assert gate.magnitude == pytest.approx(interval.high + 0.1, rel=1e-12)
+        assert gate.magnitude == pytest.approx(m_up + 0.1, rel=1e-12)
 
     def test_dual_implementation_agreement(self):
         rng = np.random.default_rng(11)
@@ -588,7 +603,7 @@ class TestContourGate:
         shift = np.diag([0.5, -0.4, 0.1])
         alpha, beta, sigma, a_min, cross = 2.0, 0.5, 1.0, 0.7, 0.01
         best = best_contour_gate(shift, alpha, beta, sigma, a_min, cross)
-        m = spectral_interval(shift, alpha, sigma).low
+        m = _spectrum_low(shift, alpha, sigma)
         grid = default_epsilon_grid(m)
         gates = [
             contour_gate(shift, alpha, beta, sigma, float(e), a_min, cross) for e in grid
@@ -779,9 +794,9 @@ class TestContourOverflow:
         # every stability reads eps / 0 = inf, as in numpy
         args = (self.SHIFT, 1e-10, 0.5, 1e-160, 0.7, 0.1)
         alpha, sigma = args[1], args[3]
-        assert amplification_factor(self.SHIFT, alpha, sigma) == 0.0
-        grid = default_epsilon_grid(spectral_interval(self.SHIFT, alpha, sigma).low).tolist()
+        grid = default_epsilon_grid(_spectrum_low(self.SHIFT, alpha, sigma)).tolist()
         got = best_contour_gate(*args)
+        assert got.amplification == 0.0
         assert got.stability == math.inf
         assert repr(got) == repr(_numpy_best_contour_gate(*args, grid))
 
@@ -834,7 +849,6 @@ class TestGateFormulaPins:
         g = min(s, c)
         want = FractionalGate(h, s, c, g, (cross / s) ** 2, cross < g)
         assert repr(fractional_gate(shift, beta, a_min, cross)) == repr(want)
-        assert repr(fractional_bound_h(shift, beta)) == repr(h)
         if cross < s:
             theta = (cross / s) ** 2
             bound = h / (sigma ** (2 * beta) * (1 - theta)) * cross**2
@@ -848,15 +862,12 @@ class TestGateFormulaPins:
     @given(shift=_pin_shifts, alpha=st.floats(0.25, 3.0), sigma=st.floats(0.5, 2.0))
     def test_contour_form_scalars(self, shift, alpha, sigma):
         rho, lam = _scalar_shift(shift)
-        interval = SpectralInterval(
-            low=sigma**2 * (1 - lam) ** (-alpha), high=sigma**2 * (1 - rho) ** (-alpha)
-        )
+        low, high = sigma**2 * (1 - lam) ** (-alpha), sigma**2 * (1 - rho) ** (-alpha)
         amp = sigma**2 * alpha * (1 - rho) ** (-alpha - 1)
-        assert repr(spectral_interval(shift, alpha, sigma)) == repr(interval)
-        assert repr(amplification_factor(shift, alpha, sigma)) == repr(amp)
-        spec = ShiftSpectrum(rho=rho, lam=lam)
-        assert repr(spectral_interval(spec, alpha, sigma)) == repr(interval)
-        assert repr(amplification_factor(spec, alpha, sigma)) == repr(amp)
+        for given in (shift, ShiftSpectrum(rho=rho, lam=lam)):
+            gate = best_contour_gate(given, alpha, 0.5, sigma, 0.7, 0.0)
+            got = (gate.spectrum_low, gate.spectrum_high, gate.amplification)
+            assert repr(got) == repr((low, high, amp))
 
 
 class TestCertifiedGates:
@@ -936,7 +947,7 @@ class TestGateProperties:
     def test_contour_gate_monotone_in_cross_norm(
         self, shift, alpha, beta, sigma, eps_frac, a_min, crosses
     ):
-        eps = eps_frac * spectral_interval(shift, alpha, sigma).low
+        eps = eps_frac * _spectrum_low(shift, alpha, sigma)
         gates = [contour_gate(shift, alpha, beta, sigma, eps, a_min, c) for c in crosses]
         _assert_monotone_in_cross_norm(gates, crosses)
 
@@ -1046,8 +1057,6 @@ def _gates_of(shift, alpha, beta, sigma, a_min, cross):
             fractional_gate(shift, beta, a_min, cross) if 0 < beta < 1 else None,
             best_contour_gate(shift, alpha, beta, sigma, a_min, cross),
             certified_gates(shift, alpha, beta, sigma, a_min, cross),
-            spectral_interval(shift, alpha, sigma),
-            amplification_factor(shift, alpha, sigma),
         )
     )
 
@@ -1096,7 +1105,7 @@ class TestShiftRecord:
         self.evict()
         full = _gates_of(shift, alpha, beta, sigma, a_min, cross)
         # the evicting abar, then one factorization per gate function
-        assert eigvalsh_calls == {"eigvalsh": 1 + (5 if 0 < beta < 1 else 4)}
+        assert eigvalsh_calls == {"eigvalsh": 1 + (3 if 0 < beta < 1 else 2)}
         assert hit == full
 
     def test_other_inputs_take_the_full_path(self, monkeypatch):
@@ -1135,6 +1144,66 @@ class TestShiftRecord:
         after = best_contour_gate(shift, *args)
         assert eigvalsh_calls == {"eigvalsh": 1}
         assert after != before
+
+
+_SHIFT = np.diag([0.4, -0.3])
+_TRUTH = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
+
+
+def _shrink(edges, observed, target_fraction=0.5, n=4):
+    g = WeightedGraph.from_edges(n, edges)
+    p = NodePartition.from_observed(n, observed)
+    return shrink_to_gate(g, p, 1.0, 2.0, 0.5, 1.0, target_fraction)
+
+
+def _verify(beta):
+    model, p = er_instance(3)
+    return verify_instance(model, p, beta=beta)
+
+
+class TestInputChecks:
+    """Each input check of the gate functions raises DomainError with its own message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: is_structurally_consistent(np.ones(3), _TRUTH, 0.5),
+             "estimator must be square, got shape (3,)"),
+            (lambda: is_structurally_consistent(np.eye(2), _TRUTH, 0.5),
+             "estimator dim 2 does not match observed graph n=3"),
+            (lambda: consistency_threshold(1.0, 0.0, 0.5), "sigma must be positive"),
+            (lambda: fractional_gate(_SHIFT, 0.5, 0.0, 0.0), "gate needs a positive a_min"),
+            (lambda: fractional_gate(_SHIFT, 0.5, None, 0.0), "gate needs a positive a_min"),
+            (lambda: fractional_gate(_SHIFT, 0.5, 0.7, -1.0), "cross_norm must be nonnegative"),
+            (lambda: delta_norm_bound_fractional(_SHIFT, 0.5, 0.0, 0.0), "sigma must be positive"),
+            (lambda: delta_norm_bound_fractional(_SHIFT, 0.5, 1.0, -1.0),
+             "cross_norm must be nonnegative"),
+            (lambda: best_contour_gate(_SHIFT, 2.0, 0.5, 1.0, 0.0, 0.0),
+             "gate needs a positive a_min"),
+            (lambda: best_contour_gate(_SHIFT, 2.0, 0.5, 1.0, 0.7, -1.0),
+             "cross_norm must be nonnegative"),
+            (lambda: best_contour_gate(_SHIFT, 2.0, 0.5, -1.0, 0.7, 0.0), "sigma must be positive"),
+            (lambda: default_epsilon_grid(0.0), "spectrum lower bound must be positive"),
+            (lambda: default_epsilon_grid(math.nan), "spectrum lower bound must be positive"),
+            # the observed node 0 has no edge at all, and so no a_min
+            (lambda: _shrink([(2, 3, 0.3)], [0]),
+             "observed block has no edges; nothing to gate against"),
+            # degree-2 nodes at kappa 1 put the operator's top eigenvalue past 2
+            (lambda: _shrink([(0, 1, 1.0), (2, 3, 1.0), (0, 2, 0.5)], [0, 1]),
+             "graph invalid while gating (spectral radius >= 1)"),
+            *[
+                (lambda f=f: _shrink([(0, 1, 0.3), (2, 3, 0.3), (0, 2, 0.1)], [0, 1], f),
+                 f"gate_target_fraction must be finite and > 0, got {f}")
+                for f in (0.0, -0.5, math.nan, math.inf)
+            ],
+            (lambda: _verify(0.0), "beta must be a finite nonzero real"),
+            (lambda: _verify(math.inf), "beta must be a finite nonzero real"),
+        ],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestVerifyInstance:

@@ -23,7 +23,7 @@ from covpow.features import (
     write_feature_archive,
     write_series_csv,
 )
-from covpow.spd import SpdMatrix, SpdStack
+from covpow.spd import SpdMatrix, SpdStack, write_matrix_csv
 
 
 def make_series(t=100, channels=3, seed=0, label_frac=0.3):
@@ -336,6 +336,34 @@ class TestExtractFeatures:
         series = LabeledSeries(samples=samples, labels=labels)
         labels, _, _ = extract_features(series, WindowSpec(length=10), beta=1.0)
         assert labels == [0, 1]
+
+
+def _archive_with_a_3x3(tmp):
+    """Read a 2x2 archive whose second matrix file holds a 3x3 matrix."""
+    stack = SpdStack([np.eye(2), 2 * np.eye(2)])
+    write_feature_archive([0, 1], [(0, 4), (4, 8)], stack, 1.0, tmp, {})
+    write_matrix_csv(np.eye(3), tmp / "feature_00001.csv")
+    read_feature_archive(tmp)
+
+
+class TestInputChecks:
+    """Each input check no other test reaches raises DomainError with its own message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda tmp: LabeledSeries(np.array([[0.0], [np.nan]]), np.zeros(2)),
+             "samples contain non-finite values"),
+            (lambda tmp: LabeledSeries(np.array([[0.0], [np.inf]]), np.zeros(2)),
+             "samples contain non-finite values"),
+            (_archive_with_a_3x3,
+             "{tmp}/feature_00001.csv: shape (3, 3) differs from {tmp}/feature_00000.csv: (2, 2)"),
+        ],
+    )
+    def test_message(self, tmp_path, call, message):
+        with pytest.raises(DomainError) as exc:
+            call(tmp_path)
+        assert str(exc.value) == message.format(tmp=tmp_path)
 
 
 class TestSerialization:

@@ -176,6 +176,12 @@ class TestPairwiseCsv:
 
 
 class TestClassStats:
+    @pytest.mark.parametrize("labels", [[0, 2], [0, -1]])
+    def test_labels_outside_0_1_rejected(self, labels):
+        with pytest.raises(DomainError) as exc:
+            distance_stats(np.zeros((2, 2)), labels)
+        assert str(exc.value) == "labels must be 0/1"
+
     def test_identical_classes_not_separated(self):
         m = SpdMatrix(np.eye(2))
         feats = [feature(m, 0), feature(m, 0), feature(m, 1), feature(m, 1)]

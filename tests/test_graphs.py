@@ -95,6 +95,12 @@ class TestNodePartition:
         p = NodePartition.from_observed(3, range(3))
         assert p.latent == ()
 
+    @pytest.mark.parametrize("observed", [[5], [-1], [0, 3]])
+    def test_observed_index_out_of_range(self, observed):
+        with pytest.raises(DomainError) as exc:
+            NodePartition.from_observed(3, observed)
+        assert str(exc.value) == "observed indices out of range for n=3"
+
 
 # Each construction fault with the message it raises; a list is in check order,
 # so with several faults the first one's message comes out.

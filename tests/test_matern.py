@@ -190,6 +190,12 @@ class TestModelIo:
         assert rec["seed"] == 99
         assert (rec["kappa"], rec["alpha"], rec["sigma"]) == (0.7, 1.5, 2.0)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 2)])
+    def test_samples_csv_needs_a_matrix(self, tmp_path, shape):
+        with pytest.raises(DomainError) as exc:
+            write_samples_csv(np.zeros(shape), tmp_path / "samples.csv")
+        assert str(exc.value) == "samples must be a 2-d array"
+
     def test_samples_csv_round_trip_bitwise(self, tmp_path):
         m, _ = er_model(seed=9)
         y = sample_field(m, 5, seed=1)

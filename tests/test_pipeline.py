@@ -332,6 +332,15 @@ class TestTrainClassifier:
         with pytest.raises(DomainError, match=f"^{key} must be finite and nonnegative, got"):
             train_linear_classifier(feats, **{key: value})
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        # such a fit used to return zero weights, so every power scored s3 = 0
+        message = f"^max_iter must be >= 1, got {max_iter}$"
+        with pytest.raises(DomainError, match=message):
+            train_linear_classifier(self.separable_features(n_per=5), max_iter=max_iter)
+        with pytest.raises(DomainError, match=message):
+            select_beta(two_class_series(seed=1), beta_grid=[0.5], max_iter=max_iter)
+
     def test_zero_l2_and_tol_accepted(self):
         clf = train_linear_classifier(self.separable_features(n_per=5), l2=0.0, tol=0.0)
         assert np.isfinite(clf.weights).all()
@@ -513,6 +522,39 @@ class TestSplitDataset:
 
 # ---------------------------------------------------------------------------
 # grid search
+
+
+_SPEC = WindowSpec(length=32, overlap=0.5)
+
+
+class TestInputChecks:
+    """Each input check no other test reaches raises DomainError with its own message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Metrics.from_counts(0, 0, 0, 0), "metrics need at least one example"),
+            (lambda: LinearClassifier(np.zeros(2), np.zeros(1), np.ones(1), 1, ()).predict([]),
+             "no features to score"),
+            (lambda: train_linear_classifier([spd_feature([1.0], 0), spd_feature([2.0], None)]),
+             "features carry no labels"),
+            (lambda: train_linear_classifier([spd_feature([1.0], 0), spd_feature([2.0], 2)]),
+             "labels must be 0/1"),
+            (lambda: train_linear_classifier([spd_feature([1.0], 0)]),
+             "need at least 2 training examples"),
+            (lambda: split_dataset([0, 1, 2], [0, 1], SplitSpec(0.6, 0.2, 0.2)),
+             "labels must match items"),
+            (lambda: select_beta(two_class_series(seed=1), window_grid=[]), "window grid is empty"),
+            # about 15 windows a class leave no validation window at 2%
+            (lambda: select_beta(
+                two_class_series(seed=1), window_grid=[_SPEC], split=SplitSpec(0.9, 0.02, 0.08)
+            ), "degenerate split: empty train or validation part"),
+        ],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestSelectBeta:

@@ -492,6 +492,40 @@ class TestEndToEnd:
             class_signatures(np.empty((0, 2, 2)), [], mode="median")
 
 
+def _fit(weights=(0.5, 0.5), means=(0.0, 1.0), variances=(1.0, 1.0)):
+    return GmmFit(weights, means, variances, 0.0, 1, True, ())
+
+
+class TestInputChecks:
+    """Each input check no other test reaches raises DomainError with its own message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: _fit(weights=(0.3, 0.3)), "mixture weights must sum to 1, got (0.3, 0.3)"),
+            (lambda: _fit(weights=(1.0, 0.0)), "mixture weights must lie in (0,1), got (1.0, 0.0)"),
+            (lambda: _fit(variances=(0.0, 1.0)), "variances must be positive, got (0.0, 1.0)"),
+            (lambda: _fit(means=(1.0, 0.0)), "components must be sorted by mean"),
+            (lambda: offdiag_magnitudes(np.ones(3)),
+             "need a square matrix of dim >= 2, got shape (3,)"),
+            (lambda: offdiag_magnitudes(np.ones((1, 1))),
+             "need a square matrix of dim >= 2, got shape (1, 1)"),
+            (lambda: extract_signature(np.ones((2, 3)), 0.5),
+             "need a square matrix, got shape (2, 3)"),
+            (lambda: class_signatures(np.ones((2, 3, 3)), [0]),
+             "need an (N, k, k) array and N labels, got (2, 3, 3), 1"),
+            (lambda: class_signatures(np.ones((2, 3, 3)), [0, None]),
+             "every feature needs a class label"),
+            (lambda: support_recovery_metrics(np.zeros((1, 1)), np.zeros((1, 1))),
+             "need at least 2 nodes"),
+        ],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 class TestSerialization:
     def test_gmm_dict_fields(self):
         fit = fit_gmm_1d(two_cluster_values(seed=9))
