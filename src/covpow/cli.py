@@ -51,7 +51,6 @@ from .matern import (
     MaternModel,
     model_to_dict,
     sample_field,
-    write_model_json,
     write_samples_csv,
 )
 from .pipeline import (
@@ -157,7 +156,7 @@ def cmd_simulate(cfg: dict, run_dir: Path) -> None:
     draws = sample_field(model, cfg["samples"]["n_samples"], seed=seed)
 
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_model_json(model, run_dir / "model.json", seed=seed)
+    (run_dir / "model.json").write_text(_json_text({**model_to_dict(model), "seed": seed}))
     write_samples_csv(draws, run_dir / "samples.csv")
     (run_dir / "partition.json").write_text(
         _json_text({"observed": list(part.observed), "latent": list(part.latent)})

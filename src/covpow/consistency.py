@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import NodePartition, WeightedGraph
-from .graphs import _factored_spectrum, _positive_min, _shift
-from .graphs import partition_blocks, scale_cross_block
+from .graphs import _factored_spectrum, _shift
+from .graphs import observed_a_min, partition_blocks, scale_cross_block
 from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
     SpdMatrix,
@@ -480,11 +480,11 @@ def shrink_to_gate(
 
     Each step recomputes the gates, since shrinking changes the degrees, and
     stops once the cross-block norm is 0 or below target_fraction of the
-    strongest gate. Raises DomainError when target_fraction is not in (0, inf),
+    strongest gate. Raises DomainError when target_fraction is not in (0, 1],
     a node has only cross-block edges, no gate applies, or 80 steps do not suffice.
     """
-    if not 0 < target_fraction < math.inf:  # also rejects NaN
-        raise DomainError(f"gate_target_fraction must be finite and > 0, got {target_fraction}")
+    if not 0 < target_fraction <= 1:  # also rejects NaN
+        raise DomainError(f"gate_target_fraction must lie in (0, 1], got {target_fraction}")
     blocks = partition_blocks(graph.adjacency, part)
     in_block = np.concatenate([blocks[0].sum(axis=1), blocks[3].sum(axis=1)])
     if in_block.min() <= 0 and operator_norm(blocks[1]) > 0:
@@ -492,7 +492,7 @@ def shrink_to_gate(
             "a node is held up only by cross-block edges; shrinking the cross "
             "block to pass the gate would isolate it"
         )
-    a_min = _positive_min(blocks[0])  # observed_a_min(graph, part)
+    a_min = observed_a_min(graph, part)
     if a_min is None:
         raise DomainError("observed block has no edges; nothing to gate against")
     for _ in range(80):
@@ -552,7 +552,7 @@ def verify_instance(
     adj_s, cross, _, _ = partition_blocks(model.graph.adjacency, p)
     cross_norm = operator_norm(cross)
     truth_s = WeightedGraph(adj_s)
-    a_min = _positive_min(adj_s)  # observed_a_min(model.graph, p)
+    a_min = observed_a_min(model.graph, p)
 
     threshold = None
     if a_min is not None:

@@ -291,17 +291,12 @@ def observed_a_min(g: WeightedGraph, p: NodePartition) -> float | None:
     """Smallest positive off-diagonal weight inside the observed block.
 
     None when the observed block has no edges; gates that need this value
-    report a not-applicable status in that case.
+    report a not-applicable status in that case. The diagonal is zero, so the
+    positive entries are the positive off-diagonal ones, each counted twice.
     """
-    return _positive_min(partition_blocks(g.adjacency, p)[0])
-
-
-def _positive_min(a_s: np.ndarray) -> float | None:
-    """observed_a_min of an already cut observed block of a WeightedGraph.
-
-    The graph's diagonal is zero, so the positive entries are the positive
-    off-diagonal ones, each counted twice, which leaves their minimum as is.
-    """
+    if g.n != p.n:
+        raise DomainError(f"matrix dim {g.n} does not match partition n={p.n}")
+    a_s = g.adjacency[p._meshes[0]]
     pos = a_s[a_s > 0]
     return float(pos.min()) if pos.size else None
 

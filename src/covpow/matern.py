@@ -9,7 +9,6 @@ covariances, roots, and sampling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -116,12 +115,6 @@ def model_to_dict(m: MaternModel) -> dict:
         "alpha": float(m.alpha),
         "sigma": float(m.sigma),
     }
-
-
-def write_model_json(m: MaternModel, path, seed: int) -> None:
-    rec = {**model_to_dict(m), "seed": int(seed)}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def write_samples_csv(samples: np.ndarray, path) -> None:

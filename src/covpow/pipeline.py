@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .features import FeatureMatrix, LabeledSeries, WindowSpec, _window_covariances
-from .spd import _BLOCK, SpdStack, _square
+from .spd import _BLOCK, SpdStack, _as_array
 
 __all__ = [
     "SplitSpec",
@@ -138,14 +138,23 @@ def _triangle_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, scale
 
 
-def _vectorize(a: np.ndarray) -> np.ndarray:
-    """Vectorize every matrix of a (..., k, k) stack; see vectorize_feature."""
+def vectorize_feature(m) -> np.ndarray:
+    """Upper-triangle vectorization with sqrt(2) off-diagonal scaling.
+
+    Takes a (k, k) matrix, an (N, k, k) stack, or a wrapper's ``values``
+    (SpdMatrix, SpdStack), and gives a vector or an (N, k(k+1)/2) design
+    matrix. The Euclidean inner product of two vectors equals the Frobenius
+    inner product of their matrices.
+    """
+    a = _as_array(m)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     rows, cols, scale = _triangle_index(a.shape[-1])
     return a[..., rows, cols] * scale
 
 
 def _power_rows(stack: SpdStack, beta: float, index=None) -> np.ndarray:
-    """``_vectorize(stack.power(beta, index).values)``, `_BLOCK` windows at a time.
+    """``vectorize_feature(stack.power(beta, index))``, `_BLOCK` windows at a time.
 
     Each block is powered and vectorized into one preallocated design, so no
     powered stack of all the windows is built. Errors name the window as
@@ -155,21 +164,8 @@ def _power_rows(stack: SpdStack, beta: float, index=None) -> np.ndarray:
     k = stack.values.shape[-1]
     x = np.empty((len(index), k * (k + 1) // 2))
     for lo in range(0, len(index), _BLOCK):
-        x[lo : lo + _BLOCK] = _vectorize(stack.power(beta, index[lo : lo + _BLOCK]).values)
+        x[lo : lo + _BLOCK] = vectorize_feature(stack.power(beta, index[lo : lo + _BLOCK]))
     return x
-
-
-def vectorize_feature(matrix) -> np.ndarray:
-    """Upper-triangle vectorization with sqrt(2) off-diagonal scaling.
-
-    Makes the Euclidean inner product of vectors equal the Frobenius inner
-    product of the matrices.
-    """
-    return _vectorize(_square(matrix))
-
-
-def _design_rows(features: list[FeatureMatrix]) -> np.ndarray:
-    return np.array([vectorize_feature(f.matrix) for f in features])
 
 
 @dataclass(frozen=True)
@@ -182,32 +178,26 @@ class LinearClassifier:
     dim: int
     seen_tokens: tuple[str, ...]
 
-    def _predict(self, x: np.ndarray) -> np.ndarray:
-        """0/1 predictions for a design matrix of vectorized features."""
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """0/1 predictions for an (n, dim) design matrix of vectorized features."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise DomainError(f"expected an (n, {self.dim}) design matrix, got shape {x.shape}")
         if not len(x):
             raise DomainError("no features to score")
-        if x.shape[1] != self.dim:
-            raise DomainError(
-                f"feature dim {x.shape[1]} does not match trained dim {self.dim}"
-            )
         z = (x - self.feature_mean) / self.feature_scale
         return (np.column_stack([z, np.ones(len(x))]) @ self.weights >= 0).astype(int)
-
-    def predict(self, features: list[FeatureMatrix]) -> np.ndarray:
-        return self._predict(_design_rows(features))
 
 
 def _labels_from(features: list[FeatureMatrix]) -> np.ndarray:
     if any(f.label is None for f in features):
         raise DomainError("features carry no labels")
-    lab = np.array([int(f.label) for f in features])
-    if not np.isin(lab, (0, 1)).all():
-        raise DomainError("labels must be 0/1")
-    return lab
+    return np.array([int(f.label) for f in features])
 
 
 def train_linear_classifier(
-    features: list[FeatureMatrix],
+    x: np.ndarray,
+    labels: np.ndarray,
     l2: float = 1e-3,
     max_iter: int = 100,
     tol: float = 1e-8,
@@ -215,23 +205,16 @@ def train_linear_classifier(
 ) -> LinearClassifier:
     """Damped-Newton logistic regression with inverse-frequency class weights.
 
-    The loss is a weighted mean, so duplicating every example leaves the fit
-    unchanged; weights n/(2 n_c) rebalance classes without resampling.
+    Fits an (n, d) design matrix of vectorized features to n integer 0/1
+    labels. The loss is a weighted mean, so duplicating every example leaves
+    the fit unchanged; weights n/(2 n_c) rebalance classes without resampling.
     Deterministic: zero init, full batch, fixed backtracking schedule.
     """
-    lab = _labels_from(features)
-    return _fit_logistic(_design_rows(features), lab, l2, max_iter, tol, seen_tokens)
-
-
-def _fit_logistic(
-    x: np.ndarray,
-    lab: np.ndarray,
-    l2: float,
-    max_iter: int,
-    tol: float,
-    seen_tokens: tuple[str, ...],
-) -> LinearClassifier:
-    """train_linear_classifier on a design matrix and 0/1 labels."""
+    x, lab = np.asarray(x, dtype=float), np.asarray(labels)
+    if x.ndim != 2 or lab.shape != (len(x),):
+        raise DomainError(f"need one label per design row, got shapes {x.shape} and {lab.shape}")
+    if lab.dtype.kind not in "iu" or ((lab | 1) != 1).any():  # some entry is neither 0 nor 1
+        raise DomainError("labels must be 0/1")
     if len(lab) < 2:
         raise DomainError("need at least 2 training examples")
     for name, value in (("l2", l2), ("tol", tol)):
@@ -442,7 +425,7 @@ def _select_beta(
                 row.update(s3=0.0, train=None, val=None, error=str(exc))
                 first_error = first_error or f"beta {beta} on {wspec}: {exc}"
                 continue
-            clf = _fit_logistic(
+            clf = train_linear_classifier(
                 x[train],
                 labels[train],
                 l2,
@@ -450,8 +433,8 @@ def _select_beta(
                 tol,
                 seen_tokens=(parts.train_token, parts.val_token),
             )
-            m_train = classification_metrics(clf._predict(x[train]), labels[train])
-            m_val = classification_metrics(clf._predict(x[val]), labels[val])
+            m_train = classification_metrics(clf.predict(x[train]), labels[train])
+            m_val = classification_metrics(clf.predict(x[val]), labels[val])
             s3 = s3_from_metrics(m_train, m_val)
             row.update(s3=s3, train=metrics_to_dict(m_train), val=metrics_to_dict(m_val))
             key = (-s3, abs(beta), len(table))
@@ -474,7 +457,8 @@ def _select_beta(
 def evaluate(classifier: LinearClassifier, features: list[FeatureMatrix], token: str | None = None) -> Metrics:
     """Held-out metrics; refuses data whose token was visible in training."""
     _refuse_leak(classifier, token)
-    return _evaluate(classifier, _design_rows(features), _labels_from(features))
+    x = np.array([vectorize_feature(f.matrix) for f in features])
+    return _evaluate(classifier, x, _labels_from(features))
 
 
 def _refuse_leak(classifier: LinearClassifier, token: str | None) -> None:
@@ -489,7 +473,7 @@ def _evaluate(classifier: LinearClassifier, x: np.ndarray, labels, token: str | 
     _refuse_leak(classifier, token)
     if not len(labels):
         raise DomainError("test set is empty")
-    return classification_metrics(classifier._predict(x), labels)
+    return classification_metrics(classifier.predict(x), labels)
 
 
 # ---------------------------------------------------------------------------

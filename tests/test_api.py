@@ -128,9 +128,6 @@ def test_every_unexported_definition_has_a_caller():
 EXPORTED_WITHOUT_READER = {
     # the independent reference test_graphs compares interaction_operator against
     "graphs.laplacian",
-    # the named definition of a_min, which shrink_to_gate and verify_instance
-    # compute inline from the observed block they already cut
-    "graphs.observed_a_min",
 }
 
 

@@ -24,7 +24,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
 import covpow
-from covpow import cli, consistency
+from covpow import cli, consistency, pipeline
 from covpow.errors import ConfigError, CovpowError, DomainError, NumericalError
 from covpow.cli import main
 from covpow.features import (
@@ -818,7 +818,7 @@ BAD_CONFIGS = [
         id="signatures-no-manifest",
     ),
     # a gate target of 0 deleted the cross block, an infinite one shrank nothing,
-    # and a negative or NaN one failed every seed
+    # a negative or NaN one failed every seed, and one above 1 left seeds uncertified
     *[
         pytest.param(
             "verify",
@@ -828,7 +828,9 @@ BAD_CONFIGS = [
             id=f"verify-gate-target-{name}",
         )
         for name, value, code, where in (
-            ("zero", 0.0, 3, "gate_target_fraction must be finite and > 0, got 0.0"),
+            ("zero", 0.0, 3, "gate_target_fraction must lie in (0, 1], got 0.0"),
+            # above 1 a seed could end with every gate unsatisfied
+            ("above-one", 3.0, 3, "gate_target_fraction must lie in (0, 1], got 3.0"),
             ("negative", -0.5, 2, "config.gate_target_fraction: must be >= 0.0"),
             ("nan", math.nan, 2, "config.gate_target_fraction: must be >= 0.0"),
             ("inf", math.inf, 2, "config.gate_target_fraction: must be finite"),
@@ -1504,6 +1506,59 @@ class TestPipeline:
         path = write_config(tmp_path, "pipeline.json", config)
         code = main(["pipeline", "--config", path, "--out", str(tmp_path / "run")])
         assert code == 2
+
+
+def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monkeypatch):
+    """select, evaluate and pipeline reach the names the benchmark's tracer wraps."""
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr, name in (
+        (pipeline, "train_linear_classifier", "fit"),
+        (pipeline, "vectorize_feature", "vectorize"),
+        (pipeline.LinearClassifier, "predict", "predict"),
+    ):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    # 384 samples in windows of 8 every 2 samples: 189 windows, two blocks of 128
+    n, window = 189, {"length": 8, "overlap": 0.75}
+    split = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2, "seed": 2}
+    fit = {"window_grid": [window], "beta_grid": [-1.0, 0.5, 2.0], "split": split}
+
+    def run(verb, config):
+        calls.clear()
+        path = write_config(tmp_path, f"{verb}.json", {"schema_version": "1", **config})
+        assert main([verb, "--config", path, "--out", str(tmp_path / verb)]) == 0
+        return tmp_path / verb
+
+    def fitted(run_dir):
+        table = json.loads((run_dir / "selection.json").read_text())["per_beta_table"]
+        return sum("error" not in row for row in table)
+
+    def tested(run_dir):
+        m = json.loads((run_dir / "test_metrics.json").read_text())
+        return m["tp"] + m["fp"] + m["tn"] + m["fn"]
+
+    series_csv = TestExtractSelectEvaluate().series_file(tmp_path, seed=1)
+    select_run = run("select", {"series_csv": series_csv, **fit})
+    ok = fitted(select_run)
+    assert ok == 3
+    assert dict(calls) == {"fit": ok, "predict": 2 * ok, "vectorize": ok * math.ceil(n / 128)}
+
+    eval_run = run("evaluate", {"series_csv": series_csv, "selection_dir": str(select_run),
+                                "split": split})
+    assert dict(calls) == {"predict": 1, "vectorize": math.ceil(tested(eval_run) / 128)}
+
+    pipeline_run = run("pipeline", {**two_class_pipeline_config(), **fit})
+    ok = fitted(pipeline_run)
+    assert ok == 3
+    vectorized = ok * math.ceil(n / 128) + math.ceil(tested(pipeline_run) / 128)
+    assert dict(calls) == {"fit": ok, "predict": 2 * ok + 1, "vectorize": vectorized}
 
 
 class TestReport:

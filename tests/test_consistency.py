@@ -988,6 +988,13 @@ class TestShrinkToGate:
             gates.append(fractional_gate(shift, beta, a_min, cross).gate)
         assert cross < fraction * max(gates)
 
+    def test_fraction_one_is_accepted_and_leaves_a_satisfied_gate(self):
+        g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=3)
+        got = shrink_to_gate(g, p, 1.0, 2.0, 0.5, 1.0, 1.0)
+        report = verify_instance(MaternModel(got, kappa=1.0, alpha=2.0, sigma=1.0), p)
+        gates = (report.gate_fractional, report.gate_contour)
+        assert any(gate is not None and gate.satisfied for gate in gates)
+
     @pytest.mark.parametrize("kappa", [math.inf, math.nan])
     def test_non_finite_kappa_rejected_like_matern(self, kappa):
         # a non-finite kappa is named as the fault, not reported as an
@@ -1193,8 +1200,9 @@ class TestInputChecks:
              "graph invalid while gating (spectral radius >= 1)"),
             *[
                 (lambda f=f: _shrink([(0, 1, 0.3), (2, 3, 0.3), (0, 2, 0.1)], [0, 1], f),
-                 f"gate_target_fraction must be finite and > 0, got {f}")
-                for f in (0.0, -0.5, math.nan, math.inf)
+                 f"gate_target_fraction must lie in (0, 1], got {f}")
+                # above 1 the shrink could stop with every gate unsatisfied
+                for f in (0.0, -0.5, math.nan, math.inf, 1.5, 10.0)
             ],
             (lambda: _verify(0.0), "beta must be a finite nonzero real"),
             (lambda: _verify(math.inf), "beta must be a finite nonzero real"),

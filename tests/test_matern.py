@@ -17,7 +17,6 @@ from covpow.matern import (
     observed_covariance,
     population_covariance,
     sample_field,
-    write_model_json,
     write_samples_csv,
 )
 from covpow.spd import SpdMatrix, SpdStack, spd_power_eig, spectral_norm
@@ -181,14 +180,6 @@ class TestModelIo:
         m2 = MaternModel(graph=graph, kappa=rec["kappa"], alpha=rec["alpha"], sigma=rec["sigma"])
         assert_array_equal(m2.graph.adjacency, m.graph.adjacency)
         assert (m2.kappa, m2.alpha, m2.sigma) == (m.kappa, m.alpha, m.sigma)
-
-    def test_json_sidecar_with_seed(self, tmp_path):
-        m = two_node_model(alpha=1.5, sigma=2.0, kappa=0.7)
-        path = tmp_path / "model.json"
-        write_model_json(m, path, seed=99)
-        rec = json.loads(path.read_text())
-        assert rec["seed"] == 99
-        assert (rec["kappa"], rec["alpha"], rec["sigma"]) == (0.7, 1.5, 2.0)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 2, 2)])
     def test_samples_csv_needs_a_matrix(self, tmp_path, shape):

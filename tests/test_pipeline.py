@@ -33,7 +33,6 @@ from covpow.pipeline import (
     metrics_to_dict,
     s3_from_metrics,
     _power_rows,
-    _vectorize,
     s3_score,
     select_beta,
     selection_to_dict,
@@ -47,6 +46,12 @@ from covpow.spd import _BLOCK, SpdMatrix, SpdStack
 
 def spd_feature(diag, label):
     return FeatureMatrix(matrix=SpdMatrix(np.diag(np.asarray(diag, dtype=float))), label=label)
+
+
+def design(feats):
+    """The design matrix and labels of a feature list, vectorized as one stack."""
+    x = vectorize_feature(np.array([f.matrix.values for f in feats]))
+    return x, np.array([f.label for f in feats])
 
 
 def two_class_series(seed=0, t=512, corr=0.9, scale=2.0):
@@ -217,8 +222,15 @@ class TestVectorize:
         assert np.allclose(v, [2.0, 5.0, 0.0])
 
     def test_rejects_non_square(self):
-        with pytest.raises(DomainError):
-            vectorize_feature(np.ones((2, 3)))
+        for shape in [(2, 3), (4, 2, 3), (3,), (2, 2, 2, 2)]:
+            with pytest.raises(DomainError, match="^expected a square matrix or a stack of them"):
+                vectorize_feature(np.ones(shape))
+
+    def test_stack_rows_equal_each_matrix_vectorized(self):
+        mats = gram_stack(5, 3, seed=1)
+        want = np.array([vectorize_feature(m) for m in mats])
+        assert_exact(vectorize_feature(mats), want)
+        assert_exact(vectorize_feature(SpdStack(mats)), vectorize_feature(SpdStack(mats).values))
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
@@ -237,7 +249,7 @@ class TestVectorize:
         _, _, stack = _window_covariances(series, spec)
         covs = [empirical_covariance(w.samples) for w in sliding_windows(series, spec)]
         want = np.array([vectorize_feature(power_features(c, beta).matrix) for c in covs])
-        got = _vectorize(stack.power(beta).values)
+        got = vectorize_feature(stack.power(beta))
         assert got.shape == want.shape
         err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
         assert err.max() <= 1e-12
@@ -261,10 +273,10 @@ class TestPowerRows:
     @pytest.mark.parametrize("beta", [-2.25, 0.5, 3.0])
     def test_equal_the_rows_of_the_whole_power(self, n, beta):
         stack = SpdStack(gram_stack(n, 4, seed=n))
-        want = _vectorize(stack.power(beta).values)
+        want = vectorize_feature(stack.power(beta))
         assert_exact(_power_rows(stack, beta), want)
         index = np.random.default_rng(0).permutation(n)[: max(1, n - 3)].tolist()
-        assert_exact(_power_rows(stack, beta, index), _vectorize(stack.power(beta, index).values))
+        assert_exact(_power_rows(stack, beta, index), vectorize_feature(stack.power(beta, index)))
 
     def test_failing_power_names_the_same_window(self):
         mats = gram_stack(300, 3, seed=3)
@@ -306,20 +318,33 @@ class TestPowerRows:
 
 
 class TestTrainClassifier:
-    def separable_features(self, n_per=20, seed=0):
+    def separable(self, n_per=20, seed=0):
+        """Design matrix and labels of two well-separated classes of 2x2 diagonal matrices."""
         rng = np.random.default_rng(seed)
         feats = []
         for label, base in ((0, 1.0), (1, 6.0)):
             for _ in range(n_per):
                 d = base + rng.uniform(-0.3, 0.3, 2)
                 feats.append(spd_feature(d, label))
-        return feats
+        return design(feats)
 
     def test_separable_train_accuracy_one(self):
-        feats = self.separable_features()
-        clf = train_linear_classifier(feats, l2=1e-6)
-        m = classification_metrics(clf.predict(feats), [f.label for f in feats])
+        x, lab = self.separable()
+        clf = train_linear_classifier(x, lab, l2=1e-6)
+        m = classification_metrics(clf.predict(x), lab)
         assert m.accuracy == 1.0
+
+    @pytest.mark.parametrize(
+        "labels",
+        [None, [0, 1, 2, 1], [0, 1, 0.5, 1], [0, 1, None, 1], [0.0, 1.0, 0.0, 1.0],
+         [0, 1, 1], [[0, 1, 0, 1]]],
+        ids=["none", "two", "half", "none-entry", "float", "short", "2-d"],
+    )
+    def test_bad_labels_rejected(self, labels):
+        # unchecked, these reach the Newton fit as a TypeError or are silently cast
+        x, _ = self.separable(n_per=2)
+        with pytest.raises(DomainError, match="^(labels must be 0/1|need one label per design row)"):
+            train_linear_classifier(x, labels)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -328,34 +353,32 @@ class TestTrainClassifier:
     )
     def test_bad_l2_or_tol_rejected(self, key, value):
         # a NaN l2 used to score every power 0; a negative or NaN tol ran to max_iter
-        feats = self.separable_features(n_per=5)
         with pytest.raises(DomainError, match=f"^{key} must be finite and nonnegative, got"):
-            train_linear_classifier(feats, **{key: value})
+            train_linear_classifier(*self.separable(n_per=5), **{key: value})
 
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_max_iter_below_one_rejected(self, max_iter):
         # such a fit used to return zero weights, so every power scored s3 = 0
         message = f"^max_iter must be >= 1, got {max_iter}$"
         with pytest.raises(DomainError, match=message):
-            train_linear_classifier(self.separable_features(n_per=5), max_iter=max_iter)
+            train_linear_classifier(*self.separable(n_per=5), max_iter=max_iter)
         with pytest.raises(DomainError, match=message):
             select_beta(two_class_series(seed=1), beta_grid=[0.5], max_iter=max_iter)
 
     def test_zero_l2_and_tol_accepted(self):
-        clf = train_linear_classifier(self.separable_features(n_per=5), l2=0.0, tol=0.0)
+        clf = train_linear_classifier(*self.separable(n_per=5), l2=0.0, tol=0.0)
         assert np.isfinite(clf.weights).all()
 
     def test_single_class_rejected(self):
-        feats = [spd_feature([1.0, 2.0], 1) for _ in range(4)]
-        with pytest.raises(DomainError):
-            train_linear_classifier(feats)
+        x, lab = design([spd_feature([1.0, 2.0], 1) for _ in range(4)])
+        with pytest.raises(DomainError, match="^training data must contain both classes$"):
+            train_linear_classifier(x, lab)
 
     def test_duplication_invariance(self):
-        feats = self.separable_features(n_per=10, seed=3)
-        clf_once = train_linear_classifier(feats, l2=1e-3)
-        clf_twice = train_linear_classifier(feats + feats, l2=1e-3)
-        probe = self.separable_features(n_per=5, seed=9)
-        x = np.array([vectorize_feature(f.matrix) for f in probe])
+        x, lab = self.separable(n_per=10, seed=3)
+        clf_once = train_linear_classifier(x, lab, l2=1e-3)
+        clf_twice = train_linear_classifier(np.vstack([x, x]), np.concatenate([lab, lab]), l2=1e-3)
+        x = self.separable(n_per=5, seed=9)[0]
 
         def decide(clf):
             z = (x - clf.feature_mean) / clf.feature_scale
@@ -365,13 +388,11 @@ class TestTrainClassifier:
 
     def test_converges_to_stationary_point(self):
         # rebuild the documented loss and check its gradient at the optimum
-        feats = self.separable_features(n_per=15, seed=5)
+        x, lab = self.separable(n_per=15, seed=5)
         l2 = 1e-2
-        clf = train_linear_classifier(feats, l2=l2, tol=1e-10)
-        x = np.array([vectorize_feature(f.matrix) for f in feats])
-        lab = np.array([f.label for f in feats])
+        clf = train_linear_classifier(x, lab, l2=l2, tol=1e-10)
         z = np.column_stack(
-            [(x - clf.feature_mean) / clf.feature_scale, np.ones(len(feats))]
+            [(x - clf.feature_mean) / clf.feature_scale, np.ones(len(x))]
         )
         y = 2.0 * lab - 1.0
         n1 = lab.sum()
@@ -401,18 +422,16 @@ class TestTrainClassifier:
         l2 = 1e-3
         halvings = []
         for seed in range(5):
-            feats = self.separable_features(n_per=8, seed=seed)
+            x, lab = self.separable(n_per=8, seed=seed)
             before = calls.copy()
-            clf = train_linear_classifier(feats, l2=l2, tol=0.0)
+            clf = train_linear_classifier(x, lab, l2=l2, tol=0.0)
             done = calls - before
             # one loss at the start, then one per line-search trial; each
             # Newton step solves once and each failed trial halves the step
             halvings.append(done["loss"] - 1 - done["solve"])
-            again = train_linear_classifier(feats, l2=l2, tol=0.0)
+            again = train_linear_classifier(x, lab, l2=l2, tol=0.0)
             assert again.weights.tobytes() == clf.weights.tobytes()
 
-            x = np.array([vectorize_feature(f.matrix) for f in feats])
-            lab = np.array([f.label for f in feats])
             z = np.column_stack([(x - clf.feature_mean) / clf.feature_scale, np.ones(len(x))])
             y = 2.0 * lab - 1.0
             n1 = lab.sum()
@@ -432,12 +451,10 @@ class TestTrainClassifier:
     def test_gradient_matches_finite_differences(self):
         # the analytic gradient used by Newton must match the loss it claims
         rng = np.random.default_rng(2)
-        feats = self.separable_features(n_per=8, seed=2)
-        x = np.array([vectorize_feature(f.matrix) for f in feats])
-        lab = np.array([f.label for f in feats])
+        x, lab = self.separable(n_per=8, seed=2)
         mean, scale = x.mean(axis=0), x.std(axis=0)
         scale = np.where(scale < 1e-12, 1.0, scale)
-        z = np.column_stack([(x - mean) / scale, np.ones(len(feats))])
+        z = np.column_stack([(x - mean) / scale, np.ones(len(x))])
         y = 2.0 * lab - 1.0
         n1 = lab.sum()
         sw = np.where(lab == 1, len(lab) / (2 * n1), len(lab) / (2 * (len(lab) - n1)))
@@ -465,20 +482,20 @@ class TestTrainClassifier:
             assert abs(fd - g[i]) <= 1e-6 * max(1.0, abs(g[i]))
 
     def test_dimension_mismatch_rejected(self):
-        feats = self.separable_features(n_per=4)
-        clf = train_linear_classifier(feats)
-        bad = [spd_feature([1.0, 2.0, 3.0], 0)]
-        with pytest.raises(DomainError):
-            clf.predict(bad)
+        clf = train_linear_classifier(*self.separable(n_per=4))
+        bad = design([spd_feature([1.0, 2.0, 3.0], 0)])[0]
+        message = r"^expected an \(n, 3\) design matrix, got shape \({}\)$"
+        for x, shape in ((bad, "1, 6"), (bad[0, :3], "3,"), (1.0, "")):
+            with pytest.raises(DomainError, match=message.format(shape)):
+                clf.predict(x)
 
     def test_round_trip_through_dict(self):
-        feats = self.separable_features(n_per=6, seed=1)
-        clf = train_linear_classifier(feats, seen_tokens=("tok-a",))
+        clf = train_linear_classifier(*self.separable(n_per=6, seed=1), seen_tokens=("tok-a",))
         back = classifier_from_dict(classifier_to_dict(clf))
         assert np.array_equal(back.weights, clf.weights)
         assert np.array_equal(back.feature_mean, clf.feature_mean)
         assert back.seen_tokens == ("tok-a",)
-        probe = self.separable_features(n_per=3, seed=4)
+        probe = self.separable(n_per=3, seed=4)[0]
         assert np.array_equal(back.predict(probe), clf.predict(probe))
 
 
@@ -525,6 +542,7 @@ class TestSplitDataset:
 
 
 _SPEC = WindowSpec(length=32, overlap=0.5)
+_UNIT_CLASSIFIER = LinearClassifier(np.zeros(2), np.zeros(1), np.ones(1), 1, ())
 
 
 class TestInputChecks:
@@ -534,13 +552,12 @@ class TestInputChecks:
         "call, message",
         [
             (lambda: Metrics.from_counts(0, 0, 0, 0), "metrics need at least one example"),
-            (lambda: LinearClassifier(np.zeros(2), np.zeros(1), np.ones(1), 1, ()).predict([]),
-             "no features to score"),
-            (lambda: train_linear_classifier([spd_feature([1.0], 0), spd_feature([2.0], None)]),
+            (lambda: _UNIT_CLASSIFIER.predict(np.empty((0, 1))), "no features to score"),
+            (lambda: evaluate(_UNIT_CLASSIFIER, [spd_feature([1.0], 0), spd_feature([2.0], None)]),
              "features carry no labels"),
-            (lambda: train_linear_classifier([spd_feature([1.0], 0), spd_feature([2.0], 2)]),
+            (lambda: train_linear_classifier(np.array([[1.0], [2.0]]), np.array([0, 2])),
              "labels must be 0/1"),
-            (lambda: train_linear_classifier([spd_feature([1.0], 0)]),
+            (lambda: train_linear_classifier(np.array([[1.0]]), np.array([0])),
              "need at least 2 training examples"),
             (lambda: split_dataset([0, 1, 2], [0, 1], SplitSpec(0.6, 0.2, 0.2)),
              "labels must match items"),
@@ -699,7 +716,7 @@ class TestNewtonStep:
             return real_solve(a, b)
 
         fits = []
-        real_fit = pipeline._fit_logistic
+        real_fit = pipeline.train_linear_classifier
 
         def fit(x, lab, l2, max_iter, tol, seen_tokens):
             before = len(hessians_symmetric)
@@ -708,7 +725,7 @@ class TestNewtonStep:
             return clf
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        monkeypatch.setattr(pipeline, "_fit_logistic", fit)
+        monkeypatch.setattr(pipeline, "train_linear_classifier", fit)
         select_beta(two_class_series(seed=0), window_grid=[WindowSpec(32, 0.5)])
         assert len(fits) == 32
         assert all(hessians_symmetric)
@@ -833,7 +850,7 @@ class TestEvaluate:
                         label=label,
                     )
                 )
-        clf = train_linear_classifier(feats, l2=1e-6)
+        clf = train_linear_classifier(*design(feats), l2=1e-6)
         m = evaluate(clf, feats)
         assert m.accuracy == 1.0
 
