@@ -140,12 +140,14 @@ def _covariances(blocks: np.ndarray, ridge: float | None) -> np.ndarray:
     """Covariances of a (B, n, k) stack of windows, as empirical_covariance.
 
     ridge=None takes 1e-6 times each window's mean channel variance.
+    `blocks` is centered in place (one block-sized temporary fewer), so the
+    caller passes an array of its own.
     """
     n, k = blocks.shape[1:]
-    centered = blocks - blocks.mean(axis=1, keepdims=True)
+    blocks -= blocks.mean(axis=1, keepdims=True)
     if ridge is None:
-        ridge = 1e-6 * ((centered * centered).sum(axis=(1, 2)) / n) / k
-    cov = np.swapaxes(centered, 1, 2) @ centered / n
+        ridge = 1e-6 * ((blocks * blocks).sum(axis=(1, 2)) / n) / k
+    cov = np.swapaxes(blocks, 1, 2) @ blocks / n
     return cov + np.multiply.outer(ridge, np.eye(k))
 
 
@@ -155,7 +157,7 @@ def empirical_covariance(window, ridge: float | None = None) -> SpdMatrix:
     ridge=None picks 1e-6 * trace/k; an explicit 0 is allowed and fails SPD
     validation whenever the window is rank deficient.
     """
-    w = np.asarray(window, dtype=float)
+    w = np.array(window, dtype=float)  # a copy: `_covariances` centers it in place
     if w.ndim != 2 or not w.size:
         raise DomainError(f"window must be a nonempty 2-d block, got shape {w.shape}")
     _check_ridge(ridge)
@@ -169,8 +171,9 @@ def _window_covariances(
 
     The covariances (as `empirical_covariance` computes them) are formed
     `_BLOCK` windows at a time, one gather and one batched product per block,
-    and `SpdStack` validates and factors them in blocks of the same size.
-    Errors name the window index.
+    and `SpdStack` validates and factors them in blocks of the same size,
+    symmetrizing them in place, so the peak is what the stack keeps plus a
+    few blocks. Errors name the window index.
     """
     _check_ridge(ridge)
     starts, labels = _window_index(series, spec)
@@ -179,7 +182,7 @@ def _window_covariances(
     for lo in range(0, len(starts), _BLOCK):
         block = series.samples[starts[lo : lo + _BLOCK, None] + offsets]
         covs[lo : lo + _BLOCK] = _covariances(block, ridge)
-    return starts, labels, SpdStack(covs)
+    return starts, labels, SpdStack._from_owned(covs)
 
 
 def power_features(cov: SpdMatrix, beta: float, label: int | None = None) -> FeatureMatrix:

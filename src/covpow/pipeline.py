@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .features import FeatureMatrix, LabeledSeries, WindowSpec, _window_covariances
-from .spd import _BLOCK, SpdStack, _as_array
+from .spd import _BLOCK, SpdStack, _as_array, _power, _require_positive
 
 __all__ = [
     "SplitSpec",
@@ -156,15 +156,18 @@ def vectorize_feature(m) -> np.ndarray:
 def _power_rows(stack: SpdStack, beta: float, index=None) -> np.ndarray:
     """``vectorize_feature(stack.power(beta, index))``, `_BLOCK` windows at a time.
 
-    Each block is powered and vectorized into one preallocated design, so no
-    powered stack of all the windows is built. Errors name the window as
-    ``stack.power`` does.
+    Each block's eigenpairs are gathered and powered by `spd._power` (so by
+    `spd._compose` and its orientation rule), then vectorized into one
+    preallocated design, so no powered stack of all the windows is built.
+    Errors name the window as ``stack.power`` does.
     """
-    index = range(len(stack)) if index is None else index
+    index = np.arange(len(stack)) if index is None else np.asarray(index, dtype=np.intp)
     k = stack.values.shape[-1]
     x = np.empty((len(index), k * (k + 1) // 2))
     for lo in range(0, len(index), _BLOCK):
-        x[lo : lo + _BLOCK] = vectorize_feature(stack.power(beta, index[lo : lo + _BLOCK]))
+        part = index[lo : lo + _BLOCK]
+        values, _, _ = _power(stack.eigenvalues[part], stack.eigenvectors[part], beta, part)
+        x[lo : lo + _BLOCK] = vectorize_feature(values)
     return x
 
 
@@ -230,7 +233,9 @@ def train_linear_classifier(
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    z = np.column_stack([(x - mean) / scale, np.ones(len(x))])
+    z = np.ones((len(x), x.shape[1] + 1))  # standardized in place, with a bias column of 1
+    np.subtract(x, mean, out=z[:, :-1])
+    z[:, :-1] /= scale
     y = 2.0 * lab - 1.0
     n = len(lab)
     sample_w = np.where(lab == 1, n / (2 * n1), n / (2 * n0))
@@ -245,21 +250,22 @@ def train_linear_classifier(
         """Loss and gradient at w, and the per-sample weights of its Hessian."""
         margins = y * (z @ w)
         # log(1+exp(-m)) via logaddexp for overflow safety
-        loss = float(np.mean(sample_w * np.logaddexp(0.0, -margins)))
+        loss = float((sample_w * np.logaddexp(0.0, -margins)).sum() / n)
         loss += 0.5 * float(reg @ (w * w))
-        p = 1.0 / (1.0 + np.exp(np.clip(margins, -500, 500)))
+        p = 1.0 / (1.0 + np.exp(margins.clip(-500, 500)))
         grad = -(z.T @ (sample_w * p * y)) / n + reg * w
         return loss, grad, sample_w * p * (1.0 - p)
 
     loss, grad, curv = loss_grad(w)
+    u = np.empty_like(z)  # one buffer for every step's sqrt(curvature)-scaled design
     for _ in range(max_iter):
-        if np.linalg.norm(grad) <= tol:
+        if math.sqrt(grad @ grad) <= tol:
             break
         # the Hessian only at a point that takes a step; u.T @ u is one
         # symmetric rank-k update, half a general product and exactly symmetric
-        u = z * np.sqrt(curv)[:, None]
+        np.multiply(z, np.sqrt(curv)[:, None], out=u)
         hess = u.T @ u / n
-        hess.flat[:: d + 1] += hess_diag
+        hess.ravel()[:: d + 1] += hess_diag
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -363,13 +369,15 @@ def select_beta(
     """Grid-search the covariance power (and window) on a train/val split.
 
     Window covariances are estimated and factored once per window spec, as
-    one SPD stack. Each power is computed on every window of the stack, the
-    test windows included, and its design rows are built a block of windows
-    at a time. A power that is not positive definite on some window, even a
-    test window, scores 0, carries an "error" in its table row and is never
-    selected. The classifier is fitted on the train windows and scored on
-    the train and validation windows only; the test windows' rows and labels
-    go unused, and the test token is withheld from the result on purpose.
+    one SPD stack. Each power's lambda_min is checked on every window of the
+    stack, the test windows included: a power that is not positive definite
+    on some window, even a test window, scores 0, carries an "error" in its
+    table row and is never selected. Design rows are built a block of
+    windows at a time, for the train and validation windows only; the
+    classifier is fitted on the train rows and scored on the train and
+    validation rows. The test windows are checked but get no rows, their
+    labels go unused, and the test token is withheld from the result on
+    purpose.
     """
     return _select_beta(
         dataset, beta_grid, window_grid, split, l2, max_iter, tol, ridge
@@ -411,7 +419,9 @@ def _select_beta(
         parts = split_dataset(list(range(len(labels))), labels, split)
         if not parts.train_idx or not parts.val_idx:
             raise DomainError("degenerate split: empty train or validation part")
-        train, val = list(parts.train_idx), list(parts.val_idx)
+        # the train then validation windows, the only ones that get design rows
+        fit = np.array([*parts.train_idx, *parts.val_idx])
+        n_train, y = len(parts.train_idx), labels[fit]
         for beta in beta_grid:
             row = {
                 "beta": beta,
@@ -420,21 +430,25 @@ def _select_beta(
             }
             table.append(row)
             try:
-                x = _power_rows(stack, beta)
+                # every window's lambda_min, the test windows' included, as
+                # stack.power(beta) checks it
+                powered = stack.eigenvalues**beta
+                _require_positive(np.minimum(powered[:, 0], powered[:, -1]))
+                x = _power_rows(stack, beta, fit)
             except DomainError as exc:
                 row.update(s3=0.0, train=None, val=None, error=str(exc))
                 first_error = first_error or f"beta {beta} on {wspec}: {exc}"
                 continue
             clf = train_linear_classifier(
-                x[train],
-                labels[train],
+                x[:n_train],
+                y[:n_train],
                 l2,
                 max_iter,
                 tol,
                 seen_tokens=(parts.train_token, parts.val_token),
             )
-            m_train = classification_metrics(clf.predict(x[train]), labels[train])
-            m_val = classification_metrics(clf.predict(x[val]), labels[val])
+            m_train = classification_metrics(clf.predict(x[:n_train]), y[:n_train])
+            m_val = classification_metrics(clf.predict(x[n_train:]), y[n_train:])
             s3 = s3_from_metrics(m_train, m_val)
             row.update(s3=s3, train=metrics_to_dict(m_train), val=metrics_to_dict(m_val))
             key = (-s3, abs(beta), len(table))

@@ -286,6 +286,18 @@ class SpdStack:
         sym = _symmetrized(a)
         self._set(sym, *_checked_eigh(sym, positive=True))
 
+    @classmethod
+    def _from_owned(cls, a: np.ndarray) -> "SpdStack":
+        """``SpdStack(a)`` for a float (N, k, k) array that no one else reads.
+
+        `a` is overwritten with its symmetrized values and kept, so no second
+        stack is alive while ``eigh`` runs.
+        """
+        a[...] = _symmetrized(a)
+        out = cls.__new__(cls)
+        out._set(a, *_checked_eigh(a, positive=True))
+        return out
+
     def _set(self, values: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
         for arr in (values, w, q):
             arr.flags.writeable = False

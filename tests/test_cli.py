@@ -1537,8 +1537,13 @@ def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monk
         return tmp_path / verb
 
     def fitted(run_dir):
+        """The powers that did not fail, and the train plus validation windows of each."""
         table = json.loads((run_dir / "selection.json").read_text())["per_beta_table"]
-        return sum("error" not in row for row in table)
+        rows = [row for row in table if "error" not in row]
+        counts = {sum(row[part][c] for part in ("train", "val") for c in ("tp", "fp", "tn", "fn"))
+                  for row in rows}
+        assert len(counts) == 1
+        return len(rows), counts.pop()
 
     def tested(run_dir):
         m = json.loads((run_dir / "test_metrics.json").read_text())
@@ -1546,18 +1551,20 @@ def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monk
 
     series_csv = TestExtractSelectEvaluate().series_file(tmp_path, seed=1)
     select_run = run("select", {"series_csv": series_csv, **fit})
-    ok = fitted(select_run)
+    ok, n_fit = fitted(select_run)
     assert ok == 3
-    assert dict(calls) == {"fit": ok, "predict": 2 * ok, "vectorize": ok * math.ceil(n / 128)}
+    # rows only for the windows fitted and scored: as many blocks as for all n here
+    assert math.ceil(n_fit / 128) == math.ceil(n / 128)
+    assert dict(calls) == {"fit": ok, "predict": 2 * ok, "vectorize": ok * math.ceil(n_fit / 128)}
 
     eval_run = run("evaluate", {"series_csv": series_csv, "selection_dir": str(select_run),
                                 "split": split})
     assert dict(calls) == {"predict": 1, "vectorize": math.ceil(tested(eval_run) / 128)}
 
     pipeline_run = run("pipeline", {**two_class_pipeline_config(), **fit})
-    ok = fitted(pipeline_run)
+    ok, n_fit = fitted(pipeline_run)
     assert ok == 3
-    vectorized = ok * math.ceil(n / 128) + math.ceil(tested(pipeline_run) / 128)
+    vectorized = ok * math.ceil(n_fit / 128) + math.ceil(tested(pipeline_run) / 128)
     assert dict(calls) == {"fit": ok, "predict": 2 * ok + 1, "vectorize": vectorized}
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from covpow.features import (
     write_feature_archive,
     write_series_csv,
 )
-from covpow.spd import SpdMatrix, SpdStack, write_matrix_csv
+from covpow.spd import _BLOCK, SpdMatrix, SpdStack, write_matrix_csv
 
 
 def make_series(t=100, channels=3, seed=0, label_frac=0.3):
@@ -219,6 +220,10 @@ class Unvalidated:
     def __init__(self, values):
         self.values = np.asarray(values)
 
+    @classmethod
+    def _from_owned(cls, values):  # the raw stack `_window_covariances` hands SpdStack
+        return cls(values)
+
 
 class TestWindowCovariances:
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -257,6 +262,26 @@ class TestWindowCovariances:
         starts, _, stack = _window_covariances(series, spec)
         want = np.array([per_window_covariance(series.samples[s : s + 16], None) for s in starts])
         assert stack.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "count, length", [(2048, 16), (803, 64)]  # the second is the shape of acceptance 07
+    )
+    def test_peak_memory_is_the_kept_arrays_plus_a_few_blocks(self, count, length):
+        k = 12
+        spec = WindowSpec(length=length, overlap=0.75)
+        t = length + (count - 1) * spec.stride
+        series = make_series(t=t, channels=k, seed=8)
+        tracemalloc.start()
+        try:
+            _, _, stack = _window_covariances(series, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stack) == count
+        kept = stack.values.nbytes + stack.eigenvalues.nbytes + stack.eigenvectors.nbytes
+        # a raw copy of the covariances kept while eigh runs would add a whole
+        # stack, count / 128 blocks
+        assert peak <= kept + 8 * _BLOCK * k * k * 8
 
     def test_negative_ridge_raises_before_any_window(self):
         series = make_series(t=300, channels=4, seed=7)

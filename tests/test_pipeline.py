@@ -278,6 +278,29 @@ class TestPowerRows:
         index = np.random.default_rng(0).permutation(n)[: max(1, n - 3)].tolist()
         assert_exact(_power_rows(stack, beta, index), vectorize_feature(stack.power(beta, index)))
 
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        n=st.sampled_from([1, 127, 128, 129, 300]),
+        k=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        tied=st.integers(0, 3),
+        beta=st.floats(-4.0, 4.0).filter(lambda b: abs(b) >= 1e-3),
+    )
+    def test_blocks_of_gathered_eigenpairs_give_the_rows_of_the_power(
+        self, n, k, seed, tied, beta
+    ):
+        rng = np.random.default_rng(seed)
+        mats = gram_stack(n, k, seed=seed)
+        # c * I: a tied spectrum, which `_compose` must not reverse beside reversed rows
+        for i in rng.choice(n, size=min(tied, n), replace=False):
+            mats[i] = rng.uniform(0.5, 2.0) * np.eye(k)
+        stack = SpdStack(mats)
+        assert_exact(_power_rows(stack, beta), vectorize_feature(stack.power(beta)))
+        index = rng.permutation(n)[: rng.integers(1, n + 1)]
+        want = vectorize_feature(stack.power(beta, index.tolist()))
+        assert_exact(_power_rows(stack, beta, index), want)
+        assert_exact(_power_rows(stack, beta, index.tolist()), want)
+
     def test_failing_power_names_the_same_window(self):
         mats = gram_stack(300, 3, seed=3)
         mats[200] = np.diag([1e-4, 1.0, 2.0])
@@ -792,6 +815,82 @@ class TestSelectBetaFailedPowers:
         assert "error" in result.per_beta_table[0]
         assert "error" not in result.per_beta_table[1]
         assert selection_to_dict(result)["window_length"] == 40
+
+
+class TestSelectBetaFitRows:
+    """select builds rows for its train and validation windows only."""
+
+    def test_table_and_classifiers_equal_a_loop_over_the_whole_stack(self, monkeypatch):
+        series = TestSelectBetaFailedPowers.near_singular_series()
+        spec, split = WindowSpec(8, 0.0), SplitSpec(0.5, 0.3, 0.2, seed=4)
+        grid = [-2.0, -0.5, 0.75, 1.5, 3.75, 4.0]
+        fitted = []
+        real_fit = pipeline.train_linear_classifier
+
+        def fit(*args, **kwargs):
+            fitted.append(real_fit(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(pipeline, "train_linear_classifier", fit)
+        result = select_beta(series, beta_grid=grid, window_grid=[spec], split=split)
+        monkeypatch.undo()
+
+        # the reference: every window's rows, then the train and validation rows picked out
+        _, labels, stack = _window_covariances(series, spec)
+        parts = split_dataset(list(range(len(labels))), labels, split)
+        train, val = list(parts.train_idx), list(parts.val_idx)
+        table, want = [], []
+        for beta in grid:
+            row = {"beta": beta, "window_length": 8, "window_overlap": 0.0}
+            table.append(row)
+            try:
+                x = _power_rows(stack, beta)
+            except DomainError as exc:
+                row.update(s3=0.0, train=None, val=None, error=str(exc))
+                continue
+            clf = train_linear_classifier(
+                x[train], labels[train], seen_tokens=(parts.train_token, parts.val_token)
+            )
+            m_train = classification_metrics(clf.predict(x[train]), labels[train])
+            m_val = classification_metrics(clf.predict(x[val]), labels[val])
+            row.update(
+                s3=s3_from_metrics(m_train, m_val),
+                train=metrics_to_dict(m_train),
+                val=metrics_to_dict(m_val),
+            )
+            want.append((beta, clf))
+        assert sum("error" in row for row in table) == 2
+        assert result.per_beta_table == table
+        assert len(fitted) == len(want) == 4
+        for got, (_, clf) in zip(fitted, want):
+            assert json.dumps(classifier_to_dict(got)) == json.dumps(classifier_to_dict(clf))
+            for name in ("weights", "feature_mean", "feature_scale"):
+                assert_exact(getattr(got, name), getattr(clf, name))
+        betas = [beta for beta, _ in want]
+        assert result.classifier is fitted[betas.index(result.beta_star)]
+
+    def test_a_power_failing_on_a_test_window_only_still_scores_zero(self):
+        spec, split = WindowSpec(16, 0.0), SplitSpec(0.6, 0.2, 0.2, seed=5)
+        rng = np.random.default_rng(5)
+        samples = rng.standard_normal((640, 3))
+        series_labels = np.repeat([0, 1], 320)  # 20 windows of each class
+        parts = split_dataset(list(range(40)), np.repeat([0, 1], 20), split)
+        bad = parts.test_idx[0]
+        # lambda_min near 1e-6 on this window: its 4th power is below the SPD floor
+        samples[16 * bad : 16 * (bad + 1), 0] *= 1e-3
+        series = LabeledSeries(samples, series_labels)
+        result = select_beta(series, beta_grid=[1.0, 4.0], window_grid=[spec], split=split)
+        ok, failed = result.per_beta_table
+        assert "error" not in ok and result.beta_star == 1.0
+        assert failed["s3"] == 0.0 and failed["train"] is None and failed["val"] is None
+        assert failed["error"].startswith(f"stack element {bad}: matrix is not positive definite")
+        _, labels, stack = _window_covariances(series, spec)
+        assert labels.tolist() == [0] * 20 + [1] * 20
+        with pytest.raises(DomainError) as whole:
+            stack.power(4.0)
+        assert failed["error"] == str(whole.value)
+        # every other window passes at this power, so only the test window failed it
+        assert len(stack.power(4.0, [i for i in range(40) if i != bad])) == 39
 
 
 # ---------------------------------------------------------------------------
