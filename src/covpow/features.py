@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .schema import _MANIFEST, load_json
-from .spd import _BLOCK, SpdMatrix, SpdStack, read_matrix_csv, spd_power_eig, write_matrix_csv
+from .spd import SpdMatrix, SpdStack, _blockwise, read_matrix_csv, spd_power_eig, write_matrix_csv
 
 __all__ = [
     "LabeledSeries",
@@ -42,7 +42,7 @@ class LabeledSeries:
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if samples.ndim != 2 or not samples.size:
             raise DomainError(f"samples must be a nonempty 2-d array, got {samples.shape}")
         if not np.all(np.isfinite(samples)):
@@ -55,7 +55,7 @@ class LabeledSeries:
             raise DomainError("labels must be 0 or 1")
         samples = np.ascontiguousarray(samples)
         samples.flags.writeable = False
-        labels = np.ascontiguousarray(labels)
+        labels = np.ascontiguousarray(labels, dtype=int)
         labels.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)
@@ -81,6 +81,7 @@ class WindowSpec:
             raise DomainError(f"window length must be a positive integer, got {self.length}")
         if not 0 <= self.overlap < 1:
             raise DomainError(f"overlap must lie in [0,1), got {self.overlap}")
+        object.__setattr__(self, "length", int(self.length))
         if self.stride < 1:
             raise DomainError(
                 f"length {self.length} with overlap {self.overlap} rounds to stride 0"
@@ -169,20 +170,17 @@ def _window_covariances(
 ) -> tuple[np.ndarray, np.ndarray, SpdStack]:
     """(starts, labels) of `_window_index` and the window covariances as one SPD stack.
 
-    The covariances (as `empirical_covariance` computes them) are formed
-    `_BLOCK` windows at a time, one gather and one batched product per block,
-    and `SpdStack` validates and factors them in blocks of the same size,
-    symmetrizing them in place, so the peak is what the stack keeps plus a
-    few blocks. Errors name the window index.
+    The covariances (as `empirical_covariance` computes them) are formed by
+    `spd._blockwise` over the window starts, one gather and one batched
+    product per block, and `SpdStack` validates and factors them a block at a
+    time, symmetrizing them in place, so the peak is what the stack keeps
+    plus a few blocks. Errors name the window index.
     """
     _check_ridge(ridge)
     starts, labels = _window_index(series, spec)
     offsets = np.arange(spec.length)
-    covs = np.empty((len(starts), series.channels, series.channels))
-    for lo in range(0, len(starts), _BLOCK):
-        block = series.samples[starts[lo : lo + _BLOCK, None] + offsets]
-        covs[lo : lo + _BLOCK] = _covariances(block, ridge)
-    return starts, labels, SpdStack._from_owned(covs)
+    gather = lambda part: (_covariances(series.samples[part[:, None] + offsets], ridge),)
+    return starts, labels, SpdStack._from_owned(_blockwise(gather, starts)[0])
 
 
 def power_features(cov: SpdMatrix, beta: float, label: int | None = None) -> FeatureMatrix:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .spd import SpdMatrix, SpdStack
+from .spd import SpdMatrix, SpdStack, _require
 
 __all__ = [
     "IdentifiabilityReport",
@@ -57,19 +57,13 @@ def _air_row(w: np.ndarray, q: np.ndarray, ys: np.ndarray, i: int) -> np.ndarray
     inner_t = np.swapaxes(inner, 1, 2)
     asym = np.abs(inner - inner_t).max(axis=(1, 2))
     scale = np.maximum(1.0, np.abs(inner).max(axis=(1, 2)))
-    ok = asym <= 1e-10 * scale
-    _require_pairs(ok, i, lambda j: f"congruence result asymmetric by {asym[j]}")
+    pair = lambda j: f"pair ({i}, {i + 1 + j})"
+    _require(asym <= 1e-10 * scale, NumericalError,
+             lambda j: f"congruence result asymmetric by {asym[j]}", pair)
     eig = np.linalg.eigvalsh((inner + inner_t) / 2)
-    ok = eig[:, 0] > 0
-    _require_pairs(ok, i, lambda j: f"congruence result lost definiteness: {eig[j, 0]}")
+    _require(eig[:, 0] > 0, NumericalError,
+             lambda j: f"congruence result lost definiteness: {eig[j, 0]}", pair)
     return np.sqrt(np.sum(np.log(eig) ** 2, axis=1))
-
-
-def _require_pairs(ok: np.ndarray, i: int, message) -> None:
-    """Raise NumericalError for the first pair (i, i + 1 + j) whose ok[j] is False."""
-    if not ok.all():
-        j = int(np.argmin(ok))
-        raise NumericalError(f"pair ({i}, {i + 1 + j}): {message(j)}")
 
 
 def pairwise_distance_matrix(stack: SpdStack) -> np.ndarray:
@@ -92,7 +86,7 @@ def pairwise_distance_matrix(stack: SpdStack) -> np.ndarray:
 def _class_indices(labels) -> tuple[np.ndarray, np.ndarray]:
     if any(c is None for c in labels):
         raise DomainError("every feature needs a class label")
-    lab = np.array([int(c) for c in labels])
+    lab = np.array(labels)
     if not np.isin(lab, (0, 1)).all():
         raise DomainError("labels must be 0/1")
     idx0, idx1 = np.flatnonzero(lab == 0), np.flatnonzero(lab == 1)

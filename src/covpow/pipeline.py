@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .features import FeatureMatrix, LabeledSeries, WindowSpec, _window_covariances
-from .spd import _BLOCK, SpdStack, _as_array, _power, _require_positive
+from .spd import SpdStack, _as_array, _blockwise, _element, _power, _require_spd
 
 __all__ = [
     "SplitSpec",
@@ -89,15 +89,14 @@ class Metrics:
 
 
 def classification_metrics(predictions, labels) -> Metrics:
-    pred = np.asarray(predictions, dtype=int)
-    lab = np.asarray(labels, dtype=int)
+    pred, lab = np.asarray(predictions), np.asarray(labels)
     if pred.shape != lab.shape or pred.ndim != 1 or pred.size < 1:
         raise DomainError(
             f"predictions and labels must be equal-length nonempty, got {pred.shape} vs {lab.shape}"
         )
-    if ((pred | lab | 1) != 1).any():  # some entry is neither 0 nor 1
+    if not all(((a == 0) | (a == 1)).all() for a in (pred, lab)):
         raise DomainError("predictions and labels must be 0/1")
-    tn, fp, fn, tp = np.bincount(2 * lab + pred, minlength=4).tolist()
+    tn, fp, fn, tp = np.bincount(2 * lab.astype(int) + pred.astype(int), minlength=4).tolist()
     return Metrics.from_counts(tp, fp, tn, fn)
 
 
@@ -153,22 +152,20 @@ def vectorize_feature(m) -> np.ndarray:
     return a[..., rows, cols] * scale
 
 
-def _power_rows(stack: SpdStack, beta: float, index=None) -> np.ndarray:
-    """``vectorize_feature(stack.power(beta, index))``, `_BLOCK` windows at a time.
+def _power_rows(stack: SpdStack, beta: float, index) -> np.ndarray:
+    """``vectorize_feature(stack.power(beta))[index]``, without the whole power.
 
-    Each block's eigenpairs are gathered and powered by `spd._power` (so by
-    `spd._compose` and its orientation rule), then vectorized into one
-    preallocated design, so no powered stack of all the windows is built.
-    Errors name the window as ``stack.power`` does.
+    `spd._blockwise` hands over the index a block at a time; each block's
+    eigenpairs are gathered, powered by `spd._power` and vectorized. The design
+    is in C order however many blocks it has, since a fit's column means depend
+    on the layout. An error names window index[i] as ``stack.power`` does.
     """
-    index = np.arange(len(stack)) if index is None else np.asarray(index, dtype=np.intp)
-    k = stack.values.shape[-1]
-    x = np.empty((len(index), k * (k + 1) // 2))
-    for lo in range(0, len(index), _BLOCK):
-        part = index[lo : lo + _BLOCK]
-        values, _, _ = _power(stack.eigenvalues[part], stack.eigenvectors[part], beta, part)
-        x[lo : lo + _BLOCK] = vectorize_feature(values)
-    return x
+
+    def rows(part):
+        w, q = stack.eigenvalues[part], stack.eigenvectors[part]
+        return (vectorize_feature(_power(w, q, beta, lambda i: _element(part[i]))[0]),)
+
+    return np.ascontiguousarray(_blockwise(rows, np.asarray(index, dtype=np.intp))[0])
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ class LinearClassifier:
 def _labels_from(features: list[FeatureMatrix]) -> np.ndarray:
     if any(f.label is None for f in features):
         raise DomainError("features carry no labels")
-    return np.array([int(f.label) for f in features])
+    return np.array([f.label for f in features])
 
 
 def train_linear_classifier(
@@ -208,7 +205,7 @@ def train_linear_classifier(
 ) -> LinearClassifier:
     """Damped-Newton logistic regression with inverse-frequency class weights.
 
-    Fits an (n, d) design matrix of vectorized features to n integer 0/1
+    Fits a finite (n, d) design matrix of vectorized features to n integer 0/1
     labels. The loss is a weighted mean, so duplicating every example leaves
     the fit unchanged; weights n/(2 n_c) rebalance classes without resampling.
     Deterministic: zero init, full batch, fixed backtracking schedule.
@@ -216,6 +213,8 @@ def train_linear_classifier(
     x, lab = np.asarray(x, dtype=float), np.asarray(labels)
     if x.ndim != 2 or lab.shape != (len(x),):
         raise DomainError(f"need one label per design row, got shapes {x.shape} and {lab.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("design matrix has non-finite entries")
     if lab.dtype.kind not in "iu" or ((lab | 1) != 1).any():  # some entry is neither 0 nor 1
         raise DomainError("labels must be 0/1")
     if len(lab) < 2:
@@ -310,9 +309,11 @@ def _token(seed: int, role: str, indices) -> str:
 
 def split_dataset(items: list, labels, split: SplitSpec) -> FeatureSplit:
     """Deterministic (optionally stratified) three-way split with tokens."""
-    lab = np.asarray(labels, dtype=int)
+    lab = np.asarray(labels)
     if lab.shape != (len(items),):
         raise DomainError("labels must match items")
+    if not np.isin(lab, (0, 1)).all():
+        raise DomainError("labels must be 0/1")
     rng = np.random.default_rng(split.seed)
     groups = [np.flatnonzero(lab == c) for c in (0, 1)] if split.stratified else [np.arange(len(items))]
     train_idx, val_idx, test_idx = [], [], []
@@ -430,10 +431,9 @@ def _select_beta(
             }
             table.append(row)
             try:
-                # every window's lambda_min, the test windows' included, as
-                # stack.power(beta) checks it
-                powered = stack.eigenvalues**beta
-                _require_positive(np.minimum(powered[:, 0], powered[:, -1]))
+                # every window, the test windows included, as stack.power(beta) checks it
+                with np.errstate(over="ignore"):  # `_require_spd` names an overflow
+                    _require_spd(stack.eigenvalues**beta)
                 x = _power_rows(stack, beta, fit)
             except DomainError as exc:
                 row.update(s3=0.0, train=None, val=None, error=str(exc))

@@ -269,7 +269,9 @@ def class_signatures(
         raise DomainError(f"need an (N, k, k) array and N labels, got {mats.shape}, {len(labels)}")
     if any(c is None for c in labels):
         raise DomainError("every feature needs a class label")
-    lab = np.array([int(c) for c in labels], dtype=int)
+    if not np.isin(labels, (0, 1)).all():
+        raise DomainError("labels must be 0/1")
+    lab = np.asarray(labels, dtype=int)
     classes = sorted(set(lab.tolist()))
     if mode == "class-mean":
         means = [np.mean(mats[lab == label], axis=0) for label in classes]

@@ -48,19 +48,22 @@ def _fro(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nij,nij->n", a, a))
 
 
-def _require(ok, exc, message, index=None) -> None:
+_element = "stack element {}".format  # how an error names matrix i of a stack
+
+
+def _require(ok, exc, message, where=_element) -> None:
     """Raise exc for the first matrix whose entry in `ok` is False.
 
     `ok` holds one flag per matrix: a scalar for one matrix, a vector for a
     stack. `message(i)` formats the failure at position i; for a stack the
-    error also names the element, as `index[i]` when an index map is given.
+    error starts with `where(i)`, "stack element i" by default.
     """
     if ok.all() if ok.ndim else ok:
         return
     if not ok.ndim:
         raise exc(message(()))
     i = int(np.argmin(ok))
-    raise exc(f"stack element {i if index is None else index[i]}: {message(i)}")
+    raise exc(f"{where(i)}: {message(i)}")
 
 
 def _square(values) -> np.ndarray:
@@ -74,13 +77,13 @@ def _square(values) -> np.ndarray:
 def _blockwise(kernel, *args):
     """``kernel(*args)``, a tuple of per-matrix arrays, run `_BLOCK` matrices at a time.
 
-    The last argument is a (k, k) matrix or an (N, k, k) stack, and every
-    argument has one entry per matrix. A matrix or a stack of at most `_BLOCK`
-    goes through in one call; a longer stack goes block by block into
-    preallocated outputs, so its temporaries stay at one block's size.
+    The last argument is a (k, k) matrix, an (N, k, k) stack or an index
+    vector of N matrices, and every argument has one entry per matrix. A
+    matrix or at most `_BLOCK` entries go through in one call; more go block
+    by block into preallocated outputs, so temporaries stay one block in size.
     """
     n = len(args[-1])
-    if args[-1].ndim < 3 or n <= _BLOCK:
+    if args[-1].ndim == 2 or n <= _BLOCK:
         return kernel(*args)
     outs = None
     for lo in range(0, n, _BLOCK):
@@ -132,8 +135,9 @@ def _checked_eigh(sym: np.ndarray, positive: bool = False, name: str = "matrix")
 
     ``eigh`` factors a matrix, or a whole (N, k, k) stack `_BLOCK` matrices at
     a time. Per matrix: orthonormal eigenvectors to 1e-10 and reconstruction
-    to 1e-8 relative (else NumericalError) and, when `positive`, lambda_min >
-    1e-12 (else DomainError naming the matrix as `name`; so is a 0 x 0 matrix).
+    to 1e-8 relative (else NumericalError) and, when `positive`, the spectrum
+    `_require_spd` accepts (else DomainError naming the matrix as `name`; so
+    is a 0 x 0 matrix).
     """
     if positive and not sym.shape[-1]:
         raise DomainError(f"an SPD matrix must be at least 1 x 1, got shape {sym.shape}")
@@ -149,17 +153,17 @@ def _checked_eigh(sym: np.ndarray, positive: bool = False, name: str = "matrix")
         lambda i: f"eigendecomposition reconstruction residual {recon[i]:.3e}",
     )
     if positive:
-        _require_positive(w[..., 0], name=name)
+        _require_spd(w, name=name)
     return w, q
 
 
-def _require_positive(lam_min: np.ndarray, index=None, name: str = "matrix") -> None:
-    _require(
-        lam_min > _SPD_TOL,
-        DomainError,
-        lambda i: f"{name} is not positive definite: lambda_min = {lam_min[i]:.3e}",
-        index,
-    )
+def _require_spd(w: np.ndarray, where=_element, name: str = "matrix") -> None:
+    """DomainError for the first matrix whose spectrum, a monotone row of w, is not
+    SPD: lambda_min at most 1e-12, or a lambda_max that a power overflowed to inf."""
+    lo, hi = np.minimum(w[..., 0], w[..., -1]), np.maximum(w[..., 0], w[..., -1])
+    low = lambda i: f"{name} is not positive definite: lambda_min = {lo[i]:.3e}"
+    _require(lo > _SPD_TOL, DomainError, low, where)
+    _require(hi < np.inf, DomainError, lambda i: f"{name} overflows: lambda_max = {hi[i]}", where)
 
 
 def _sym_values(m) -> np.ndarray:
@@ -167,21 +171,21 @@ def _sym_values(m) -> np.ndarray:
     return m.values if isinstance(m, SymMatrix) else _symmetrized(_square(m))
 
 
-def _compose(w: np.ndarray, q: np.ndarray, index=None):
+def _compose(w: np.ndarray, q: np.ndarray, where=_element):
     """(values, ascending w, q) of the SPD matrix or stack with eigenpairs (w, q).
 
     Each row of w must be monotone, as a positive multiple of a power of an
-    ascending spectrum is; a descending row is reversed with the columns of
-    its q, so a matrix comes out the same alone or in a stack. Checks
-    lambda_min > 1e-12 per matrix (errors name the element as `_require`
-    does), reconstructs (q * w) @ q^T and symmetrizes.
+    ascending spectrum is. `_require_spd` checks each row (errors name the
+    element by `where`); a descending row is reversed with the columns of
+    its q, so a matrix comes out the same alone or in a stack. Then
+    reconstructs (q * w) @ q^T and symmetrizes.
     """
+    _require_spd(w, where)
     down = w[..., :1] > w[..., -1:]
     if down.all():
         w, q = np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(q[..., ::-1])
     elif down.any():  # a stack with rows that tie throughout: those stay as they are
         w, q = np.where(down, w[..., ::-1], w), np.where(down[..., None], q[..., ::-1], q)
-    _require_positive(w[..., 0], index)
     (values,) = _blockwise(_reconstructed, w, q)
     return values, w, q
 
@@ -191,14 +195,16 @@ def _reconstructed(w: np.ndarray, q: np.ndarray) -> tuple:
     return ((vals + vals.swapaxes(-1, -2)) / 2,)
 
 
-def _power(w: np.ndarray, q: np.ndarray, beta: float, index=None):
+def _power(w: np.ndarray, q: np.ndarray, beta: float, where=_element):
     """`_compose` of X^beta from X's ascending eigenpairs; beta = 0 gives I exactly."""
     if not np.isfinite(beta):
         raise DomainError("beta must be finite")
     if beta == 0:
         eye = np.tile(np.eye(w.shape[-1]), (*w.shape[:-1], 1, 1))
         return eye, np.ones_like(w), eye
-    return _compose(w**beta, q, index)
+    with np.errstate(over="ignore"):  # `_compose` names the matrix whose power overflows
+        w = w**beta
+    return _compose(w, q, where)
 
 
 class SymMatrix:
@@ -306,17 +312,10 @@ class SpdStack:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def power(self, beta: float, index=None) -> "SpdStack":
-        """X_i^beta for the selected i (default all); beta = 0 gives I.
-
-        Each matrix equals ``spd_power_eig`` of it. Errors name the window
-        as ``index`` maps it.
-        """
-        index = None if index is None else list(index)
-        w = self.eigenvalues if index is None else self.eigenvalues[index]
-        q = self.eigenvectors if index is None else self.eigenvectors[index]
+    def power(self, beta: float) -> "SpdStack":
+        """X_i^beta of every matrix, each equal to ``spd_power_eig`` of it; beta = 0 gives I."""
         out = SpdStack.__new__(SpdStack)
-        out._set(*_power(w, q, beta, index))
+        out._set(*_power(self.eigenvalues, self.eigenvectors, beta))
         return out
 
 

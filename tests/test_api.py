@@ -196,3 +196,22 @@ def test_only_the_schema_catches_shape_errors():
         and {"KeyError", "TypeError"} & _reads(node.type)
     ]
     assert found == []
+
+
+def test_only_spd_holds_the_stack_kernel_rules():
+    """The block size and the first-failure reporters live in ``spd`` alone.
+
+    A module that reads ``_BLOCK`` loops over blocks by hand, and one that
+    defines a ``_require*`` helper names failing elements its own way; both
+    go through ``spd._blockwise`` and ``spd._require`` instead.
+    """
+    src = Path(covpow.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spd.py"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.ImportFrom)) and "_BLOCK" in _reads(node)
+        or isinstance(node, ast.FunctionDef) and node.name.startswith("_require")
+    ]
+    assert found == []

@@ -995,6 +995,15 @@ class TestShrinkToGate:
         gates = (report.gate_fractional, report.gate_contour)
         assert any(gate is not None and gate.satisfied for gate in gates)
 
+    def test_a_cross_block_that_does_not_shrink_fails_after_80_steps(self, monkeypatch):
+        # seed 3 takes two real steps; a scale that changes nothing never ends
+        g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=3)
+        steps = []
+        monkeypatch.setattr(consistency, "scale_cross_block", lambda g, p, f: steps.append(f) or g)
+        with pytest.raises(DomainError, match="^cross block did not pass the gate after 80 shrink"):
+            shrink_to_gate(g, p, 1.0, 2.0, 0.5, 1.0, 0.5)
+        assert len(steps) == 80
+
     @pytest.mark.parametrize("kappa", [math.inf, math.nan])
     def test_non_finite_kappa_rejected_like_matern(self, kappa):
         # a non-finite kappa is named as the fault, not reported as an

@@ -60,7 +60,16 @@ class TestWindowSpec:
         with pytest.raises(DomainError):
             WindowSpec(length=3, overlap=0.9)
 
+    def test_integral_float_length_is_stored_as_an_int(self):
+        # a float length once passed here and then failed as a numpy IndexError
+        spec = WindowSpec(length=64.0, overlap=0.5)
+        assert type(spec.length) is int and spec == WindowSpec(64, 0.5)
+        starts, _ = _window_index(make_series(t=200, channels=2), spec)
+        assert starts.tolist() == [0, 32, 64, 96, 128]
+
     def test_rejects_bad_fields(self):
+        with pytest.raises(DomainError):
+            WindowSpec(length=64.5)
         with pytest.raises(DomainError):
             WindowSpec(length=0, overlap=0.0)
         with pytest.raises(DomainError):
@@ -381,6 +390,10 @@ class TestInputChecks:
              "samples contain non-finite values"),
             (lambda tmp: LabeledSeries(np.array([[0.0], [np.inf]]), np.zeros(2)),
              "samples contain non-finite values"),
+            # these used to be truncated to 0 and 1
+            (lambda tmp: LabeledSeries(np.zeros((4, 1)), [0.5, 0.9, 1.0, 1.7]),
+             "labels must be 0 or 1"),
+            (lambda tmp: LabeledSeries(np.zeros((2, 1)), [0, 0.5]), "labels must be 0 or 1"),
             (_archive_with_a_3x3,
              "{tmp}/feature_00001.csv: shape (3, 3) differs from {tmp}/feature_00000.csv: (2, 2)"),
         ],

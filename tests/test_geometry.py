@@ -176,7 +176,7 @@ class TestPairwiseCsv:
 
 
 class TestClassStats:
-    @pytest.mark.parametrize("labels", [[0, 2], [0, -1]])
+    @pytest.mark.parametrize("labels", [[0, 2], [0, -1], [0, 0.5]])
     def test_labels_outside_0_1_rejected(self, labels):
         with pytest.raises(DomainError) as exc:
             distance_stats(np.zeros((2, 2)), labels)

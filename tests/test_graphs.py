@@ -387,6 +387,12 @@ class TestObservedHelpers:
         p = NodePartition.from_observed(4, [0, 1, 2])
         assert observed_a_min(g, p) == 0.3
 
+    def test_observed_a_min_rejects_a_partition_of_another_size(self):
+        g = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
+        p = NodePartition.from_observed(4, [0, 1])
+        with pytest.raises(DomainError, match=r"^matrix dim 3 does not match partition n=4$"):
+            observed_a_min(g, p)
+
     def test_observed_a_min_none_without_edges(self):
         g = WeightedGraph.from_edges(3, [(0, 2, 1.0)])
         p = NodePartition.from_observed(3, [0, 1])

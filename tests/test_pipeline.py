@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpow import pipeline
-from covpow.errors import ConfigError, DomainError
+from covpow.errors import ConfigError, DomainError, NumericalError
 from covpow.features import (
     FeatureMatrix,
     LabeledSeries,
@@ -177,7 +177,7 @@ class TestMetrics:
             assert all(type(c) is int for c in counts)
 
     def test_rejects_non_binary(self):
-        for bad in (2, -1):
+        for bad in (2, -1, 0.5):
             for pred, lab in (([0, bad], [0, 1]), ([0, 1], [bad, 1])):
                 with pytest.raises(DomainError, match="^predictions and labels must be 0/1$"):
                     classification_metrics(pred, lab)
@@ -274,9 +274,12 @@ class TestPowerRows:
     def test_equal_the_rows_of_the_whole_power(self, n, beta):
         stack = SpdStack(gram_stack(n, 4, seed=n))
         want = vectorize_feature(stack.power(beta))
-        assert_exact(_power_rows(stack, beta), want)
+        assert_exact(_power_rows(stack, beta, np.arange(n)), want)
         index = np.random.default_rng(0).permutation(n)[: max(1, n - 3)].tolist()
-        assert_exact(_power_rows(stack, beta, index), vectorize_feature(stack.power(beta, index)))
+        rows = _power_rows(stack, beta, index)
+        assert_exact(rows, want[index])
+        # C order in one block or many: a fit's column means depend on the layout
+        assert rows.flags.c_contiguous
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
@@ -295,24 +298,24 @@ class TestPowerRows:
         for i in rng.choice(n, size=min(tied, n), replace=False):
             mats[i] = rng.uniform(0.5, 2.0) * np.eye(k)
         stack = SpdStack(mats)
-        assert_exact(_power_rows(stack, beta), vectorize_feature(stack.power(beta)))
+        whole = vectorize_feature(stack.power(beta))
+        assert_exact(_power_rows(stack, beta, np.arange(n)), whole)
         index = rng.permutation(n)[: rng.integers(1, n + 1)]
-        want = vectorize_feature(stack.power(beta, index.tolist()))
-        assert_exact(_power_rows(stack, beta, index), want)
-        assert_exact(_power_rows(stack, beta, index.tolist()), want)
+        assert_exact(_power_rows(stack, beta, index), whole[index])
+        assert_exact(_power_rows(stack, beta, index.tolist()), whole[index])
 
     def test_failing_power_names_the_same_window(self):
         mats = gram_stack(300, 3, seed=3)
         mats[200] = np.diag([1e-4, 1.0, 2.0])
         stack = SpdStack(mats)
-        index = [7, *range(140, 290)]  # window 200 sits in the index map's second block
-        for picked in (None, index):
-            with pytest.raises(DomainError) as whole:
-                stack.power(4.0, picked)
+        with pytest.raises(DomainError) as whole:
+            stack.power(4.0)
+        assert str(whole.value).startswith("stack element 200: ")
+        # window 200 sits at position 13 of the second block of this index map
+        for index in (np.arange(300), [7, *range(60, 290)]):
             with pytest.raises(DomainError) as rows:
-                _power_rows(stack, 4.0, picked)
+                _power_rows(stack, 4.0, index)
             assert str(rows.value) == str(whole.value)
-            assert str(rows.value).startswith("stack element 200: ")
 
     def test_peak_memory_is_the_kept_arrays_plus_a_few_blocks(self):
         n, k = 2048, 12
@@ -331,7 +334,8 @@ class TestPowerRows:
         kept = stack.values.nbytes + stack.eigenvalues.nbytes + stack.eigenvectors.nbytes
         # a whole-stack build peaked near twice what it keeps
         assert peak <= kept + 8 * block
-        peak, x = traced_peak(lambda: _power_rows(stack, -1.5))
+        index = np.arange(n)
+        peak, x = traced_peak(lambda: _power_rows(stack, -1.5, index))
         # the whole powered stack, which this no longer builds, is itself 16 blocks
         assert peak <= x.nbytes + 8 * block
 
@@ -387,6 +391,22 @@ class TestTrainClassifier:
             train_linear_classifier(*self.separable(n_per=5), max_iter=max_iter)
         with pytest.raises(DomainError, match=message):
             select_beta(two_class_series(seed=1), beta_grid=[0.5], max_iter=max_iter)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_design_rejected(self, bad):
+        # one inf entry used to give all-zero weights
+        x, lab = self.separable(n_per=5)
+        x[3, 1] = bad
+        with pytest.raises(DomainError, match="^design matrix has non-finite entries$"):
+            train_linear_classifier(x, lab)
+
+    def test_failed_newton_step_is_a_numerical_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match="^newton step failed: Singular matrix$"):
+            train_linear_classifier(*self.separable(n_per=5))
 
     def test_zero_l2_and_tol_accepted(self):
         clf = train_linear_classifier(*self.separable(n_per=5), l2=0.0, tol=0.0)
@@ -584,6 +604,10 @@ class TestInputChecks:
              "need at least 2 training examples"),
             (lambda: split_dataset([0, 1, 2], [0, 1], SplitSpec(0.6, 0.2, 0.2)),
              "labels must match items"),
+            (lambda: split_dataset([0, 1, 2], [0, 0.5, 1], SplitSpec(0.6, 0.2, 0.2)),
+             "labels must be 0/1"),
+            (lambda: evaluate(_UNIT_CLASSIFIER, [spd_feature([1.0], 0), spd_feature([2.0], 0.5)]),
+             "predictions and labels must be 0/1"),
             (lambda: select_beta(two_class_series(seed=1), window_grid=[]), "window grid is empty"),
             # about 15 windows a class leave no validation window at 2%
             (lambda: select_beta(
@@ -816,6 +840,23 @@ class TestSelectBetaFailedPowers:
         assert "error" not in result.per_beta_table[1]
         assert selection_to_dict(result)["window_length"] == 40
 
+    def test_a_power_that_overflows_scores_zero_with_its_error(self):
+        # the quick-start series of the README scaled by 1e70: its covariances
+        # near 1e140 overflow at beta 4, which once scored as a silent 0
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((600, 4))
+        b = rng.standard_normal((600, 4)) @ np.diag([1.0, 2.0, 0.5, 1.5])
+        series = LabeledSeries(1e70 * np.vstack([a, b]), np.repeat([0, 1], 600))
+        result = select_beta(
+            series, beta_grid=[-1.0, 1.0, 4.0], window_grid=[WindowSpec(50, 0.5)],
+            split=SplitSpec(0.6, 0.2, 0.2, seed=0),
+        )
+        low, ok, high = result.per_beta_table
+        assert low["error"].startswith("stack element 0: matrix is not positive definite")
+        assert "error" not in ok and result.beta_star == 1.0
+        assert high["s3"] == 0.0 and high["train"] is None
+        assert high["error"] == "stack element 0: matrix overflows: lambda_max = inf"
+
 
 class TestSelectBetaFitRows:
     """select builds rows for its train and validation windows only."""
@@ -844,7 +885,7 @@ class TestSelectBetaFitRows:
             row = {"beta": beta, "window_length": 8, "window_overlap": 0.0}
             table.append(row)
             try:
-                x = _power_rows(stack, beta)
+                x = vectorize_feature(stack.power(beta))
             except DomainError as exc:
                 row.update(s3=0.0, train=None, val=None, error=str(exc))
                 continue
@@ -890,7 +931,7 @@ class TestSelectBetaFitRows:
             stack.power(4.0)
         assert failed["error"] == str(whole.value)
         # every other window passes at this power, so only the test window failed it
-        assert len(stack.power(4.0, [i for i in range(40) if i != bad])) == 39
+        assert len(_power_rows(stack, 4.0, [i for i in range(40) if i != bad])) == 39
 
 
 # ---------------------------------------------------------------------------

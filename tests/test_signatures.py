@@ -516,6 +516,7 @@ class TestInputChecks:
              "need an (N, k, k) array and N labels, got (2, 3, 3), 1"),
             (lambda: class_signatures(np.ones((2, 3, 3)), [0, None]),
              "every feature needs a class label"),
+            (lambda: class_signatures(np.ones((2, 3, 3)), [0, 0.5]), "labels must be 0/1"),
             (lambda: support_recovery_metrics(np.zeros((1, 1)), np.zeros((1, 1))),
              "need at least 2 nodes"),
         ],

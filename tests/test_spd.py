@@ -248,6 +248,15 @@ class TestPowerContour:
         with pytest.raises(DomainError):
             spd_power_contour(x, 0.0, ContourSpec(center=1.0, radius=0.5))
 
+    def test_imaginary_residual_is_a_numerical_error(self, monkeypatch):
+        # resolvents times i are not conjugate-symmetric over the nodes, so
+        # the quadrature keeps an imaginary part the size of X^-beta itself
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1j * real_solve(a, b))
+        x = SpdMatrix([[1.0, -0.5], [-0.5, 1.0]])
+        with pytest.raises(NumericalError, match="^contour quadrature imaginary residual"):
+            spd_power_contour(x, 0.5, circular_contour(0.5, 1.5, 0.25))
+
 
 class TestNorms:
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -341,10 +350,6 @@ class TestSpdStack:
             assert_array_equal(powered.values[i], single.values)
             assert_array_equal(powered.eigenvalues[i], single.eigenvalues)  # ascending
             assert_array_equal(powered.eigenvectors[i], single.eigenvectors)
-        picked = stack.power(beta, [4, 1, 6, 8])
-        assert isinstance(picked, SpdStack)
-        assert_array_equal(picked.values, powered.values[[4, 1, 6, 8]])
-        assert_array_equal(picked.eigenvalues, powered.eigenvalues[[4, 1, 6, 8]])
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
@@ -360,9 +365,15 @@ class TestSpdStack:
         stack = SpdStack(mats)
         with pytest.raises(DomainError, match="stack element 2: .*not positive definite"):
             stack.power(4.0)
-        with pytest.raises(DomainError, match="stack element 2: "):
-            stack.power(4.0, [0, 2])
-        assert len(stack.power(4.0, [0, 1, 3])) == 3
+
+    def test_power_that_overflows_names_the_matrix(self):
+        # 1e100 ** 4 is inf: its power once came back as inf and nan entries
+        big = np.diag([1e100, 1.0])
+        with pytest.raises(DomainError, match=r"^stack element 1: matrix overflows: lambda_max = inf$"):
+            SpdStack(np.stack([np.eye(2), big])).power(4.0)
+        with pytest.raises(DomainError, match=r"^matrix overflows: lambda_max = inf$"):
+            spd_power_eig(SpdMatrix(big), 4.0)
+        assert spd_power_eig(SpdMatrix(big), 2.0).eigenvalues[-1] == 1e100**2
 
 
 class TestStackBlocks:
