@@ -227,8 +227,9 @@ def write_series_csv(series: LabeledSeries, path) -> None:
 def read_series_csv(path) -> LabeledSeries:
     """Series CSV with columns t, ch0.., label, as write_series_csv writes it.
 
-    Labels must be integers. A malformed cell or a row of the wrong width
-    raises DomainError naming its line.
+    Cells follow numpy's parse rules: t and the samples as float64, labels as
+    int64 (ASCII digits, an optional sign, surrounding whitespace). A cell
+    numpy rejects or a row of the wrong width raises DomainError naming its line.
     """
     with open(path) as fh:
         header = next(csv.reader([fh.readline()]))
@@ -239,34 +240,49 @@ def read_series_csv(path) -> LabeledSeries:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a header-only file
                 rows = np.loadtxt(
-                    fh, delimiter=",", comments=None, ndmin=2, converters={width - 1: int}
+                    fh, delimiter=",", comments=None, ndmin=1, dtype=_row_dtype(width)
                 )
         except ValueError as exc:
             raise DomainError(_first_bad_line(path, width) or f"{path}: {exc}") from None
-    if not rows.size:
-        rows = np.empty((0, width))
-    elif rows.shape[1] != width:
-        raise DomainError(_first_bad_line(path, width))
-    return LabeledSeries(samples=rows[:, 1:-1], labels=rows[:, -1].astype(int))
+    return LabeledSeries(samples=rows["cells"][:, 1:], labels=rows["label"])
+
+
+def _row_dtype(width: int) -> np.dtype:
+    """A series CSV row: t and the samples, then the integer label."""
+    return np.dtype([("cells", float, (width - 1,)), ("label", np.int64)])
 
 
 def _first_bad_line(path, width: int) -> str | None:
-    """Where and why a series CSV body fails to parse, or None."""
+    """Where and why a series CSV body fails to parse, or None.
+
+    numpy itself parses each line, and each cell of a line it rejects, with
+    the dtype `read_series_csv` gives it, so the cell named is one it rejects.
+    """
+    dtype = _row_dtype(width)
     with open(path) as fh:
         for n, line in enumerate(fh, start=1):
-            if n == 1 or not line.strip():
+            if n == 1 or line == "\n":  # the header, and the empty lines numpy skips
                 continue
             cells = line.rstrip("\r\n").split(",")
             if len(cells) != width:
                 return f"{path}: line {n}: expected {width} cells, got {len(cells)}"
+            if _parses(line, dtype):
+                continue
             for j, cell in enumerate(cells):
-                kind = int if j == width - 1 else float
-                try:
-                    kind(cell)
-                except ValueError:
-                    what = "an integer label" if kind is int else "a number"
+                label = j == width - 1
+                if not _parses(line, np.int64 if label else float, column=j):
+                    what = "an integer label" if label else "a number"
                     return f"{path}: line {n}: cannot parse {cell!r} as {what}"
     return None
+
+
+def _parses(line: str, dtype, column: int | None = None) -> bool:
+    """Whether np.loadtxt reads the line, or only its given column, as dtype."""
+    try:
+        np.loadtxt([line], delimiter=",", comments=None, dtype=dtype, usecols=column)
+    except ValueError:
+        return False
+    return True
 
 
 def write_feature_archive(

@@ -10,7 +10,6 @@ classes. Split bookkeeping tokens make test-set leakage detectable.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import math
 from dataclasses import asdict, dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .features import FeatureMatrix, LabeledSeries, WindowSpec, _window_covariances
-from .spd import SpdStack, _as_array, _blockwise, _element, _power, _require_spd
+from .spd import SpdStack, _as_array, _blockwise, _element, _power, _require_spd, _upper_rows
 
 __all__ = [
     "SplitSpec",
@@ -125,47 +124,36 @@ def s3_from_metrics(train: Metrics, val: Metrics) -> float:
     return s3_score(*parts)
 
 
-@functools.lru_cache(maxsize=None)
-def _triangle_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and scales of the diagonal, then the upper triangle."""
-    iu = np.triu_indices(k, k=1)
-    rows = np.concatenate([np.arange(k), iu[0]])
-    cols = np.concatenate([np.arange(k), iu[1]])
-    scale = np.concatenate([np.ones(k), np.full(iu[0].size, np.sqrt(2.0))])
-    for arr in (rows, cols, scale):
-        arr.flags.writeable = False
-    return rows, cols, scale
-
-
 def vectorize_feature(m) -> np.ndarray:
     """Upper-triangle vectorization with sqrt(2) off-diagonal scaling.
 
     Takes a (k, k) matrix, an (N, k, k) stack, or a wrapper's ``values``
     (SpdMatrix, SpdStack), and gives a vector or an (N, k(k+1)/2) design
-    matrix. The Euclidean inner product of two vectors equals the Frobenius
-    inner product of their matrices.
+    matrix in C order (`spd._upper_rows`), the diagonal first. The Euclidean
+    inner product of two vectors equals the Frobenius one of their matrices.
     """
     a = _as_array(m)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    rows, cols, scale = _triangle_index(a.shape[-1])
-    return a[..., rows, cols] * scale
+    v = _upper_rows(a, diagonal=True)
+    v[..., a.shape[-1] :] *= np.sqrt(2.0)
+    return v
 
 
 def _power_rows(stack: SpdStack, beta: float, index) -> np.ndarray:
     """``vectorize_feature(stack.power(beta))[index]``, without the whole power.
 
     `spd._blockwise` hands over the index a block at a time; each block's
-    eigenpairs are gathered, powered by `spd._power` and vectorized. The design
-    is in C order however many blocks it has, since a fit's column means depend
-    on the layout. An error names window index[i] as ``stack.power`` does.
+    eigenpairs are gathered, powered by `spd._power` and vectorized, and the
+    rows come back in the C order `vectorize_feature` builds. An error names
+    window index[i] as ``stack.power`` does.
     """
 
     def rows(part):
         w, q = stack.eigenvalues[part], stack.eigenvectors[part]
         return (vectorize_feature(_power(w, q, beta, lambda i: _element(part[i]))[0]),)
 
-    return np.ascontiguousarray(_blockwise(rows, np.asarray(index, dtype=np.intp))[0])
+    return _blockwise(rows, np.asarray(index, dtype=np.intp))[0]
 
 
 @dataclass(frozen=True)
@@ -185,8 +173,14 @@ class LinearClassifier:
             raise DomainError(f"expected an (n, {self.dim}) design matrix, got shape {x.shape}")
         if not len(x):
             raise DomainError("no features to score")
-        z = (x - self.feature_mean) / self.feature_scale
-        return (np.column_stack([z, np.ones(len(x))]) @ self.weights >= 0).astype(int)
+        return (_design(x, self.feature_mean, self.feature_scale) @ self.weights >= 0).astype(int)
+
+
+def _design(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The rows of x standardized by mean and scale, and a last bias column of 1."""
+    z = np.ones((len(x), x.shape[1] + 1))
+    np.divide(x - mean, scale, out=z[:, :-1])
+    return z
 
 
 def _labels_from(features: list[FeatureMatrix]) -> np.ndarray:
@@ -208,9 +202,10 @@ def train_linear_classifier(
     Fits a finite (n, d) design matrix of vectorized features to n integer 0/1
     labels. The loss is a weighted mean, so duplicating every example leaves
     the fit unchanged; weights n/(2 n_c) rebalance classes without resampling.
-    Deterministic: zero init, full batch, fixed backtracking schedule.
+    Deterministic: zero init, full batch, fixed backtracking schedule. The fit
+    owns its layout: it reads x in C order, a copy if x is not.
     """
-    x, lab = np.asarray(x, dtype=float), np.asarray(labels)
+    x, lab = np.ascontiguousarray(x, dtype=float), np.asarray(labels)
     if x.ndim != 2 or lab.shape != (len(x),):
         raise DomainError(f"need one label per design row, got shapes {x.shape} and {lab.shape}")
     if not np.isfinite(x).all():
@@ -232,9 +227,7 @@ def train_linear_classifier(
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    z = np.ones((len(x), x.shape[1] + 1))  # standardized in place, with a bias column of 1
-    np.subtract(x, mean, out=z[:, :-1])
-    z[:, :-1] /= scale
+    z = _design(x, mean, scale)
     y = 2.0 * lab - 1.0
     n = len(lab)
     sample_w = np.where(lab == 1, n / (2 * n1), n / (2 * n0))

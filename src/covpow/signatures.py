@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .spd import _upper_rows
 
 __all__ = [
     "GmmFit",
@@ -114,6 +115,7 @@ def _fit_gmm_rows(x: np.ndarray, max_iter: int, tol: float, seed: int) -> list[G
     recurrences; the M-step's weighted sums are batched matmuls, which add in
     the order a lone fit does. A row leaves the loop when it converges,
     keeping its own iterates, so row i equals fit_gmm_1d(x[i]) bit for bit.
+    The fit owns its layout: it reads x in C order, a copy if x is not.
     """
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
@@ -206,12 +208,12 @@ def gmm_threshold(fit: GmmFit) -> float:
 
 
 def offdiag_magnitudes(matrix) -> np.ndarray:
-    """Strict upper-triangle absolute values, the GMM's input; a row per matrix of a stack."""
+    """Strict upper triangle of |(A + A^T)/2|, the GMM's input; for a stack, one C-ordered
+    row per matrix (`spd._upper_rows`), the layout `_fit_gmm_rows` reads without a copy."""
     a = np.asarray(getattr(matrix, "values", matrix), dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] < 2:
         raise DomainError(f"need a square matrix of dim >= 2, got shape {a.shape}")
-    iu = np.triu_indices(a.shape[-1], k=1)
-    return np.abs((a + np.swapaxes(a, -1, -2)) / 2)[..., iu[0], iu[1]]
+    return _upper_rows(np.abs((a + np.swapaxes(a, -1, -2)) / 2), diagonal=False)
 
 
 def extract_signature(feature, threshold: float) -> np.ndarray:
@@ -315,9 +317,7 @@ def support_recovery_metrics(est_adj, true_adj) -> SupportMetrics:
     n = est.shape[0]
     if n < 2:
         raise DomainError("need at least 2 nodes")
-    iu = np.triu_indices(n, k=1)
-    e = est[iu] != 0
-    t = true[iu] != 0
+    e, t = _upper_rows(est, diagonal=False) != 0, _upper_rows(true, diagonal=False) != 0
     tp = int(np.sum(e & t))
     fp = int(np.sum(e & ~t))
     fn = int(np.sum(~e & t))

@@ -9,6 +9,7 @@ between them is a genuine cross-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,19 @@ _BLOCK = 128
 
 def _as_array(m) -> np.ndarray:
     return np.asarray(getattr(m, "values", m), dtype=float)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_cells(k: int) -> np.ndarray:
+    """Flat indices of a (k, k) matrix's diagonal, then of its strict upper triangle row by
+    row; one array per k for the process, which `_upper_rows` alone reads and never writes."""
+    return np.concatenate([np.arange(k) * (k + 1), np.flatnonzero(np.triu(np.ones((k, k)), 1))])
+
+
+def _upper_rows(a: np.ndarray, diagonal: bool) -> np.ndarray:
+    """The `_upper_cells` of a matrix, or C-ordered rows of them for a stack (diagonal if asked)."""
+    k = a.shape[-1]
+    return a.reshape(*a.shape[:-2], k * k).take(_upper_cells(k)[0 if diagonal else k :], axis=-1)
 
 
 def _fro(a: np.ndarray) -> np.ndarray:
@@ -279,11 +293,12 @@ class SpdStack:
     Validated ``eigh`` calls on `_BLOCK` matrices at a time replace N SpdMatrix
     constructions; every power X_i^beta of every matrix then costs batched
     matmuls, again a block at a time, and is again a stack. Like SpdMatrix, a
-    stack keeps its symmetrized values and an ascending spectrum. Errors name
-    the stack index of the offending matrix.
+    stack keeps its symmetrized values and an ascending spectrum, all three
+    read-only and not reassignable. Errors name the stack index of the
+    offending matrix.
     """
 
-    __slots__ = ("values", "eigenvalues", "eigenvectors")
+    __slots__ = ("_values", "_eigenvalues", "_eigenvectors")
 
     def __init__(self, matrices) -> None:
         a = np.asarray(matrices, dtype=float)
@@ -307,7 +322,19 @@ class SpdStack:
     def _set(self, values: np.ndarray, w: np.ndarray, q: np.ndarray) -> None:
         for arr in (values, w, q):
             arr.flags.writeable = False
-        self.values, self.eigenvalues, self.eigenvectors = values, w, q
+        self._values, self._eigenvalues, self._eigenvectors = values, w, q
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenvalues
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigenvectors
 
     def __len__(self) -> int:
         return self.values.shape[0]

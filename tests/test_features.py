@@ -427,6 +427,13 @@ class TestSerialization:
             ("0,1.5,2.0,0\n1,1.5,2.0,1.5\n", "line 3: cannot parse '1.5' as an integer label"),
             ("0,1.5,2.0,0\n1,1.5,1\n", "line 3: expected 4 cells, got 3"),
             ("0,1.5,2.0,0,1\n", "line 2: expected 4 cells, got 5"),
+            # cells Python's int() and float() take but numpy's parse rules do not
+            ("0,1.5,2.0,0\n1,1.5,2.0,\u0661\n", "line 3: cannot parse '\u0661' as an integer label"),
+            ("0,1.5,2.0,0\n1,1.5,2.0,\uff11\n", "line 3: cannot parse '\uff11' as an integer label"),
+            ("0,1.5,2.0,1_0\n", "line 2: cannot parse '1_0' as an integer label"),
+            ("0,1.5,2.0,0\n1,\u0661.5,2.0,1\n", "line 3: cannot parse '\u0661.5' as a number"),
+            ("0,1.5,1_0.5,0\n", "line 2: cannot parse '1_0.5' as a number"),
+            ("0,1.5,2.0,0\n \n1,1.5,2.0,1\n", "line 3: expected 4 cells, got 1"),
         ],
     )
     def test_series_csv_bad_cell_names_the_line(self, tmp_path, body, where):

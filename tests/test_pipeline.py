@@ -231,6 +231,11 @@ class TestVectorize:
         want = np.array([vectorize_feature(m) for m in mats])
         assert_exact(vectorize_feature(mats), want)
         assert_exact(vectorize_feature(SpdStack(mats)), vectorize_feature(SpdStack(mats).values))
+        # C order for one matrix and for stacks of any block count, the layout fits read
+        assert vectorize_feature(mats[0]).flags.c_contiguous
+        for n in (1, 127, 128, 129, 300):
+            rows = vectorize_feature(gram_stack(n, 4, seed=n))
+            assert rows.shape == (n, 10) and rows.flags.c_contiguous
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
@@ -416,6 +421,19 @@ class TestTrainClassifier:
         x, lab = design([spd_feature([1.0, 2.0], 1) for _ in range(4)])
         with pytest.raises(DomainError, match="^training data must contain both classes$"):
             train_linear_classifier(x, lab)
+
+    def test_fit_depends_only_on_the_values_of_its_rows(self):
+        # the same rows in C order, in Fortran order and as a strided view; column
+        # means summed in stride order once moved the weights' last bits
+        x = vectorize_feature(gram_stack(300, 5, seed=7))
+        lab = np.random.default_rng(7).integers(0, 2, len(x))
+        wide = np.zeros((len(x), 2 * x.shape[1]))
+        wide[:, ::2] = x
+        fits = [
+            json.dumps(classifier_to_dict(train_linear_classifier(rows, lab)))
+            for rows in (np.ascontiguousarray(x), np.asfortranarray(x), wide[:, ::2])
+        ]
+        assert fits[1] == fits[0] and fits[2] == fits[0]
 
     def test_duplication_invariance(self):
         x, lab = self.separable(n_per=10, seed=3)

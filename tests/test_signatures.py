@@ -308,6 +308,13 @@ class TestExtractSignature:
     def test_offdiag_magnitudes_content(self):
         m = np.array([[1.0, -2.0, 3.0], [-2.0, 1.0, -4.0], [3.0, -4.0, 1.0]])
         assert np.array_equal(offdiag_magnitudes(m), [2.0, 3.0, 4.0])
+        assert offdiag_magnitudes(m).flags.c_contiguous
+        # one C-ordered row per matrix of a stack, the layout `_fit_gmm_rows` reads
+        for n in (1, 127, 128, 129, 300):
+            scale = np.arange(1.0, n + 1)
+            rows = offdiag_magnitudes(scale[:, None, None] * m)
+            assert rows.flags.c_contiguous
+            assert np.array_equal(rows, scale[:, None] * [2.0, 3.0, 4.0])
 
 
 class TestSupportMetrics:
@@ -484,6 +491,7 @@ class TestEndToEnd:
         again = class_signatures(mats[keep], [labels[i] for i in keep], mode="per-matrix")
         assert repr(again[0]) == repr(sigs[0])
         x = offdiag_magnitudes(mats[keep])
+        assert x.flags.c_contiguous
         for row, fit in zip(x, _fit_gmm_rows(x, 200, 1e-8, 0)):
             assert repr(fit) == repr(fit_gmm_1d(row))
 

@@ -351,6 +351,18 @@ class TestSpdStack:
             assert_array_equal(powered.eigenvalues[i], single.eigenvalues)  # ascending
             assert_array_equal(powered.eigenvectors[i], single.eigenvectors)
 
+    def test_values_and_eigenpairs_are_read_only(self):
+        # as for SpdMatrix: a reassigned field would leave the other two
+        # describing other matrices
+        stack = SpdStack(spd_stack_values(3, 2, seed=23))
+        for name in ("values", "eigenvalues", "eigenvectors"):
+            with pytest.raises(AttributeError):
+                setattr(stack, name, np.zeros_like(getattr(stack, name)))
+            with pytest.raises(ValueError):
+                getattr(stack, name)[0] = 0.0
+        with pytest.raises(AttributeError):
+            SpdMatrix(np.eye(2)).values = np.zeros((2, 2))
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
             SpdStack(np.eye(3))
