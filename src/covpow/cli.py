@@ -57,7 +57,6 @@ from .pipeline import (
     SplitSpec,
     _evaluate,
     _power_rows,
-    _select_beta,
     classifier_from_dict,
     classifier_to_dict,
     metrics_to_dict,
@@ -198,12 +197,12 @@ def cmd_verify(cfg: dict, run_dir: Path) -> None:
         rec = consistency_report_to_dict(report)
         (run_dir / f"report_{seed:05d}.json").write_text(_json_text(rec))
         gates = [g.gate for g in (report.gate_fractional, report.gate_contour) if g is not None]
-        bound = report.bound_fractional
         rows.append([
-            seed, repr(report.beta), repr(report.cross_norm), repr(max(gates)) if gates else "",
-            "" if bound is None else repr(bound), repr(report.delta_spectral_norm),
+            seed, report.beta, report.cross_norm, max(gates, default=None),
+            report.bound_fractional, report.delta_spectral_norm,
             report.empirically_consistent, "ok", "",
         ])
+    # csv.writer writes a float as its repr and None as an empty cell
     with open(run_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -255,18 +254,19 @@ def cmd_evaluate(cfg: dict, run_dir: Path) -> None:
     classifier = classifier_from_dict(fields["classifier"])
     wspec = WindowSpec(length=fields["window_length"], overlap=fields["window_overlap"])
     split = SplitSpec(**cfg["split"])
-    _, labels, stack = _window_covariances(series, wspec, cfg["ridge"])
-    metrics = _test_metrics(classifier, labels, stack, fields["beta_star"], split)
+    *_, metrics = _test_metrics(series, wspec, cfg["ridge"], classifier, fields["beta_star"], split)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "test_metrics.json").write_text(_json_text(metrics_to_dict(metrics)))
 
 
-def _test_metrics(classifier, labels, stack, beta: float, split: SplitSpec):
-    """Metrics of the classifier on the test windows of the split, at power beta."""
+def _test_metrics(series, wspec, ridge, classifier, beta: float, split: SplitSpec):
+    """The window labels and SPD stack of the series at wspec, and the metrics of
+    the classifier on the test windows of the split, at power beta."""
+    _, labels, stack = _window_covariances(series, wspec, ridge)
     parts = split_dataset(list(range(len(labels))), labels, split)
     test = list(parts.test_idx)
     x = _power_rows(stack, beta, test)
-    return _evaluate(classifier, x, labels[test], token=parts.test_token)
+    return labels, stack, _evaluate(classifier, x, labels[test], token=parts.test_token)
 
 
 def cmd_geometry(cfg: dict, run_dir: Path) -> None:
@@ -326,8 +326,12 @@ def cmd_pipeline(cfg: dict, run_dir: Path) -> None:
     )
 
     fit = _fit_kwargs(cfg)
-    result, labels, stack = _select_beta(series, **fit)
-    metrics = _test_metrics(result.classifier, labels, stack, result.beta_star, fit["split"])
+    result = select_beta(series, **fit)
+    # the selected spec's stack, rebuilt as evaluate builds it
+    labels, stack, metrics = _test_metrics(
+        series, result.window_spec_star, cfg["ridge"], result.classifier, result.beta_star,
+        fit["split"],
+    )
     powered = stack.power(result.beta_star)
     distances = pairwise_distance_matrix(powered)
     identifiability = distance_stats(distances, labels)

@@ -173,6 +173,8 @@ class LinearClassifier:
             raise DomainError(f"expected an (n, {self.dim}) design matrix, got shape {x.shape}")
         if not len(x):
             raise DomainError("no features to score")
+        if not np.isfinite(x).all():
+            raise DomainError("design matrix has non-finite entries")
         return (_design(x, self.feature_mean, self.feature_scale) @ self.weights >= 0).astype(int)
 
 
@@ -362,33 +364,17 @@ def select_beta(
 ) -> SelectionResult:
     """Grid-search the covariance power (and window) on a train/val split.
 
-    Window covariances are estimated and factored once per window spec, as
-    one SPD stack. Each power's lambda_min is checked on every window of the
-    stack, the test windows included: a power that is not positive definite
-    on some window, even a test window, scores 0, carries an "error" in its
-    table row and is never selected. Design rows are built a block of
-    windows at a time, for the train and validation windows only; the
-    classifier is fitted on the train rows and scored on the train and
-    validation rows. The test windows are checked but get no rows, their
-    labels go unused, and the test token is withheld from the result on
-    purpose.
+    The one search: the select and pipeline verbs both call it. Window
+    covariances are estimated and factored once per window spec, as one SPD
+    stack. Each power's lambda_min is checked on every window of the stack,
+    the test windows included: a power that is not positive definite on some
+    window, even a test window, scores 0, carries an "error" in its table row
+    and is never selected. Design rows are built a block of windows at a
+    time, for the train and validation windows only; the classifier is
+    fitted on the train rows and scored on the train and validation rows.
+    The test windows are checked but get no rows, their labels go unused,
+    and the test token is withheld from the result on purpose.
     """
-    return _select_beta(
-        dataset, beta_grid, window_grid, split, l2, max_iter, tol, ridge
-    )[0]
-
-
-def _select_beta(
-    dataset,
-    beta_grid=None,
-    window_grid=None,
-    split=None,
-    l2=1e-3,
-    max_iter=100,
-    tol=1e-8,
-    ridge=None,
-):
-    """select_beta, plus the window labels and SPD stack of the selected window spec."""
     if beta_grid is None:
         beta_grid = default_beta_grid()
     beta_grid = [float(b) for b in beta_grid]
@@ -404,7 +390,7 @@ def _select_beta(
         split = SplitSpec(train_frac=0.6, val_frac=0.2, test_frac=0.2, seed=0)
 
     table: list[dict] = []
-    best = None  # (key, row, classifier, window spec, labels, stack)
+    best = None  # (key, row, classifier, window spec)
     first_error = None
     for wspec in window_grid:
         _, labels, stack = _window_covariances(dataset, wspec, ridge)
@@ -446,25 +432,24 @@ def _select_beta(
             row.update(s3=s3, train=metrics_to_dict(m_train), val=metrics_to_dict(m_val))
             key = (-s3, abs(beta), len(table))
             if best is None or key < best[0]:
-                best = (key, row, clf, wspec, labels, stack)
+                best = (key, row, clf, wspec)
 
     if best is None:
         raise DomainError(f"every power on the grid failed; the first was {first_error}")
-    _, row, clf, wspec, labels, stack = best
-    result = SelectionResult(
+    _, row, clf, wspec = best
+    return SelectionResult(
         beta_star=row["beta"],
         s3=row["s3"],
         per_beta_table=table,
         window_spec_star=wspec,
         classifier=clf,
     )
-    return result, labels, stack
 
 
 def evaluate(classifier: LinearClassifier, features: list[FeatureMatrix], token: str | None = None) -> Metrics:
     """Held-out metrics; refuses data whose token was visible in training."""
     _refuse_leak(classifier, token)
-    x = np.array([vectorize_feature(f.matrix) for f in features])
+    x = _as_array([vectorize_feature(f.matrix) for f in features])
     return _evaluate(classifier, x, _labels_from(features))
 
 
@@ -524,30 +509,13 @@ def classifier_from_dict(rec: dict) -> LinearClassifier:
 
 
 def write_selection_csv(result: SelectionResult, path) -> None:
-    cols = [
-        "beta",
-        "window_length",
-        "window_overlap",
-        "s3",
-        "train_sensitivity",
-        "train_specificity",
-        "train_accuracy",
-        "val_sensitivity",
-        "val_specificity",
-        "val_accuracy",
-    ]
+    """The per-beta table; csv.writer writes a float as its repr and None as an empty cell."""
+    rates = [(p, k) for p in ("train", "val") for k in ("sensitivity", "specificity", "accuracy")]
+    head = ["beta", "window_length", "window_overlap", "s3"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in result.per_beta_table:
-            flat = [
-                repr(row["beta"]),
-                row["window_length"],
-                repr(row["window_overlap"]),
-                repr(row["s3"]),
-            ]
-            for part in ("train", "val"):
-                for key in ("sensitivity", "specificity", "accuracy"):
-                    v = None if row[part] is None else row[part][key]
-                    flat.append("" if v is None else repr(v))
-            writer.writerow(flat)
+        writer.writerow(head + [f"{part}_{key}" for part, key in rates])
+        writer.writerows(
+            [*(row[c] for c in head), *((row[part] or {}).get(key) for part, key in rates)]
+            for row in result.per_beta_table
+        )

@@ -353,7 +353,4 @@ def write_signature_csv(adjacency: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst"])
-        for i in range(adj.shape[0]):
-            for j in range(i + 1, adj.shape[1]):
-                if adj[i, j]:
-                    writer.writerow([i, j])
+        writer.writerows(np.argwhere(np.triu(adj, 1)).tolist())  # each i < j edge, row by row

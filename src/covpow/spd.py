@@ -38,7 +38,15 @@ _BLOCK = 128
 
 
 def _as_array(m) -> np.ndarray:
-    return np.asarray(getattr(m, "values", m), dtype=float)
+    """m, or its ``values``, as one float array; parts of mixed shapes raise DomainError."""
+    m = getattr(m, "values", m)
+    try:
+        return np.asarray(m, dtype=float)
+    except ValueError:
+        shapes = sorted({np.shape(a) for a in m})
+        if len(shapes) < 2:
+            raise
+        raise DomainError(f"cannot stack arrays of mixed shapes {shapes}") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,7 +309,7 @@ class SpdStack:
     __slots__ = ("_values", "_eigenvalues", "_eigenvectors")
 
     def __init__(self, matrices) -> None:
-        a = np.asarray(matrices, dtype=float)
+        a = _as_array(matrices)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise DomainError(f"expected an (N, k, k) stack, got shape {a.shape}")
         sym = _symmetrized(a)

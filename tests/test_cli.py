@@ -1108,6 +1108,19 @@ class TestVerify:
         assert main(["verify", "--config", path, "--out", str(alone)]) == 0
         name = "report_00005.json"
         assert (run / name).read_bytes() == (alone / name).read_bytes()
+        # exact bytes: a failed seed's empty cells, and at beta != 1/alpha a seed
+        # with a contour gate but no fractional gate or bound
+        config["beta"], config["seeds"] = 0.7, {"start": 4, "count": 2}
+        path = write_config(tmp_path, "beta.json", config)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "beta")]) == 0
+        rec = json.loads((tmp_path / "beta" / name).read_text())
+        assert rec["gate_fractional"] is rec["bound_fractional"] is None
+        ok = (f"5,0.7,{rec['cross_norm']!r},{rec['gate_contour']['gate']!r},,"
+              f"{rec['delta_spectral_norm']!r},{rec['empirically_consistent']},ok,")
+        assert (tmp_path / "beta" / "summary.csv").read_bytes() == (
+            "seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error\r\n"
+            f"4,,,,,,,failed,{rows[1]['error']}\r\n{ok}\r\n"
+        ).encode()
 
     def test_gate_shrink_factors_each_step_once(self, tmp_path, monkeypatch):
         config = self.verify_config(count=6, gate_frac=0.5)
@@ -1525,6 +1538,11 @@ def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monk
         (pipeline.LinearClassifier, "predict", "predict"),
     ):
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    # the search, in every covpow module that holds it, as the tracer wraps it
+    real, search = pipeline.select_beta, counted("search", pipeline.select_beta)
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "covpow"]:
+        if getattr(module, "select_beta", None) is real:
+            monkeypatch.setattr(module, "select_beta", search)
     # 384 samples in windows of 8 every 2 samples: 189 windows, two blocks of 128
     n, window = 189, {"length": 8, "overlap": 0.75}
     split = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2, "seed": 2}
@@ -1555,7 +1573,9 @@ def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monk
     assert ok == 3
     # rows only for the windows fitted and scored: as many blocks as for all n here
     assert math.ceil(n_fit / 128) == math.ceil(n / 128)
-    assert dict(calls) == {"fit": ok, "predict": 2 * ok, "vectorize": ok * math.ceil(n_fit / 128)}
+    assert dict(calls) == {
+        "search": 1, "fit": ok, "predict": 2 * ok, "vectorize": ok * math.ceil(n_fit / 128)
+    }
 
     eval_run = run("evaluate", {"series_csv": series_csv, "selection_dir": str(select_run),
                                 "split": split})
@@ -1565,7 +1585,7 @@ def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monk
     ok, n_fit = fitted(pipeline_run)
     assert ok == 3
     vectorized = ok * math.ceil(n_fit / 128) + math.ceil(tested(pipeline_run) / 128)
-    assert dict(calls) == {"fit": ok, "predict": 2 * ok + 1, "vectorize": vectorized}
+    assert dict(calls) == {"search": 1, "fit": ok, "predict": 2 * ok + 1, "vectorize": vectorized}
 
 
 class TestReport:

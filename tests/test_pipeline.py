@@ -21,6 +21,7 @@ from covpow.features import (
     power_features,
     sliding_windows,
 )
+from covpow.geometry import class_distance_stats
 from covpow.pipeline import (
     LinearClassifier,
     Metrics,
@@ -614,6 +615,17 @@ class TestInputChecks:
         [
             (lambda: Metrics.from_counts(0, 0, 0, 0), "metrics need at least one example"),
             (lambda: _UNIT_CLASSIFIER.predict(np.empty((0, 1))), "no features to score"),
+            # refused as the fit refuses them, not scored as class 0
+            (lambda: _UNIT_CLASSIFIER.predict(np.full((2, 1), np.nan)),
+             "design matrix has non-finite entries"),
+            (lambda: _UNIT_CLASSIFIER.predict(np.array([[1.0], [-np.inf]])),
+             "design matrix has non-finite entries"),
+            (lambda: evaluate(_UNIT_CLASSIFIER, [spd_feature([1.0], 0), spd_feature([1, 2], 1)]),
+             "cannot stack arrays of mixed shapes [(1,), (3,)]"),
+            (lambda: class_distance_stats([spd_feature([1.0], 0), spd_feature([1.0, 2.0], 1)]),
+             "cannot stack arrays of mixed shapes [(1, 1), (2, 2)]"),
+            (lambda: vectorize_feature([np.eye(2), np.eye(3)]),
+             "cannot stack arrays of mixed shapes [(2, 2), (3, 3)]"),
             (lambda: evaluate(_UNIT_CLASSIFIER, [spd_feature([1.0], 0), spd_feature([2.0], None)]),
              "features carry no labels"),
             (lambda: train_linear_classifier(np.array([[1.0], [2.0]]), np.array([0, 2])),
@@ -838,6 +850,7 @@ class TestSelectBetaFailedPowers:
             "val_accuracy",
         ]
         assert lines[-1].split(",")[3:] == ["0.0"] + [""] * 6
+        assert path.read_bytes().endswith(b"\r\n4.0,8,0.0,0.0,,,,,,\r\n")
 
     def test_every_power_failing_names_the_window_spec(self):
         with pytest.raises(DomainError, match=r"WindowSpec\(length=8, overlap=0.0\)"):

@@ -558,3 +558,4 @@ class TestSerialization:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["src", "dst"], ["0", "1"], ["1", "4"], ["2", "3"]]
+        assert path.read_bytes() == b"src,dst\r\n0,1\r\n1,4\r\n2,3\r\n"

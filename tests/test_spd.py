@@ -370,6 +370,9 @@ class TestSpdStack:
             SpdStack(np.zeros((2, 3, 4)))
         with pytest.raises(DomainError, match=r"at least 1 x 1, got shape \(3, 0, 0\)"):
             SpdStack(np.empty((3, 0, 0)))
+        with pytest.raises(DomainError) as exc:
+            SpdStack([np.eye(3), np.eye(2)])
+        assert str(exc.value) == "cannot stack arrays of mixed shapes [(2, 2), (3, 3)]"
 
     def test_power_losing_definiteness_names_the_matrix(self):
         mats = spd_stack_values(4, 3, seed=40)
