@@ -145,7 +145,7 @@ def _run_dir(args, command: str, config_sha256: str) -> Path:
 def cmd_simulate(cfg: dict, run_dir: Path) -> None:
     graph, part = _graph(cfg["graph"])
     model = MaternModel(graph=graph, **cfg["model"])
-    shift, valid = abar(graph, model.kappa)
+    _, valid = abar(graph, model.kappa)
     if not valid:
         raise DomainError(
             "shifted interaction operator has spectral radius >= 1; "

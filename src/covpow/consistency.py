@@ -9,9 +9,10 @@ faithful. Two sufficient gates certify this a priori from the shifted
 operator alone: a fractional-power form (power in (0,1) matched to the field
 smoothness) and a contour form (any nonzero power, positive smoothness).
 Both read that operator only through its spectral radius and smallest
-eigenvalue, so every gate function accepts either the matrix or those two
-scalars as a ShiftSpectrum; certified_gates decides which gates apply, and
-shrink_to_gate scales a cross block down until the strongest one admits it.
+eigenvalue, so every gate function takes those two scalars as a
+ShiftSpectrum, as graphs.abar returns them, or a matrix it factors once;
+certified_gates decides which gates apply, and shrink_to_gate scales a cross
+block down until the strongest one admits it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .graphs import NodePartition, WeightedGraph
-from .graphs import _factored_spectrum, _shift
+from .graphs import NodePartition, ShiftSpectrum, WeightedGraph, _rho_lam, abar
 from .graphs import observed_a_min, partition_blocks, scale_cross_block
 from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
@@ -41,7 +41,6 @@ from .spd import (
 )
 
 __all__ = [
-    "ShiftSpectrum",
     "FractionalGate",
     "ContourGate",
     "StructureCheck",
@@ -60,22 +59,6 @@ __all__ = [
     "shrink_to_gate",
     "verify_instance",
 ]
-
-
-@dataclass(frozen=True)
-class ShiftSpectrum:
-    """The two scalars of the shifted operator that every gate depends on.
-
-    rho is the spectral radius max|eig| and lam the smallest eigenvalue.
-    Gates are defined only for rho < 1.
-    """
-
-    rho: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.rho < 1:
-            raise DomainError(f"shifted operator spectral radius must be < 1, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -240,27 +223,16 @@ def beta_integral_constant(beta: float) -> float:
 
 
 def _spectrum(shift) -> ShiftSpectrum:
-    """Both scalars of a shifted operator from one eigvalsh call.
+    """The ShiftSpectrum every gate function reads; gates need rho < 1.
 
-    A ShiftSpectrum passes through unchanged, so each public gate function
-    factors its matrix once and hands the scalars to the helpers it calls.
-    A float ndarray with the shape and bytes of the operator that abar (or
-    shrink_to_gate) factored last takes that factorization's eigenvalues:
-    that operator is exactly symmetric, so symmetrizing it would give the
-    same bytes and eigvalsh the same spectrum. Any other input is
-    symmetrized, checked and factored here.
+    A ShiftSpectrum passes through unchanged; a matrix is symmetrized,
+    checked and factored by one eigvalsh call.
     """
-    if isinstance(shift, ShiftSpectrum):
-        return shift
-    ev = _factored_spectrum(shift)
-    if ev is None:
-        ev = np.linalg.eigvalsh(_sym_values(shift))
-    return ShiftSpectrum(*_rho_lam(ev))
-
-
-def _rho_lam(ev: np.ndarray) -> tuple[float, float]:
-    """(rho, lam) of a ShiftSpectrum from the shifted operator's ascending eigenvalues."""
-    return float(max(-ev[0], ev[-1])), float(ev[0])
+    if not isinstance(shift, ShiftSpectrum):
+        shift = ShiftSpectrum(*_rho_lam(np.linalg.eigvalsh(_sym_values(shift))))
+    if not shift.rho < 1:
+        raise DomainError(f"shifted operator spectral radius must be < 1, got {shift.rho}")
+    return shift
 
 
 def _fractional_form(shift, beta: float) -> tuple[float, float]:
@@ -282,13 +254,13 @@ def _fractional_form(shift, beta: float) -> tuple[float, float]:
         raise DomainError(f"fractional bound out of float range at beta {beta}, rho {spec.rho}")
 
 
-def fractional_gate(abar_m, beta: float, a_min: float, cross_norm: float) -> FractionalGate:
+def fractional_gate(shift, beta: float, a_min: float, cross_norm: float) -> FractionalGate:
     """Evaluate the fractional-form gate at a given cross-block norm."""
     if a_min is None or not a_min > 0:
         raise DomainError("gate needs a positive a_min")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    h, s = _fractional_form(abar_m, beta)
+    h, s = _fractional_form(shift, beta)
     c = s * math.sqrt(a_min / (4 * s**2 * h + a_min))
     g = min(s, c)
     return FractionalGate(
@@ -301,7 +273,7 @@ def fractional_gate(abar_m, beta: float, a_min: float, cross_norm: float) -> Fra
     )
 
 
-def delta_norm_bound_fractional(abar_m, beta: float, sigma: float, cross_norm: float) -> float:
+def delta_norm_bound_fractional(shift, beta: float, sigma: float, cross_norm: float) -> float:
     """Certified upper bound on the commutation-error spectral norm.
 
     Valid only under the stability condition cross_norm < s; outside it the
@@ -311,7 +283,7 @@ def delta_norm_bound_fractional(abar_m, beta: float, sigma: float, cross_norm: f
         raise DomainError("sigma must be positive")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    h, s = _fractional_form(abar_m, beta)
+    h, s = _fractional_form(shift, beta)
     if cross_norm >= s:
         raise DomainError(
             f"cross_norm {cross_norm:.6g} >= stability {s:.6g}: bound is vacuous"
@@ -342,7 +314,7 @@ def _contour_form(shift, alpha: float, sigma: float) -> tuple[float, float, floa
 
 
 def contour_gate(
-    abar_m,
+    shift,
     alpha: float,
     beta: float,
     sigma: float,
@@ -351,7 +323,7 @@ def contour_gate(
     cross_norm: float,
 ) -> ContourGate:
     """Evaluate the contour-form gate at a given clearance epsilon."""
-    return best_contour_gate(abar_m, alpha, beta, sigma, a_min, cross_norm, [epsilon])
+    return best_contour_gate(shift, alpha, beta, sigma, a_min, cross_norm, [epsilon])
 
 
 _STEPS = np.arange(20.0)
@@ -385,7 +357,7 @@ def _pow(x: float, y: float) -> float:
 
 
 def best_contour_gate(
-    abar_m,
+    shift,
     alpha: float,
     beta: float,
     sigma: float,
@@ -411,7 +383,7 @@ def best_contour_gate(
         raise DomainError("gate needs a positive a_min")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
-    m, m_up, amp = _contour_form(abar_m, alpha, sigma)
+    m, m_up, amp = _contour_form(shift, alpha, sigma)
     if epsilon_grid is None:
         grid = default_epsilon_grid(m).tolist()
     for eps in grid:  # a subnormal m can round a default clearance up to m
@@ -497,13 +469,13 @@ def shrink_to_gate(
         raise DomainError("observed block has no edges; nothing to gate against")
     for _ in range(80):
         # one eigvalsh serves the validity check and every gate
-        rho, lam = _rho_lam(_shift(graph, kappa)[1])
+        spec, valid = abar(graph, kappa)
         cross = operator_norm(partition_blocks(graph.adjacency, part)[1])
-        if not rho < 1.0:
+        if not valid:
             raise DomainError("graph invalid while gating (spectral radius >= 1)")
         if cross == 0:
             return graph
-        gates = certified_gates(ShiftSpectrum(rho, lam), alpha, beta, sigma, a_min, cross)
+        gates = certified_gates(spec, alpha, beta, sigma, a_min, cross)
         if gates == (None, None):
             raise DomainError(
                 "gate_target_fraction needs an applicable gate: beta = 1/alpha in "
@@ -565,12 +537,11 @@ def verify_instance(
         notes.append("structure check not applicable: need both pair kinds in the observed block")
 
     # the shifted operator I - (kappa^2 D + L) has eigenvalues 1 - w, w ascending
-    rho, lam = _rho_lam(1 - model.op_eigenvalues[::-1])
+    spec = ShiftSpectrum(*_rho_lam(1 - model.op_eigenvalues[::-1]))
     gate_frac = gate_cont = bound_frac = None
-    if not rho < 1:
+    if not spec.rho < 1:
         notes.append("shifted operator spectral radius >= 1; gates not applicable")
     elif a_min is not None:
-        spec = ShiftSpectrum(rho, lam)
         gate_frac, gate_cont = certified_gates(
             spec, model.alpha, beta, model.sigma, a_min, cross_norm
         )

@@ -33,6 +33,17 @@ __all__ = [
 ]
 
 
+def _binary_labels(values, what: str = "labels") -> np.ndarray:
+    """values as an int array, refused unless every entry equals 0 or 1.
+
+    The one 0/1 label rule: int, float and bool labels alike are taken as int.
+    """
+    a = np.asarray(values)
+    if not np.all((a == 0) | (a == 1)):
+        raise DomainError(f"{what} must be 0/1")
+    return a.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class LabeledSeries:
     """T x channels sample matrix with one binary label per time step."""
@@ -51,11 +62,9 @@ class LabeledSeries:
             raise DomainError(
                 f"labels length {labels.shape} does not match T={samples.shape[0]}"
             )
-        if not np.isin(labels, (0, 1)).all():
-            raise DomainError("labels must be 0 or 1")
+        labels = np.ascontiguousarray(_binary_labels(labels))
         samples = np.ascontiguousarray(samples)
         samples.flags.writeable = False
-        labels = np.ascontiguousarray(labels, dtype=int)
         labels.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "labels", labels)

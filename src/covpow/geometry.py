@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .features import _binary_labels
 from .spd import SpdMatrix, SpdStack, _require
 
 __all__ = [
@@ -86,9 +87,7 @@ def pairwise_distance_matrix(stack: SpdStack) -> np.ndarray:
 def _class_indices(labels) -> tuple[np.ndarray, np.ndarray]:
     if any(c is None for c in labels):
         raise DomainError("every feature needs a class label")
-    lab = np.array(labels)
-    if not np.isin(lab, (0, 1)).all():
-        raise DomainError("labels must be 0/1")
+    lab = _binary_labels(labels)
     idx0, idx1 = np.flatnonzero(lab == 0), np.flatnonzero(lab == 1)
     if not idx0.size or not idx1.size:
         raise DomainError("both classes must be present")

@@ -2,8 +2,8 @@
 
 The adjacency A is dense, exactly symmetric, nonnegative, with a zero
 diagonal. From it we build the Laplacian L = D - A, the interaction operator
-kappa^2*D + L, and the shifted operator I - kappa^2*D - L whose spectral
-radius decides model validity.
+kappa^2*D + L, and the spectrum of the shifted operator I - kappa^2*D - L,
+whose spectral radius decides model validity.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "NodePartition",
     "laplacian",
     "interaction_operator",
+    "ShiftSpectrum",
     "abar",
     "sample_inhomogeneous_er",
     "partition_blocks",
@@ -35,6 +36,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _checked_degrees(a: np.ndarray) -> np.ndarray:
+    """Row sums of a finite nonnegative adjacency, refused when one overflows.
+
+    The refusal names the node, where numpy would only warn and hand on inf.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return a.sum(axis=1)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            node = int(np.isinf(a.sum(axis=1)).argmax())
+        raise DomainError(f"degree of node {node} overflows the float range") from None
 
 
 @dataclass(frozen=True)
@@ -55,14 +70,19 @@ class WeightedGraph:
             raise DomainError("adjacency entries must be nonnegative")
         if a.diagonal().any():
             raise DomainError("adjacency diagonal must be zero")
-        object.__setattr__(self, "adjacency", _frozen(a))
+        a = _frozen(a)
+        d = _checked_degrees(a)
+        d.flags.writeable = False
+        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "_degrees", d)
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        """Row sums of the adjacency, summed once at construction; read-only."""
+        return self._degrees
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Upper-triangle edge list, (i, j, weight) with i < j."""
@@ -148,55 +168,31 @@ def interaction_operator(g: WeightedGraph, kappa: float) -> np.ndarray:
     return np.diag(kappa**2 * d + d) - g.adjacency
 
 
-# The last shifted operator _shift factored whose spectrum is finite, as
-# (shape, bytes, ascending eigenvalues); one entry, replaced by each such call.
-_last_shift: tuple[tuple[int, ...], bytes, np.ndarray] | None = None
+@dataclass(frozen=True)
+class ShiftSpectrum:
+    """The two scalars of the shifted operator that every gate depends on.
 
-
-def _shift(g: WeightedGraph, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """I - (kappa^2*D + L), exactly symmetric, and its ascending eigenvalues.
-
-    A finite spectrum is also kept in the one-entry record that
-    _factored_spectrum reads, so a gate handed this matrix does not factor it
-    again.
+    rho is the spectral radius max|eig| and lam the smallest eigenvalue.
     """
-    global _last_shift
-    a = np.eye(g.n) - interaction_operator(g, kappa)
-    ev = np.linalg.eigvalsh(a)
-    if np.isfinite(ev).all():
-        ev.flags.writeable = False
-        _last_shift = (a.shape, a.tobytes(), ev)
-    return a, ev
+
+    rho: float
+    lam: float
 
 
-def _factored_spectrum(m) -> np.ndarray | None:
-    """Recorded eigenvalues of m when m is the operator _shift factored last.
+def _rho_lam(ev: np.ndarray) -> tuple[float, float]:
+    """(rho, lam) of a ShiftSpectrum from the shifted operator's ascending eigenvalues."""
+    return float(max(-ev[0], ev[-1])), float(ev[0])
 
-    m must be a float ndarray of the recorded shape and bytes; any other input
-    gives None.
+
+def abar(g: WeightedGraph, kappa: float) -> tuple[ShiftSpectrum, bool]:
+    """Spectrum of the shifted operator I - kappa^2*D - L plus a validity flag.
+
+    Both come from one eigvalsh. The flag is True when the spectral radius is
+    strictly below 1, so a non-finite spectrum reads invalid; an invalid graph
+    is reported, never rejected.
     """
-    rec = _last_shift
-    if (
-        rec is not None
-        and type(m) is np.ndarray
-        and m.dtype == np.float64
-        and m.shape == rec[0]
-        and m.tobytes() == rec[1]
-    ):
-        return rec[2]
-    return None
-
-
-def abar(g: WeightedGraph, kappa: float) -> tuple[np.ndarray, bool]:
-    """Shifted operator I - kappa^2*D - L plus a validity flag.
-
-    The flag is True when the spectral radius is strictly below 1; an invalid
-    graph is reported, never rejected. The one eigvalsh behind the flag is
-    recorded, so a gate function handed the returned matrix, unchanged,
-    reuses it instead of factoring the matrix again.
-    """
-    a, ev = _shift(g, kappa)
-    return a, float(np.abs(ev).max()) < 1.0
+    ev = np.linalg.eigvalsh(np.eye(g.n) - interaction_operator(g, kappa))
+    return ShiftSpectrum(*_rho_lam(ev)), float(np.abs(ev).max()) < 1.0
 
 
 def sample_inhomogeneous_er(
@@ -259,7 +255,7 @@ def _rescale_for_target_rho(a: np.ndarray, target_rho: float) -> np.ndarray:
     its eigenvalues mu become gamma*mu and the constraint is a gamma interval
     [(1-t)/mu_min, (1+t)/mu_max]. We take the feasible gamma closest to 1.
     """
-    deg = a.sum(axis=1)
+    deg = _checked_degrees(a)
     op = np.diag(2 * deg) - a  # kappa=1: D + (D - A)
     mu = np.linalg.eigvalsh((op + op.T) / 2)
     mu_min, mu_max = float(mu[0]), float(mu[-1])

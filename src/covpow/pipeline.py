@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .features import FeatureMatrix, LabeledSeries, WindowSpec, _window_covariances
+from .features import FeatureMatrix, LabeledSeries, WindowSpec, _binary_labels, _window_covariances
 from .spd import SpdStack, _as_array, _blockwise, _element, _power, _require_spd, _upper_rows
 
 __all__ = [
@@ -93,9 +93,8 @@ def classification_metrics(predictions, labels) -> Metrics:
         raise DomainError(
             f"predictions and labels must be equal-length nonempty, got {pred.shape} vs {lab.shape}"
         )
-    if not all(((a == 0) | (a == 1)).all() for a in (pred, lab)):
-        raise DomainError("predictions and labels must be 0/1")
-    tn, fp, fn, tp = np.bincount(2 * lab.astype(int) + pred.astype(int), minlength=4).tolist()
+    pred, lab = (_binary_labels(a, "predictions and labels") for a in (pred, lab))
+    tn, fp, fn, tp = np.bincount(2 * lab + pred, minlength=4).tolist()
     return Metrics.from_counts(tp, fp, tn, fn)
 
 
@@ -201,7 +200,7 @@ def train_linear_classifier(
 ) -> LinearClassifier:
     """Damped-Newton logistic regression with inverse-frequency class weights.
 
-    Fits a finite (n, d) design matrix of vectorized features to n integer 0/1
+    Fits a finite (n, d) design matrix of vectorized features to n 0/1
     labels. The loss is a weighted mean, so duplicating every example leaves
     the fit unchanged; weights n/(2 n_c) rebalance classes without resampling.
     Deterministic: zero init, full batch, fixed backtracking schedule. The fit
@@ -212,8 +211,7 @@ def train_linear_classifier(
         raise DomainError(f"need one label per design row, got shapes {x.shape} and {lab.shape}")
     if not np.isfinite(x).all():
         raise DomainError("design matrix has non-finite entries")
-    if lab.dtype.kind not in "iu" or ((lab | 1) != 1).any():  # some entry is neither 0 nor 1
-        raise DomainError("labels must be 0/1")
+    lab = _binary_labels(lab)
     if len(lab) < 2:
         raise DomainError("need at least 2 training examples")
     for name, value in (("l2", l2), ("tol", tol)):
@@ -307,8 +305,7 @@ def split_dataset(items: list, labels, split: SplitSpec) -> FeatureSplit:
     lab = np.asarray(labels)
     if lab.shape != (len(items),):
         raise DomainError("labels must match items")
-    if not np.isin(lab, (0, 1)).all():
-        raise DomainError("labels must be 0/1")
+    lab = _binary_labels(lab)
     rng = np.random.default_rng(split.seed)
     groups = [np.flatnonzero(lab == c) for c in (0, 1)] if split.stratified else [np.arange(len(items))]
     train_idx, val_idx, test_idx = [], [], []

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .features import _binary_labels
 from .spd import _upper_rows
 
 __all__ = [
@@ -271,9 +272,7 @@ def class_signatures(
         raise DomainError(f"need an (N, k, k) array and N labels, got {mats.shape}, {len(labels)}")
     if any(c is None for c in labels):
         raise DomainError("every feature needs a class label")
-    if not np.isin(labels, (0, 1)).all():
-        raise DomainError("labels must be 0/1")
-    lab = np.asarray(labels, dtype=int)
+    lab = _binary_labels(labels)
     classes = sorted(set(lab.tolist()))
     if mode == "class-mean":
         means = [np.mean(mats[lab == label], axis=0) for label in classes]

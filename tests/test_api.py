@@ -215,3 +215,19 @@ def test_only_spd_holds_the_stack_kernel_rules():
         or isinstance(node, ast.FunctionDef) and node.name.startswith("_require")
     ]
     assert found == []
+
+
+def test_no_module_rebinds_its_globals():
+    """No module-level record: a ``global`` statement in ``src/covpow`` fails.
+
+    State that one call leaves for the next is a cache keyed on the caller's
+    inputs; the caller hands the value on instead.
+    """
+    src = Path(covpow.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -991,6 +992,20 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 3
 
+    def test_overflowing_degree_exit_3_without_warning(self, tmp_path, capsys):
+        # finite weights near the float maximum, whose degree sums overflow
+        config = minimal_simulate_config()
+        config["graph"] = {
+            "type": "er", "n_obs": 4, "n_lat": 2, "p_obs": 0.8, "p_lat": 0.8, "p_cross": 0.5,
+            "weight_low": 1e307, "weight_high": 1e308, "seed": 0,
+        }
+        path = write_config(tmp_path, "sim.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "degree of node 0 overflows the float range"
+
     def test_er_graph_form(self, tmp_path):
         config = {
             "schema_version": "1",
@@ -1045,6 +1060,20 @@ class TestVerify:
         assert rows[0] == (
             "seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error"
         )
+
+    def test_overflowing_degree_exit_3_without_warning(self, tmp_path, capsys):
+        # node 1 of the path sums two 1e308 edges; every seed draws that graph
+        config = {**self.verify_config(count=2), "gate_target_fraction": 0.5}
+        config["graph"] = {
+            "type": "explicit", "n": 4, "observed": [0, 1],
+            "edges": [[0, 1, 1e308], [1, 2, 1e308], [2, 3, 1e308]],
+        }
+        path = write_config(tmp_path, "verify.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "degree of node 1 overflows the float range"
 
     def test_stieltjes_route_matches_eig(self, tmp_path):
         runs = {}

@@ -17,7 +17,6 @@ from covpow.consistency import (
     ConsistencyReport,
     ContourGate,
     FractionalGate,
-    ShiftSpectrum,
     best_contour_gate,
     beta_integral_constant,
     certified_gates,
@@ -36,6 +35,7 @@ from covpow.consistency import (
 from covpow.errors import DomainError
 from covpow.graphs import (
     NodePartition,
+    ShiftSpectrum,
     WeightedGraph,
     abar,
     interaction_operator,
@@ -899,10 +899,20 @@ class TestCertifiedGates:
         assert certified_gates(spec, alpha, beta, sigma, a_min, cross) == (frac, cont)
 
     def test_unstable_spectrum_rejected(self):
-        with pytest.raises(DomainError, match="spectral radius must be < 1"):
-            ShiftSpectrum(rho=1.0, lam=-0.2)
-        with pytest.raises(DomainError, match="spectral radius must be < 1"):
-            certified_gates(np.diag([1.2, 0.0]), 2.0, 0.5, 1.0, 0.7, 0.0)
+        # the spectrum is plain data, as abar reports an invalid graph; every
+        # gate function refuses it, and a matrix with the same radius
+        calls = (
+            lambda shift: fractional_gate(shift, 0.5, 0.7, 0.0),
+            lambda shift: delta_norm_bound_fractional(shift, 0.5, 1.0, 0.0),
+            lambda shift: contour_gate(shift, 2.0, 0.5, 1.0, 0.1, 0.7, 0.0),
+            lambda shift: best_contour_gate(shift, 2.0, 0.5, 1.0, 0.7, 0.0),
+            lambda shift: certified_gates(shift, 2.0, 0.5, 1.0, 0.7, 0.0),
+        )
+        for shift in (ShiftSpectrum(rho=1.0, lam=-0.2), np.diag([1.0, -0.2])):
+            for call in calls:
+                with pytest.raises(DomainError) as exc:
+                    call(shift)
+                assert str(exc.value) == "shifted operator spectral radius must be < 1, got 1.0"
 
 
 _diag_shifts = st.lists(st.floats(-0.95, 0.95), min_size=2, max_size=6).map(np.diag)
@@ -1057,109 +1067,65 @@ class TestGatePathCallCounts:
 
 
 def _acceptance_step(seed, alpha=2.0, sigma=1.1):
-    """One acceptance-03 shrink step through public functions: (shift, gate inputs)."""
+    """One acceptance-03 shrink step through public functions.
+
+    abar's spectrum, the shifted operator as a matrix, and the gate inputs.
+    """
     g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=seed)
-    shift, valid = abar(g, 1.0)
+    spec, valid = abar(g, 1.0)
     assert valid
     a_min = observed_a_min(g, p)
     cross = operator_norm(partition_blocks(g.adjacency, p)[1])
-    return shift, (alpha, 1 / alpha, sigma, a_min, cross)
+    matrix = np.eye(g.n) - interaction_operator(g, 1.0)
+    return spec, matrix, (alpha, 1 / alpha, sigma, a_min, cross)
 
 
 def _gates_of(shift, alpha, beta, sigma, a_min, cross):
     """Every gate function's result on one shifted operator, as one repr."""
-    return repr(
-        (
-            fractional_gate(shift, beta, a_min, cross) if 0 < beta < 1 else None,
-            best_contour_gate(shift, alpha, beta, sigma, a_min, cross),
-            certified_gates(shift, alpha, beta, sigma, a_min, cross),
-        )
-    )
+    frac = fractional_gate(shift, beta, a_min, cross) if 0 < beta < 1 else None
+    bound = None
+    if frac is not None and cross < frac.stability:
+        bound = delta_norm_bound_fractional(shift, beta, sigma, cross)
+    best = best_contour_gate(shift, alpha, beta, sigma, a_min, cross)
+    at_half = contour_gate(shift, alpha, beta, sigma, best.spectrum_low / 2, a_min, cross)
+    gates = certified_gates(shift, alpha, beta, sigma, a_min, cross)
+    return repr((frac, bound, best, at_half, gates))
 
 
-class TestShiftRecord:
-    """A gate handed abar's matrix reuses abar's eigvalsh, bit for bit."""
-
-    @staticmethod
-    def count_eigvalsh(monkeypatch) -> Counter:
-        """Count np.linalg.eigvalsh calls from here on."""
-        calls = Counter()
-
-        def counted(*args, _real=np.linalg.eigvalsh, **kwargs):
-            calls["eigvalsh"] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        return calls
-
-    @staticmethod
-    def evict():
-        """Replace the record with the operator of another graph."""
-        abar(WeightedGraph.from_edges(3, [(0, 1, 0.2), (1, 2, 0.3)]), 1.0)
+class TestShiftInputs:
+    """Every gate function reads abar's spectrum and the operator matrix alike."""
 
     # acceptance-03 draws whose shifted operator is valid (many are not)
     SEEDS = [1, 2, 3, 5, 8, 9, 10, 11, 14, 15, 17, 18]
 
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_acceptance_step_factors_once(self, seed, monkeypatch):
-        g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=seed)
-        eigvalsh_calls = self.count_eigvalsh(monkeypatch)
-        shift, valid = abar(g, 1.0)
-        a_min = observed_a_min(g, p)
-        cross = operator_norm(partition_blocks(g.adjacency, p)[1])
-        fractional_gate(shift, 0.5, a_min, cross)
-        best_contour_gate(shift, 2.0, 0.5, 1.1, a_min, cross)
-        assert valid and eigvalsh_calls == {"eigvalsh": 1}
-
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("alpha", [2.0, 0.5, 1.0, 3.0])
-    def test_hit_equals_the_full_path(self, seed, alpha, monkeypatch):
-        shift, (_, beta, sigma, a_min, cross) = _acceptance_step(seed, alpha)
-        eigvalsh_calls = self.count_eigvalsh(monkeypatch)
-        hit = _gates_of(shift, alpha, beta, sigma, a_min, cross)
-        assert not eigvalsh_calls
-        self.evict()
-        full = _gates_of(shift, alpha, beta, sigma, a_min, cross)
-        # the evicting abar, then one factorization per gate function
-        assert eigvalsh_calls == {"eigvalsh": 1 + (3 if 0 < beta < 1 else 2)}
-        assert hit == full
+    def test_spectrum_and_matrix_give_the_same_gates(self, seed, alpha, monkeypatch):
+        spec, matrix, args = _acceptance_step(seed, alpha)
+        calls = Counter()
 
-    def test_other_inputs_take_the_full_path(self, monkeypatch):
-        shift, args = _acceptance_step(3)
-        eigvalsh_calls = self.count_eigvalsh(monkeypatch)
+        def counted(*a, _real=np.linalg.eigvalsh, **kw):
+            calls["eigvalsh"] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        from_spectrum = _gates_of(spec, *args)
+        # the gates never factor again what abar already factored
+        assert not calls
+        assert _gates_of(matrix, *args) == from_spectrum
+
+    def test_other_matrix_forms(self):
+        spec, matrix, args = _acceptance_step(3)
         alpha, beta, sigma, a_min, cross = args
-        want = repr(best_contour_gate(shift, *args))
-        ulp = shift.copy()
-        ulp[0, 0] = np.nextafter(ulp[0, 0], 2.0)
-        asym = shift.copy()
-        asym[0, 1] += 1e-3
-        for same in (SymMatrix(shift), shift.tolist()):
-            calls = eigvalsh_calls["eigvalsh"]
+        want = repr(best_contour_gate(spec, *args))
+        for same in (SymMatrix(matrix), matrix.tolist()):
             assert repr(best_contour_gate(same, *args)) == want
-            assert eigvalsh_calls["eigvalsh"] == calls + 1
-        calls = eigvalsh_calls["eigvalsh"]
-        moved = best_contour_gate(ulp, *args)
-        assert eigvalsh_calls["eigvalsh"] == calls + 1
-        ev = np.linalg.eigvalsh(ulp)
-        spec = ShiftSpectrum(float(max(-ev[0], ev[-1])), float(ev[0]))
-        assert repr(moved) == repr(best_contour_gate(spec, *args))
+        asym = matrix.copy()
+        asym[0, 1] += 1e-3
         with pytest.raises(DomainError, match="not symmetric"):
             fractional_gate(asym, beta, a_min, cross)
         with pytest.raises(DomainError, match="expected a square matrix"):
-            fractional_gate(shift.reshape(1, -1), beta, a_min, cross)
-        # none of these replaced the record: the matrix itself still hits
-        calls = eigvalsh_calls["eigvalsh"]
-        assert repr(best_contour_gate(shift, *args)) == want
-        assert eigvalsh_calls["eigvalsh"] == calls
-
-    def test_a_changed_matrix_is_factored_again(self, monkeypatch):
-        shift, args = _acceptance_step(5)
-        eigvalsh_calls = self.count_eigvalsh(monkeypatch)
-        before = best_contour_gate(shift, *args)
-        shift *= 0.5  # abar hands out a writable array
-        after = best_contour_gate(shift, *args)
-        assert eigvalsh_calls == {"eigvalsh": 1}
-        assert after != before
+            fractional_gate(matrix.reshape(1, -1), beta, a_min, cross)
 
 
 _SHIFT = np.diag([0.4, -0.3])

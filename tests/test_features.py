@@ -392,8 +392,8 @@ class TestInputChecks:
              "samples contain non-finite values"),
             # these used to be truncated to 0 and 1
             (lambda tmp: LabeledSeries(np.zeros((4, 1)), [0.5, 0.9, 1.0, 1.7]),
-             "labels must be 0 or 1"),
-            (lambda tmp: LabeledSeries(np.zeros((2, 1)), [0, 0.5]), "labels must be 0 or 1"),
+             "labels must be 0/1"),
+            (lambda tmp: LabeledSeries(np.zeros((2, 1)), [0, 0.5]), "labels must be 0/1"),
             (_archive_with_a_3x3,
              "{tmp}/feature_00001.csv: shape (3, 3) differs from {tmp}/feature_00000.csv: (2, 2)"),
         ],

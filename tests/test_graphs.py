@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from covpow.errors import DomainError
 from covpow.graphs import (
     NodePartition,
+    ShiftSpectrum,
     WeightedGraph,
+    _rho_lam,
     abar,
     graph_to_dict,
     interaction_operator,
@@ -60,6 +63,29 @@ class TestWeightedGraph:
         g = WeightedGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 0.5)])
         assert_allclose(g.degrees(), [2.0, 2.5, 0.5])
         assert g.edges() == [(0, 1, 2.0), (1, 2, 0.5)]
+
+    def test_degrees_are_summed_once_and_read_only(self):
+        g, _ = sample_inhomogeneous_er(7, 4, 0.5, 0.5, 0.15, seed=3)
+        assert g.degrees() is g.degrees()
+        assert g.degrees().tobytes() == g.adjacency.sum(axis=1).tobytes()
+        with pytest.raises(ValueError):
+            g.degrees()[0] = 5.0
+
+    @pytest.mark.parametrize("node", [0, 2])
+    def test_an_overflowing_degree_names_its_node(self, node):
+        # every weight is finite, but two of them sum past the float maximum
+        edges = [(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.1), (node, 4, 1e308), (node, 5, 1e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError) as exc:
+                WeightedGraph.from_edges(6, edges)
+        assert str(exc.value) == f"degree of node {node} overflows the float range"
+
+    def test_sampler_refuses_an_overflowing_degree_before_rescaling(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="^degree of node 0 overflows the float range$"):
+                sample_inhomogeneous_er(4, 2, 1.0, 1.0, 1.0, weight_low=1e307, weight_high=1e308)
 
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(DomainError):
@@ -209,22 +235,24 @@ class TestOperators:
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), kappa=st.sampled_from([1.0, 0.7, 1.3, 1e-3, 40.0]))
-    def test_abar_is_exactly_symmetric(self, seed, kappa):
-        # so abar needs no (a + a.T) / 2; signed zeros must match too
+    def test_abar_is_the_shifted_operator_spectrum(self, seed, kappa):
+        # bit for bit, and the flag reads the same eigenvalues
         g, _ = sample_inhomogeneous_er(7, 4, 0.5, 0.5, 0.15, seed=seed)
-        a, valid = abar(g, kappa)
-        assert a.tobytes() == ((a + a.T) / 2).tobytes() == a.T.copy().tobytes()
-        assert valid == (np.abs(np.linalg.eigvalsh(a)).max() < 1)
+        spec, valid = abar(g, kappa)
+        ev = np.linalg.eigvalsh(np.eye(g.n) - interaction_operator(g, kappa))
+        assert repr(spec) == repr(ShiftSpectrum(*_rho_lam(ev)))
+        assert valid == (np.abs(ev).max() < 1)
 
     def test_abar_two_node(self):
-        a, valid = abar(two_node(0.5), kappa=1.0)
-        assert_allclose(a, [[0.0, 0.5], [0.5, 0.0]])
+        # I - (D + L) = [[0, 0.5], [0.5, 0]], with eigenvalues -0.5 and 0.5
+        spec, valid = abar(two_node(0.5), kappa=1.0)
+        assert spec == ShiftSpectrum(rho=0.5, lam=-0.5)
         assert valid
 
     def test_abar_empty_graph_is_invalid(self):
         g = WeightedGraph(np.zeros((2, 2)))
-        a, valid = abar(g, kappa=1.0)
-        assert_array_equal(a, np.eye(2))
+        spec, valid = abar(g, kappa=1.0)
+        assert spec == ShiftSpectrum(rho=1.0, lam=1.0)
         assert not valid
 
     def test_laplacian_annihilates_constants(self):

@@ -21,7 +21,7 @@ from covpow.features import (
     power_features,
     sliding_windows,
 )
-from covpow.geometry import class_distance_stats
+from covpow.geometry import class_distance_stats, distance_stats
 from covpow.pipeline import (
     LinearClassifier,
     Metrics,
@@ -42,6 +42,7 @@ from covpow.pipeline import (
     vectorize_feature,
     write_selection_csv,
 )
+from covpow.signatures import class_signatures
 from covpow.spd import _BLOCK, SpdMatrix, SpdStack
 
 
@@ -189,6 +190,28 @@ class TestMetrics:
         assert no_pos.sensitivity is None
         assert s3_from_metrics(good, no_pos) == 0.0
         assert s3_from_metrics(good, good) == 1.0
+
+
+class TestLabelRule:
+    """One 0/1 rule for every label reader: entries equal to 0 or 1 are taken as int."""
+
+    LABELS = [0, 1, 1, 0, 1, 0, 0, 1]
+
+    @pytest.mark.parametrize("kind", [float, bool])
+    def test_float_and_bool_labels_read_as_int(self, kind):
+        lab = np.array(self.LABELS)
+        same = lab.astype(kind)
+        series = LabeledSeries(np.zeros((8, 2)), same)
+        assert series.labels.dtype == int and series.labels.tolist() == self.LABELS
+        spec = SplitSpec(0.5, 0.25, 0.25, seed=3)
+        assert split_dataset(range(8), same, spec) == split_dataset(range(8), lab, spec)
+        assert classification_metrics(same, same[::-1]) == classification_metrics(lab, lab[::-1])
+        d = np.abs(np.subtract.outer(np.arange(8.0), np.arange(8.0)))
+        assert distance_stats(d, same) == distance_stats(d, lab)
+        rng = np.random.default_rng(5)
+        mats = rng.uniform(-1.0, 1.0, (8, 4, 4))
+        mats = mats @ mats.transpose(0, 2, 1) + 4 * np.eye(4)
+        assert repr(class_signatures(mats, same)) == repr(class_signatures(mats, lab))
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +392,22 @@ class TestTrainClassifier:
 
     @pytest.mark.parametrize(
         "labels",
-        [None, [0, 1, 2, 1], [0, 1, 0.5, 1], [0, 1, None, 1], [0.0, 1.0, 0.0, 1.0],
-         [0, 1, 1], [[0, 1, 0, 1]]],
-        ids=["none", "two", "half", "none-entry", "float", "short", "2-d"],
+        [None, [0, 1, 2, 1], [0, 1, 0.5, 1], [0, 1, None, 1], [0, 1, 1], [[0, 1, 0, 1]]],
+        ids=["none", "two", "half", "none-entry", "short", "2-d"],
     )
     def test_bad_labels_rejected(self, labels):
-        # unchecked, these reach the Newton fit as a TypeError or are silently cast
+        # unchecked, these reach the Newton fit as a TypeError or are silently truncated
         x, _ = self.separable(n_per=2)
         with pytest.raises(DomainError, match="^(labels must be 0/1|need one label per design row)"):
             train_linear_classifier(x, labels)
+
+    def test_float_and_bool_labels_fit_as_int(self):
+        x, lab = self.separable(n_per=5)
+        want = json.dumps(classifier_to_dict(train_linear_classifier(x, lab)))
+        for kind in (float, bool):
+            for same in (lab.astype(kind), lab.astype(kind).tolist()):
+                got = train_linear_classifier(x, same)
+                assert json.dumps(classifier_to_dict(got)) == want
 
     @pytest.mark.parametrize(
         "key, value",
