@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .graphs import NodePartition, ShiftSpectrum, WeightedGraph, _rho_lam, abar
+from .graphs import NodePartition, ShiftSpectrum, WeightedGraph, _min_weight, _rho_lam, abar
 from .graphs import observed_a_min, partition_blocks, scale_cross_block
 from .matern import MaternModel, observed_covariance, population_covariance
 from .spd import (
@@ -371,7 +371,9 @@ def best_contour_gate(
     formula, so the best one's fields equal contour_gate at that clearance
     bit for bit. epsilon_grid=None takes default_epsilon_grid. A power that
     overflows reads inf, as np.float_power would give, where Python's float
-    ** raises OverflowError.
+    ** raises OverflowError: each clearance takes its three powers with bare
+    **, and only a clearance where one of them overflows recomputes all three
+    through _pow, so every field equals a loop of _pow calls bit for bit.
     """
     if epsilon_grid is not None:
         grid = list(map(float, epsilon_grid))
@@ -392,12 +394,16 @@ def best_contour_gate(
     half_spread, scale = (m_up - m) / 2, _pow(sigma, 2 * beta)
     best = None
     for eps in grid:
+        base = m - eps if beta >= 0 else m_up + eps
+        try:  # bare ** on the common path; only an overflowing clearance pays for _pow
+            magnitude, cube, square = base**-beta, eps**-3, eps**2
+        except OverflowError:
+            magnitude, cube, square = _pow(base, -beta), _pow(eps, -3), _pow(eps, 2)
         radius = half_spread + eps
-        magnitude = _pow(m - eps if beta >= 0 else m_up + eps, -beta)
-        k_const = radius * _pow(eps, -3) * magnitude
+        k_const = radius * cube * magnitude
         s_eps = eps / amp if amp else math.inf  # amp underflows to 0 at a subnormal sigma
-        c_eps = s_eps * math.sqrt(a_min / (4 * _pow(eps, 2) * scale * k_const + a_min))
-        g_eps = min(s_eps, c_eps)
+        c_eps = s_eps * math.sqrt(a_min / (4 * square * scale * k_const + a_min))
+        g_eps = c_eps if c_eps < s_eps else s_eps  # min(s_eps, c_eps), ties and NaN alike
         if best is None or g_eps > best[0]:
             best = (g_eps, eps, radius, magnitude, k_const, s_eps, c_eps)
     gate, epsilon, radius, magnitude, k_const, s_eps, c_eps = best
@@ -524,7 +530,7 @@ def verify_instance(
     adj_s, cross, _, _ = partition_blocks(model.graph.adjacency, p)
     cross_norm = operator_norm(cross)
     truth_s = WeightedGraph(adj_s)
-    a_min = observed_a_min(model.graph, p)
+    a_min = _min_weight(adj_s)  # observed_a_min, read off the block already sliced
 
     threshold = None
     if a_min is not None:

@@ -44,6 +44,15 @@ def _binary_labels(values, what: str = "labels") -> np.ndarray:
     return a.astype(int, copy=False)
 
 
+def _own(a: np.ndarray, given) -> np.ndarray:
+    """a, copied when it is the caller's array `given` or a view of memory it does not own.
+
+    A conversion that already copied passes through, so it is frozen without
+    freezing, or sharing memory with, what the caller holds.
+    """
+    return a.copy() if a is given or a.base is not None else a
+
+
 @dataclass(frozen=True)
 class LabeledSeries:
     """T x channels sample matrix with one binary label per time step."""
@@ -62,8 +71,8 @@ class LabeledSeries:
             raise DomainError(
                 f"labels length {labels.shape} does not match T={samples.shape[0]}"
             )
-        labels = np.ascontiguousarray(_binary_labels(labels))
-        samples = np.ascontiguousarray(samples)
+        labels = _own(np.ascontiguousarray(_binary_labels(labels)), self.labels)
+        samples = _own(np.ascontiguousarray(samples), self.samples)
         samples.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "samples", samples)

@@ -160,12 +160,30 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
 
 def interaction_operator(g: WeightedGraph, kappa: float) -> np.ndarray:
-    """kappa^2*D + L; positive definite when every degree is positive."""
+    """kappa^2*D + L; positive definite when every degree is positive.
+
+    Refused by name when kappa^2, or the diagonal kappa^2*d + d at some node,
+    leaves the float range. That diagonal grows with d, so checking the
+    largest degree on Python floats covers every node without a numpy
+    overflow check on the success path.
+    """
     if not 0 < kappa < math.inf:  # also rejects NaN
         raise DomainError(f"kappa must be positive, got {kappa}")
+    try:
+        k2 = kappa**2
+    except OverflowError:
+        raise DomainError(f"kappa {kappa:.6g} squared overflows the float range") from None
     d = g.degrees()
+    degrees = d.tolist()
+    d_max = max(degrees)
+    if k2 * d_max + d_max == math.inf:
+        node = next(i for i, x in enumerate(degrees) if k2 * x + x == math.inf)
+        raise DomainError(
+            f"interaction operator diagonal kappa^2*d + d at node {node} overflows the "
+            f"float range (kappa {kappa:.6g}, degree {degrees[node]:.6g})"
+        )
     # kappa^2*diag(d) + laplacian(g) bit for bit, signed zeros included
-    return np.diag(kappa**2 * d + d) - g.adjacency
+    return np.diag(k2 * d + d) - g.adjacency
 
 
 @dataclass(frozen=True)
@@ -188,11 +206,14 @@ def abar(g: WeightedGraph, kappa: float) -> tuple[ShiftSpectrum, bool]:
     """Spectrum of the shifted operator I - kappa^2*D - L plus a validity flag.
 
     Both come from one eigvalsh. The flag is True when the spectral radius is
-    strictly below 1, so a non-finite spectrum reads invalid; an invalid graph
-    is reported, never rejected.
+    strictly below 1, so a spectrum that overflows to inf reads invalid; an
+    invalid graph is reported, never rejected. interaction_operator refuses a
+    non-finite operator, and LAPACK gives a finite symmetric matrix an
+    ascending spectrum with no NaN, so rho is max|eig| exactly.
     """
     ev = np.linalg.eigvalsh(np.eye(g.n) - interaction_operator(g, kappa))
-    return ShiftSpectrum(*_rho_lam(ev)), float(np.abs(ev).max()) < 1.0
+    spec = ShiftSpectrum(*_rho_lam(ev))
+    return spec, spec.rho < 1.0
 
 
 def sample_inhomogeneous_er(
@@ -215,7 +236,8 @@ def sample_inhomogeneous_er(
     kappa=1 has spectral radius <= target_rho. Degenerate draws for which no
     global factor can achieve that (empty graph, isolated node, spectral
     spread too wide) are returned unscaled; downstream validity flags catch
-    them.
+    them. Draws of one shape (node counts and probabilities) share one
+    immutable NodePartition, whose index meshes are thus built once.
     """
     if n_obs < 1:
         raise DomainError("n_obs must be >= 1")
@@ -229,23 +251,37 @@ def sample_inhomogeneous_er(
     if not 0 < target_rho < 1:
         raise DomainError("target_rho must lie in (0,1)")
 
-    n = n_obs + n_lat
+    part, upper, prob = _draw_layout(n_obs, n_lat, p_obs, p_lat, p_cross)
+    n = part.n
     rng = np.random.default_rng(seed)
+    u = rng.random((n, n))
+    w = rng.uniform(weight_low, weight_high, (n, n))
+    a = np.where(upper & (u < prob), w, 0.0)
+    a = a + a.T
+
+    a = _rescale_for_target_rho(a, target_rho)
+    return WeightedGraph(a), part
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _draw_layout(
+    n_obs: int, n_lat: int, p_obs: float, p_lat: float, p_cross: float
+) -> tuple[NodePartition, np.ndarray, np.ndarray]:
+    """(partition, strict-upper mask, edge probabilities) of one draw shape.
+
+    Built once per shape and shared by every draw of it, so its partition's
+    meshes are built once too; both arrays are read-only. The cache is
+    bounded, because its key holds three floats a sweep can vary freely.
+    """
+    n = n_obs + n_lat
     prob = np.empty((n, n))
     prob[:n_obs, :n_obs] = p_obs
     prob[n_obs:, n_obs:] = p_lat
     prob[:n_obs, n_obs:] = p_cross
     prob[n_obs:, :n_obs] = p_cross
-
-    u = rng.random((n, n))
-    w = rng.uniform(weight_low, weight_high, (n, n))
     upper = ~np.tri(n, dtype=bool)  # strictly above the diagonal
-    a = np.where(upper & (u < prob), w, 0.0)
-    a = a + a.T
-
-    a = _rescale_for_target_rho(a, target_rho)
-    part = NodePartition.from_observed(n, range(n_obs))
-    return WeightedGraph(a), part
+    prob.flags.writeable = upper.flags.writeable = False
+    return NodePartition.from_observed(n, range(n_obs)), upper, prob
 
 
 def _rescale_for_target_rho(a: np.ndarray, target_rho: float) -> np.ndarray:
@@ -292,8 +328,12 @@ def observed_a_min(g: WeightedGraph, p: NodePartition) -> float | None:
     """
     if g.n != p.n:
         raise DomainError(f"matrix dim {g.n} does not match partition n={p.n}")
-    a_s = g.adjacency[p._meshes[0]]
-    pos = a_s[a_s > 0]
+    return _min_weight(g.adjacency[p._meshes[0]])
+
+
+def _min_weight(a: np.ndarray) -> float | None:
+    """Smallest positive entry of a nonnegative weight block; None when it has none."""
+    pos = a[a > 0]
     return float(pos.min()) if pos.size else None
 
 

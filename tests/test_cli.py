@@ -1006,6 +1006,27 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "degree of node 0 overflows the float range"
 
+    @pytest.mark.parametrize(
+        "edge, kappa, message",
+        [
+            (0.5, 1e200, "kappa 1e+200 squared overflows the float range"),
+            (1e308, 1.0, "interaction operator diagonal kappa^2*d + d at node 0 overflows "
+             "the float range (kappa 1, degree 1e+308)"),
+        ],
+    )
+    def test_overflowing_operator_exit_3_naming_kappa_or_node(
+        self, tmp_path, capsys, edge, kappa, message
+    ):
+        config = minimal_simulate_config()
+        config["graph"]["edges"] = [[0, 1, edge]]
+        config["model"]["kappa"] = kappa
+        path = write_config(tmp_path, "sim.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == message
+
     def test_er_graph_form(self, tmp_path):
         config = {
             "schema_version": "1",
@@ -1074,6 +1095,27 @@ class TestVerify:
             assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "degree of node 1 overflows the float range"
+
+    def test_overflowing_operator_while_gating_exit_3_naming_the_node(self, tmp_path, capsys):
+        # kappa^2 * d overflows at node 0 (and 1), which once reached eigvalsh
+        # as inf and raised LinAlgError from inside shrink_to_gate
+        config = {
+            **self.verify_config(count=2), "gate_target_fraction": 0.5, "method": "stieltjes",
+        }
+        config["graph"] = {
+            "type": "explicit", "n": 3, "observed": [0, 1, 2],
+            "edges": [[0, 1, 6.011359218397805e222]],
+        }
+        config["model"] = {
+            "kappa": 5.349160871662303e105, "alpha": 7.951596100375642,
+            "sigma": 3.564494004951595e144,
+        }
+        path = write_config(tmp_path, "verify.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("interaction operator diagonal kappa^2*d + d at node 0 ")
 
     def test_stieltjes_route_matches_eig(self, tmp_path):
         runs = {}

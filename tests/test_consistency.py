@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
@@ -805,6 +805,89 @@ class TestContourOverflow:
         args = (self.SHIFT, 1.0, 0.5, 1e-161, 0.7, 0.1)
         with pytest.raises(DomainError, match="is too small for a clearance grid"):
             best_contour_gate(*args)
+
+
+def _pow_ref(x, y):
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _pow_loop_best_contour_gate(spec, alpha, beta, sigma, a_min, cross, grid):
+    """Reference for best_contour_gate's clearance loop: one overflow-guarded call per
+    power and min per clearance. The enclosure (m, m_up, amp) comes from _contour_form."""
+    m, m_up, amp = consistency._contour_form(spec, alpha, sigma)
+    half_spread, scale = (m_up - m) / 2, _pow_ref(sigma, 2 * beta)
+    best = None
+    for eps in grid:
+        radius = half_spread + eps
+        magnitude = _pow_ref(m - eps if beta >= 0 else m_up + eps, -beta)
+        k_const = radius * _pow_ref(eps, -3) * magnitude
+        s_eps = eps / amp if amp else math.inf
+        c_eps = s_eps * math.sqrt(a_min / (4 * _pow_ref(eps, 2) * scale * k_const + a_min))
+        g_eps = min(s_eps, c_eps)
+        if best is None or g_eps > best[0]:
+            best = (g_eps, eps, radius, magnitude, k_const, s_eps, c_eps)
+    gate, epsilon, radius, magnitude, k_const, s_eps, c_eps = best
+    return ContourGate(
+        epsilon, m, m_up, radius, magnitude, k_const, amp, s_eps, c_eps, gate,
+        _pow_ref(amp * cross / epsilon, 2), cross < gate,
+    )
+
+
+class TestContourPowLoop:
+    """The bare-** clearance loop equals the _pow loop field by field, overflows included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        rho=st.floats(0.0, 0.99),
+        lam_frac=st.floats(-1.0, 1.0),
+        # a tiny alpha with a sigma whose square is subnormal underflows amp to 0
+        alpha=st.one_of(st.floats(0.25, 3.0), st.floats(1e-12, 1e-9)),
+        sigma=st.one_of(st.floats(0.5, 2.0), st.floats(1e-160, 1e-155)),
+        # large |beta| overflows the magnitude (m - eps) ** -beta or (m_up + eps) ** -beta
+        beta=st.one_of(
+            st.floats(-2.0, 2.0).filter(lambda b: abs(b) >= 0.05),
+            st.floats(300.0, 1500.0),
+            st.floats(-1500.0, -300.0),
+        ),
+        a_min=st.floats(0.05, 2.0),
+        cross=st.floats(0.0, 2.0),
+        # clearances from just below m down to 330 decades below it, where eps ** -3 overflows
+        decades=st.lists(st.floats(0.005, 330.0), min_size=1, max_size=6),
+    )
+    @example(0.5, 0.0, 2.0, 1.0, 0.5, 0.7, 0.1, [110.0, 0.3])  # eps ** -3 overflows
+    @example(0.5, -1.0, 3.0, 2.0, -1500.0, 0.7, 0.1, [0.3, 1.0])  # magnitude overflows
+    @example(0.5, 0.0, 1e-10, 1e-160, 0.5, 0.7, 0.1, [0.3, 2.0])  # amp underflows to 0
+    def test_every_field_equals_the_pow_loop(
+        self, rho, lam_frac, alpha, sigma, beta, a_min, cross, decades
+    ):
+        spec = ShiftSpectrum(rho=rho, lam=lam_frac * rho)
+        try:
+            m = consistency._contour_form(spec, alpha, sigma)[0]
+        except DomainError:
+            assume(False)
+        grid = [eps for eps in (m * 10.0**-d for d in decades) if 0 < eps < m]
+        assume(grid)
+        got = best_contour_gate(spec, alpha, beta, sigma, a_min, cross, grid)
+        want = _pow_loop_best_contour_gate(spec, alpha, beta, sigma, a_min, cross, grid)
+        for f in fields(ContourGate):
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+    def test_examples_reach_every_overflow_branch(self):
+        # one clearance in each example's regime takes the branch the example is named for
+        spec = ShiftSpectrum(rho=0.5, lam=0.0)
+        m = consistency._contour_form(spec, 2.0, 1.0)[0]
+        got = best_contour_gate(spec, 2.0, 0.5, 1.0, 0.7, 0.1, [m * 1e-110])
+        assert got.contour_constant == math.inf and got.gate == 0.0
+        spec = ShiftSpectrum(rho=0.5, lam=-0.5)
+        m = consistency._contour_form(spec, 3.0, 2.0)[0]
+        assert best_contour_gate(spec, 3.0, -1500.0, 2.0, 0.7, 0.1, [m / 2]).magnitude == math.inf
+        spec = ShiftSpectrum(rho=0.5, lam=0.0)
+        m = consistency._contour_form(spec, 1e-10, 1e-160)[0]
+        got = best_contour_gate(spec, 1e-10, 0.5, 1e-160, 0.7, 0.1, [m / 2])
+        assert got.amplification == 0.0 and got.stability == math.inf
 
 
 def _scalar_shift(shift):

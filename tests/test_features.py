@@ -50,6 +50,39 @@ class TestLabeledSeries:
         assert s.length == 50
         assert s.channels == 4
 
+    @pytest.mark.parametrize(
+        "s, lab",
+        [
+            # arrays numpy would hand back as they are: contiguous, of the right dtype
+            (np.zeros((4, 1)), np.zeros(4, dtype=int)),
+            # contiguous views into larger arrays the caller holds
+            (np.zeros((8, 2))[:4], np.zeros(8, dtype=int)[2:6]),
+        ],
+    )
+    def test_callers_arrays_stay_writeable_and_unshared(self, s, lab):
+        series = LabeledSeries(s, lab)
+        assert s.flags.writeable and lab.flags.writeable
+        assert not np.shares_memory(series.samples, s)
+        assert not np.shares_memory(series.labels, lab)
+        s[0, 0], lab[0] = 7.0, 1
+        assert series.samples[0, 0] == 0.0 and series.labels[0] == 0
+        assert not series.samples.flags.writeable and not series.labels.flags.writeable
+
+    def test_read_series_csv_copies_once(self, tmp_path, monkeypatch):
+        # the reader's column slices are already copies, so they are kept as they are
+        path = tmp_path / "series.csv"
+        write_series_csv(make_series(t=20, channels=3), path)
+        copied = []
+
+        def spy(a, given, _real=features._own):
+            kept = _real(a, given)
+            copied.append(kept is not a)
+            return kept
+
+        monkeypatch.setattr(features, "_own", spy)
+        read_series_csv(path)
+        assert copied == [False, False]
+
 
 class TestWindowSpec:
     def test_stride_examples(self):

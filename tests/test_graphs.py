@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from covpow import graphs
 from covpow.errors import DomainError
 from covpow.graphs import (
     NodePartition,
@@ -233,6 +235,39 @@ class TestOperators:
             with pytest.raises(DomainError):
                 interaction_operator(two_node(), kappa)
 
+    def test_interaction_operator_refuses_an_overflowing_kappa_by_name(self):
+        # Python's float ** raises OverflowError at 1e200 ** 2
+        with pytest.raises(DomainError, match=r"^kappa 1e\+200 squared overflows"):
+            interaction_operator(two_node(), 1e200)
+        with pytest.raises(DomainError, match="^kappa"):
+            abar(two_node(), 1e200)
+
+    @pytest.mark.parametrize(
+        "graph, kappa, node",
+        [
+            # degree 1e308 is finite, but D + L doubles it on the diagonal
+            (two_node(1e308), 1.0, 0),
+            # kappa^2 * d overflows where d alone does not: first at node 1, whose
+            # degree is below node 2's
+            (WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1e109), (2, 3, 1e110)]),
+             1e100, 1),
+        ],
+    )
+    def test_interaction_operator_refuses_an_overflowing_diagonal_by_node(
+        self, graph, kappa, node
+    ):
+        with pytest.raises(DomainError, match=f"^interaction operator diagonal .* at node {node} "):
+            interaction_operator(graph, kappa)
+        with pytest.raises(DomainError, match=f"at node {node} "):
+            abar(graph, kappa)
+
+    @pytest.mark.parametrize("kappa", [1e154, 1.3407807929942596e154, 1e-200])
+    def test_interaction_operator_near_the_float_edge_is_its_definition(self, kappa):
+        # kappa^2 just below the float maximum, and one that underflows to 0
+        got = interaction_operator(two_node(0.5), kappa)
+        want = kappa**2 * np.diag(two_node(0.5).degrees()) + laplacian(two_node(0.5))
+        assert got.tobytes() == want.tobytes()
+
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(seed=st.integers(0, 2**32 - 1), kappa=st.sampled_from([1.0, 0.7, 1.3, 1e-3, 40.0]))
     def test_abar_is_the_shifted_operator_spectrum(self, seed, kappa):
@@ -253,6 +288,14 @@ class TestOperators:
         g = WeightedGraph(np.zeros((2, 2)))
         spec, valid = abar(g, kappa=1.0)
         assert spec == ShiftSpectrum(rho=1.0, lam=1.0)
+        assert not valid
+
+    def test_abar_spectrum_overflowing_to_inf_is_invalid(self):
+        # a finite operator whose smallest eigenvalue, about -1.8e308, rounds to -inf
+        a = np.full((3, 3), 6e307)
+        np.fill_diagonal(a, 0.0)
+        spec, valid = abar(WeightedGraph(a), kappa=1e-3)
+        assert spec.rho == math.inf and spec.lam == -math.inf
         assert not valid
 
     def test_laplacian_annihilates_constants(self):
@@ -344,6 +387,30 @@ class TestCachedMeshes:
 
 
 class TestErSampler:
+    def test_draws_of_one_shape_share_one_partition(self):
+        _, p1 = sample_inhomogeneous_er(7, 4, 0.5, 0.5, 0.15, seed=1)
+        _, p2 = sample_inhomogeneous_er(7, 4, 0.5, 0.5, 0.15, seed=2, weight_high=2.0)
+        assert p1 is p2
+
+    @pytest.mark.parametrize(
+        "shape", [(6, 5, 0.5, 0.5, 0.15), (7, 3, 0.5, 0.5, 0.15), (7, 4, 0.5, 0.5, 0.2)]
+    )
+    def test_a_draw_of_another_shape_gets_its_own_partition(self, shape):
+        _, p = sample_inhomogeneous_er(7, 4, 0.5, 0.5, 0.15, seed=1)
+        _, other = sample_inhomogeneous_er(*shape, seed=1)
+        assert other is not p
+        assert other == NodePartition.from_observed(shape[0] + shape[1], range(shape[0]))
+
+    def test_cached_layout_is_read_only(self):
+        part, upper, prob = graphs._draw_layout(7, 4, 0.5, 0.5, 0.15)
+        assert upper.tobytes() == (~np.tri(11, dtype=bool)).tobytes()
+        assert prob[0, 0] == prob[7, 7] == 0.5 and prob[0, 7] == prob[7, 0] == 0.15
+        arrays = [upper, prob, *(arr for mesh in part._meshes for arr in mesh)]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert graphs._draw_layout(7, 4, 0.5, 0.5, 0.15)[0] is part
+
     def test_deterministic_in_seed(self):
         g1, _ = sample_inhomogeneous_er(5, 5, 0.4, 0.4, 0.2, seed=3)
         g2, _ = sample_inhomogeneous_er(5, 5, 0.4, 0.4, 0.2, seed=3)
