@@ -5,14 +5,18 @@
 
 For the checkout that holds this script, and for every workload in its
 BENCHMARK.json, it runs ``perfbench/run.py --workload W --seed S --seconds T``
-``--repeats`` times, then once with ``--trace 1`` for the per-layer counts,
-then runs the tier-1 suite once against the checkout's own ``src`` and keeps
-its passed, skipped and failed counts (errors count as failed) and wall time.
-With ``--parent`` the same runs are made for a checkout of the parent commit,
-in pairs whose first side alternates (the change first in even pairs), and
-the file also holds, per metric, how many pairs the change won. Scaled and
-unscaled values are kept per run with their medians and quartiles, because
-the host-speed scale alone can move a scaled metric. Standard library only.
+``--repeats`` times, each followed by one ``--trace 1`` run for the per-layer
+metrics, then runs the tier-1 suite once against the checkout's own ``src``
+and keeps its passed, skipped and failed counts (errors count as failed) and
+wall time. With ``--parent`` the same runs are made for a checkout of the
+parent commit, in pairs whose first side alternates (the change first in even
+pairs), timed runs and traced runs alike, and the file also holds, per
+metric, how many pairs the change won. Scaled and unscaled values are kept
+per run with their medians and quartiles, because the host-speed scale alone
+can move a scaled metric; each per-layer metric keeps its median, quartiles
+and run count, because one traced run cannot show a layer's change (a
+layer's self time can read +37% between two runs of the same code).
+Standard library only.
 
 Every run happens in a copy: each checkout's working tree, uncommitted edits
 included, is copied into one temporary directory (as ``change/`` and
@@ -107,15 +111,17 @@ def identity(checkout: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
-def summarize(runs: list[dict], traced: dict) -> dict:
+def summarize(runs: list[dict], traced: list[dict]) -> dict:
     scaled = {k: [r["metrics"][k] for r in runs] for k in runs[0]["metrics"]}
     unscaled = {k: [r["unscaled"][k] for r in runs] for k in UNSCALED}
+    layers = {k: [r["metrics"][k] for r in traced] for k in traced[0]["metrics"]}
     return {
         "runs": [{"metrics": r["metrics"], "unscaled": r["unscaled"], "correct": r["correct"],
                   "attempted": r["attempted"], "failed": r["failed"]} for r in runs],
         "scaled": {k: spread(v) for k, v in scaled.items()},
         "unscaled": {k: spread(v) for k, v in unscaled.items()},
-        "trace": {"correct": traced["correct"], "metrics": traced["metrics"]},
+        "trace": {"correct": all(r["correct"] for r in traced),
+                  "metrics": {k: {**spread(v), "runs": len(v)} for k, v in layers.items()}},
     }
 
 
@@ -157,22 +163,25 @@ def main(argv=None) -> int:
         sides = {side: shutil.copytree(checkout, Path(tmp) / side, ignore=skip)
                  for side, checkout in checkouts.items()}
 
-        runs = {side: {w: [] for w in workloads} for side in sides}
+        # timed and traced runs per side and workload, each list in pair order
+        runs = {trace: {side: {w: [] for w in workloads} for side in sides} for trace in (0, 1)}
         for i in range(args.repeats):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for w in workloads:
-                for side in order:
-                    rec = perfbench(sides[side], w, args.seed, args.seconds, 0)
-                    runs[side][w].append(rec)
-                    print(f"{i} {w} {side}: {rec['metrics']}", file=sys.stderr)
+                for trace in (0, 1):
+                    for side in order:
+                        rec = perfbench(sides[side], w, args.seed, args.seconds, trace)
+                        runs[trace][side][w].append(rec)
+                        if not trace:
+                            print(f"{i} {w} {side}: {rec['metrics']}", file=sys.stderr)
 
         for side, workdir in sides.items():
-            environment = runs[side][workloads[0]][0]["environment"]
+            environment = runs[0][side][workloads[0]][0]["environment"]
             summaries = {}
             for w in workloads:
-                traced = perfbench(workdir, w, args.seed, args.seconds, 1)
-                summaries[w] = summarize(runs[side][w], traced)
-                correct &= traced["correct"] and all(r["correct"] for r in runs[side][w])
+                timed, traced = runs[0][side][w], runs[1][side][w]
+                summaries[w] = summarize(timed, traced)
+                correct &= all(r["correct"] for r in timed + traced)
             record[side] = {**identity(checkouts[side]), "environment": environment,
                             "src.lines": environment["src.lines"], "tier1": tier1(workdir),
                             "workloads": summaries}
@@ -180,8 +189,11 @@ def main(argv=None) -> int:
     if args.parent is not None:
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         better.update({f"unscaled.{k}": "lower" for k in UNSCALED})
+        layers = {m["name"]: m["better"] for m in spec["per_layer"]}
         record["change_vs_parent"] = {
-            w: wins(runs["change"][w], runs["parent"][w], better) for w in workloads}
+            w: wins(runs[0]["change"][w], runs[0]["parent"][w], better) for w in workloads}
+        record["change_vs_parent_per_layer"] = {
+            w: wins(runs[1]["change"][w], runs[1]["parent"][w], layers) for w in workloads}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0 if correct else 1
 

@@ -321,9 +321,8 @@ def cmd_pipeline(cfg: dict, run_dir: Path) -> None:
         draws = sample_field(model, per_class, seed=seed + label)
         blocks.append(draws[:, part.observed])
         labels.append(np.full(per_class, label, dtype=int))
-    series = LabeledSeries(
-        samples=np.vstack(blocks), labels=np.concatenate(labels)
-    )
+    # both arrays are built here and read by no one else, so the series keeps them
+    series = LabeledSeries._from_owned(np.vstack(blocks), np.concatenate(labels))
 
     fit = _fit_kwargs(cfg)
     result = select_beta(series, **fit)

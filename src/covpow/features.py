@@ -53,6 +53,19 @@ def _own(a: np.ndarray, given) -> np.ndarray:
     return a.copy() if a is given or a.base is not None else a
 
 
+def _checked_series(samples, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Finite float samples (T, channels) and T 0/1 int labels, both C-contiguous."""
+    samples = np.asarray(samples, dtype=float)
+    labels = np.asarray(labels)
+    if samples.ndim != 2 or not samples.size:
+        raise DomainError(f"samples must be a nonempty 2-d array, got {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise DomainError("samples contain non-finite values")
+    if labels.shape != (samples.shape[0],):
+        raise DomainError(f"labels length {labels.shape} does not match T={samples.shape[0]}")
+    return np.ascontiguousarray(samples), np.ascontiguousarray(_binary_labels(labels))
+
+
 @dataclass(frozen=True)
 class LabeledSeries:
     """T x channels sample matrix with one binary label per time step."""
@@ -61,18 +74,20 @@ class LabeledSeries:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        labels = np.asarray(self.labels)
-        if samples.ndim != 2 or not samples.size:
-            raise DomainError(f"samples must be a nonempty 2-d array, got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("samples contain non-finite values")
-        if labels.shape != (samples.shape[0],):
-            raise DomainError(
-                f"labels length {labels.shape} does not match T={samples.shape[0]}"
-            )
-        labels = _own(np.ascontiguousarray(_binary_labels(labels)), self.labels)
-        samples = _own(np.ascontiguousarray(samples), self.samples)
+        samples, labels = _checked_series(self.samples, self.labels)
+        self._set(_own(samples, self.samples), _own(labels, self.labels))
+
+    @classmethod
+    def _from_owned(cls, samples: np.ndarray, labels: np.ndarray) -> "LabeledSeries":
+        """``LabeledSeries(samples, labels)`` for arrays that no one else reads.
+
+        They are checked, frozen and kept as they are, not copied.
+        """
+        out = cls.__new__(cls)
+        out._set(*_checked_series(samples, labels))
+        return out
+
+    def _set(self, samples: np.ndarray, labels: np.ndarray) -> None:
         samples.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "samples", samples)

@@ -157,13 +157,22 @@ def _power_rows(stack: SpdStack, beta: float, index) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearClassifier:
-    """Logistic model over standardized feature vectors; bias is last."""
+    """Logistic model over standardized feature vectors; bias is last.
+
+    A fit records how it ended: `newton_steps` Hessian solves, and `stop`,
+    one of "gradient" (the gradient norm reached tol), "stalled" (an accepted
+    step left the loss unchanged), "no_descent" (the line search found no
+    decrease) or "max_iter". Neither is serialized; a classifier read back
+    from a dict carries 0 and None.
+    """
 
     weights: np.ndarray
     feature_mean: np.ndarray
     feature_scale: np.ndarray
     dim: int
     seen_tokens: tuple[str, ...]
+    newton_steps: int = 0
+    stop: str | None = None
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """0/1 predictions for an (n, dim) design matrix of vectorized features."""
@@ -197,14 +206,18 @@ def train_linear_classifier(
     max_iter: int = 100,
     tol: float = 1e-8,
     seen_tokens: tuple[str, ...] = (),
+    *,
+    start: np.ndarray | None = None,
 ) -> LinearClassifier:
     """Damped-Newton logistic regression with inverse-frequency class weights.
 
     Fits a finite (n, d) design matrix of vectorized features to n 0/1
     labels. The loss is a weighted mean, so duplicating every example leaves
     the fit unchanged; weights n/(2 n_c) rebalance classes without resampling.
-    Deterministic: zero init, full batch, fixed backtracking schedule. The fit
-    owns its layout: it reads x in C order, a copy if x is not.
+    Deterministic: full batch, fixed backtracking schedule, and a start at
+    zero, or at `start`, d + 1 finite weights over the standardized features
+    and the bias (another fit's `weights`). The fit owns its layout: it reads
+    x in C order, a copy if x is not.
     """
     x, lab = np.ascontiguousarray(x, dtype=float), np.asarray(labels)
     if x.ndim != 2 or lab.shape != (len(x),):
@@ -236,7 +249,12 @@ def train_linear_classifier(
     reg = np.full(d, l2)
     reg[-1] = 0.0  # bias is not penalized
     hess_diag = reg + 1e-12
-    w = np.zeros(d)
+    if start is None:
+        w = np.zeros(d)
+    else:
+        w = np.array(start, dtype=float)
+        if w.shape != (d,) or not np.isfinite(w).all():
+            raise DomainError(f"start must hold {d} finite weights, got shape {w.shape}")
 
     def loss_grad(w):
         """Loss and gradient at w, and the per-sample weights of its Hessian."""
@@ -250,8 +268,13 @@ def train_linear_classifier(
 
     loss, grad, curv = loss_grad(w)
     u = np.empty_like(z)  # one buffer for every step's sqrt(curvature)-scaled design
-    for _ in range(max_iter):
+    steps = 0
+    while True:
         if math.sqrt(grad @ grad) <= tol:
+            stop = "gradient"
+            break
+        if steps == max_iter:
+            stop = "max_iter"
             break
         # the Hessian only at a point that takes a step; u.T @ u is one
         # symmetric rank-k update, half a general product and exactly symmetric
@@ -262,6 +285,7 @@ def train_linear_classifier(
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"newton step failed: {exc}") from exc
+        steps += 1
         t = 1.0
         for _ in range(40):
             cand = w - t * step
@@ -272,9 +296,11 @@ def train_linear_classifier(
                 break
             t /= 2
         else:
-            break  # no descent direction left; accept current point
+            stop = "no_descent"  # no descent direction left; accept current point
+            break
         if stalled:
-            break  # the step left the loss where it was; at tol=0 the rest would too
+            stop = "stalled"  # the step left the loss where it was; at tol=0 the rest would too
+            break
 
     return LinearClassifier(
         weights=w,
@@ -282,6 +308,8 @@ def train_linear_classifier(
         feature_scale=scale,
         dim=x.shape[1],
         seen_tokens=tuple(seen_tokens),
+        newton_steps=steps,
+        stop=stop,
     )
 
 
@@ -371,6 +399,17 @@ def select_beta(
     fitted on the train rows and scored on the train and validation rows.
     The test windows are checked but get no rows, their labels go unused,
     and the test token is withheld from the result on purpose.
+
+    The fits follow the grid, as glmnet follows its lambda path: each power's
+    Newton fit starts from the weights of the previous power of the same
+    window spec that fitted, so a row's fit depends on the grid before it.
+    A warm fit stops on the same gradient test as a cold one, at weights a
+    little apart, so its row can score differently only where a window sits
+    that near the decision boundary. The first power of each spec, and a
+    power after one that failed, start from zero. When a spec's loop ends
+    with its own power leading the search and that power's fit was warm, the
+    power is refit from zero on its train rows, rebuilt for the refit: the
+    returned classifier is the cold fit of beta_star, whatever came before.
     """
     if beta_grid is None:
         beta_grid = default_beta_grid()
@@ -399,6 +438,10 @@ def select_beta(
         # the train then validation windows, the only ones that get design rows
         fit = np.array([*parts.train_idx, *parts.val_idx])
         n_train, y = len(parts.train_idx), labels[fit]
+        tokens = (parts.train_token, parts.val_token)
+        # the last fitted power's weights, and this spec's power that leads
+        # the search if its fit was warm-started
+        start = warm_leader = None
         for beta in beta_grid:
             row = {
                 "beta": beta,
@@ -414,14 +457,10 @@ def select_beta(
             except DomainError as exc:
                 row.update(s3=0.0, train=None, val=None, error=str(exc))
                 first_error = first_error or f"beta {beta} on {wspec}: {exc}"
+                start = None
                 continue
             clf = train_linear_classifier(
-                x[:n_train],
-                y[:n_train],
-                l2,
-                max_iter,
-                tol,
-                seen_tokens=(parts.train_token, parts.val_token),
+                x[:n_train], y[:n_train], l2, max_iter, tol, seen_tokens=tokens, start=start
             )
             m_train = classification_metrics(clf.predict(x[:n_train]), y[:n_train])
             m_val = classification_metrics(clf.predict(x[n_train:]), y[n_train:])
@@ -430,6 +469,12 @@ def select_beta(
             key = (-s3, abs(beta), len(table))
             if best is None or key < best[0]:
                 best = (key, row, clf, wspec)
+                warm_leader = beta if start is not None else None
+            start = clf.weights
+        if warm_leader is not None:
+            x = _power_rows(stack, warm_leader, fit[:n_train])
+            cold = train_linear_classifier(x, y[:n_train], l2, max_iter, tol, seen_tokens=tokens)
+            best = (*best[:2], cold, wspec)
 
     if best is None:
         raise DomainError(f"every power on the grid failed; the first was {first_error}")

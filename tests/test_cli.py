@@ -25,7 +25,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
 import covpow
-from covpow import cli, consistency, pipeline
+from covpow import cli, consistency, features, pipeline
 from covpow.errors import ConfigError, CovpowError, DomainError, NumericalError
 from covpow.cli import main
 from covpow.features import (
@@ -1575,6 +1575,19 @@ class TestPipeline:
         n = len((tmp_path / "run" / "pairwise.csv").read_text().splitlines()) - 1
         assert calls == [n]
 
+    def test_series_is_kept_without_a_copy(self, tmp_path, monkeypatch):
+        # the verb's stacked class draws are its own, so the series keeps them
+        copies = []
+        real = features._own
+        monkeypatch.setattr(
+            features, "_own", lambda a, given: copies.append(a.nbytes) or real(a, given)
+        )
+        path = write_config(tmp_path, "pipeline.json", two_class_pipeline_config())
+        assert main(["pipeline", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        assert copies == []
+        series = read_series_csv(tmp_path / "run" / "series.csv")
+        assert series.labels.tolist() == [0] * 192 + [1] * 192
+
     def test_singleton_beta_grid(self, tmp_path):
         config = two_class_pipeline_config()
         config["beta_grid"] = [1.0]
@@ -1626,13 +1639,24 @@ def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monk
         return tmp_path / verb
 
     def fitted(run_dir):
-        """The powers that did not fail, and the train plus validation windows of each."""
-        table = json.loads((run_dir / "selection.json").read_text())["per_beta_table"]
+        """The powers that did not fail, the train plus validation windows of each,
+        and the vectorize calls of the selected power's cold refit.
+
+        Each power's fit starts from the last one's weights, so a selected power
+        that is not the first is refit from zero on its rebuilt train rows.
+        """
+        selection = json.loads((run_dir / "selection.json").read_text())
+        table = selection["per_beta_table"]
         rows = [row for row in table if "error" not in row]
-        counts = {sum(row[part][c] for part in ("train", "val") for c in ("tp", "fp", "tn", "fn"))
-                  for row in rows}
+
+        def windows(row, parts):
+            return sum(row[part][c] for part in parts for c in ("tp", "fp", "tn", "fn"))
+
+        counts = {windows(row, ("train", "val")) for row in rows}
         assert len(counts) == 1
-        return len(rows), counts.pop()
+        selected = [row["beta"] for row in table].index(selection["beta_star"])
+        warm = selected > 0 and "error" not in table[selected - 1]
+        return len(rows), counts.pop(), warm * math.ceil(windows(rows[0], ("train",)) / 128)
 
     def tested(run_dir):
         m = json.loads((run_dir / "test_metrics.json").read_text())
@@ -1640,12 +1664,13 @@ def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monk
 
     series_csv = TestExtractSelectEvaluate().series_file(tmp_path, seed=1)
     select_run = run("select", {"series_csv": series_csv, **fit})
-    ok, n_fit = fitted(select_run)
-    assert ok == 3
+    ok, n_fit, rebuilt = fitted(select_run)
+    assert ok == 3 and rebuilt > 0
     # rows only for the windows fitted and scored: as many blocks as for all n here
     assert math.ceil(n_fit / 128) == math.ceil(n / 128)
     assert dict(calls) == {
-        "search": 1, "fit": ok, "predict": 2 * ok, "vectorize": ok * math.ceil(n_fit / 128)
+        "search": 1, "fit": ok + 1, "predict": 2 * ok,
+        "vectorize": ok * math.ceil(n_fit / 128) + rebuilt,
     }
 
     eval_run = run("evaluate", {"series_csv": series_csv, "selection_dir": str(select_run),
@@ -1653,10 +1678,12 @@ def test_verbs_fit_predict_and_vectorize_through_the_public_names(tmp_path, monk
     assert dict(calls) == {"predict": 1, "vectorize": math.ceil(tested(eval_run) / 128)}
 
     pipeline_run = run("pipeline", {**two_class_pipeline_config(), **fit})
-    ok, n_fit = fitted(pipeline_run)
+    ok, n_fit, rebuilt = fitted(pipeline_run)
     assert ok == 3
-    vectorized = ok * math.ceil(n_fit / 128) + math.ceil(tested(pipeline_run) / 128)
-    assert dict(calls) == {"search": 1, "fit": ok, "predict": 2 * ok + 1, "vectorize": vectorized}
+    vectorized = ok * math.ceil(n_fit / 128) + rebuilt + math.ceil(tested(pipeline_run) / 128)
+    assert dict(calls) == {
+        "search": 1, "fit": ok + (rebuilt > 0), "predict": 2 * ok + 1, "vectorize": vectorized
+    }
 
 
 class TestReport:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -67,6 +68,29 @@ class TestLabeledSeries:
         s[0, 0], lab[0] = 7.0, 1
         assert series.samples[0, 0] == 0.0 and series.labels[0] == 0
         assert not series.samples.flags.writeable and not series.labels.flags.writeable
+
+    def test_owned_arrays_are_kept_and_frozen(self):
+        s, lab = np.arange(8.0).reshape(4, 2), np.array([0, 1, 1, 0])
+        series = LabeledSeries._from_owned(s, lab)
+        assert series.samples is s and series.labels is lab
+        assert not s.flags.writeable and not lab.flags.writeable
+        assert series.length == 4 and series.channels == 2
+
+    @pytest.mark.parametrize(
+        "s, lab",
+        [
+            (np.zeros((0, 2)), np.zeros(0, dtype=int)),
+            (np.zeros((5, 2)), np.zeros(4, dtype=int)),
+            (np.zeros((5, 2)), np.full(5, 2)),
+            (np.array([[0.0], [np.nan]]), np.zeros(2, dtype=int)),
+        ],
+        ids=["empty", "short-labels", "labels-not-0/1", "nan"],
+    )
+    def test_owned_arrays_get_the_constructors_checks(self, s, lab):
+        with pytest.raises(DomainError) as want:
+            LabeledSeries(s, lab)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+            LabeledSeries._from_owned(s, lab)
 
     def test_read_series_csv_copies_once(self, tmp_path, monkeypatch):
         # the reader's column slices are already copies, so they are kept as they are
