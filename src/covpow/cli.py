@@ -49,6 +49,7 @@ from .geometry import (
 from .graphs import NodePartition, WeightedGraph, abar, sample_inhomogeneous_er
 from .matern import (
     MaternModel,
+    _nonzero_alpha,
     model_to_dict,
     sample_field,
     write_samples_csv,
@@ -170,7 +171,7 @@ def cmd_verify(cfg: dict, run_dir: Path) -> None:
     def one(seed: int):
         graph, part = _graph(cfg["graph"], seed=seed)
         if gate_frac is not None:
-            use_beta = beta if beta is not None else 1.0 / model_params["alpha"]
+            use_beta = beta if beta is not None else 1.0 / _nonzero_alpha(model_params["alpha"])
             graph = shrink_to_gate(
                 graph, part, beta=use_beta, target_fraction=gate_frac, **model_params
             )
@@ -321,8 +322,7 @@ def cmd_pipeline(cfg: dict, run_dir: Path) -> None:
         draws = sample_field(model, per_class, seed=seed + label)
         blocks.append(draws[:, part.observed])
         labels.append(np.full(per_class, label, dtype=int))
-    # both arrays are built here and read by no one else, so the series keeps them
-    series = LabeledSeries._from_owned(np.vstack(blocks), np.concatenate(labels))
+    series = LabeledSeries(samples=np.vstack(blocks), labels=np.concatenate(labels))
 
     fit = _fit_kwargs(cfg)
     result = select_beta(series, **fit)

@@ -254,12 +254,17 @@ def _fractional_form(shift, beta: float) -> tuple[float, float]:
         raise DomainError(f"fractional bound out of float range at beta {beta}, rho {spec.rho}")
 
 
-def fractional_gate(shift, beta: float, a_min: float, cross_norm: float) -> FractionalGate:
-    """Evaluate the fractional-form gate at a given cross-block norm."""
+def _check_gate_inputs(a_min: float, cross_norm: float) -> None:
+    """The a_min and cross_norm checks of both gates, in the same order."""
     if a_min is None or not a_min > 0:
         raise DomainError("gate needs a positive a_min")
     if cross_norm < 0:
         raise DomainError("cross_norm must be nonnegative")
+
+
+def fractional_gate(shift, beta: float, a_min: float, cross_norm: float) -> FractionalGate:
+    """Evaluate the fractional-form gate at a given cross-block norm."""
+    _check_gate_inputs(a_min, cross_norm)
     h, s = _fractional_form(shift, beta)
     c = s * math.sqrt(a_min / (4 * s**2 * h + a_min))
     g = min(s, c)
@@ -381,10 +386,7 @@ def best_contour_gate(
             raise DomainError("epsilon grid is empty")
     if beta == 0 or not math.isfinite(beta):
         raise DomainError("contour gate needs a finite beta != 0")
-    if a_min is None or not a_min > 0:
-        raise DomainError("gate needs a positive a_min")
-    if cross_norm < 0:
-        raise DomainError("cross_norm must be nonnegative")
+    _check_gate_inputs(a_min, cross_norm)
     m, m_up, amp = _contour_form(shift, alpha, sigma)
     if epsilon_grid is None:
         grid = default_epsilon_grid(m).tolist()

@@ -44,54 +44,33 @@ def _binary_labels(values, what: str = "labels") -> np.ndarray:
     return a.astype(int, copy=False)
 
 
-def _own(a: np.ndarray, given) -> np.ndarray:
-    """a, copied when it is the caller's array `given` or a view of memory it does not own.
-
-    A conversion that already copied passes through, so it is frozen without
-    freezing, or sharing memory with, what the caller holds.
-    """
-    return a.copy() if a is given or a.base is not None else a
-
-
-def _checked_series(samples, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Finite float samples (T, channels) and T 0/1 int labels, both C-contiguous."""
-    samples = np.asarray(samples, dtype=float)
-    labels = np.asarray(labels)
-    if samples.ndim != 2 or not samples.size:
-        raise DomainError(f"samples must be a nonempty 2-d array, got {samples.shape}")
-    if not np.all(np.isfinite(samples)):
-        raise DomainError("samples contain non-finite values")
-    if labels.shape != (samples.shape[0],):
-        raise DomainError(f"labels length {labels.shape} does not match T={samples.shape[0]}")
-    return np.ascontiguousarray(samples), np.ascontiguousarray(_binary_labels(labels))
+def _feature_labels(labels) -> np.ndarray:
+    """Feature labels as `_binary_labels` gives them, refused when one is None."""
+    if any(c is None for c in labels):
+        raise DomainError("every feature needs a class label")
+    return _binary_labels(labels)
 
 
 @dataclass(frozen=True)
 class LabeledSeries:
-    """T x channels sample matrix with one binary label per time step."""
+    """T x channels sample matrix with one binary label per time step, both kept as copies."""
 
     samples: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        samples, labels = _checked_series(self.samples, self.labels)
-        self._set(_own(samples, self.samples), _own(labels, self.labels))
-
-    @classmethod
-    def _from_owned(cls, samples: np.ndarray, labels: np.ndarray) -> "LabeledSeries":
-        """``LabeledSeries(samples, labels)`` for arrays that no one else reads.
-
-        They are checked, frozen and kept as they are, not copied.
-        """
-        out = cls.__new__(cls)
-        out._set(*_checked_series(samples, labels))
-        return out
-
-    def _set(self, samples: np.ndarray, labels: np.ndarray) -> None:
-        samples.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "labels", labels)
+        samples = np.array(self.samples, dtype=float, order="C")
+        labels = np.array(self.labels, order="C")
+        if samples.ndim != 2 or not samples.size:
+            raise DomainError(f"samples must be a nonempty 2-d array, got {samples.shape}")
+        # min and max carry any nan or inf, and need no mask the size of the copy
+        if not np.isfinite([samples.min(), samples.max()]).all():
+            raise DomainError("samples contain non-finite values")
+        if labels.shape != (samples.shape[0],):
+            raise DomainError(f"labels length {labels.shape} does not match T={samples.shape[0]}")
+        for name, a in (("samples", samples), ("labels", _binary_labels(labels))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def length(self) -> int:

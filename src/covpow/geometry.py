@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .features import _binary_labels
+from .features import _feature_labels
 from .spd import SpdMatrix, SpdStack, _require
 
 __all__ = [
@@ -85,9 +85,7 @@ def pairwise_distance_matrix(stack: SpdStack) -> np.ndarray:
 
 
 def _class_indices(labels) -> tuple[np.ndarray, np.ndarray]:
-    if any(c is None for c in labels):
-        raise DomainError("every feature needs a class label")
-    lab = _binary_labels(labels)
+    lab = _feature_labels(labels)
     idx0, idx1 = np.flatnonzero(lab == 0), np.flatnonzero(lab == 1)
     if not idx0.size or not idx1.size:
         raise DomainError("both classes must be present")

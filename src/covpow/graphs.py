@@ -32,12 +32,6 @@ __all__ = [
 ]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 def _checked_degrees(a: np.ndarray) -> np.ndarray:
     """Row sums of a finite nonnegative adjacency, refused when one overflows.
 
@@ -54,12 +48,12 @@ def _checked_degrees(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected weighted graph held as a dense adjacency matrix."""
+    """Undirected weighted graph held as a copy of its dense adjacency matrix."""
 
     adjacency: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.adjacency, dtype=float)
+        a = np.array(self.adjacency, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError(f"adjacency must be square, got shape {a.shape}")
         if not np.isfinite(a).all():
@@ -70,11 +64,9 @@ class WeightedGraph:
             raise DomainError("adjacency entries must be nonnegative")
         if a.diagonal().any():
             raise DomainError("adjacency diagonal must be zero")
-        a = _frozen(a)
-        d = _checked_degrees(a)
-        d.flags.writeable = False
-        object.__setattr__(self, "adjacency", a)
-        object.__setattr__(self, "_degrees", d)
+        for name, arr in (("adjacency", a), ("_degrees", _checked_degrees(a))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:

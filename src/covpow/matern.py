@@ -30,6 +30,13 @@ __all__ = [
     "observed_covariance",
 ]
 
+
+def _nonzero_alpha(alpha: float) -> float:
+    if not (math.isfinite(alpha) and alpha != 0):
+        raise DomainError(f"alpha must be a nonzero real, got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class MaternModel:
     """Field model on a graph: covariance sigma^2 * (kappa^2 D + L)^(-alpha).
@@ -47,8 +54,7 @@ class MaternModel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if not (math.isfinite(self.alpha) and self.alpha != 0):
-            raise DomainError(f"alpha must be a nonzero real, got {self.alpha}")
+        _nonzero_alpha(self.alpha)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         op = interaction_operator(self.graph, self.kappa)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .features import _binary_labels
+from .features import _feature_labels
 from .spd import _upper_rows
 
 __all__ = [
@@ -270,9 +270,7 @@ def class_signatures(
     mats = np.asarray(matrices, dtype=float)
     if mats.ndim != 3 or len(labels) != len(mats):
         raise DomainError(f"need an (N, k, k) array and N labels, got {mats.shape}, {len(labels)}")
-    if any(c is None for c in labels):
-        raise DomainError("every feature needs a class label")
-    lab = _binary_labels(labels)
+    lab = _feature_labels(labels)
     classes = sorted(set(lab.tolist()))
     if mode == "class-mean":
         means = [np.mean(mats[lab == label], axis=0) for label in classes]

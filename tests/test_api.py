@@ -11,7 +11,14 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
 import covpow
+from covpow import features, graphs, spd
 
 # the command line and its entry point are not library API
 NOT_EXPORTED = ("cli", "__main__")
@@ -217,6 +224,24 @@ def test_only_spd_holds_the_stack_kernel_rules():
     assert found == []
 
 
+def test_only_spd_builds_a_container_past_its_constructor():
+    """No module but ``spd`` calls ``__new__``.
+
+    A container built past its constructor skips its checks and its copy of
+    the caller's arrays; ``spd`` does so only where its kernel has already
+    validated and owns the arrays.
+    """
+    src = Path(covpow.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spd.py"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    ]
+    assert found == []
+
+
 def test_no_module_rebinds_its_globals():
     """No module-level record: a ``global`` statement in ``src/covpow`` fails.
 
@@ -231,3 +256,76 @@ def test_no_module_rebinds_its_globals():
         if isinstance(node, ast.Global)
     ]
     assert found == []
+
+
+def _sym(rng, k, dtype):
+    """A nonnegative symmetric k x k matrix of the dtype, with a zero diagonal."""
+    a = np.triu(rng.integers(0, 3, (k, k)), 1)
+    a = a + a.T
+    return a > 0 if dtype is bool else a.astype(dtype)
+
+
+def _spd(rng, k, dtype):
+    """A k x k SPD matrix of the dtype: diagonally dominant, or the identity for bool."""
+    if dtype is bool:
+        return np.eye(k, dtype=bool)
+    return _sym(rng, k, dtype) + 2 * k * np.eye(k, dtype=dtype)
+
+
+def _series(rng, k, dtype):
+    t = int(rng.integers(1, 7))
+    return rng.integers(0, 2, (t, k)).astype(dtype), rng.integers(0, 2, t).astype(dtype)
+
+
+# each constructor that takes arrays: its inputs, drawn as (rng, k, dtype) -> arrays,
+# and the names of the arrays it keeps
+_CONSTRUCTORS = {
+    "LabeledSeries": (features.LabeledSeries, _series, ("samples", "labels")),
+    "WeightedGraph": (graphs.WeightedGraph, lambda *a: (_sym(*a),), ("adjacency",)),
+    "SymMatrix": (spd.SymMatrix, lambda *a: (_sym(*a),), ("values",)),
+    "SpdMatrix": (spd.SpdMatrix, lambda *a: (_spd(*a),), ("values", "eigenvalues", "eigenvectors")),
+    "SpdStack": (
+        spd.SpdStack,
+        lambda rng, k, dtype: (np.stack([_spd(rng, k, dtype) for _ in range(rng.integers(1, 4))]),),
+        ("values", "eigenvalues", "eigenvectors"),
+    ),
+}
+
+
+def _laid_out(a: np.ndarray, layout: str) -> np.ndarray:
+    """A new caller's array equal to a: C- or Fortran-ordered, or a view into a larger array."""
+    if layout in ("C", "F"):
+        return np.array(a, order=layout)
+    big = np.zeros((2 * len(a) + 1, *a.shape[1:]), a.dtype)
+    view = big[1::2] if layout == "strided" else big[1 : len(a) + 1]
+    view[...] = a
+    return view
+
+
+@pytest.mark.parametrize("name", _CONSTRUCTORS)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    dtype=st.sampled_from([float, int, bool]),
+    layouts=st.lists(st.sampled_from(["C", "F", "strided", "view"]), min_size=2, max_size=2),
+)
+def test_constructors_keep_their_own_copy(name, seed, k, dtype, layouts):
+    """A constructor neither freezes nor shares its caller's arrays, and a later
+    write to them does not reach the object, whose own arrays are read-only."""
+    cls, inputs, kept = _CONSTRUCTORS[name]
+    arrays = inputs(np.random.default_rng(seed), k, dtype)
+    arrays = [_laid_out(a, layout) for a, layout in zip(arrays, layouts)]
+    obj = cls(*arrays)
+    held = [getattr(obj, attr) for attr in kept]
+    before = [h.copy() for h in held]
+    for a in arrays:
+        assert a.flags.writeable
+        assert not any(np.shares_memory(a, h) for h in held)
+        if a.dtype == bool:
+            np.logical_not(a, out=a)
+        else:
+            a += 1
+    for h, b in zip(held, before):
+        assert not h.flags.writeable
+        assert_array_equal(h, b)

@@ -25,7 +25,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
 import covpow
-from covpow import cli, consistency, features, pipeline
+from covpow import cli, consistency, pipeline
 from covpow.errors import ConfigError, CovpowError, DomainError, NumericalError
 from covpow.cli import main
 from covpow.features import (
@@ -1096,6 +1096,17 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "degree of node 1 overflows the float range"
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.0], ids=["zero", "negative-zero"])
+    @pytest.mark.parametrize("gate_frac", [None, 0.5], ids=["ungated", "gated"])
+    def test_zero_alpha_exit_3_naming_alpha(self, tmp_path, capsys, alpha, gate_frac):
+        # gated without a beta, the default beta 1/alpha once raised ZeroDivisionError
+        config = self.verify_config(count=2, gate_frac=gate_frac)
+        config["model"]["alpha"] = alpha
+        path = write_config(tmp_path, "verify.json", config)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"alpha must be a nonzero real, got {alpha}"
+
     def test_overflowing_operator_while_gating_exit_3_naming_the_node(self, tmp_path, capsys):
         # kappa^2 * d overflows at node 0 (and 1), which once reached eigvalsh
         # as inf and raised LinAlgError from inside shrink_to_gate
@@ -1574,19 +1585,6 @@ class TestPipeline:
         assert main(["pipeline", "--config", path, "--out", str(tmp_path / "run")]) == 0
         n = len((tmp_path / "run" / "pairwise.csv").read_text().splitlines()) - 1
         assert calls == [n]
-
-    def test_series_is_kept_without_a_copy(self, tmp_path, monkeypatch):
-        # the verb's stacked class draws are its own, so the series keeps them
-        copies = []
-        real = features._own
-        monkeypatch.setattr(
-            features, "_own", lambda a, given: copies.append(a.nbytes) or real(a, given)
-        )
-        path = write_config(tmp_path, "pipeline.json", two_class_pipeline_config())
-        assert main(["pipeline", "--config", path, "--out", str(tmp_path / "run")]) == 0
-        assert copies == []
-        series = read_series_csv(tmp_path / "run" / "series.csv")
-        assert series.labels.tolist() == [0] * 192 + [1] * 192
 
     def test_singleton_beta_grid(self, tmp_path):
         config = two_class_pipeline_config()

@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 from unittest import mock
 
@@ -51,61 +50,23 @@ class TestLabeledSeries:
         assert s.length == 50
         assert s.channels == 4
 
-    @pytest.mark.parametrize(
-        "s, lab",
-        [
-            # arrays numpy would hand back as they are: contiguous, of the right dtype
-            (np.zeros((4, 1)), np.zeros(4, dtype=int)),
-            # contiguous views into larger arrays the caller holds
-            (np.zeros((8, 2))[:4], np.zeros(8, dtype=int)[2:6]),
-        ],
-    )
-    def test_callers_arrays_stay_writeable_and_unshared(self, s, lab):
-        series = LabeledSeries(s, lab)
-        assert s.flags.writeable and lab.flags.writeable
-        assert not np.shares_memory(series.samples, s)
-        assert not np.shares_memory(series.labels, lab)
-        s[0, 0], lab[0] = 7.0, 1
-        assert series.samples[0, 0] == 0.0 and series.labels[0] == 0
-        assert not series.samples.flags.writeable and not series.labels.flags.writeable
-
-    def test_owned_arrays_are_kept_and_frozen(self):
-        s, lab = np.arange(8.0).reshape(4, 2), np.array([0, 1, 1, 0])
-        series = LabeledSeries._from_owned(s, lab)
-        assert series.samples is s and series.labels is lab
-        assert not s.flags.writeable and not lab.flags.writeable
-        assert series.length == 4 and series.channels == 2
-
-    @pytest.mark.parametrize(
-        "s, lab",
-        [
-            (np.zeros((0, 2)), np.zeros(0, dtype=int)),
-            (np.zeros((5, 2)), np.zeros(4, dtype=int)),
-            (np.zeros((5, 2)), np.full(5, 2)),
-            (np.array([[0.0], [np.nan]]), np.zeros(2, dtype=int)),
-        ],
-        ids=["empty", "short-labels", "labels-not-0/1", "nan"],
-    )
-    def test_owned_arrays_get_the_constructors_checks(self, s, lab):
-        with pytest.raises(DomainError) as want:
-            LabeledSeries(s, lab)
-        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
-            LabeledSeries._from_owned(s, lab)
-
-    def test_read_series_csv_copies_once(self, tmp_path, monkeypatch):
-        # the reader's column slices are already copies, so they are kept as they are
+    def test_read_series_csv_copies_once(self, tmp_path):
+        # the parsed rows are alive while the series copies its columns out of
+        # them, so the peak is the rows, what the series keeps and the parser's
+        # buffers (about a tenth of the rows); a second copy of the samples, alive
+        # with the rows, adds the samples' size again, and the bound allows half
+        t, channels = 4000, 8
         path = tmp_path / "series.csv"
-        write_series_csv(make_series(t=20, channels=3), path)
-        copied = []
-
-        def spy(a, given, _real=features._own):
-            kept = _real(a, given)
-            copied.append(kept is not a)
-            return kept
-
-        monkeypatch.setattr(features, "_own", spy)
-        read_series_csv(path)
-        assert copied == [False, False]
+        write_series_csv(make_series(t=t, channels=channels), path)
+        rows = t * features._row_dtype(channels + 2).itemsize
+        tracemalloc.start()
+        try:
+            series = read_series_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = series.samples.nbytes + series.labels.nbytes
+        assert peak < rows + kept + series.samples.nbytes / 2
 
 
 class TestWindowSpec:
