@@ -6,8 +6,11 @@ oscillation of that error stays below half the smallest observed interaction
 weight, one threshold still separates connected from disconnected node pairs,
 so the observed block's fractional inverse power remains structurally
 faithful. Two sufficient gates certify this a priori from the shifted
-operator alone: a fractional-power form (power in (0,1) matched to the field
-smoothness) and a contour form (any nonzero power, positive smoothness).
+operator alone, for the power matched to the field smoothness, beta =
+1/alpha: a fractional-power form (that power in (0,1)) and a contour form
+(positive smoothness). The contour formulas take any nonzero power, but at
+other powers the population power need not share the graph's support, so a
+small commutation error certifies nothing there and no gate is handed out.
 Both read that operator only through its spectral radius and smallest
 eigenvalue, so every gate function takes those two scalars as a
 ShiftSpectrum, as graphs.abar returns them, or a matrix it factors once;
@@ -19,11 +22,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, frozen
 from .graphs import NodePartition, ShiftSpectrum, WeightedGraph, _min_weight, _rho_lam, abar
 from .graphs import observed_a_min, partition_blocks, scale_cross_block
 from .matern import MaternModel, observed_covariance, population_covariance
@@ -61,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class FractionalGate:
     """Sufficient condition on the cross-block norm, fractional-power form.
 
@@ -79,7 +82,7 @@ class FractionalGate:
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class ContourGate:
     """Sufficient condition on the cross-block norm, contour form."""
 
@@ -97,7 +100,7 @@ class ContourGate:
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class StructureCheck:
     """Outcome of comparing estimator entries against the true support."""
 
@@ -106,8 +109,10 @@ class StructureCheck:
     margin: float | None
 
 
-@dataclass(frozen=True)
+@frozen
 class ConsistencyReport:
+    """One instance's commutation error, structure verdict, gates and norm bound."""
+
     beta: float
     delta_spectral_norm: float
     delta_osc: float | None
@@ -435,15 +440,17 @@ def certified_gates(
 ) -> tuple[FractionalGate | None, ContourGate | None]:
     """Every gate that applies to (alpha, beta); None for one that does not.
 
-    The fractional gate needs the power matched to the field smoothness,
-    beta = 1/alpha in (0,1); the contour gate needs alpha > 0.
+    Both gates need the power matched to the field smoothness, beta =
+    1/alpha; the fractional gate also needs beta in (0,1), the contour gate
+    alpha > 0.
     """
     spec = _spectrum(shift)
     frac = cont = None
-    if 0 < beta < 1 and abs(beta * alpha - 1) <= 1e-9:
-        frac = fractional_gate(spec, beta, a_min, cross_norm)
-    if alpha > 0:
-        cont = best_contour_gate(spec, alpha, beta, sigma, a_min, cross_norm)
+    if abs(beta * alpha - 1) <= 1e-9:
+        if 0 < beta < 1:
+            frac = fractional_gate(spec, beta, a_min, cross_norm)
+        if alpha > 0:
+            cont = best_contour_gate(spec, alpha, beta, sigma, a_min, cross_norm)
     return frac, cont
 
 
@@ -486,8 +493,8 @@ def shrink_to_gate(
         gates = certified_gates(spec, alpha, beta, sigma, a_min, cross)
         if gates == (None, None):
             raise DomainError(
-                "gate_target_fraction needs an applicable gate: beta = 1/alpha in "
-                f"(0,1) or alpha > 0, got alpha={alpha}, beta={beta}"
+                "gate_target_fraction needs an applicable gate: beta = 1/alpha with "
+                f"alpha > 0, got alpha={alpha}, beta={beta}"
             )
         gate = max(g.gate for g in gates if g is not None)
         if cross < target_fraction * gate:
@@ -506,9 +513,9 @@ def verify_instance(
 
     Computes the exact commutation error from the population covariance,
     checks structural consistency of the powered observed block against the
-    true observed subgraph, and evaluates whichever gates apply. The
-    fractional gate requires the power to match the field smoothness
-    (beta = 1/alpha in (0,1)); the contour gate requires alpha > 0.
+    true observed subgraph, and evaluates whichever gates apply. Both
+    require the power to match the field smoothness, beta = 1/alpha; the
+    fractional gate also requires beta in (0,1), the contour gate alpha > 0.
     """
     notes: list[str] = []
     if beta is None:
@@ -558,7 +565,7 @@ def verify_instance(
         elif cross_norm < gate_frac.stability:
             bound_frac = delta_norm_bound_fractional(spec, beta, model.sigma, cross_norm)
         if gate_cont is None:
-            notes.append("contour gate needs alpha > 0")
+            notes.append("contour gate needs beta = 1/alpha with alpha > 0")
 
     return ConsistencyReport(
         beta=float(beta),

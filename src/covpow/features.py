@@ -13,11 +13,10 @@ import csv
 import json
 import os
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, frozen
 from .schema import _MANIFEST, load_json
 from .spd import SpdMatrix, SpdStack, _blockwise, read_matrix_csv, spd_power_eig, write_matrix_csv
 
@@ -51,7 +50,7 @@ def _feature_labels(labels) -> np.ndarray:
     return _binary_labels(labels)
 
 
-@dataclass(frozen=True)
+@frozen
 class LabeledSeries:
     """T x channels sample matrix with one binary label per time step, both kept as copies."""
 
@@ -81,7 +80,7 @@ class LabeledSeries:
         return self.samples.shape[1]
 
 
-@dataclass(frozen=True)
+@frozen
 class WindowSpec:
     """Window length in samples plus fractional overlap between neighbors."""
 
@@ -104,7 +103,7 @@ class WindowSpec:
         return int(round(self.length * (1 - self.overlap)))
 
 
-@dataclass(frozen=True)
+@frozen
 class Window:
     """One window: the index range, its samples, and the voted label."""
 
@@ -114,7 +113,7 @@ class Window:
     label: int
 
 
-@dataclass(frozen=True)
+@frozen
 class FeatureMatrix:
     """Power-transformed window covariance and its class label."""
 

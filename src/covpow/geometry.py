@@ -8,11 +8,11 @@ the standard affine-invariant form.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, frozen
 from .features import _feature_labels
 from .spd import SpdMatrix, SpdStack, _require
 
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class IdentifiabilityReport:
     """Pairwise-distance summary; intra stats are None for singleton classes."""
 

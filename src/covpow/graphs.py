@@ -11,11 +11,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, frozen
 from .spd import _square
 
 __all__ = [
@@ -46,7 +45,7 @@ def _checked_degrees(a: np.ndarray) -> np.ndarray:
         raise DomainError(f"degree of node {node} overflows the float range") from None
 
 
-@dataclass(frozen=True)
+@frozen
 class WeightedGraph:
     """Undirected weighted graph held as a copy of its dense adjacency matrix."""
 
@@ -97,12 +96,12 @@ def _increasing(idx: tuple[int, ...]) -> bool:
     return all(map(operator.lt, idx, idx[1:]))
 
 
-@dataclass(frozen=True)
+@frozen
 class NodePartition:
     """Observed node set S and its latent complement, both kept sorted."""
 
     observed: tuple[int, ...]
-    latent: tuple[int, ...] = field(default=())
+    latent: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         obs = tuple(map(int, self.observed))
@@ -178,7 +177,7 @@ def interaction_operator(g: WeightedGraph, kappa: float) -> np.ndarray:
     return np.diag(k2 * d + d) - g.adjacency
 
 
-@dataclass(frozen=True)
+@frozen
 class ShiftSpectrum:
     """The two scalars of the shifted operator that every gate depends on.
 

@@ -10,11 +10,10 @@ covariances, roots, and sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, frozen
 from .graphs import (
     NodePartition,
     WeightedGraph,
@@ -37,7 +36,7 @@ def _nonzero_alpha(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
+@frozen
 class MaternModel:
     """Field model on a graph: covariance sigma^2 * (kappa^2 D + L)^(-alpha).
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError, frozen
 from .features import FeatureMatrix, LabeledSeries, WindowSpec, _binary_labels, _window_covariances
 from .spd import SpdStack, _as_array, _blockwise, _element, _power, _require_spd, _upper_rows
 
@@ -36,8 +36,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class SplitSpec:
+    """Positive train, validation and test fractions summing to 1, a seed, and per-class splits."""
+
     train_frac: float
     val_frac: float
     test_frac: float
@@ -52,7 +54,7 @@ class SplitSpec:
             raise DomainError(f"split fractions must sum to 1, got {sum(fracs)}")
 
 
-@dataclass(frozen=True)
+@frozen
 class Metrics:
     """Confusion counts plus derived rates; undefined rates stay None."""
 
@@ -155,7 +157,7 @@ def _power_rows(stack: SpdStack, beta: float, index) -> np.ndarray:
     return _blockwise(rows, np.asarray(index, dtype=np.intp))[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class LinearClassifier:
     """Logistic model over standardized feature vectors; bias is last.
 
@@ -313,8 +315,10 @@ def train_linear_classifier(
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class FeatureSplit:
+    """Sorted indices of each split part, with a token hashing the seed, role and indices."""
+
     train_token: str
     val_token: str
     test_token: str
@@ -368,8 +372,10 @@ def default_beta_grid() -> list[float]:
     return [float(b) for b in grid if b != 0.0]
 
 
-@dataclass(frozen=True)
+@frozen
 class SelectionResult:
+    """The selected power and window spec, their s3 score, the per-power table and the fit."""
+
     beta_star: float
     s3: float
     per_beta_table: list[dict]

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, frozen
 
 __all__ = []
 
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
+@frozen
 class _AtLeast:
     """A number of type ``kind`` no smaller than ``low``; a float must also be finite."""
 
@@ -35,7 +34,7 @@ class _AtLeast:
     kind: type = int
 
 
-@dataclass(frozen=True)
+@frozen
 class _OneOf:
     """A value of type ``kind`` from ``options``."""
 
@@ -43,7 +42,7 @@ class _OneOf:
     kind: type = str
 
 
-@dataclass(frozen=True)
+@frozen
 class _SizedBy:
     """A list of ``kind`` with as many entries as the sibling ``key``'s value plus ``plus``."""
 
@@ -52,14 +51,14 @@ class _SizedBy:
     plus: int = 0
 
 
-@dataclass(frozen=True)
+@frozen
 class _Text:
     """A CSV cell holding the text of a ``kind``, such as float."""
 
     kind: type
 
 
-@dataclass(frozen=True)
+@frozen
 class _Variant:
     """A section whose table is named by its ``key`` entry; absent, by ``default``."""
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, frozen
 from .features import _feature_labels
 from .spd import _upper_rows
 
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class GmmFit:
     """Two-component 1D mixture, components sorted by mean."""
 
@@ -240,8 +239,10 @@ def signature_from_matrix(
     return extract_signature(matrix, threshold), threshold, fit
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassSignature:
+    """One class's thresholded support, its threshold and GMM, and how many matrices it pools."""
+
     label: int
     adjacency: np.ndarray
     threshold: float
@@ -297,8 +298,10 @@ def class_signatures(
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class SupportMetrics:
+    """Edge-set agreement of an estimated support with the truth; undefined rates stay None."""
+
     precision: float | None
     recall: float | None
     f1: float | None

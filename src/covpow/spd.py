@@ -10,11 +10,10 @@ between them is a genuine cross-check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, frozen
 
 __all__ = [
     "SymMatrix",
@@ -354,7 +353,7 @@ class SpdStack:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class ContourSpec:
     """Circle center/radius plus the node count."""
 

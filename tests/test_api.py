@@ -175,6 +175,30 @@ def test_import_loads_no_scipy():
     assert _run_child(code) == "[]"
 
 
+def test_import_compiles_no_record_methods():
+    """No method of a covpow class is compiled from source text at import.
+
+    ``@dataclass`` execs six methods per class, and no ``.pyc`` caches them;
+    ``errors.frozen`` builds them as closures, so every covpow function
+    comes from a file.
+    """
+    code = (
+        "import inspect, sys, covpow, covpow.cli\n"
+        "found = []\n"
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    if name.split('.')[0] != 'covpow':\n"
+        "        continue\n"
+        "    for cls in [v for v in vars(module).values() if isinstance(v, type)]:\n"
+        "        for attr, value in vars(cls).items():\n"
+        "            value = getattr(value, '__func__', getattr(value, 'func', value))\n"
+        "            code = getattr(inspect.unwrap(value), '__code__', None)\n"
+        "            if code is not None and code.co_filename == '<string>':\n"
+        "                found.append(f'{cls.__qualname__}.{attr}')\n"
+        "print(sorted(set(found)))"
+    )
+    assert _run_child(code) == "[]"
+
+
 def test_stieltjes_power_resolves_its_deferred_import():
     code = (
         "import numpy as np\n"
@@ -201,6 +225,19 @@ def test_only_the_schema_catches_shape_errors():
         if isinstance(node, ast.ExceptHandler)
         and node.type is not None
         and {"KeyError", "TypeError"} & _reads(node.type)
+    ]
+    assert found == []
+
+
+def test_only_errors_reads_dataclass():
+    """Records are declared with ``errors.frozen``, the one caller of ``dataclass``."""
+    src = Path(covpow.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.ImportFrom)) and "dataclass" in _reads(node)
     ]
     assert found == []
 

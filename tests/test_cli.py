@@ -1190,18 +1190,22 @@ class TestVerify:
         assert main(["verify", "--config", path, "--out", str(alone)]) == 0
         name = "report_00005.json"
         assert (run / name).read_bytes() == (alone / name).read_bytes()
-        # exact bytes: a failed seed's empty cells, and at beta != 1/alpha a seed
-        # with a contour gate but no fractional gate or bound
-        config["beta"], config["seeds"] = 0.7, {"start": 4, "count": 2}
+        # exact bytes: a failed seed's empty cells, and at beta != 1/alpha, where
+        # no gate applies and so nothing is shrunk, a seed with no gate or bound
+        assert (run / "summary.csv").read_bytes().split(b"\r\n")[2] == (
+            f"4,,,,,,,failed,{rows[1]['error']}".encode()
+        )
+        del config["gate_target_fraction"]
+        config["beta"] = 0.7
         path = write_config(tmp_path, "beta.json", config)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "beta")]) == 0
         rec = json.loads((tmp_path / "beta" / name).read_text())
-        assert rec["gate_fractional"] is rec["bound_fractional"] is None
-        ok = (f"5,0.7,{rec['cross_norm']!r},{rec['gate_contour']['gate']!r},,"
+        assert rec["gate_fractional"] is rec["gate_contour"] is rec["bound_fractional"] is None
+        ok = (f"5,0.7,{rec['cross_norm']!r},,,"
               f"{rec['delta_spectral_norm']!r},{rec['empirically_consistent']},ok,")
         assert (tmp_path / "beta" / "summary.csv").read_bytes() == (
             "seed,beta,cross_norm,gate,bound,empirical_norm,consistent,status,error\r\n"
-            f"4,,,,,,,failed,{rows[1]['error']}\r\n{ok}\r\n"
+            f"{ok}\r\n"
         ).encode()
 
     def test_gate_shrink_factors_each_step_once(self, tmp_path, monkeypatch):
@@ -1307,17 +1311,29 @@ class TestVerify:
             rec = json.loads(report_path.read_text())
             assert rec["delta_spectral_norm"] <= 1e-10
 
-    def test_gate_target_without_applicable_gate_exit_3(self, tmp_path, capsys):
-        # alpha < 0 with the default beta = 1/alpha: neither gate applies
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (-1.0, None),  # alpha < 0 with the default beta = 1/alpha
+            (2.0, 0.7),  # a power not matched to the smoothness
+        ],
+    )
+    def test_gate_target_without_applicable_gate_exit_3(self, tmp_path, capsys, alpha, beta):
+        # neither gate applies
         config = self.verify_config(count=2, gate_frac=0.5)
         config["seeds"] = {"start": 5, "count": 2}
-        config["model"]["alpha"] = -1.0
+        config["model"]["alpha"] = alpha
+        if beta is not None:
+            config["beta"] = beta
         path = write_config(tmp_path, "verify.json", config)
         run = tmp_path / "run"
         assert main(["verify", "--config", path, "--out", str(run)]) == 3
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "DomainError"
-        assert "needs an applicable gate" in err["message"]
+        assert err["message"] == (
+            "gate_target_fraction needs an applicable gate: beta = 1/alpha with alpha > 0, "
+            f"got alpha={alpha}, beta={1 / alpha if beta is None else beta}"
+        )
         assert not run.exists()
 
 

@@ -960,7 +960,7 @@ class TestCertifiedGates:
         "alpha, beta, fractional, contour",
         [
             (2.0, 0.5, True, True),
-            (2.0, 0.9, False, True),  # power not matched to the smoothness
+            (2.0, 0.9, False, False),  # power not matched to the smoothness
             (0.5, 2.0, False, True),  # matched, but beta outside (0,1)
             (-2.0, -0.5, False, False),
         ],
@@ -1080,6 +1080,43 @@ class TestShrinkToGate:
         if 0 < beta < 1:
             gates.append(fractional_gate(shift, beta, a_min, cross).gate)
         assert cross < fraction * max(gates)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n_obs=st.integers(3, 12),
+        n_lat=st.integers(1, 8),
+        p_in=st.tuples(st.floats(0.5, 0.95), st.floats(0.5, 0.95)),
+        p_cross=st.floats(0.05, 0.5),
+        kappa=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+        alpha=st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0]),
+        sigma=st.floats(0.3, 3.0),
+        fraction=st.sampled_from([0.9, 0.99, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_satisfied_gate_certifies_beyond_one_family(
+        self, n_obs, n_lat, p_in, p_cross, kappa, alpha, sigma, fraction, seed
+    ):
+        # graphs of 4 to 20 nodes with their own edge densities, not only the
+        # 7+4-node acceptance draw at kappa 1; a draw the sampler leaves
+        # invalid at this kappa, or with a node held up by cross edges alone,
+        # cannot be gated
+        g, p = sample_inhomogeneous_er(n_obs, n_lat, *p_in, p_cross, seed=seed)
+        params = dict(kappa=kappa, alpha=alpha, sigma=sigma)
+        try:
+            g = shrink_to_gate(g, p, beta=1 / alpha, target_fraction=fraction, **params)
+            model = MaternModel(graph=g, **params)
+        except DomainError:
+            return
+        report = verify_instance(model, p)
+        gates = [gate for gate in (report.gate_fractional, report.gate_contour) if gate is not None]
+        assert any(gate.satisfied for gate in gates)
+        # None: the observed block lacks one pair kind, so there is no verdict
+        assert report.empirically_consistent is not False
+        if report.bound_fractional is not None:
+            # the bound is exactly 0 for an empty cross block, where the computed
+            # error is rounding on the scale of the population power's norm
+            scale = sigma ** (-2 / alpha) * model.op_eigenvalues.max()
+            assert report.delta_spectral_norm <= report.bound_fractional + 1e-12 * scale
 
     def test_fraction_one_is_accepted_and_leaves_a_satisfied_gate(self):
         g, p = sample_inhomogeneous_er(7, 4, p_obs=0.5, p_lat=0.5, p_cross=0.15, seed=3)
@@ -1307,19 +1344,66 @@ class TestVerifyInstance:
             report = verify_instance(model, p)
             assert report.delta_osc <= 2 * report.delta_spectral_norm + 1e-12
 
-    def test_mismatched_beta_skips_fractional_gate(self):
+    def test_mismatched_beta_gets_no_gate(self):
+        notes = (
+            "fractional gate needs beta = 1/alpha in (0,1); "
+            "contour gate needs beta = 1/alpha with alpha > 0"
+        )
         model, p = er_instance(27)
         report = verify_instance(model, p, beta=0.9)  # alpha = 2, so 1/alpha = 0.5
-        assert report.gate_fractional is None
-        assert "fractional gate needs beta = 1/alpha" in report.notes
-        assert report.gate_contour is not None
-        # a negative alpha (beta = 1/alpha = -1) admits neither gate
+        assert report.gate_fractional is None and report.gate_contour is None
+        assert report.notes == notes
+        # a negative alpha (beta = 1/alpha = -1) admits neither gate either
         model, p = er_instance(27, alpha=-1.0)
         report = verify_instance(model, p)
         assert report.gate_fractional is None and report.gate_contour is None
-        assert report.notes.endswith(
-            "fractional gate needs beta = 1/alpha in (0,1); contour gate needs alpha > 0"
+        assert report.notes == f"beta defaulted to 1/alpha; {notes}"
+
+    def test_no_gate_claims_the_inconsistent_instance_at_beta_minus_2(self):
+        # the contour formulas read satisfied here, with delta_osc 2.3e-5
+        # against a threshold of 0.195, although thresholding fails: the
+        # population power C^2 need not share the graph's support
+        g, p = sample_inhomogeneous_er(
+            7, 3, p_obs=0.5526306847481507, p_lat=0.7960367633281018,
+            p_cross=0.4777630479251497, seed=98199196,
         )
+        g = scale_cross_block(g, p, 0.0017080237656136926)
+        model = MaternModel(graph=g, kappa=1.0, alpha=1.0, sigma=1.5408816142918003)
+        report = verify_instance(model, p, beta=-2.0)
+        assert report.empirically_consistent is False
+        assert report.margin == pytest.approx(-0.479, abs=5e-4)
+        assert report.gate_fractional is None and report.gate_contour is None
+        spec, _ = abar(g, 1.0)
+        a_min = observed_a_min(g, p)
+        assert best_contour_gate(spec, 1.0, -2.0, model.sigma, a_min, report.cross_norm).satisfied
+        # at the matched power the same instance is consistent, and gated
+        report = verify_instance(model, p)
+        assert report.empirically_consistent is True
+        assert report.margin == pytest.approx(0.029, abs=5e-4)
+        assert report.gate_contour.satisfied
+
+    def test_zero_cross_block_leaves_twice_the_threshold(self):
+        # no cross edges, no commutation error: at beta = 1/alpha the observed
+        # power is sigma^(-2 beta) (kappa^2 D_S + L_S), whose entries sit a
+        # whole smallest weight apart, twice the threshold
+        rng = np.random.default_rng(5)
+        ratios = []
+        for seed in range(250):
+            kappa = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+            alpha = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
+            sigma = float(rng.uniform(0.5, 2.0))
+            n_obs, n_lat = int(rng.integers(3, 10)), int(rng.integers(1, 6))
+            g, p = sample_inhomogeneous_er(n_obs, n_lat, 0.6, 0.6, 0.3, seed=seed)
+            g = scale_cross_block(g, p, 0.0)
+            try:
+                model = MaternModel(graph=g, kappa=kappa, alpha=alpha, sigma=sigma)
+            except DomainError:  # an isolated node
+                continue
+            report = verify_instance(model, p)
+            if report.margin is not None:
+                ratios.append(report.margin / report.threshold)
+        assert len(ratios) > 120
+        assert_allclose(ratios, 2.0, rtol=0, atol=1e-12)
 
     def test_report_serializes(self):
         model, p = er_instance(29)
