@@ -34,7 +34,6 @@ from .spd import (
     SpdMatrix,
     SymMatrix,
     _square,
-    _sym_values,
     circular_contour,
     operator_norm,
     spd_power_contour,
@@ -213,7 +212,10 @@ def consistency_threshold(a_min: float, sigma: float, beta: float) -> float:
         raise DomainError("a_min must be a positive weight (observed block has edges)")
     if not sigma > 0:
         raise DomainError("sigma must be positive")
-    return a_min / (2 * sigma ** (2 * beta))
+    try:
+        return a_min / (2 * sigma ** (2 * beta))
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"consistency threshold out of float range at sigma {sigma}, beta {beta}")
 
 
 def beta_integral_constant(beta: float) -> float:
@@ -228,13 +230,9 @@ def beta_integral_constant(beta: float) -> float:
 
 
 def _spectrum(shift) -> ShiftSpectrum:
-    """The ShiftSpectrum every gate function reads; gates need rho < 1.
-
-    A ShiftSpectrum passes through unchanged; a matrix is symmetrized,
-    checked and factored by one eigvalsh call.
-    """
+    """The ShiftSpectrum every gate function reads, refused unless rho < 1."""
     if not isinstance(shift, ShiftSpectrum):
-        shift = ShiftSpectrum(*_rho_lam(np.linalg.eigvalsh(_sym_values(shift))))
+        raise DomainError(f"gates read a ShiftSpectrum, got {type(shift).__name__}")
     if not shift.rho < 1:
         raise DomainError(f"shifted operator spectral radius must be < 1, got {shift.rho}")
     return shift

@@ -38,6 +38,7 @@ class NumericalError(CovpowError):
 
 
 _METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
+_UNSET = object()  # the default of a field that has none
 
 
 def frozen(cls):
@@ -47,9 +48,11 @@ def frozen(cls):
     ``.pyc`` caches them, so every import of the package paid for 162
     compiles. Here ``dataclass`` only records the fields (so ``fields``,
     ``asdict`` and ``replace`` work), and the six methods are closures over
-    them with dataclass's semantics and messages, for Python 3.10 to 3.13.
-    A record takes plain fields, with at most a plain default, and needs its
-    own docstring, since dataclass would otherwise derive one from a signature.
+    them with dataclass's semantics, for Python 3.10 to 3.13. A call that does
+    not bind raises dataclass's own TypeError, from a plain frozen dataclass
+    built with the record's fields only then. A record takes plain fields,
+    with at most a plain default, and needs its own docstring, since dataclass
+    would otherwise derive one from a signature.
     """
     own = [name for name in _METHODS if name in cls.__dict__]
     if own:
@@ -71,12 +74,12 @@ def frozen(cls):
     ordered = operator.itemgetter(*names) if n > 1 else lambda kwargs: tuple(kwargs.values())
     has_post_init = hasattr(cls, "__post_init__")
     setattr_ = object.__setattr__
-    bind = _binder(cls, flds)
+    defaults = tuple(_UNSET if f.default is dataclasses.MISSING else f.default for f in flds)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
             if args or kwargs.keys() != field_set:
-                args = bind(args, kwargs)
+                args = _bind(cls, names, defaults, args, kwargs)
             else:
                 args = ordered(kwargs)
         # field by field through object.__setattr__, as dataclass's __init__ does:
@@ -127,17 +130,12 @@ def frozen(cls):
             raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
-    empty = inspect.Parameter.empty
+    kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
     __init__.__signature__ = inspect.Signature(
-        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+        [inspect.Parameter("self", kind)]
         + [
-            inspect.Parameter(
-                f.name,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                default=empty if f.default is dataclasses.MISSING else f.default,
-                annotation=f.type,
-            )
-            for f in flds
+            inspect.Parameter(f.name, kind, default=empty if d is _UNSET else d, annotation=f.type)
+            for f, d in zip(flds, defaults)
         ],
         return_annotation=None,
     )
@@ -152,51 +150,26 @@ def _values(obj, names) -> tuple:
     return tuple([getattr(obj, name) for name in names])
 
 
-def _binder(cls, flds):
-    """Bind a call's arguments to the fields, in field order, as CPython binds
-    those of the ``__init__`` dataclass would generate, with the same TypeErrors."""
-    qualname = f"{cls.__qualname__}.__init__"
-    names = [f.name for f in flds]
-    defaults = {f.name: f.default for f in flds if f.default is not dataclasses.MISSING}
-
-    def bind(args, kwargs):
-        bound = dict(zip(names, args))
-        for key, value in kwargs.items():
-            if key in bound:
-                raise TypeError(f"{qualname}() got multiple values for argument {key!r}")
-            if key not in names:
-                hint = _suggestion(["self", *names], key)
-                raise TypeError(f"{qualname}() got an unexpected keyword argument {key!r}{hint}")
-            bound[key] = value
-        if len(args) > len(names):
-            takes = len(names) + 1  # self is the first positional argument
-            if defaults:
-                takes = f"from {len(names) - len(defaults) + 1} to {takes}"
-            plural = "s" if names else ""
-            raise TypeError(
-                f"{qualname}() takes {takes} positional argument{plural} "
-                f"but {len(args) + 1} were given"
-            )
-        missing = [repr(name) for name in names if name not in bound and name not in defaults]
-        if missing:
-            listed = " and ".join(missing) if len(missing) < 3 else (
-                ", ".join(missing[:-1]) + ", and " + missing[-1]
-            )
-            plural = "s" if len(missing) > 1 else ""
-            raise TypeError(
-                f"{qualname}() missing {len(missing)} required positional "
-                f"argument{plural}: {listed}"
-            )
-        return [bound[name] if name in bound else defaults[name] for name in names]
-
-    return bind
+def _bind(cls, names, defaults, args, kwargs) -> list:
+    """A call's values in field order: its positionals, then each later field's
+    keyword, or else its default. A call that does not bind goes to ``_twin``."""
+    k = len(args)
+    rest = names[k:]
+    values = [*args, *[kwargs.get(name, default) for name, default in zip(rest, defaults[k:])]]
+    # fields hold arrays, so an unset one is found by identity, never with `in`
+    if k > len(names) or not kwargs.keys() <= set(rest) or any(v is _UNSET for v in values):
+        _twin(cls)(*args, **kwargs)  # binds exactly when this does, so it raises
+    return values
 
 
-def _suggestion(candidates, key) -> str:
-    """CPython 3.13's "Did you mean" hint for an unexpected keyword; none before."""
-    try:
-        from _suggestions import _generate_suggestions
-    except ImportError:
-        return ""
-    best = _generate_suggestions(candidates, key)
-    return f". Did you mean {best!r}?" if best else ""
+def _twin(cls):
+    """A plain ``@dataclass(frozen=True)`` with cls's fields, defaults and names,
+    whose generated ``__init__`` raises dataclass's own binding TypeErrors."""
+    flds = dataclasses.fields(cls)
+    namespace = {f.name: f.default for f in flds if f.default is not dataclasses.MISSING}
+    namespace.update(
+        __annotations__={f.name: f.type for f in flds},
+        __qualname__=cls.__qualname__,
+        __module__=cls.__module__,
+    )
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))

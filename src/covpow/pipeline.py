@@ -17,7 +17,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError, frozen
-from .features import FeatureMatrix, LabeledSeries, WindowSpec, _binary_labels, _window_covariances
+from .features import FeatureMatrix, LabeledSeries, WindowSpec, _binary_labels, _feature_labels
+from .features import _window_covariances
 from .spd import SpdStack, _as_array, _blockwise, _element, _power, _require_spd, _upper_rows
 
 __all__ = [
@@ -193,12 +194,6 @@ def _design(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
     z = np.ones((len(x), x.shape[1] + 1))
     np.divide(x - mean, scale, out=z[:, :-1])
     return z
-
-
-def _labels_from(features: list[FeatureMatrix]) -> np.ndarray:
-    if any(f.label is None for f in features):
-        raise DomainError("features carry no labels")
-    return np.array([f.label for f in features])
 
 
 def train_linear_classifier(
@@ -498,7 +493,7 @@ def evaluate(classifier: LinearClassifier, features: list[FeatureMatrix], token:
     """Held-out metrics; refuses data whose token was visible in training."""
     _refuse_leak(classifier, token)
     x = _as_array([vectorize_feature(f.matrix) for f in features])
-    return _evaluate(classifier, x, _labels_from(features))
+    return _evaluate(classifier, x, _feature_labels([f.label for f in features]))
 
 
 def _refuse_leak(classifier: LinearClassifier, token: str | None) -> None:

@@ -1096,6 +1096,32 @@ class TestVerify:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "degree of node 1 overflows the float range"
 
+    @pytest.mark.parametrize(
+        "kappa, alpha, sigma, beta",
+        [(1e76, 1.0, 2e77, 2.0), (1e75, 2.0, 1e150, -2.0)],
+        ids=["power-overflows", "power-underflows"],
+    )
+    def test_threshold_out_of_float_range_exit_3_naming_sigma_and_beta(
+        self, tmp_path, capsys, kappa, alpha, sigma, beta
+    ):
+        # sigma ** (2 * beta) in a_min / (2 sigma^(2 beta)) once escaped as a bare
+        # OverflowError, or underflowed to 0 and raised ZeroDivisionError
+        config = {**self.verify_config(count=1), "beta": beta}
+        config["graph"] = {
+            "type": "explicit", "n": 4, "observed": [0, 1, 2],
+            "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 0.5], [0, 3, 0.7]],
+        }
+        config["model"] = {"kappa": kappa, "alpha": alpha, "sigma": sigma}
+        path = write_config(tmp_path, "verify.json", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify", "--config", path, "--out", str(tmp_path / "run")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == (
+            f"consistency threshold out of float range at sigma {sigma}, beta {beta}"
+        )
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("alpha", [0.0, -0.0], ids=["zero", "negative-zero"])
     @pytest.mark.parametrize("gate_frac", [None, 0.5], ids=["ungated", "gated"])
     def test_zero_alpha_exit_3_naming_alpha(self, tmp_path, capsys, alpha, gate_frac):

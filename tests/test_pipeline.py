@@ -697,7 +697,7 @@ class TestInputChecks:
             (lambda: vectorize_feature([np.eye(2), np.eye(3)]),
              "cannot stack arrays of mixed shapes [(2, 2), (3, 3)]"),
             (lambda: evaluate(_UNIT_CLASSIFIER, [spd_feature([1.0], 0), spd_feature([2.0], None)]),
-             "features carry no labels"),
+             "every feature needs a class label"),
             (lambda: train_linear_classifier(np.array([[1.0], [2.0]]), np.array([0, 2])),
              "labels must be 0/1"),
             (lambda: train_linear_classifier(np.array([[1.0]]), np.array([0])),
@@ -707,7 +707,7 @@ class TestInputChecks:
             (lambda: split_dataset([0, 1, 2], [0, 0.5, 1], SplitSpec(0.6, 0.2, 0.2)),
              "labels must be 0/1"),
             (lambda: evaluate(_UNIT_CLASSIFIER, [spd_feature([1.0], 0), spd_feature([2.0], 0.5)]),
-             "predictions and labels must be 0/1"),
+             "labels must be 0/1"),
             (lambda: select_beta(two_class_series(seed=1), window_grid=[]), "window grid is empty"),
             # about 15 windows a class leave no validation window at 2%
             (lambda: select_beta(

@@ -23,7 +23,7 @@ from covpow.pipeline import FeatureSplit, LinearClassifier, Metrics, SelectionRe
 from covpow.schema import _AtLeast, _OneOf, _SizedBy, _Text, _Variant
 from covpow.signatures import ClassSignature, GmmFit, SupportMetrics
 from covpow.spd import ContourSpec, SpdMatrix
-from record_twins import differences
+from record_twins import differences, twin
 from record_twins import main as synthetic_differences
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -111,6 +111,48 @@ def test_record_matches_its_dataclass_twin(cls):
     # the FrozenInstanceError messages and cached properties, among others
     args, other = EXAMPLES[cls]
     assert differences(cls, args, other) == []
+
+
+def test_a_call_that_binds_builds_no_dataclass(monkeypatch):
+    # only a call that does not bind builds a dataclass twin to raise its TypeError
+    def refuse(*args, **kwargs):
+        raise AssertionError("a call that binds built a dataclass")
+
+    monkeypatch.setattr(dataclasses, "dataclass", refuse)
+    for cls, (args, _) in EXAMPLES.items():
+        flds = dataclasses.fields(cls)
+        names = [f.name for f in flds]
+        want = repr(cls(*args))
+        for k in range(len(args)):  # all by keyword, then positionals and keywords mixed
+            assert repr(cls(*args[:k], **dict(zip(names[k:], args[k:])))) == want, cls
+        defaulted = [i for i, f in enumerate(flds) if f.default is not dataclasses.MISSING]
+        if defaulted:  # the defaults left out, positionally and by keyword
+            i = defaulted[0]
+            want = repr(cls(*args[:i], *[f.default for f in flds[i:]]))
+            assert repr(cls(*args[:i])) == want, cls
+            assert repr(cls(**dict(zip(names[:i], args[:i])))) == want, cls
+
+
+@pytest.mark.parametrize("cls", [LabeledSeries, LinearClassifier], ids=lambda cls: cls.__name__)
+def test_a_misused_array_record_raises_the_dataclass_type_error(cls):
+    # the unset marker is found by identity: comparing it with an array field
+    # would raise ValueError instead of the TypeError a dataclass raises
+    args, _ = EXAMPLES[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    calls = (
+        lambda c: c(args[0]),  # fields missing after an array
+        lambda c: c(**{names[0]: args[0]}),
+        lambda c: c(*args, **{names[1]: args[1]}),  # an array given twice
+        lambda c: c(*args, None),
+        lambda c: c(**dict(zip(names, args)), unknown=None),
+        lambda c: c(args[0], **{names[1] + "_": args[1]}),  # "Did you mean" from 3.13
+    )
+    for call in calls:
+        with pytest.raises(TypeError) as mine:
+            call(cls)
+        with pytest.raises(TypeError) as theirs:
+            call(twin(cls))
+        assert str(mine.value) == str(theirs.value)
 
 
 def test_node_partition_meshes_stay_a_cached_property():
